@@ -10,8 +10,10 @@
 //! {"machine":"i5","n":8,"threads":4,"top":2,"passes":""}
 //! ```
 //!
-//! `machine` is a case-insensitive substring of a known machine name
-//! (the VTune desktop plus the paper's three evaluation nodes); `n` is
+//! `machine` names one of the known machines (the VTune desktop plus the
+//! paper's three evaluation nodes), case-insensitively: a full name, or
+//! a substring that exactly one name contains — a query several names
+//! contain (`"Ivy Bridge"`) is a `bad_request` listing them; `n` is
 //! the box edge (must divide the paper workload's 512×384×256 domain);
 //! `threads` defaults to the machine's core count; `top` (default 3)
 //! bounds how many ranked variants are measured and returned; `passes`
@@ -33,6 +35,25 @@
 //! variant at 1..=threads threads (the figure series). Failures answer
 //! `{"ok":false,"error":...}` with the errors catalogued in DESIGN.md
 //! §15 — the server process itself does not die with the request.
+//!
+//! # Connection model
+//!
+//! One thread per connection reads a line, answers it and writes the
+//! reply — framed with its newline in one buffer and sent with one
+//! `write` on a `TCP_NODELAY` socket, so a warm answer costs its layers
+//! (tens of µs), not a delayed ACK (~40 ms when the newline was a
+//! segment of its own). Pipelined requests are answered in order. A
+//! request line is capped at 64 KiB (`MAX_LINE`): a longer one gets one
+//! `bad_request` and the connection is closed. With no reader thread, a
+//! vanished client is noticed where the connection thread already
+//! polls: the idle `read` (at once), a follower's 20 ms park on its
+//! flight and the injected-hang loop (`Conn::probe`) — so within
+//! ~20 ms of the disconnect, which is what cancels an abandoned flight.
+//!
+//! The analytic ranking — a pure function of (machine, `n`, `threads`)
+//! over a finite request domain — is memoised per key, cut to the 32
+//! entries `top` can ask for. It needs no eviction and no invalidation:
+//! it holds analytic ranks only, never store-derived traffic.
 //!
 //! # Failure model (admission → coalesce → execute → degrade)
 //!
@@ -65,12 +86,11 @@
 //!   then compacts the store to its canonical bytes.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -82,14 +102,28 @@ use crate::traffic::{store_key_with_passes, StoreReader, TrafficCache, TrafficMo
 use pdesched_core::{Pipeline, Variant};
 use pdesched_par::cancel::{self, CancelToken, Cancelled, InterestSet};
 
+/// The most variants one request can ask for (`top` is clamped to it),
+/// and therefore all a memoised ranking has to keep.
+const MAX_TOP: usize = 32;
+
+/// Longest request line accepted, newline excluded. A longer one gets a
+/// single `bad_request` and the connection is closed, so a newline-less
+/// flood cannot grow a connection's buffer past this (plus one read).
+const MAX_LINE: usize = 64 * 1024;
+
+/// How long an idle connection blocks in `read` before it looks at the
+/// server token again.
+const IDLE_POLL: Duration = Duration::from_millis(100);
+
 /// What an injected socket fault does to the request it fires on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ServeFaultAction {
     /// Close the connection without answering — the client sees EOF
     /// mid-request, as if the server was killed at that instant.
     DropConnection,
-    /// Park the request until the server token trips (bounded by a
-    /// safety cap) — the window `serve_storm.sh` SIGKILLs into.
+    /// Park the request until the server token trips or its client is
+    /// gone (bounded by a safety cap) — the window `serve_storm.sh`
+    /// SIGKILLs into.
     Hang,
 }
 
@@ -183,6 +217,9 @@ enum FlightState {
     Done(Result<u64, String>),
 }
 
+/// A memoised analytic ranking, fastest first; see `ServerInner::ranks`.
+type Ranking = Arc<[sweep::RankedVariant]>;
+
 /// A deadline the supervisor thread enforces by tripping a token.
 struct DeadlineSlot {
     at: Instant,
@@ -205,10 +242,17 @@ struct ServerInner {
     overlay: Mutex<HashMap<String, u64>>,
     flights: Mutex<HashMap<String, Arc<Flight>>>,
     machines: Vec<MachineSpec>,
+    /// Memoised analytic rankings, keyed by (machine name, box edge,
+    /// threads) and cut to the [`MAX_TOP`] entries a request can ask
+    /// for. The ranking is a pure function of its key and the key domain
+    /// is finite (4 machines × the 8 box edges dividing the domain ×
+    /// `hw_threads`), so the table needs neither eviction nor
+    /// invalidation: it never holds store-derived traffic.
+    ranks: Mutex<HashMap<(&'static str, i32, usize), Ranking>>,
     token: CancelToken,
     draining: AtomicBool,
     supervisor_stop: AtomicBool,
-    deadlines: Mutex<Vec<DeadlineSlot>>,
+    deadlines: Mutex<Vec<Arc<DeadlineSlot>>>,
     inflight: AtomicUsize,
     active_flights: AtomicUsize,
     requests: AtomicU64,
@@ -262,6 +306,7 @@ impl Server {
             overlay: Mutex::new(HashMap::new()),
             flights: Mutex::new(HashMap::new()),
             machines,
+            ranks: Mutex::new(HashMap::new()),
             token: CancelToken::new(),
             draining: AtomicBool::new(false),
             supervisor_stop: AtomicBool::new(false),
@@ -400,63 +445,140 @@ fn supervise_deadlines(inner: Arc<ServerInner>) {
     }
 }
 
-/// One connection: a dedicated reader thread turns client disconnect
-/// into a token trip the instant it happens (even while a request is
-/// executing), a processor loop answers requests in order.
-fn handle_connection(inner: Arc<ServerInner>, stream: TcpStream) {
-    let conn_token = inner.token.child();
-    let (tx, rx) = mpsc::channel::<String>();
-    let Ok(read_half) = stream.try_clone() else {
-        let _ = stream.shutdown(Shutdown::Both);
-        return;
-    };
-    let disconnect_token = conn_token.clone();
-    let reader_thread = std::thread::spawn(move || {
-        let mut lines = BufReader::new(read_half);
-        loop {
-            let mut line = String::new();
-            match lines.read_line(&mut line) {
-                Ok(0) | Err(_) => break,
-                Ok(_) => {
-                    if tx.send(line).is_err() {
-                        break;
-                    }
-                }
-            }
-        }
-        disconnect_token.trip("client disconnected");
-    });
+/// One client connection, owned by the one thread that reads, answers
+/// and writes it.
+struct Conn {
+    stream: TcpStream,
+    /// Received and not yet answered: a partial line, or pipelined
+    /// lines behind the one being answered.
+    buf: Vec<u8>,
+    /// Tripped when the client is gone; parent of every request token.
+    token: CancelToken,
+}
 
-    let mut out = stream;
-    loop {
-        let line = match rx.recv_timeout(Duration::from_millis(100)) {
-            Ok(line) => line,
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if inner.token.is_tripped() {
-                    break;
-                }
-                continue;
+/// What one `read` on a connection produced.
+enum Fill {
+    /// Bytes were appended to `buf`.
+    Data,
+    /// Nothing to read right now (timeout, or non-blocking and empty).
+    Idle,
+    /// EOF or a hard error: the client is gone.
+    Closed,
+}
+
+impl Conn {
+    /// One `read` into `buf`; in blocking mode it waits up to
+    /// [`IDLE_POLL`]. A timeout appends nothing and keeps what a partial
+    /// line already holds.
+    fn fill(&mut self) -> Fill {
+        let mut chunk = [0u8; 4096];
+        match self.stream.read(&mut chunk) {
+            Ok(0) => Fill::Closed,
+            Ok(n) => {
+                self.buf.extend_from_slice(&chunk[..n]);
+                Fill::Data
             }
-            Err(mpsc::RecvTimeoutError::Disconnected) => break,
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        match process_request(&inner, &conn_token, line.trim()) {
-            Some(resp) => {
-                if out.write_all(resp.as_bytes()).is_err() || out.write_all(b"\n").is_err() {
-                    break;
-                }
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                ) =>
+            {
+                Fill::Idle
             }
-            // Injected DropConnection: die without answering.
-            None => break,
+            Err(_) => Fill::Closed,
         }
     }
-    // Unblock the reader thread (it may sit in read_line on a live
-    // client) so the join below cannot hang.
-    let _ = out.shutdown(Shutdown::Both);
-    conn_token.trip("connection closed");
-    let _ = reader_thread.join();
+
+    /// Send one reply line: framed with its newline and written with ONE
+    /// `write`, so it leaves as one segment (a newline sent on its own
+    /// waits behind Nagle for the client's delayed ACK, ~40 ms).
+    fn send(&mut self, mut reply: String) -> std::io::Result<()> {
+        reply.push('\n');
+        self.stream.write_all(reply.as_bytes())
+    }
+
+    /// Disconnect probe for the waits that already poll (a parked
+    /// follower, an injected hang): trips the connection token when the
+    /// client is gone. It *reads* without blocking rather than peeking,
+    /// because an EOF hides behind pipelined requests until they are
+    /// taken out of the socket; the read-ahead stops at one line cap,
+    /// beyond which the kernel's socket buffer pushes back on the client.
+    fn probe(&mut self) {
+        if self.token.is_tripped() || self.stream.set_nonblocking(true).is_err() {
+            return;
+        }
+        let mut gone = false;
+        while !gone && self.buf.len() <= MAX_LINE {
+            match self.fill() {
+                Fill::Data => {}
+                Fill::Idle => break,
+                Fill::Closed => gone = true,
+            }
+        }
+        // A socket stuck in non-blocking mode would spin the read loop.
+        gone |= self.stream.set_nonblocking(false).is_err();
+        if gone {
+            self.token.trip("client disconnected");
+        }
+    }
+}
+
+/// One thread per connection: read a line, answer it, write the reply,
+/// in order. The client going away is noticed by the next `read` when
+/// idle and by [`Conn::probe`] while a request waits.
+fn handle_connection(inner: Arc<ServerInner>, stream: TcpStream) {
+    // Replies are single writes; without this a reply would still wait
+    // behind the previous one's delayed ACK (Nagle).
+    let _ = stream.set_nodelay(true);
+    // The idle read wakes up to notice the server token.
+    let _ = stream.set_read_timeout(Some(IDLE_POLL));
+    let mut conn = Conn { stream, buf: Vec::new(), token: inner.token.child() };
+    loop {
+        let newline = conn.buf.iter().position(|&b| b == b'\n');
+        if newline.unwrap_or(conn.buf.len()) > MAX_LINE {
+            refuse_oversize(&mut conn);
+            break;
+        }
+        let Some(newline) = newline else {
+            match conn.fill() {
+                Fill::Closed => break,
+                Fill::Idle if inner.token.is_tripped() => break,
+                Fill::Data | Fill::Idle => continue,
+            }
+        };
+        let line = String::from_utf8_lossy(&conn.buf[..newline]).trim().to_string();
+        conn.buf.drain(..=newline);
+        if line.is_empty() {
+            continue;
+        }
+        // Injected DropConnection (`None`): die without answering.
+        let Some(reply) = process_request(&inner, &mut conn, &line) else { break };
+        if conn.send(reply).is_err() {
+            break;
+        }
+    }
+    conn.token.trip("connection closed");
+    let _ = conn.stream.shutdown(Shutdown::Both);
+}
+
+/// Answer a line longer than [`MAX_LINE`] and give the connection up.
+/// The client may still be sending, and closing a socket with unread
+/// bytes resets it — which can destroy the reply before the client
+/// reads it — so half-close and discard input for a bounded moment.
+fn refuse_oversize(conn: &mut Conn) {
+    let reply = err_json("bad_request", &format!("request line exceeds {MAX_LINE} bytes"));
+    if conn.send(reply).is_err() {
+        return;
+    }
+    let _ = conn.stream.shutdown(Shutdown::Write);
+    let until = Instant::now() + Duration::from_secs(1);
+    loop {
+        conn.buf.clear();
+        if !matches!(conn.fill(), Fill::Data) || Instant::now() >= until {
+            break;
+        }
+    }
 }
 
 /// Admission guard: holds one inflight slot, released on drop (so
@@ -469,13 +591,24 @@ impl Drop for InflightSlot<'_> {
     }
 }
 
+/// Retires a request's [`DeadlineSlot`] when the request completes.
+/// Left to expire, the slot would keep the finished request's token
+/// alive (so `CancelToken::child` never prunes it), be rescanned by the
+/// supervisor every 5 ms, and finally trip a token nobody waits on.
+struct DeadlineGuard<'a> {
+    slots: &'a Mutex<Vec<Arc<DeadlineSlot>>>,
+    slot: Arc<DeadlineSlot>,
+}
+
+impl Drop for DeadlineGuard<'_> {
+    fn drop(&mut self) {
+        lock(self.slots).retain(|s| !Arc::ptr_eq(s, &self.slot));
+    }
+}
+
 /// Answer one request line; `None` means "drop the connection"
 /// (injected fault only).
-fn process_request(
-    inner: &Arc<ServerInner>,
-    conn_token: &CancelToken,
-    line: &str,
-) -> Option<String> {
+fn process_request(inner: &Arc<ServerInner>, conn: &mut Conn, line: &str) -> Option<String> {
     let index = inner.requests.fetch_add(1, Ordering::SeqCst);
 
     // Injected socket faults fire before admission, like a fault in the
@@ -484,11 +617,13 @@ fn process_request(
         match action {
             ServeFaultAction::DropConnection => return None,
             ServeFaultAction::Hang => {
-                // The SIGKILL window: park until shutdown, bounded so a
-                // forgotten fault cannot wedge a test run forever.
+                // The SIGKILL window: park until shutdown or until the
+                // client is gone, bounded so a forgotten fault cannot
+                // wedge a test run forever.
                 let cap = Instant::now() + Duration::from_secs(60);
-                while !inner.token.is_tripped() && Instant::now() < cap {
+                while !conn.token.is_tripped() && Instant::now() < cap {
                     std::thread::sleep(Duration::from_millis(10));
+                    conn.probe();
                 }
             }
         }
@@ -510,20 +645,27 @@ fn process_request(
 
     // Per-request token: child of the connection token (disconnect
     // cascades in), deadline enforced by the supervisor.
-    let req_token = conn_token.child();
-    if let Some(d) = inner.cfg.request_deadline {
-        lock(&inner.deadlines).push(DeadlineSlot {
+    let req_token = conn.token.child();
+    let _deadline = inner.cfg.request_deadline.map(|d| {
+        let slot = Arc::new(DeadlineSlot {
             at: Instant::now() + d,
             token: req_token.clone(),
             reason: "request deadline",
         });
-    }
+        lock(&inner.deadlines).push(Arc::clone(&slot));
+        DeadlineGuard { slots: &inner.deadlines, slot }
+    });
 
-    Some(answer(inner, &req_token, line))
+    Some(answer(inner, conn, &req_token, line))
 }
 
 /// Parse, validate, rank, measure, respond. Always returns a JSON line.
-fn answer(inner: &Arc<ServerInner>, req_token: &CancelToken, line: &str) -> String {
+fn answer(
+    inner: &Arc<ServerInner>,
+    conn: &mut Conn,
+    req_token: &CancelToken,
+    line: &str,
+) -> String {
     let req = match parse_flat_json(line) {
         Ok(map) => map,
         Err(e) => return err_json("bad_request", &format!("malformed JSON: {e}")),
@@ -531,13 +673,9 @@ fn answer(inner: &Arc<ServerInner>, req_token: &CancelToken, line: &str) -> Stri
     let Some(JVal::S(machine_q)) = req.get("machine") else {
         return err_json("bad_request", "missing string field \"machine\"");
     };
-    let query = machine_q.to_lowercase();
-    let Some(spec) = inner.machines.iter().find(|m| m.name.to_lowercase().contains(&query)) else {
-        let known: Vec<&str> = inner.machines.iter().map(|m| m.name).collect();
-        return err_json(
-            "bad_request",
-            &format!("unknown machine {machine_q:?}; known: {}", known.join(", ")),
-        );
+    let spec = match resolve_machine(&inner.machines, machine_q) {
+        Ok(spec) => spec,
+        Err(detail) => return err_json("bad_request", &detail),
     };
     let n = match req.get("n") {
         Some(JVal::N(v)) if *v >= 1.0 && v.fract() == 0.0 => *v as i32,
@@ -563,7 +701,7 @@ fn answer(inner: &Arc<ServerInner>, req_token: &CancelToken, line: &str) -> Stri
     }
     let top = match req.get("top") {
         None => 3usize,
-        Some(JVal::N(v)) if *v >= 1.0 && v.fract() == 0.0 => (*v as usize).min(32),
+        Some(JVal::N(v)) if *v >= 1.0 && v.fract() == 0.0 => (*v as usize).min(MAX_TOP),
         _ => return err_json("bad_request", "non-integer field \"top\""),
     };
     let pipeline = match req.get("passes") {
@@ -593,7 +731,7 @@ fn answer(inner: &Arc<ServerInner>, req_token: &CancelToken, line: &str) -> Stri
 
     // Rank the whole space analytically at the requested thread count,
     // then measure the short list (the paper's two-stage recipe).
-    let ranked = sweep::rank_all_at(spec, n, threads);
+    let ranked = ranked_top(inner, spec, n, threads);
     if ranked.is_empty() {
         return err_json("bad_request", &format!("no schedule variant is valid for box edge {n}"));
     }
@@ -613,15 +751,24 @@ fn answer(inner: &Arc<ServerInner>, req_token: &CancelToken, line: &str) -> Stri
                 push_row(&mut rows, r.variant, &r.prediction, "analytic");
                 continue;
             }
-            None => match fly(inner, req_token, &key, r.variant, n, &hierarchy, &pipeline) {
-                Ok(dram) => (dram, "sim"),
-                Err(e) => {
-                    if req_token.is_tripped() {
-                        return cancel_json(req_token);
+            None => {
+                let point = ColdPoint {
+                    key: &key,
+                    variant: r.variant,
+                    n,
+                    hierarchy: &hierarchy,
+                    pipeline: &pipeline,
+                };
+                match fly(inner, conn, req_token, &point) {
+                    Ok(dram) => (dram, "sim"),
+                    Err(e) => {
+                        if req_token.is_tripped() {
+                            return cancel_json(req_token);
+                        }
+                        return err_json("point_failed", &e);
                     }
-                    return err_json("point_failed", &e);
                 }
-            },
+            }
         };
         let p = model::predict_time_with_traffic(spec, r.variant, wl, threads, dram);
         push_row(&mut rows, r.variant, &p, source);
@@ -657,6 +804,52 @@ fn answer(inner: &Arc<ServerInner>, req_token: &CancelToken, line: &str) -> Stri
     out
 }
 
+/// The machine a request names: an exact (case-insensitive) name wins,
+/// else the *one* machine whose name contains the query. `Err` is the
+/// `bad_request` detail — a query several machines match is refused
+/// rather than resolved to whichever is listed first.
+fn resolve_machine<'a>(
+    machines: &'a [MachineSpec],
+    query: &str,
+) -> Result<&'a MachineSpec, String> {
+    let names = |ms: &mut dyn Iterator<Item = &MachineSpec>| {
+        ms.map(|m| m.name).collect::<Vec<_>>().join(", ")
+    };
+    let query_lc = query.to_lowercase();
+    let mut matches = Vec::new();
+    for m in machines {
+        let name = m.name.to_lowercase();
+        if name == query_lc {
+            return Ok(m);
+        }
+        if name.contains(&query_lc) {
+            matches.push(m);
+        }
+    }
+    match matches[..] {
+        [one] => Ok(one),
+        [] => Err(format!("unknown machine {query:?}; known: {}", names(&mut machines.iter()))),
+        _ => Err(format!(
+            "ambiguous machine {query:?}; candidates: {}",
+            names(&mut matches.iter().copied())
+        )),
+    }
+}
+
+/// The analytic ranking of the whole variant space at (machine, n,
+/// threads), cut to [`MAX_TOP`] and memoised in `inner.ranks`. Computed
+/// outside the lock: two first requests may both rank, the first insert
+/// wins, and both hold identical values.
+fn ranked_top(inner: &ServerInner, spec: &MachineSpec, n: i32, threads: usize) -> Ranking {
+    let key = (spec.name, n, threads);
+    if let Some(hit) = lock(&inner.ranks).get(&key) {
+        return Arc::clone(hit);
+    }
+    let mut ranked = sweep::rank_all_at(spec, n, threads);
+    ranked.truncate(MAX_TOP);
+    Arc::clone(lock(&inner.ranks).entry(key).or_insert_with(|| ranked.into()))
+}
+
 /// One response row: (seconds for sorting, rendered JSON, variant).
 type Row = (f64, String, Variant);
 
@@ -681,19 +874,25 @@ fn warm_lookup(inner: &ServerInner, key: &str) -> Option<u64> {
     lock(&inner.overlay).get(key).copied()
 }
 
+/// One point to measure: what a flight is keyed by and runs.
+struct ColdPoint<'a> {
+    key: &'a str,
+    variant: Variant,
+    n: i32,
+    hierarchy: &'a [pdesched_cachesim::CacheConfig],
+    pipeline: &'a Pipeline,
+}
+
 /// Single-flight execution of one cold point: returns its DRAM bytes.
 fn fly(
     inner: &Arc<ServerInner>,
+    conn: &mut Conn,
     req_token: &CancelToken,
-    key: &str,
-    variant: Variant,
-    n: i32,
-    hierarchy: &[pdesched_cachesim::CacheConfig],
-    pipeline: &Pipeline,
+    point: &ColdPoint<'_>,
 ) -> Result<u64, String> {
     let (flight, coalesced) = {
         let mut flights = lock(&inner.flights);
-        match flights.get(key) {
+        match flights.get(point.key) {
             Some(f) => (Arc::clone(f), true),
             None => {
                 let token = inner.token.child();
@@ -703,15 +902,15 @@ fn fly(
                     state: Mutex::new(FlightState::Running),
                     cv: Condvar::new(),
                 });
-                flights.insert(key.to_string(), Arc::clone(&flight));
+                flights.insert(point.key.to_string(), Arc::clone(&flight));
                 if let Some(d) = inner.cfg.budget.point_deadline {
-                    lock(&inner.deadlines).push(DeadlineSlot {
+                    lock(&inner.deadlines).push(Arc::new(DeadlineSlot {
                         at: Instant::now() + d,
                         token: flight.token.clone(),
                         reason: "point deadline",
-                    });
+                    }));
                 }
-                spawn_flight_worker(inner, &flight, key, variant, n, hierarchy, pipeline);
+                spawn_flight_worker(inner, &flight, point);
                 (flight, false)
             }
         }
@@ -735,28 +934,29 @@ fn fly(
                 req_token.reason().unwrap_or_else(|| "request cancelled".into())
             ));
         }
-        let (guard, _timeout) = flight
+        let (guard, wait) = flight
             .cv
             .wait_timeout(state, Duration::from_millis(20))
             .unwrap_or_else(|e| e.into_inner());
         state = guard;
+        if wait.timed_out() {
+            // Nobody reads the socket while this thread is parked, so
+            // the park's own poll is where a vanished client is noticed
+            // (within 20 ms) — outside the flight lock.
+            drop(state);
+            conn.probe();
+            state = lock(&flight.state);
+        }
     }
 }
 
-fn spawn_flight_worker(
-    inner: &Arc<ServerInner>,
-    flight: &Arc<Flight>,
-    key: &str,
-    variant: Variant,
-    n: i32,
-    hierarchy: &[pdesched_cachesim::CacheConfig],
-    pipeline: &Pipeline,
-) {
+fn spawn_flight_worker(inner: &Arc<ServerInner>, flight: &Arc<Flight>, point: &ColdPoint<'_>) {
     let inner = Arc::clone(inner);
     let flight = Arc::clone(flight);
-    let key = key.to_string();
-    let hierarchy = hierarchy.to_vec();
-    let pipeline = pipeline.clone();
+    let key = point.key.to_string();
+    let (variant, n) = (point.variant, point.n);
+    let hierarchy = point.hierarchy.to_vec();
+    let pipeline = point.pipeline.clone();
     inner.active_flights.fetch_add(1, Ordering::SeqCst);
     std::thread::spawn(move || {
         // The flight token is ambient for the whole measurement, so
@@ -977,6 +1177,30 @@ fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Result<
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A request's deadline slot is retired when the request completes,
+    /// not when the deadline passes: a busy connection must not pile up
+    /// one live token per answered request for the supervisor to rescan.
+    #[test]
+    fn deadline_slots_retire_with_their_request() {
+        use std::io::{BufRead, BufReader};
+        let server = Server::start(ServeConfig {
+            request_deadline: Some(Duration::from_secs(60)),
+            ..ServeConfig::default()
+        })
+        .expect("bind");
+        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+        let mut replies = BufReader::new(stream.try_clone().unwrap());
+        let mut reply = String::new();
+        for _ in 0..2000 {
+            stream.write_all(b"{\"machine\":\"i5\",\"n\":8,\"threads\":1,\"top\":1}\n").unwrap();
+            reply.clear();
+            replies.read_line(&mut reply).unwrap();
+            assert!(reply.contains("\"ok\":true"), "{reply}");
+        }
+        let live = lock(&server.inner.deadlines).len();
+        assert!(live <= server.stats().inflight, "{live} deadline slots outlived their requests");
+    }
 
     #[test]
     fn flat_json_round_trips_the_request_schema() {

@@ -1118,6 +1118,11 @@ impl TrafficCache {
     fn record(&self, key: String, t: BoxTraffic, mode: TrafficMode) {
         self.map_lock().insert(key.clone(), (t, mode));
         if let (Some(path), true) = (&self.store, self.owned_lock.is_some()) {
+            // Line and newline go out in ONE `write` on the O_APPEND
+            // handle: the kernel places each such write whole, so sweep
+            // threads finishing together cannot interleave into a merged
+            // line.
+            let line = entry_line(&key, &t, mode) + "\n";
             let max_retries = self.retry_max.load(Ordering::Relaxed);
             let backoff_us = self.retry_backoff_us.load(Ordering::Relaxed);
             let mut appended = false;
@@ -1137,7 +1142,7 @@ impl TrafficCache {
                         .create(true)
                         .append(true)
                         .open(path)
-                        .and_then(|mut f| writeln!(f, "{}", entry_line(&key, &t, mode)))
+                        .and_then(|mut f| f.write_all(line.as_bytes()))
                         .is_ok();
                 if appended {
                     break;
@@ -1729,5 +1734,49 @@ mod tests {
         assert_eq!(cache2.get_pair(v, 8, &cfg, &Pipeline::empty()).unwrap(), a.0);
         assert_eq!(cache2.get_pair(v, 8, &cfg, &pipe).unwrap(), a.1);
         assert_eq!(cache2.stats().misses, 0);
+    }
+
+    /// Sweep threads finishing points together append concurrently; an
+    /// entry written as two `write`s (payload, newline) tore into a
+    /// merged line about once in fifty cold `fig2` passes.
+    #[test]
+    fn concurrent_appends_never_tear() {
+        const THREADS: usize = 4;
+        const KEYS: usize = 500;
+        let dir = TempDir::new("append-race");
+        let path = dir.file("traffic.txt");
+        let key = |t: usize, k: usize| format!("race/t{t}/k{k}");
+        let traffic = |t: usize, k: usize| BoxTraffic {
+            dram_bytes: (t * KEYS + k) as u64,
+            reads: k as u64,
+            writes: t as u64,
+            l1_hit: 0.5,
+            llc_hit: 0.25,
+        };
+        {
+            let cache = TrafficCache::with_store(&path);
+            let start = std::sync::Barrier::new(THREADS);
+            std::thread::scope(|s| {
+                for t in 0..THREADS {
+                    let (cache, start) = (&cache, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        for k in 0..KEYS {
+                            cache.record(key(t, k), traffic(t, k), TrafficMode::Simulate);
+                        }
+                    });
+                }
+            });
+            assert_eq!(cache.stats().store_errors, 0);
+        }
+        let reload = TrafficCache::with_store(&path);
+        assert_eq!(reload.stats().corrupt_lines, 0, "an append tore");
+        assert_eq!(reload.len(), THREADS * KEYS);
+        let map = reload.map_lock();
+        for t in 0..THREADS {
+            for k in 0..KEYS {
+                assert_eq!(map.get(&key(t, k)).map(|e| e.0), Some(traffic(t, k)), "t{t} k{k}");
+            }
+        }
     }
 }

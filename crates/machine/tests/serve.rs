@@ -38,6 +38,42 @@ fn ask(addr: std::net::SocketAddr, request: &str) -> String {
     line.trim_end().to_string()
 }
 
+/// A persistent connection: one reply line per request.
+struct Client {
+    stream: TcpStream,
+    reader: BufReader<TcpStream>,
+}
+
+impl Client {
+    fn connect(addr: std::net::SocketAddr) -> Client {
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream.set_nodelay(true).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        let reader = BufReader::new(stream.try_clone().unwrap());
+        Client { stream, reader }
+    }
+
+    fn send(&mut self, bytes: &[u8]) {
+        self.stream.write_all(bytes).unwrap();
+    }
+
+    /// The next reply line, `None` at EOF.
+    fn reply(&mut self) -> Option<String> {
+        let mut line = String::new();
+        match self.reader.read_line(&mut line).expect("read response") {
+            0 => None,
+            _ => Some(line.trim_end().to_string()),
+        }
+    }
+
+    fn ask(&mut self, request: &str) -> String {
+        self.send(format!("{request}\n").as_bytes());
+        self.reply().expect("connection closed before the reply")
+    }
+}
+
+const WARM_REQ: &str = "{\"machine\":\"i5\",\"n\":8,\"threads\":2,\"top\":2}";
+
 fn count_entry_lines(store: &std::path::Path) -> usize {
     std::fs::read_to_string(store)
         .unwrap_or_default()
@@ -352,19 +388,28 @@ fn bad_requests_degrade_per_request_not_per_server() {
     let server = Server::start(ServeConfig::default()).expect("bind");
     let addr = server.local_addr();
 
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut ask_on = |req: &str| -> String {
-        stream.write_all(req.as_bytes()).unwrap();
-        stream.write_all(b"\n").unwrap();
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        line.trim_end().to_string()
-    };
+    let mut client = Client::connect(addr);
+    let mut ask_on = |req: &str| client.ask(req);
 
     assert!(ask_on("this is not json").contains("\"error\":\"bad_request\""));
     assert!(ask_on("{\"n\":8}").contains("missing string field"));
     assert!(ask_on("{\"machine\":\"cray\",\"n\":8}").contains("unknown machine"));
+    // A query two machines match is refused with the candidates, not
+    // resolved to whichever is listed first...
+    let ambiguous = ask_on("{\"machine\":\"Ivy Bridge\",\"n\":8}");
+    assert!(
+        ambiguous.contains("\"error\":\"bad_request\"")
+            && ambiguous.contains("ambiguous machine")
+            && ambiguous.contains("20-Core Intel Ivy Bridge")
+            && ambiguous.contains("4-Core Ivy Bridge Desktop (i5-3570K)")
+            && !ambiguous.contains("Magny-Cours"),
+        "got: {ambiguous}"
+    );
+    // ...while a full name (any case) and a unique substring resolve.
+    let exact = ask_on("{\"machine\":\"20-core intel ivy bridge\",\"n\":8,\"top\":1}");
+    assert!(exact.contains("\"machine\":\"20-Core Intel Ivy Bridge\""), "got: {exact}");
+    let unique = ask_on("{\"machine\":\"Intel Ivy Bridge\",\"n\":8,\"top\":1}");
+    assert!(unique.contains("\"machine\":\"20-Core Intel Ivy Bridge\""), "got: {unique}");
     assert!(ask_on("{\"machine\":\"i5\",\"n\":7}").contains("must divide"));
     assert!(ask_on("{\"machine\":\"i5\",\"n\":8,\"threads\":99}").contains("out of range"));
     assert!(
@@ -409,4 +454,147 @@ fn socket_faults_hit_one_request_not_the_server() {
     let third = ask(addr, "{\"machine\":\"i5\",\"n\":8,\"threads\":1,\"top\":1}");
     assert!(third.contains("\"ok\":true") && third.contains("\"source\":\"warm\""));
     assert_eq!(hook.0.load(Ordering::SeqCst), 3, "every request consulted the hook");
+}
+
+/// Wire regression: a reply is one segment on a `TCP_NODELAY` socket.
+/// Sent as two writes (body, newline) the newline waits behind Nagle
+/// for the client's delayed ACK — ~40 ms per round trip on a connection
+/// in use, ≥ 1.3 s for these 32.
+#[test]
+fn warm_round_trips_do_not_wait_for_delayed_acks() {
+    let server = Server::start(ServeConfig::default()).expect("bind");
+    let mut client = Client::connect(server.local_addr());
+    // Prime the point, and put the connection "in use": the floor never
+    // showed on a connection's first replies (quick-ack mode).
+    for _ in 0..4 {
+        assert!(client.ask(WARM_REQ).contains("\"ok\":true"));
+    }
+    let t0 = Instant::now();
+    for _ in 0..32 {
+        let resp = client.ask(WARM_REQ);
+        assert!(resp.contains("\"source\":\"warm\"") && !resp.contains("\"sim\""), "{resp}");
+    }
+    let took = t0.elapsed();
+    assert!(took < Duration::from_millis(320), "32 warm round trips took {took:?}");
+}
+
+/// The memoised analytic ranking changes no byte of any answer: a memo
+/// hit equals the answer that filled the memo and a fresh server's, at
+/// two thread counts of one (machine, n) asked in opposite orders — a
+/// key that ignored `threads` would hand one the other's ranking.
+#[test]
+fn memoised_ranking_answers_are_byte_identical() {
+    let dir = TempDir::new("servmemo");
+    let store = dir.file("t.txt");
+    let reqs = [
+        "{\"machine\":\"i5\",\"n\":8,\"threads\":1,\"top\":3}",
+        "{\"machine\":\"i5\",\"n\":8,\"threads\":2,\"top\":3}",
+    ];
+    let start = || {
+        Server::start(ServeConfig { store: Some(store.clone()), ..ServeConfig::default() })
+            .expect("bind")
+    };
+    // Measure the points once, so every later answer is all-warm.
+    {
+        let server = start();
+        for r in reqs {
+            assert!(ask(server.local_addr(), r).contains("\"ok\":true"));
+        }
+        assert!(server.drain());
+    }
+    let (first, hit): (Vec<String>, Vec<String>) = {
+        let server = start();
+        let mut client = Client::connect(server.local_addr());
+        (reqs.map(|r| client.ask(r)).to_vec(), reqs.map(|r| client.ask(r)).to_vec())
+    };
+    let fresh_reversed: Vec<String> = {
+        let server = start();
+        let mut client = Client::connect(server.local_addr());
+        let mut answers: Vec<String> = reqs.iter().rev().map(|r| client.ask(r)).collect();
+        answers.reverse();
+        answers
+    };
+    for a in &first {
+        assert!(a.contains("\"ok\":true") && !a.contains("\"sim\""), "not all-warm: {a}");
+    }
+    assert_ne!(first[0], first[1], "vacuity: the two thread counts answer differently");
+    assert_eq!(hit, first, "a memo hit must repeat the answer that filled the memo");
+    assert_eq!(fresh_reversed, first, "memo keys must not alias across thread counts");
+}
+
+/// A client that pipelines a second cold request behind a running one
+/// and vanishes mid-flight: the EOF sits *behind* the second request's
+/// bytes, and no thread is reading the socket while the first request
+/// waits on its flight — the wait's own probe has to take the pipelined
+/// line out of the socket to see the client gone.
+#[test]
+fn pipelining_client_that_vanishes_still_unwinds() {
+    let dir = TempDir::new("servpipe");
+    let store = dir.file("t.txt");
+    let server =
+        Server::start(ServeConfig { store: Some(store.clone()), ..ServeConfig::default() })
+            .expect("bind");
+
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream.write_all(b"{\"machine\":\"i5\",\"n\":64,\"threads\":2,\"top\":1}\n").unwrap();
+    let t0 = Instant::now();
+    while server.cache().stats().misses == 0 {
+        assert!(t0.elapsed() < Duration::from_secs(10), "flight never started");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    // Sent only now, so it is still in the socket (not in the server's
+    // line buffer) when the client goes.
+    stream.write_all(b"{\"machine\":\"i5\",\"n\":64,\"threads\":1,\"top\":1}\n").unwrap();
+    drop(stream);
+
+    let t0 = Instant::now();
+    while server.stats().inflight > 0 {
+        assert!(t0.elapsed() < Duration::from_secs(20), "abandoned request never unwound");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(server.drain());
+    assert_eq!(server.cache().stats().misses, 1, "the second request must not start a flight");
+    assert_eq!(count_entry_lines(&store), 0, "the cancelled measurement must not be recorded");
+}
+
+/// The request line is capped: a longer one gets exactly one
+/// `bad_request` and the connection is closed, so a newline-less flood
+/// cannot grow the server's memory. The server itself is unharmed.
+#[test]
+fn oversize_request_line_is_refused_and_the_connection_closed() {
+    let server = Server::start(ServeConfig::default()).expect("bind");
+    let mut client = Client::connect(server.local_addr());
+    client.send(&vec![b'x'; 100 * 1024]);
+    let resp = client.reply().expect("an oversize line is answered before the close");
+    assert!(resp.contains("\"error\":\"bad_request\"") && resp.contains("exceeds"), "{resp}");
+    assert_eq!(client.reply(), None, "the connection is closed after the refusal");
+
+    // A line just under the cap is still parsed (and rejected as JSON).
+    let mut client = Client::connect(server.local_addr());
+    let resp = client.ask(&"x".repeat(60 * 1024));
+    assert!(resp.contains("malformed JSON"), "{resp}");
+    assert!(client.ask(WARM_REQ).contains("\"ok\":true"), "the connection stays usable");
+}
+
+/// A request split across two writes further apart than the server's
+/// idle read timeout is answered once — the timeout that fires mid-line
+/// must keep the bytes it already has — and empty lines are skipped.
+#[test]
+fn split_request_lines_survive_the_idle_read_timeout() {
+    let server = Server::start(ServeConfig::default()).expect("bind");
+    let mut client = Client::connect(server.local_addr());
+    let (head, tail) = WARM_REQ.split_at(WARM_REQ.len() / 2);
+    client.send(head.as_bytes());
+    std::thread::sleep(Duration::from_millis(150));
+    client.send(format!("{tail}\n").as_bytes());
+    let resp = client.reply().unwrap();
+    assert!(resp.contains("\"ok\":true") && resp.contains("\"threads\":2"), "{resp}");
+
+    // Exactly one reply per request: the next line on the wire answers
+    // the next request, with the blank lines around it unanswered.
+    client.send(b"\n  \r\n{\"machine\":\"i5\",\"n\":7}\n\n");
+    assert!(client.reply().unwrap().contains("must divide"));
+    let resp = client.ask(WARM_REQ);
+    assert!(resp.contains("\"ok\":true") && resp.contains("\"source\":\"warm\""), "{resp}");
+    assert_eq!(server.stats().requests, 3, "blank lines are not requests");
 }
