@@ -43,7 +43,12 @@
 //! `write` on a `TCP_NODELAY` socket, so a warm answer costs its layers
 //! (tens of µs), not a delayed ACK (~40 ms when the newline was a
 //! segment of its own). Pipelined requests are answered in order. A
-//! request line is capped at 64 KiB (`MAX_LINE`): a longer one gets one
+//! connection is answered at a fixed rate — one request per 300 µs
+//! (`PACE`) after a burst of 16 (`BURST`), on an absolute grid
+//! (`Conn::pace`) — so a tight-loop client's throughput is the server's
+//! stated rate rather than the host scheduler's mood; occasional and
+//! cold requests never wait (DESIGN.md §15 *Pacing*). A request line
+//! is capped at 64 KiB (`MAX_LINE`): a longer one gets one
 //! `bad_request` and the connection is closed. With no reader thread, a
 //! vanished client is noticed where the connection thread already
 //! polls: the idle `read` (at once), a follower's 20 ms park on its
@@ -67,7 +72,9 @@
 //!   requests — including the one that created the flight — park as
 //!   followers on the flight's result or its failure. A worker panic or
 //!   cancellation is published to every follower and the flight is
-//!   removed from the map either way: the map cannot be poisoned.
+//!   removed from the map either way: the map cannot be poisoned. A
+//!   flight all its requesters abandoned cannot be joined while it
+//!   unwinds; the next request replaces it with a fresh one.
 //! * **Execution**: each flight runs under its own [`CancelToken`]
 //!   chained off the server token, held by an [`InterestSet`] of the
 //!   requests that want it. Client disconnect and request deadline trip
@@ -114,6 +121,14 @@ const MAX_LINE: usize = 64 * 1024;
 /// How long an idle connection blocks in `read` before it looks at the
 /// server token again.
 const IDLE_POLL: Duration = Duration::from_millis(100);
+
+/// The sustained answer rate of one connection: one request per `PACE`
+/// (3,333 /s), see [`Conn::pace`].
+const PACE: Duration = Duration::from_micros(300);
+
+/// How many requests a connection may be answered ahead of that rate: a
+/// client that asks fewer than this back to back never waits.
+const BURST: u32 = 16;
 
 /// What an injected socket fault does to the request it fires on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -454,6 +469,9 @@ struct Conn {
     buf: Vec<u8>,
     /// Tripped when the client is gone; parent of every request token.
     token: CancelToken,
+    /// When the next request is due on the connection's rate grid
+    /// ([`Conn::pace`]'s "theoretical arrival time").
+    due: Instant,
 }
 
 /// What one `read` on a connection produced.
@@ -488,6 +506,24 @@ impl Conn {
             }
             Err(_) => Fill::Closed,
         }
+    }
+
+    /// Hold a request until its turn on the connection's rate grid: a
+    /// token bucket refilled once per [`PACE`] and [`BURST`] deep, kept
+    /// as the one instant `due` (the generic cell rate algorithm). The
+    /// grid is absolute — a turn is `due + PACE`, not "now + PACE" — so a
+    /// late wake-up is made up on the next turn instead of adding up, and
+    /// a client in a tight loop is answered at exactly 1 / `PACE`
+    /// whatever the host's scheduler does (DESIGN.md §15 *Pacing*). A
+    /// request that took longer than this by itself (a cold point) finds
+    /// its turn long past and is never held.
+    fn pace(&mut self) {
+        let now = Instant::now();
+        let ahead = PACE * (BURST - 1);
+        if let Some(wait) = self.due.checked_duration_since(now + ahead) {
+            std::thread::sleep(wait);
+        }
+        self.due = self.due.max(now) + PACE;
     }
 
     /// Send one reply line: framed with its newline and written with ONE
@@ -533,7 +569,8 @@ fn handle_connection(inner: Arc<ServerInner>, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     // The idle read wakes up to notice the server token.
     let _ = stream.set_read_timeout(Some(IDLE_POLL));
-    let mut conn = Conn { stream, buf: Vec::new(), token: inner.token.child() };
+    let mut conn =
+        Conn { stream, buf: Vec::new(), token: inner.token.child(), due: Instant::now() };
     loop {
         let newline = conn.buf.iter().position(|&b| b == b'\n');
         if newline.unwrap_or(conn.buf.len()) > MAX_LINE {
@@ -552,6 +589,7 @@ fn handle_connection(inner: Arc<ServerInner>, stream: TcpStream) {
         if line.is_empty() {
             continue;
         }
+        conn.pace();
         // Injected DropConnection (`None`): die without answering.
         let Some(reply) = process_request(&inner, &mut conn, &line) else { break };
         if conn.send(reply).is_err() {
@@ -890,10 +928,18 @@ fn fly(
     req_token: &CancelToken,
     point: &ColdPoint<'_>,
 ) -> Result<u64, String> {
-    let (flight, coalesced) = {
+    // Take one interest in the point's flight, under the map lock:
+    // releasing the last one (all requesters gone) trips the flight
+    // token and the worker stops at its next interpreter checkpoint. A
+    // flight every requester has already let go of cannot be joined —
+    // it is only unwinding, and joining would hand a live requester the
+    // abandonment — so it is replaced by a fresh one under the same key.
+    let (flight, _interest, coalesced) = {
         let mut flights = lock(&inner.flights);
-        match flights.get(point.key) {
-            Some(f) => (Arc::clone(f), true),
+        let joined =
+            flights.get(point.key).and_then(|f| Some((Arc::clone(f), f.interest.try_join()?)));
+        match joined {
+            Some((flight, interest)) => (flight, interest, true),
             None => {
                 let token = inner.token.child();
                 let flight = Arc::new(Flight {
@@ -902,6 +948,7 @@ fn fly(
                     state: Mutex::new(FlightState::Running),
                     cv: Condvar::new(),
                 });
+                let interest = flight.interest.join();
                 flights.insert(point.key.to_string(), Arc::clone(&flight));
                 if let Some(d) = inner.cfg.budget.point_deadline {
                     lock(&inner.deadlines).push(Arc::new(DeadlineSlot {
@@ -911,7 +958,7 @@ fn fly(
                     }));
                 }
                 spawn_flight_worker(inner, &flight, point);
-                (flight, false)
+                (flight, interest, false)
             }
         }
     };
@@ -919,10 +966,6 @@ fn fly(
         inner.coalesced.fetch_add(1, Ordering::SeqCst);
     }
 
-    // Park on the flight holding one interest; releasing the last one
-    // (all requesters gone) trips the flight token and the worker stops
-    // at its next interpreter checkpoint.
-    let _interest = flight.interest.join();
     let mut state = lock(&flight.state);
     loop {
         if let FlightState::Done(result) = &*state {
@@ -981,7 +1024,14 @@ fn spawn_flight_worker(inner: &Arc<ServerInner>, flight: &Arc<Flight>, point: &C
         // flight from the map (failures too — the map is never
         // poisoned; a later request simply starts a fresh flight), then
         // wake the followers.
-        lock(&inner.flights).remove(&key);
+        {
+            // Unless a later request already replaced this (abandoned)
+            // flight with a fresh one under the same key.
+            let mut flights = lock(&inner.flights);
+            if flights.get(&key).is_some_and(|f| Arc::ptr_eq(f, &flight)) {
+                flights.remove(&key);
+            }
+        }
         *lock(&flight.state) = FlightState::Done(result);
         flight.cv.notify_all();
         inner.active_flights.fetch_sub(1, Ordering::SeqCst);

@@ -254,6 +254,50 @@ fn overload_rejects_immediately_with_retry_after() {
     assert!(resp.contains("\"ok\":true"), "server must recover after abandonment: {resp}");
 }
 
+/// A flight every requester has let go of is only unwinding; a request
+/// for the same point that arrives meanwhile must get a flight of its
+/// own, not the dying one's "abandoned by every requester". The hook
+/// keeps the first simulation unwinding for 300 ms after its token trips
+/// — a window that is ~1 ms wide in `overload_rejects_…` above, where it
+/// failed one run in thirty.
+#[test]
+fn request_during_an_abandoned_flights_unwinding_gets_a_fresh_flight() {
+    struct SlowUnwind(AtomicUsize);
+    impl FaultHook for SlowUnwind {
+        fn before_simulation(&self, sim_index: u64, _key: &str) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+            if sim_index == 0 {
+                while !pdesched_par::cancel::current_is_tripped() {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                std::thread::sleep(Duration::from_millis(300));
+            }
+        }
+    }
+    let hook = Arc::new(SlowUnwind(AtomicUsize::new(0)));
+    let server =
+        Server::start(ServeConfig { store_fault: Some(hook.clone()), ..ServeConfig::default() })
+            .expect("bind");
+    let addr = server.local_addr();
+    let req = "{\"machine\":\"i5\",\"n\":8,\"threads\":2,\"top\":1}";
+
+    let mut gone = TcpStream::connect(addr).expect("connect");
+    gone.write_all(format!("{req}\n").as_bytes()).unwrap();
+    let t0 = Instant::now();
+    while hook.0.load(Ordering::SeqCst) == 0 {
+        assert!(t0.elapsed() < Duration::from_secs(10), "flight never started");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    drop(gone);
+    while server.stats().inflight > 0 {
+        assert!(t0.elapsed() < Duration::from_secs(10), "abandoned request never returned");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let resp = ask(addr, req);
+    assert!(resp.contains("\"ok\":true") && resp.contains("\"sim\""), "{resp}");
+    assert_eq!(hook.0.load(Ordering::SeqCst), 2, "the second request simulated for itself");
+}
+
 /// Client disconnect mid-simulation abandons the flight: the per
 /// request token trips, the last interest release trips the flight
 /// token, and the measurement stops mid-plan-execution — no entry is
@@ -476,6 +520,36 @@ fn warm_round_trips_do_not_wait_for_delayed_acks() {
     }
     let took = t0.elapsed();
     assert!(took < Duration::from_millis(320), "32 warm round trips took {took:?}");
+}
+
+/// A connection is answered at a stated rate — one request per 300 µs
+/// once its 16-request burst is spent — whether the client waits for
+/// each reply or pipelines. `sleep` never returns early, so the lower
+/// bounds are exact; the upper bound only says the pace is not a stall.
+#[test]
+fn tight_loops_are_answered_at_the_connection_rate() {
+    let server = Server::start(ServeConfig::default()).expect("bind");
+    let mut client = Client::connect(server.local_addr());
+    assert!(client.ask(WARM_REQ).contains("\"ok\":true"));
+    let pace = Duration::from_micros(300);
+
+    let t0 = Instant::now();
+    for _ in 0..216 {
+        assert!(client.ask(WARM_REQ).contains("\"source\":\"warm\""));
+    }
+    let took = t0.elapsed();
+    assert!(took >= pace * 200, "216 closed-loop requests took only {took:?}");
+    assert!(took < Duration::from_secs(2), "216 closed-loop requests took {took:?}");
+
+    // Pipelined requests wait their turn too. (Not 99 turns: whenever
+    // the client above was the slower side, the bucket refilled a little.)
+    let t0 = Instant::now();
+    client.send(format!("{WARM_REQ}\n").repeat(100).as_bytes());
+    for _ in 0..100 {
+        assert!(client.reply().expect("reply").contains("\"source\":\"warm\""));
+    }
+    let took = t0.elapsed();
+    assert!(took >= pace * 84, "100 pipelined requests took only {took:?}");
 }
 
 /// The memoised analytic ranking changes no byte of any answer: a memo

@@ -372,6 +372,16 @@ impl InterestSet {
         Interest { set: Arc::clone(&self.inner), released: AtomicBool::new(false) }
     }
 
+    /// [`join`](Self::join), unless nobody holds an interest: `None`
+    /// means the work was never joined or — what callers sharing a set
+    /// care about — its last holder has let go, so the token is tripped
+    /// or about to be and the work cannot be kept alive any more.
+    pub fn try_join(&self) -> Option<Interest> {
+        let claim = |n: usize| (n > 0).then_some(n + 1);
+        self.inner.outstanding.fetch_update(Ordering::AcqRel, Ordering::Acquire, claim).ok()?;
+        Some(Interest { set: Arc::clone(&self.inner), released: AtomicBool::new(false) })
+    }
+
     /// Number of unreleased interests right now (racy by nature; for
     /// introspection and tests).
     pub fn outstanding(&self) -> usize {
@@ -574,6 +584,21 @@ mod tests {
         drop(b); // drop releases
         assert!(t.is_tripped());
         assert_eq!(t.reason().as_deref(), Some("abandoned"));
+    }
+
+    #[test]
+    fn abandoned_interest_cannot_be_rejoined() {
+        let t = CancelToken::new();
+        let set = InterestSet::new(t.clone(), "abandoned");
+        assert!(set.try_join().is_none(), "nobody to join yet");
+        let a = set.join();
+        let b = set.try_join().expect("held work can be joined");
+        drop(a);
+        assert!(!t.is_tripped());
+        drop(b);
+        assert!(t.is_tripped());
+        assert!(set.try_join().is_none(), "abandoned work stays abandoned");
+        assert_eq!(set.outstanding(), 0);
     }
 
     #[test]
