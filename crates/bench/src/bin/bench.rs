@@ -1,7 +1,7 @@
 //! Trace→cachesim pipeline throughput benchmark.
 //!
 //! ```text
-//! bench [--phase traffic|lower|passes|all] [--mode simulate|symbolic|hybrid]
+//! bench [--phase traffic|lower|passes|all] [--mode simulate|symbolic]
 //!       [--label L] [--sizes 16,32,64] [--samples K] [--variants a,b]
 //!       [--out PATH] [--skip-reference] [--check-against PATH]
 //!       [--threshold X] [--min-speedup X] [--threads N]
@@ -48,7 +48,7 @@
 //!   3.0, loose enough to absorb machine-to-machine variation while
 //!   catching an accidental return to per-element dispatch). Points
 //!   missing from the baseline are reported and skipped.
-//! * `--mode symbolic|hybrid` — time the symbolic traffic pipeline
+//! * `--mode symbolic` — time the symbolic traffic pipeline
 //!   (`measure_box_traffic_symbolic`) as the fast path instead; the
 //!   comparator becomes the fast-path *simulator*, so `speedup` in the
 //!   JSON is symbolic-vs-simulate and the results are asserted
@@ -56,7 +56,7 @@
 //!   name (`BENCH_symbolic.json` — the file CI gates). Points whose
 //!   plans the analysis leaves unclaimed (wavefront/overlap) fall back
 //!   to the simulator and are marked `"claimed": false`.
-//! * `--min-speedup X` — with a symbolic mode, exit nonzero unless
+//! * `--min-speedup X` — with `--mode symbolic`, exit nonzero unless
 //!   every *claimed* point's symbolic-vs-simulate speedup is at least
 //!   X× (the ≥10× throughput criterion, enforced in CI at n=64).
 //! * `--threads N` — run the fast path through the set-sharded parallel
@@ -69,8 +69,8 @@
 //!   deterministic `shard_balance` (total routed ops / max per-shard
 //!   ops, the host-independent ceiling on achievable speedup) land in
 //!   the JSON.
-//! * `--min-par-speedup X` — with `--threads N > 1` and a symbolic
-//!   mode, exit nonzero unless every *claimed* point clears X: the wall
+//! * `--min-par-speedup X` — with `--threads N > 1` and `--mode
+//!   symbolic`, exit nonzero unless every *claimed* point clears X: the wall
 //!   speedup when the host actually has N cores
 //!   (`available_parallelism() >= N`), otherwise the shard-balance
 //!   bound (wall speedup on a core-starved host measures the scheduler,
@@ -115,7 +115,7 @@ struct Point {
     fast_seconds: f64,
     ref_seconds: Option<f64>,
     dram_bytes: u64,
-    /// `--mode symbolic|hybrid` only: whether the analysis claimed the
+    /// `--mode symbolic` only: whether the analysis claimed the
     /// plan (unclaimed points fall back to the simulator, so their
     /// speedup is ~1 and exempt from `--min-speedup`).
     claimed: Option<bool>,
@@ -208,7 +208,7 @@ fn named_variants() -> Vec<(&'static str, Variant)> {
 fn usage(msg: &str) -> ! {
     eprintln!("bench: {msg}");
     eprintln!(
-        "usage: bench [--phase traffic|lower|all] [--mode simulate|symbolic|hybrid] [--label L] \
+        "usage: bench [--phase traffic|lower|all] [--mode simulate|symbolic] [--label L] \
          [--sizes 16,32,64] [--samples K] [--variants a,b] [--out PATH] [--skip-reference] \
          [--check-against PATH] [--threshold X] [--min-speedup X] [--threads N] \
          [--min-par-speedup X]"
@@ -244,8 +244,8 @@ fn main() {
             }
             "--mode" => {
                 mode = val("--mode");
-                if !matches!(mode.as_str(), "simulate" | "symbolic" | "hybrid") {
-                    usage("--mode must be simulate, symbolic, or hybrid");
+                if !matches!(mode.as_str(), "simulate" | "symbolic") {
+                    usage("--mode must be simulate or symbolic");
                 }
             }
             "--label" => label = Some(val("--label")),
@@ -290,13 +290,13 @@ fn main() {
     }
     let symbolic_mode = mode != "simulate";
     if min_speedup.is_some() && !symbolic_mode {
-        usage("--min-speedup needs --mode symbolic or hybrid");
+        usage("--min-speedup needs --mode symbolic");
     }
     if threads == 0 {
         usage("--threads must be at least 1");
     }
     if min_par_speedup.is_some() && (threads < 2 || !symbolic_mode) {
-        usage("--min-par-speedup needs --threads N > 1 and --mode symbolic or hybrid");
+        usage("--min-par-speedup needs --threads N > 1 and --mode symbolic");
     }
     let label = label.unwrap_or_else(|| {
         if phase == "passes" {
@@ -338,7 +338,7 @@ fn main() {
                 println!("{vname:<12} n={n:<4} skipped (invalid for box)");
                 continue;
             }
-            // Serial runs: in a symbolic mode the pipeline under test is
+            // Serial runs: in symbolic mode the pipeline under test is
             // the symbolic summarizer and the comparator is the fast-path
             // simulator (itself the thing `--mode simulate` benchmarks
             // against the per-element reference) — so `speedup` stacks:

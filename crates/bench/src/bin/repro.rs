@@ -49,8 +49,9 @@
 //! accepts a single writer at a time — a second concurrent `repro` run
 //! degrades to read-only memoization instead of interleaving appends.
 //! The `faultcheck` target plus the `REPRO_FAULT` environment variable
-//! (`panic-sim:K`, `hang-sim:K`, or `fail-append:N`, 0-based) exercise
-//! this machinery deterministically end to end; CI runs it.
+//! (`panic-sim:K`, `hang-sim:K`, `fail-append:N`, or `abort-sim:K` —
+//! process abort, the in-process `kill -9` — 0-based) exercise this
+//! machinery deterministically end to end; CI runs it.
 //!
 //! Supervision (see DESIGN.md "Failure model"): SIGINT/SIGTERM trip a
 //! cancel token, the running sweep stops at its next checkpoint, the
@@ -61,8 +62,9 @@
 //! `--point-deadline SECS` kills individual hung measurements without
 //! aborting the sweep. Exit codes: 0 complete, 10 interrupted by
 //! signal, 11 deadline exceeded, 12 point failures/timeouts,
-//! 13 store was read-only (lock held by another repro), 14 sweep
-//! fabric stalled, 15 merge conflict, 16 serve could not start.
+//! 13 store was read-only (lock held by another repro), 16 serve could
+//! not start (14 and 15 belonged to the retired shard fabric and are not
+//! reused).
 //!
 //! `repro serve` (DESIGN.md §15) turns the traffic store into a
 //! long-lived schedule-query service: line-delimited JSON over local
@@ -74,30 +76,15 @@
 //! inflight requests, compact and flush the store, and exit 10.
 //! `REPRO_FAULT` grows `drop-req:K` / `hang-req:K` for the
 //! request-path storm tests.
-//!
-//! Sharded sweeps (see DESIGN.md §12): `--shards N --workers K`
-//! partitions the measurement space deterministically into N shard
-//! stores and runs this process as a *coordinator* that spawns K
-//! worker processes (`--shard-worker I`, internal). Workers claim
-//! shards by acquiring the shard store's single-writer lock, append
-//! heartbeats to the shard journal, and are reclaimed (SIGKILL + shard
-//! re-offer) when a heartbeat goes stale; the coordinator respawns
-//! crashed workers up to `--fabric-respawns` and finally merge-compacts
-//! the shard stores into the canonical store — byte-identical to a
-//! serial run regardless of worker interleaving or crashes. Additional
-//! `REPRO_FAULT` parts for fabric tests: `abort-sim:K` (process abort,
-//! the in-process `kill -9`); `REPRO_FAULT_GUARD=PATH` makes whichever
-//! fault fires first claim PATH atomically so a respawned worker
-//! doesn't re-fire it forever.
 
 use pdesched_bench::render_figure;
 use pdesched_cachesim::CacheConfig;
 use pdesched_core::storage::{expected, paper_formula};
 use pdesched_core::{Category, Pipeline, Variant};
-use pdesched_machine::{coordinator, figures, shard, sweep};
+use pdesched_machine::{figures, sweep};
 use pdesched_machine::{
-    FabricConfig, FabricReport, FaultHook, MachineSpec, PointFailure, PriorSweep, SimPoint,
-    SweepBudget, SweepEngine, TrafficCache, TrafficMode, WorkerConfig,
+    FaultHook, MachineSpec, PointFailure, PriorSweep, SimPoint, SweepBudget, SweepEngine,
+    TrafficCache, TrafficMode,
 };
 use pdesched_par::cancel::{self, CancelToken, Cancelled};
 use std::time::Duration;
@@ -109,8 +96,6 @@ const EXIT_SIGNAL: i32 = 10;
 const EXIT_DEADLINE: i32 = 11;
 const EXIT_POINT_FAILURES: i32 = 12;
 const EXIT_STORE_READ_ONLY: i32 = 13;
-const EXIT_FABRIC_STALLED: i32 = 14;
-const EXIT_MERGE_CONFLICT: i32 = 15;
 const EXIT_SERVE: i32 = 16;
 
 /// Wall time and cache activity of one regenerated target.
@@ -133,36 +118,16 @@ struct EnvFault {
     fail_append_every: Option<u64>,
     drop_req: Option<u64>,
     hang_req: Option<u64>,
-    /// `REPRO_FAULT_GUARD`: a path claimed atomically (`create_new`)
-    /// the first time any planned sim fault is about to fire, across
-    /// every process sharing the env. A respawned fabric worker
-    /// inherits `REPRO_FAULT` — without the guard an `abort-sim` would
-    /// re-fire in every replacement and the fabric could never
-    /// converge.
-    guard: Option<std::path::PathBuf>,
-}
-
-impl EnvFault {
-    /// Whether a planned fault may fire: `true` with no guard, else
-    /// exactly once across all processes sharing the guard path.
-    fn claim_guard(&self) -> bool {
-        match &self.guard {
-            None => true,
-            Some(path) => {
-                std::fs::OpenOptions::new().write(true).create_new(true).open(path).is_ok()
-            }
-        }
-    }
 }
 
 impl FaultHook for EnvFault {
     fn before_simulation(&self, sim_index: u64, _key: &str) {
-        if self.abort_sim == Some(sim_index) && self.claim_guard() {
+        if self.abort_sim == Some(sim_index) {
             eprintln!("[repro] injected fault (REPRO_FAULT): aborting at simulation {sim_index}");
             // No unwinding, no flush, no Drop — the in-process kill -9.
             std::process::abort();
         }
-        if self.hang_sim == Some(sim_index) && self.claim_guard() {
+        if self.hang_sim == Some(sim_index) {
             eprintln!("[repro] injected fault (REPRO_FAULT): hanging simulation {sim_index}");
             // Wedge until cancelled (per-point deadline or signal); the
             // hard cap keeps an unsupervised run from hanging forever.
@@ -172,7 +137,7 @@ impl FaultHook for EnvFault {
             }
             cancel::check_current();
         }
-        if self.panic_sim == Some(sim_index) && self.claim_guard() {
+        if self.panic_sim == Some(sim_index) {
             panic!("injected fault (REPRO_FAULT): panic on simulation {sim_index}");
         }
     }
@@ -183,11 +148,11 @@ impl FaultHook for EnvFault {
 
 impl pdesched_machine::ServeHook for EnvFault {
     fn on_request(&self, request_index: u64) -> Option<pdesched_machine::ServeFaultAction> {
-        if self.drop_req == Some(request_index) && self.claim_guard() {
+        if self.drop_req == Some(request_index) {
             eprintln!("[repro] injected fault (REPRO_FAULT): dropping request {request_index}");
             return Some(pdesched_machine::ServeFaultAction::DropConnection);
         }
-        if self.hang_req == Some(request_index) && self.claim_guard() {
+        if self.hang_req == Some(request_index) {
             eprintln!("[repro] injected fault (REPRO_FAULT): hanging request {request_index}");
             return Some(pdesched_machine::ServeFaultAction::Hang);
         }
@@ -196,7 +161,7 @@ impl pdesched_machine::ServeHook for EnvFault {
 }
 
 /// Parse `REPRO_FAULT` (`panic-sim:K` | `hang-sim:K` | `abort-sim:K` |
-/// `fail-append:N`) and `REPRO_FAULT_GUARD` (once-latch path).
+/// `fail-append:N` | `drop-req:K` | `hang-req:K`, comma-separated).
 fn env_fault() -> Option<EnvFault> {
     let spec = std::env::var("REPRO_FAULT").ok()?;
     let mut fault = EnvFault {
@@ -206,7 +171,6 @@ fn env_fault() -> Option<EnvFault> {
         fail_append_every: None,
         drop_req: None,
         hang_req: None,
-        guard: std::env::var("REPRO_FAULT_GUARD").ok().map(Into::into),
     };
     for part in spec.split(',') {
         match part.split_once(':').and_then(|(k, v)| Some((k, v.parse::<u64>().ok()?))) {
@@ -293,11 +257,6 @@ fn main() {
     let mut deadline: Option<Duration> = None;
     let mut point_deadline: Option<Duration> = None;
     let mut mode = TrafficMode::Simulate;
-    let mut shards: usize = 0;
-    let mut workers: Option<usize> = None;
-    let mut heartbeat_stale = Duration::from_secs(10);
-    let mut respawns: Option<usize> = None;
-    let mut shard_worker: Option<usize> = None;
     let mut dump_out = String::from("target/plan-dumps");
     let mut dump_passes = String::new();
     let mut dump_variant: Option<String> = None;
@@ -306,9 +265,8 @@ fn main() {
         eprintln!("repro: {msg}");
         eprintln!(
             "usage: repro [--fast] [--store PATH] [--threads N] [--json PATH] \
-             [--mode simulate|symbolic|hybrid] \
+             [--mode simulate|symbolic] \
              [--deadline SECS] [--point-deadline SECS] \
-             [--shards N [--workers K] [--heartbeat-stale SECS] [--fabric-respawns N]] \
              [--out DIR] [--passes SPEC] [--variant NAME] \
              [TARGET]...\n\
              \x20      repro plan|describe <variant-name> [--n N] [--threads T] [--passes SPEC]\n\
@@ -318,13 +276,6 @@ fn main() {
              [--request-deadline SECS] [--stale-ok]"
         );
         std::process::exit(2);
-    }
-    fn count_flag(value: Option<String>, flag: &str) -> usize {
-        let n: usize = value
-            .unwrap_or_else(|| usage(&format!("{flag} needs a count")))
-            .parse()
-            .unwrap_or_else(|_| usage(&format!("{flag} needs a number")));
-        n
     }
     fn secs_flag(value: Option<String>, flag: &str) -> Duration {
         let v: f64 = value
@@ -351,33 +302,16 @@ fn main() {
             }
             "--deadline" => deadline = Some(secs_flag(it.next(), "--deadline")),
             "--point-deadline" => point_deadline = Some(secs_flag(it.next(), "--point-deadline")),
-            "--shards" => {
-                shards = count_flag(it.next(), "--shards");
-                if shards == 0 {
-                    usage("--shards needs at least 1");
-                }
-            }
-            "--workers" => {
-                let k = count_flag(it.next(), "--workers");
-                if k == 0 {
-                    usage("--workers needs at least 1");
-                }
-                workers = Some(k);
-            }
-            "--heartbeat-stale" => heartbeat_stale = secs_flag(it.next(), "--heartbeat-stale"),
             "--out" => dump_out = it.next().unwrap_or_else(|| usage("--out needs a directory")),
             "--passes" => dump_passes = it.next().unwrap_or_else(|| usage("--passes needs a spec")),
             "--variant" => {
                 dump_variant = Some(it.next().unwrap_or_else(|| usage("--variant needs a name")))
             }
-            "--fabric-respawns" => respawns = Some(count_flag(it.next(), "--fabric-respawns")),
-            "--shard-worker" => shard_worker = Some(count_flag(it.next(), "--shard-worker")),
             "--mode" => {
                 mode = match it.next().as_deref() {
                     Some("simulate" | "sim") => TrafficMode::Simulate,
                     Some("symbolic" | "sym") => TrafficMode::Symbolic,
-                    Some("hybrid" | "hyb") => TrafficMode::Hybrid,
-                    _ => usage("--mode needs one of simulate|symbolic|hybrid"),
+                    _ => usage("--mode needs one of simulate|symbolic"),
                 }
             }
             flag if flag.starts_with("--") => usage(&format!("unknown flag '{flag}'")),
@@ -402,23 +336,6 @@ fn main() {
         .iter()
         .map(|s| s.to_string())
         .collect();
-    }
-    if let Some(worker_index) = shard_worker {
-        if shards == 0 {
-            usage("--shard-worker needs --shards");
-        }
-        let code = run_shard_worker(&ShardWorkerCli {
-            store: &store,
-            shards,
-            worker_index,
-            wanted: &wanted,
-            fast,
-            threads,
-            point_deadline,
-            heartbeat_stale,
-            mode,
-        });
-        std::process::exit(code);
     }
     let mut cache = TrafficCache::with_store(&store).with_mode(mode);
     if let Some(fault) = env_fault() {
@@ -487,126 +404,10 @@ fn main() {
         );
     }
 
-    // Sharded fabric (module docs, DESIGN.md §12): run the multi-process
-    // sweep first so the stage loop below renders from the merged store.
-    let mut fabric: Option<FabricReport> = None;
-    let mut fabric_stalled = false;
-    let mut fabric_conflicts = 0usize;
-    if shards > 0 {
-        if cache.store_read_only() {
-            eprintln!(
-                "[repro] --shards: cannot coordinate, another live repro holds the store lock"
-            );
-            drop(cache);
-            std::process::exit(EXIT_STORE_READ_ONLY);
-        }
-        let todo: Vec<SimPoint> = fabric_points(&wanted, &machines, big_n)
-            .into_iter()
-            .filter(|p| !cache.contains(p.variant, p.n, &p.configs))
-            .collect();
-        if todo.is_empty() {
-            eprintln!("[repro] fabric: every point already stored, no workers needed");
-        } else {
-            let workers = workers
-                .unwrap_or_else(|| {
-                    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-                })
-                .min(shards.max(1));
-            let respawns = respawns.unwrap_or(2 * workers);
-            let poll =
-                (heartbeat_stale / 4).clamp(Duration::from_millis(10), Duration::from_millis(250));
-            let cfg = FabricConfig {
-                store: std::path::PathBuf::from(&store),
-                shards,
-                workers,
-                heartbeat_stale,
-                poll,
-                respawns,
-            };
-            let expected = shard::expected_keys(&todo, shards);
-            eprintln!(
-                "[repro] fabric: {} point(s) over {shards} shard(s), {workers} worker(s), \
-                 respawn budget {respawns}",
-                todo.len()
-            );
-            let exe = std::env::current_exe().expect("resolve current executable");
-            let worker_threads = (threads / workers).max(1);
-            let report = coordinator::run_fabric(&cfg, &expected, &token, |launch| {
-                let mut cmd = std::process::Command::new(&exe);
-                cmd.arg("--shard-worker")
-                    .arg(launch.to_string())
-                    .arg("--shards")
-                    .arg(shards.to_string())
-                    .arg("--store")
-                    .arg(&store)
-                    .arg("--threads")
-                    .arg(worker_threads.to_string())
-                    .arg("--heartbeat-stale")
-                    .arg(format!("{}", heartbeat_stale.as_secs_f64()))
-                    .arg("--mode")
-                    .arg(cache.mode().tag());
-                if fast {
-                    cmd.arg("--fast");
-                }
-                if let Some(pd) = point_deadline {
-                    cmd.arg("--point-deadline").arg(format!("{}", pd.as_secs_f64()));
-                }
-                for w in &wanted {
-                    cmd.arg(w);
-                }
-                cmd.spawn()
-            })
-            .expect("fabric I/O");
-            let merged = report
-                .merge
-                .as_ref()
-                .map(|m| format!(", merged {} entries ({} dup)", m.entries, m.duplicates))
-                .unwrap_or_default();
-            eprintln!(
-                "[repro] fabric: {} launch(es), {} reclaim(s), {} kill(s), exits {:?}{merged}",
-                report.launches, report.reclaims, report.kills, report.worker_exits
-            );
-            if report.stalled {
-                eprintln!(
-                    "[repro] fabric STALLED: respawn budget exhausted with shards incomplete \
-                     (see README: exit codes)"
-                );
-            }
-            if let Some(m) = &report.merge {
-                for c in &m.conflicts {
-                    eprintln!(
-                        "[repro] fabric MERGE CONFLICT: key {} remeasured differently by \
-                         shard {}",
-                        c.key, c.shard
-                    );
-                }
-                fabric_conflicts = m.conflicts.len();
-            }
-            fabric_stalled = report.stalled;
-            fabric = Some(report);
-            // Reload the merged entries. flock is per open file
-            // description, so the old cache must release the store lock
-            // before the reopen can own it.
-            drop(cache);
-            cache = TrafficCache::with_store(&store).with_mode(mode);
-            if let Some(fault) = env_fault() {
-                cache = cache.with_fault_hook(std::sync::Arc::new(fault));
-            }
-            eprintln!("[repro] fabric: store reloaded ({} entries)", cache.len());
-        }
-    }
-
     let mut stages: Vec<Stage> = Vec::new();
     let mut json_figures: Vec<figures::Figure> = Vec::new();
     let mut log = RunLog { failures: Vec::new(), resumed_from: None, stage_engine_threads: 1 };
     let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        if fabric_stalled {
-            // A stalled fabric left shards incomplete. Rendering now
-            // would quietly re-measure the missing points serially —
-            // the opposite of what `--shards` asked for — so skip the
-            // stages and exit with the stall code instead.
-            return;
-        }
         for w in &wanted {
             if token.is_tripped() {
                 // Cancelled between stages: remaining targets are left
@@ -719,10 +520,6 @@ fn main() {
         } else {
             EXIT_DEADLINE
         }
-    } else if fabric_stalled {
-        EXIT_FABRIC_STALLED
-    } else if fabric_conflicts > 0 {
-        EXIT_MERGE_CONFLICT
     } else if cache.store_read_only() {
         EXIT_STORE_READ_ONLY
     } else if !log.failures.is_empty() {
@@ -746,7 +543,6 @@ fn main() {
             fast,
             engine.nthreads(),
             &log,
-            fabric.as_ref(),
             interrupted.as_deref().map(|r| (r, exit_code)),
         );
         std::fs::write(&path, doc).expect("write --json output");
@@ -1081,7 +877,7 @@ fn run_serve_command(args: &[String]) -> ! {
         eprintln!("repro serve: {msg}");
         eprintln!(
             "usage: repro serve [--addr HOST:PORT] [--store PATH] \
-             [--mode simulate|symbolic|hybrid] [--threads N] [--max-inflight N] \
+             [--mode simulate|symbolic] [--threads N] [--max-inflight N] \
              [--retry-after-ms MS] [--request-deadline SECS] [--point-deadline SECS] \
              [--drain-deadline SECS] [--stale-ok]"
         );
@@ -1114,8 +910,7 @@ fn run_serve_command(args: &[String]) -> ! {
                 cfg.mode = match it.next().map(String::as_str) {
                     Some("simulate") => TrafficMode::Simulate,
                     Some("symbolic") => TrafficMode::Symbolic,
-                    Some("hybrid") => TrafficMode::Hybrid,
-                    _ => usage("--mode needs simulate|symbolic|hybrid"),
+                    _ => usage("--mode needs simulate|symbolic"),
                 }
             }
             "--threads" => {
@@ -1193,141 +988,6 @@ fn run_serve_command(args: &[String]) -> ! {
         }
         std::thread::sleep(Duration::from_millis(25));
     }
-}
-
-/// Everything a `--shard-worker` invocation needs (forwarded by the
-/// coordinator's spawn command line).
-struct ShardWorkerCli<'a> {
-    store: &'a str,
-    shards: usize,
-    worker_index: usize,
-    wanted: &'a [String],
-    fast: bool,
-    threads: usize,
-    point_deadline: Option<Duration>,
-    heartbeat_stale: Duration,
-    mode: TrafficMode,
-}
-
-/// One fabric worker process (see the module docs and DESIGN.md §12):
-/// recompute the same deterministic partition as the coordinator, then
-/// run the shard-claim loop until every shard is complete or a
-/// cancellation arrives — via signal, or via the `<store>.fabric`
-/// control file the coordinator writes (polled by `cancel::watch`).
-/// Returns the process exit code.
-fn run_shard_worker(cli: &ShardWorkerCli) -> i32 {
-    let token = CancelToken::new();
-    signals::install();
-    {
-        let token = token.clone();
-        std::thread::spawn(move || loop {
-            if let Some(sig) = signals::pending() {
-                token.trip(&format!("signal {sig}"));
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(25));
-        });
-    }
-    let store_path = std::path::PathBuf::from(cli.store);
-    let _watch = cancel::watch(&token, Duration::from_millis(50), {
-        let store = store_path.clone();
-        move || coordinator::read_cancel(&store)
-    });
-    let _ambient = cancel::set_current(Some(token.clone()));
-
-    let machines = MachineSpec::evaluation_nodes();
-    let big_n = if cli.fast { 64 } else { 128 };
-    // Same todo set as the coordinator: fabric points minus whatever the
-    // canonical store already holds. Opening the canonical store here
-    // degrades to read-only (the coordinator owns its lock), which is
-    // exactly what a contains-filter needs; the canonical store cannot
-    // change while the fabric runs, so every process filters against
-    // the same snapshot and computes the same partition.
-    let todo: Vec<SimPoint> = {
-        let canon = TrafficCache::with_store(&store_path).with_mode(cli.mode);
-        fabric_points(cli.wanted, &machines, big_n)
-            .into_iter()
-            .filter(|p| !canon.contains(p.variant, p.n, &p.configs))
-            .collect()
-    };
-    let parts = shard::partition(&todo, cli.shards);
-    let expected = shard::expected_keys(&todo, cli.shards);
-    let beat = (cli.heartbeat_stale / 4).max(Duration::from_millis(25));
-    let engine = SweepEngine::new(cli.threads)
-        .with_progress(false)
-        .with_budget(SweepBudget {
-            point_deadline: cli.point_deadline,
-            sweep_deadline: None,
-            max_retries: 2,
-            backoff: Duration::from_millis(50),
-        })
-        .with_cancel_token(token.clone())
-        .with_journal_heartbeat(Some(beat));
-    let hook: Option<std::sync::Arc<dyn FaultHook>> =
-        env_fault().map(|f| std::sync::Arc::new(f) as _);
-    let mode = cli.mode;
-    let cfg = WorkerConfig {
-        store: store_path,
-        shards: cli.shards,
-        worker_index: cli.worker_index,
-        poll: Duration::from_millis(50),
-    };
-    let outcome = coordinator::run_worker(&cfg, &parts, &expected, &engine, &token, |c| {
-        let c = c.with_mode(mode);
-        match &hook {
-            Some(h) => c.with_fault_hook(h.clone()),
-            None => c,
-        }
-    });
-    let failures: usize =
-        outcome.reports.iter().map(|(_, r)| r.failed.len() + r.timed_out.len()).sum();
-    eprintln!(
-        "[repro] shard worker {}: {} shard claim(s), {} failure(s)/timeout(s){}",
-        cli.worker_index,
-        outcome.shards_swept,
-        failures,
-        outcome.cancelled.as_deref().map(|r| format!(", cancelled: {r}")).unwrap_or_default()
-    );
-    match &outcome.cancelled {
-        Some(r) if r.starts_with("signal ") => EXIT_SIGNAL,
-        Some(_) => EXIT_DEADLINE,
-        None if failures > 0 => EXIT_POINT_FAILURES,
-        None => 0,
-    }
-}
-
-/// The union of simulation points the requested targets will prewarm —
-/// the fabric's work list. Must agree between the coordinator and every
-/// worker (it is recomputed in each process), so it depends only on the
-/// command line. Targets with no measurement phase (fig1, table1,
-/// ablation, plandump) contribute nothing. Invalid points are dropped
-/// up front: the engine would skip them, so the fabric must not expect
-/// their keys.
-fn fabric_points(wanted: &[String], machines: &[MachineSpec], big_n: i32) -> Vec<SimPoint> {
-    let mut pts: Vec<SimPoint> = Vec::new();
-    for w in wanted {
-        match w.as_str() {
-            "fig2" | "fig3" | "fig4" => {
-                let spec = &machines[w[3..].parse::<usize>().unwrap() - 2];
-                pts.extend(figures::figure234_points(spec, big_n));
-            }
-            "fig9" => pts.extend(figures::figure9_points()),
-            "fig10" | "fig11" | "fig12" => {
-                let spec = &machines[w[3..].parse::<usize>().unwrap() - 10];
-                pts.extend(figures::figure1012_points(spec));
-            }
-            "bandwidth" => pts.extend(figures::bandwidth_points()),
-            "sweep" => {
-                for spec in machines {
-                    pts.extend(sweep::top_measured_points(spec, 16, 3));
-                }
-            }
-            "faultcheck" => pts.extend(faultcheck_points()),
-            _ => {}
-        }
-    }
-    pts.retain(|p| p.variant.validate_for_box(p.n).is_ok());
-    pts
 }
 
 /// Write plan dumps to `out_dir` (default `target/plan-dumps/`, the CI
@@ -1452,23 +1112,16 @@ fn prewarm(
     true
 }
 
-/// The `faultcheck` target's simulation points — shared with
-/// [`fabric_points`] so a sharded faultcheck expects exactly the keys a
-/// serial one would store.
-fn faultcheck_points() -> Vec<SimPoint> {
-    let configs = vec![CacheConfig::new(8 * 1024, 4), CacheConfig::new(64 * 1024, 8)];
-    [Variant::baseline(), Variant::shift_fuse()]
-        .iter()
-        .map(|&v| SimPoint { variant: v, n: 8, configs: configs.clone() })
-        .collect()
-}
-
 /// Tiny deterministic fault-tolerance check (seconds, not minutes):
 /// two cheap simulation points over a small hierarchy, meant to be run
 /// with `REPRO_FAULT` set so an injected panic or append failure flows
 /// through the engine, the store, and the `--json` report end to end.
 fn print_faultcheck(cache: &TrafficCache, engine: &SweepEngine, log: &mut RunLog) {
-    let points = faultcheck_points();
+    let configs = vec![CacheConfig::new(8 * 1024, 4), CacheConfig::new(64 * 1024, 8)];
+    let points: Vec<SimPoint> = [Variant::baseline(), Variant::shift_fuse()]
+        .iter()
+        .map(|&v| SimPoint { variant: v, n: 8, configs: configs.clone() })
+        .collect();
     prewarm(engine, cache, "faultcheck", points.clone(), log);
     println!("== faultcheck: deterministic fault-injection probe ==");
     for p in &points {
@@ -1482,7 +1135,6 @@ use pdesched_bench::json_str;
 /// Serialize stages + figures + cache counters as JSON (no external
 /// dependencies, so the writer is by hand; the shape is stable,
 /// versioned by `schema_version`, and documented in the README).
-#[allow(clippy::too_many_arguments)]
 fn render_json(
     stages: &[Stage],
     figs: &[figures::Figure],
@@ -1490,13 +1142,12 @@ fn render_json(
     fast: bool,
     threads: usize,
     log: &RunLog,
-    fabric: Option<&FabricReport>,
     interrupted: Option<(&str, i32)>,
 ) -> String {
     use std::fmt::Write;
     let mut j = String::new();
     let _ = writeln!(j, "{{");
-    let _ = writeln!(j, "  \"schema_version\": 4,");
+    let _ = writeln!(j, "  \"schema_version\": 5,");
     let _ = writeln!(j, "  \"fast\": {fast},");
     let _ = writeln!(j, "  \"threads\": {threads},");
     let _ = writeln!(j, "  \"mode\": {},", json_str(cache.mode().tag()));
@@ -1537,55 +1188,6 @@ fn render_json(
         }
         None => {
             let _ = writeln!(j, "  \"resumed_from\": null,");
-        }
-    }
-    match fabric {
-        Some(f) => {
-            let _ = writeln!(j, "  \"fabric\": {{");
-            let _ = writeln!(j, "    \"shards\": {},", f.shards);
-            let _ = writeln!(j, "    \"workers\": {},", f.workers);
-            let _ = writeln!(j, "    \"launches\": {},", f.launches);
-            let _ = writeln!(j, "    \"reclaims\": {},", f.reclaims);
-            let _ = writeln!(j, "    \"kills\": {},", f.kills);
-            let _ = writeln!(j, "    \"stalled\": {},", f.stalled);
-            let _ = writeln!(
-                j,
-                "    \"cancelled\": {},",
-                f.cancelled.as_deref().map(json_str).unwrap_or_else(|| "null".into())
-            );
-            let exits: Vec<String> = f.worker_exits.iter().map(|c| c.to_string()).collect();
-            let _ = writeln!(j, "    \"worker_exits\": [{}],", exits.join(", "));
-            match &f.merge {
-                Some(m) => {
-                    let _ = writeln!(
-                        j,
-                        "    \"merge\": {{\"entries\": {}, \"duplicates\": {}, \
-                         \"conflicts\": {}, \"corrupt_lines\": {}}},",
-                        m.entries,
-                        m.duplicates,
-                        m.conflicts.len(),
-                        m.corrupt_lines
-                    );
-                }
-                None => {
-                    let _ = writeln!(j, "    \"merge\": null,");
-                }
-            }
-            let _ = writeln!(j, "    \"shard_status\": [");
-            for (i, s) in f.shard_status.iter().enumerate() {
-                let comma = if i + 1 < f.shard_status.len() { "," } else { "" };
-                let _ = writeln!(
-                    j,
-                    "      {{\"shard\": {}, \"expected\": {}, \"present\": {}, \
-                     \"done\": {}, \"reclaims\": {}, \"max_heartbeat_gap_ms\": {}}}{comma}",
-                    s.shard, s.expected, s.present, s.done, s.reclaims, s.max_heartbeat_gap_ms
-                );
-            }
-            let _ = writeln!(j, "    ]");
-            let _ = writeln!(j, "  }},");
-        }
-        None => {
-            let _ = writeln!(j, "  \"fabric\": null,");
         }
     }
     let s = cache.stats();

@@ -41,11 +41,10 @@ fn clean_run_reports_healthy_store_and_no_failures() {
         .args(["--json", json_path.to_str().unwrap()])
         .args(["--threads", "2", "fig1", "table1", "ablation"]));
     let json = std::fs::read_to_string(&json_path).unwrap();
-    assert!(json.contains("\"schema_version\": 4"), "{json}");
+    assert!(json.contains("\"schema_version\": 5"), "{json}");
     assert!(json.contains("\"traffic\": {\"claimed_points\": 0, \"fallback_points\": 0"), "{json}");
     assert!(json.contains("\"interrupted\": null"), "{json}");
     assert!(json.contains("\"resumed_from\": null"), "{json}");
-    assert!(json.contains("\"fabric\": null"), "unsharded run reports no fabric: {json}");
     assert!(json.contains("\"read_only\": false"), "{json}");
     assert!(json.contains("\"corrupt_lines\": 0"), "{json}");
     assert!(json.contains("\"store_errors\": 0"), "{json}");
@@ -231,121 +230,52 @@ fn sigint_interrupts_flushes_and_resumes() {
     assert_eq!(entries, 2, "resume must complete both points:\n{persisted}");
 }
 
-/// The fabric's determinism contract end to end: the merged canonical
-/// store is a pure function of the measured point set — shard count and
-/// worker count must leave no fingerprint in the bytes.
-#[test]
-fn sharded_sweeps_are_bit_identical_across_shard_and_worker_counts() {
-    let dir = TempDir::new("repro-shardeq");
-    let store_a = dir.file("a.txt");
-    let store_b = dir.file("b.txt");
-    let json_path = dir.file("out.json");
-    run(repro().args(["--store", store_a.to_str().unwrap()]).args([
-        "--threads",
-        "2",
-        "--shards",
-        "1",
-        "--workers",
-        "1",
-        "faultcheck",
-    ]));
-    let (_, stderr) = run(repro()
-        .args(["--store", store_b.to_str().unwrap()])
-        .args(["--json", json_path.to_str().unwrap()])
-        .args(["--threads", "2", "--shards", "5", "--workers", "3", "faultcheck"]));
-    assert!(stderr.contains("[repro] fabric:"), "{stderr}");
-    let a = std::fs::read_to_string(&store_a).unwrap();
-    let b = std::fs::read_to_string(&store_b).unwrap();
-    assert_eq!(a, b, "merged stores must be byte-identical across fabric shapes");
-    let json = std::fs::read_to_string(&json_path).unwrap();
-    assert!(json.contains("\"fabric\": {"), "{json}");
-    assert!(json.contains("\"shards\": 5"), "{json}");
-    assert!(json.contains("\"stalled\": false"), "{json}");
-    assert!(json.contains("\"conflicts\": 0"), "{json}");
-    assert!(json.contains("\"shard_status\": ["), "{json}");
-    // No shard store or fabric sidecar survives a completed fabric.
-    for entry in std::fs::read_dir(dir.path()).unwrap() {
-        let name = entry.unwrap().file_name().into_string().unwrap();
-        assert!(!name.contains(".shard"), "leftover shard file {name}");
-    }
-    // A re-run over the complete store needs no workers at all.
-    let (_, stderr) = run(repro().args(["--store", store_b.to_str().unwrap()]).args([
-        "--threads",
-        "2",
-        "--shards",
-        "5",
-        "--workers",
-        "3",
-        "faultcheck",
-    ]));
-    assert!(stderr.contains("every point already stored"), "{stderr}");
-}
-
-/// A worker shot mid-measurement (process abort — no unwinding, no
-/// flush) is reaped and replaced; the guard file keeps the injected
-/// fault from re-firing in the replacement, so the fabric converges and
-/// the final store is indistinguishable from an unharmed run.
+/// A run shot mid-measurement (process abort — no unwinding, no flush,
+/// no `cancelled` record) loses nothing it had appended, and re-running
+/// the same command against the same store finishes with exactly the
+/// entries of an uninterrupted run. `faultcheck` runs simulations 0–1
+/// to completion, so simulation 3 dies inside the `sweep` stage.
 #[cfg(unix)]
 #[test]
-fn fabric_survives_an_aborted_worker_and_converges() {
+fn aborted_run_resumes_to_the_serial_golden() {
+    use std::os::unix::process::ExitStatusExt;
     let dir = TempDir::new("repro-abort");
     let store = dir.file("store.txt");
     let golden_store = dir.file("golden.txt");
-    let json_path = dir.file("out.json");
-    run(repro().args(["--store", golden_store.to_str().unwrap()]).args([
-        "--threads",
-        "2",
-        "--shards",
-        "1",
-        "--workers",
-        "1",
-        "faultcheck",
-    ]));
-    let (stdout, stderr) = run(repro()
-        .env("REPRO_FAULT", "abort-sim:0")
-        .env("REPRO_FAULT_GUARD", dir.file("guard").to_str().unwrap())
-        .args(["--store", store.to_str().unwrap()])
-        .args(["--json", json_path.to_str().unwrap()])
-        .args(["--threads", "2", "--heartbeat-stale", "2"])
-        .args(["--shards", "2", "--workers", "1", "faultcheck"]));
-    assert!(stdout.contains(" ok"), "{stdout}");
-    assert!(!stdout.contains("FAILED"), "{stdout}");
-    let json = std::fs::read_to_string(&json_path).unwrap();
-    // SIGABRT is reported shell-style (128 + 6), and the pool was
-    // refilled at least once.
-    assert!(json.contains("134"), "worker_exits must record the abort: {json}\n{stderr}");
-    assert!(json.contains("\"stalled\": false"), "{json}");
-    assert!(json.contains("\"interrupted\": null"), "{json}");
-    assert_eq!(
-        std::fs::read_to_string(&store).unwrap(),
-        std::fs::read_to_string(&golden_store).unwrap(),
-        "a crashed-and-reclaimed fabric must converge to the unharmed bytes"
-    );
-}
+    let sorted_entries = |path: &std::path::Path| {
+        let text = std::fs::read_to_string(path).unwrap();
+        let mut lines: Vec<String> = text.lines().skip(1).map(String::from).collect();
+        lines.sort();
+        lines
+    };
+    let targets = ["--threads", "2", "faultcheck", "sweep"];
+    run(repro().args(["--store", golden_store.to_str().unwrap()]).args(targets));
+    let golden = sorted_entries(&golden_store);
 
-/// Without the guard every replacement worker re-fires the abort; the
-/// respawn budget runs dry and the coordinator must stall loudly (exit
-/// 14) rather than fall back to quietly measuring everything serially.
-#[cfg(unix)]
-#[test]
-fn fabric_exhausting_its_respawn_budget_stalls_with_exit_14() {
-    let dir = TempDir::new("repro-stall");
-    let store = dir.file("store.txt");
-    let json_path = dir.file("out.json");
-    let (_, stderr) = run_expect(
-        repro()
-            .env("REPRO_FAULT", "abort-sim:0")
-            .args(["--store", store.to_str().unwrap()])
-            .args(["--json", json_path.to_str().unwrap()])
-            .args(["--threads", "2", "--heartbeat-stale", "2"])
-            .args(["--shards", "1", "--workers", "1", "--fabric-respawns", "1", "faultcheck"]),
-        14,
-    );
-    assert!(stderr.contains("fabric STALLED"), "{stderr}");
-    let json = std::fs::read_to_string(&json_path).unwrap();
-    assert!(json.contains("\"stalled\": true"), "{json}");
-    assert!(json.contains("\"launches\": 2"), "initial worker + one respawn: {json}");
-    assert!(json.contains("\"exit_code\": 14") || json.contains("\"interrupted\": null"), "{json}");
+    let out = repro()
+        .env("REPRO_FAULT", "abort-sim:3")
+        .args(["--store", store.to_str().unwrap()])
+        .args(targets)
+        .output()
+        .expect("spawn repro");
+    assert_eq!(out.status.signal(), Some(6), "abort-sim must die by SIGABRT: {:?}", out.status);
+    // Every fully appended line survived and is a golden entry; only a
+    // torn (newline-less) tail may differ.
+    let text = std::fs::read_to_string(&store).unwrap();
+    let whole = &text[..text.rfind('\n').map_or(0, |i| i + 1)];
+    let kept: Vec<&str> = whole.lines().skip(1).collect();
+    assert!(kept.len() >= 2, "both faultcheck points were appended before the abort:\n{text}");
+    assert!(kept.len() < golden.len(), "the abort must land mid-run:\n{text}");
+    for line in &kept {
+        assert!(golden.iter().any(|g| g == line), "not a golden entry: {line}");
+    }
+    let journal = std::fs::read_to_string(dir.file("store.txt.journal")).unwrap();
+    assert!(journal.contains("\nbegin\t"), "{journal}");
+    assert!(!journal.contains("complete"), "a dead run must not read as complete: {journal}");
+
+    let (_, stderr) = run(repro().args(["--store", store.to_str().unwrap()]).args(targets));
+    assert!(stderr.contains("resuming an interrupted sweep"), "{stderr}");
+    assert_eq!(sorted_entries(&store), golden, "resume must converge entry for entry");
 }
 
 #[test]

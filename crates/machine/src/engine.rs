@@ -182,10 +182,6 @@ pub struct SweepEngine {
     /// Heartbeat interval for the mid-sweep progress line; `None`
     /// silences it.
     heartbeat: Option<Duration>,
-    /// Interval for liveness heartbeat records appended to the sweep
-    /// journal (the shard fabric's staleness signal); `None` disables
-    /// them.
-    journal_heartbeat: Option<Duration>,
     /// External cancellation (e.g. the signal handler's token); child
     /// tokens per point hang off it.
     token: Option<CancelToken>,
@@ -201,7 +197,6 @@ impl SweepEngine {
             progress: false,
             budget: SweepBudget::default(),
             heartbeat: Some(Duration::from_secs(10)),
-            journal_heartbeat: None,
             token: None,
         }
     }
@@ -232,17 +227,6 @@ impl SweepEngine {
     /// (points done / total / ETA); `None` disables it.
     pub fn with_heartbeat(mut self, interval: Option<Duration>) -> Self {
         self.heartbeat = interval;
-        self
-    }
-
-    /// Interval for liveness heartbeat records appended to the sweep
-    /// journal; `None` (the default) disables them. The shard fabric's
-    /// coordinator reads these (see [`journal::last_heartbeat`]) to
-    /// decide whether a worker process is still alive: the watchdog
-    /// thread appends them, so they keep flowing through a hung *point*
-    /// but stop the instant the *process* dies or is SIGSTOP'd.
-    pub fn with_journal_heartbeat(mut self, interval: Option<Duration>) -> Self {
-        self.journal_heartbeat = interval;
         self
     }
 
@@ -350,19 +334,15 @@ impl SweepEngine {
         let run_result = std::thread::scope(|s| {
             let supervise = self.budget.sweep_deadline.is_some()
                 || self.budget.point_deadline.is_some()
-                || self.heartbeat.is_some()
-                || (self.journal_heartbeat.is_some() && journal.is_some());
+                || self.heartbeat.is_some();
             if supervise && total > 0 {
                 let sweep_token = sweep_token.clone();
                 let budget = self.budget.clone();
                 let heartbeat = self.heartbeat;
-                let journal_heartbeat = self.journal_heartbeat;
                 let (slots, stop, stop_cv, done) = (&slots, &stop, &stop_cv, &done);
                 let first_measure = &first_measure;
-                let journal = &journal;
                 s.spawn(move || {
                     let mut last_beat = Instant::now();
-                    let mut last_journal_beat = Instant::now();
                     let mut guard = stop.lock().unwrap_or_else(|e| e.into_inner());
                     while !*guard {
                         guard = stop_cv
@@ -391,12 +371,6 @@ impl SweepEngine {
                                         ));
                                     }
                                 }
-                            }
-                        }
-                        if let (Some(jhb), Some(j)) = (journal_heartbeat, journal) {
-                            if last_journal_beat.elapsed() >= jhb {
-                                last_journal_beat = Instant::now();
-                                j.heartbeat();
                             }
                         }
                         if let Some(hb) = heartbeat {

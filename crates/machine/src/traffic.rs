@@ -39,9 +39,9 @@ pub const STORE_VERSION: u32 = 4;
 const V3_HEADER: &str = "# pdesched-traffic-store v3";
 
 /// How a traffic number is (or was) produced. For the cache this is
-/// *provenance*, not a key: the three modes agree bit-for-bit (pinned by
+/// *provenance*, not a key: the two modes agree bit-for-bit (pinned by
 /// the cross-validation suite), so an entry measured under one mode is
-/// served under any other.
+/// served under the other.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum TrafficMode {
     /// Run the schedule for real and replay every element access
@@ -51,9 +51,6 @@ pub enum TrafficMode {
     /// Plan-level symbolic summarization ([`crate::symbolic`]), falling
     /// back to the simulator when the analysis leaves phases unclaimed.
     Symbolic,
-    /// Symbolic when the analysis claims the whole plan, simulate
-    /// otherwise — same numbers, explicit intent.
-    Hybrid,
 }
 
 impl TrafficMode {
@@ -62,16 +59,16 @@ impl TrafficMode {
         match self {
             TrafficMode::Simulate => "sim",
             TrafficMode::Symbolic => "sym",
-            TrafficMode::Hybrid => "hyb",
         }
     }
 
-    /// Parse a store tag.
+    /// Parse a store tag. `hyb` is the tag of a retired third mode that
+    /// took the same path as `Symbolic`; v4 stores written under it must
+    /// still verify and load.
     pub fn from_tag(tag: &str) -> Option<TrafficMode> {
         match tag {
             "sim" => Some(TrafficMode::Simulate),
-            "sym" => Some(TrafficMode::Symbolic),
-            "hyb" => Some(TrafficMode::Hybrid),
+            "sym" | "hyb" => Some(TrafficMode::Symbolic),
             _ => None,
         }
     }
@@ -300,7 +297,7 @@ pub struct CacheStats {
     /// Misses measured under a symbolic-capable mode that fell back to
     /// the exact simulator (unclaimed plan — e.g. wavefront or
     /// overlapped-tile variants). `claimed_points + fallback_points ==
-    /// misses` under Symbolic/Hybrid modes.
+    /// misses` under [`TrafficMode::Symbolic`].
     pub fallback_points: u64,
 }
 
@@ -359,10 +356,8 @@ pub struct TrafficCache {
 /// each cache level's geometry — which is how the *machine and thread
 /// count* enter, via `MachineSpec::hierarchy_for(threads_on_socket)`.
 ///
-/// Public because the key is also the unit of *sharding*: the sweep
-/// fabric ([`crate::shard`]) assigns each point to a shard store by a
-/// stable hash of exactly this string, so every process of a sweep
-/// computes the same partition.
+/// Public because the key is also the unit of request coalescing in
+/// [`crate::serve`] and what external tools join store lines on.
 pub fn store_key(variant: Variant, n: i32, configs: &[CacheConfig]) -> String {
     use std::fmt::Write;
     let mut k = format!(
@@ -422,10 +417,9 @@ pub(crate) fn store_header() -> String {
 /// In-memory image of the store: measurement plus its provenance tag.
 pub(crate) type StoreMap = HashMap<String, (BoxTraffic, TrafficMode)>;
 
-/// FNV-1a 64-bit: the store's line checksum, and the stable hash the
-/// sweep fabric shards keys with (tiny, dependency-free, and plenty to
-/// detect torn appends and bit rot — this is integrity against crashes,
-/// not an adversary).
+/// FNV-1a 64-bit: the store's line checksum (tiny, dependency-free, and
+/// plenty to detect torn appends and bit rot — this is integrity
+/// against crashes, not an adversary).
 pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -540,11 +534,11 @@ pub(crate) fn pid_alive(_pid: u32) -> bool {
 /// crashed writer's lock cannot double-grant: any number of processes
 /// may conclude the lock is stale, but only one can win the flock. The
 /// recorded pid remains as a content gate for locks written by other
-/// protocols: with the flock held, an empty file, our own pid, or a dead
-/// pid means the store is free; a live foreign pid or unreadable content
-/// is respected (read-only). The file is never unlinked — unlinking
-/// would reopen the unlink/flock race where a later writer locks a
-/// directory entry that no longer exists.
+/// protocols: with the flock held, an empty file (what a clean drop
+/// leaves), our own pid, or a dead pid means the store is free; a live
+/// foreign pid or unreadable content is respected (read-only). The file
+/// is never unlinked — unlinking would reopen the unlink/flock race
+/// where a later writer locks a directory entry that no longer exists.
 #[cfg(unix)]
 fn try_acquire_lock(lock: &Path) -> Option<std::fs::File> {
     use std::io::{Read, Seek};
@@ -639,8 +633,8 @@ fn try_acquire_lock(lock: &Path) -> Option<std::fs::File> {
 /// so a crash mid-rewrite leaves either the old or the new store —
 /// never a half-written one. Because the keys are sorted and the line
 /// format is canonical, the bytes are a pure function of the entry set:
-/// the shard fabric's merge-compaction relies on this to make the merged
-/// store byte-stable regardless of worker interleaving.
+/// a compacted store is byte-stable regardless of the order its entries
+/// were appended in.
 pub(crate) fn write_store_atomic(path: &Path, entries: &StoreMap) -> std::io::Result<()> {
     let mut keys: Vec<&String> = entries.keys().collect();
     keys.sort();
@@ -676,8 +670,8 @@ pub(crate) fn store_stamp(path: &Path) -> (u64, u64) {
 
 /// Lock-free, read-only snapshot of a store: intact entries plus the
 /// count of corrupt lines. Accepts the current and the v3 grammar, never
-/// repairs, quarantines, or locks — this is the coordinator's view of a
-/// shard store that a worker may still own (an append can tear mid-line
+/// repairs, quarantines, or locks — this is a reader's view of a store
+/// that another process may still own (an append can tear mid-line
 /// under the reader; the torn tail shows up as one corrupt line and the
 /// next snapshot sees it whole). A missing or wrong-version file reads
 /// as empty.
@@ -1091,7 +1085,7 @@ impl TrafficCache {
             // Tag with what actually produced the number: a full
             // fallback is a simulated entry whatever the configured
             // mode.
-            requested @ (TrafficMode::Symbolic | TrafficMode::Hybrid) => {
+            TrafficMode::Symbolic => {
                 let (t, used_symbolic) = if threads > 1 {
                     let (t, ps) =
                         crate::parallel::measure_box_traffic_parallel(variant, n, configs, threads);
@@ -1104,7 +1098,7 @@ impl TrafficCache {
                 } else {
                     self.fallback_points.fetch_add(1, Ordering::Relaxed);
                 }
-                (t, if used_symbolic { requested } else { TrafficMode::Simulate })
+                (t, if used_symbolic { TrafficMode::Symbolic } else { TrafficMode::Simulate })
             }
         };
         self.record(key, t, mode);
@@ -1199,7 +1193,7 @@ impl TrafficCache {
                 .0;
                 (t, TrafficMode::Simulate)
             }
-            requested @ (TrafficMode::Symbolic | TrafficMode::Hybrid) => {
+            TrafficMode::Symbolic => {
                 // The claim rule lives in the parallel front end: an
                 // order-preserving pipeline on a claimed plan keeps the
                 // symbolic certificate (the verifier pinned the serial
@@ -1213,7 +1207,7 @@ impl TrafficCache {
                 } else {
                     self.fallback_points.fetch_add(1, Ordering::Relaxed);
                 }
-                (t, if ps.used_symbolic { requested } else { TrafficMode::Simulate })
+                (t, if ps.used_symbolic { TrafficMode::Symbolic } else { TrafficMode::Simulate })
             }
         };
         self.record(key, t, mode);
@@ -1243,7 +1237,7 @@ impl TrafficCache {
             hook.before_simulation(sim_index, &key);
         }
         let t = measure_pair_traffic(variant, n, configs, pipeline)?;
-        if matches!(self.mode, TrafficMode::Symbolic | TrafficMode::Hybrid) {
+        if self.mode == TrafficMode::Symbolic {
             self.fallback_points.fetch_add(1, Ordering::Relaxed);
         }
         self.record(key, t, TrafficMode::Simulate);
@@ -1338,10 +1332,15 @@ impl Drop for TrafficCache {
         // Unix: closing `lock_file` releases the exclusive flock (the
         // kernel also does this on crash or `process::exit`); the lock
         // file itself is deliberately never unlinked — see
-        // `try_acquire_lock`. The fallback protocol has no flock, so its
-        // lock must be removed here and staleness pid-checked on
-        // acquisition.
-        drop(self.lock_file.take());
+        // `try_acquire_lock`. Our pid is erased first, while the flock
+        // is still held: this process may live on, and a live pid left
+        // in the file would read as a foreign-protocol holder and keep
+        // the store read-only for every other process. The fallback
+        // protocol has no flock, so its lock must be removed here and
+        // staleness pid-checked on acquisition.
+        if let Some(f) = self.lock_file.take() {
+            let _ = f.set_len(0);
+        }
         #[cfg(not(unix))]
         if let Some(lock) = &self.owned_lock {
             let _ = std::fs::remove_file(lock);
@@ -1467,6 +1466,11 @@ mod tests {
         assert_eq!(k, "some/key/n8/g2");
         assert_eq!(back, t);
         assert_eq!(mode, TrafficMode::Symbolic);
+        // A line tagged by the retired hybrid mode still verifies and
+        // loads, as symbolic.
+        let payload = "some/key/n8/g2 hyb 123 45 6 0.875 0.5";
+        let hyb = format!("{payload} {:016x}", fnv1a64(payload.as_bytes()));
+        assert_eq!(parse_entry(&hyb), Some((k, t, TrafficMode::Symbolic)));
         // Any single-byte mutation must fail verification.
         for i in 0..line.len() {
             let mut bytes = line.clone().into_bytes();
@@ -1536,14 +1540,33 @@ mod tests {
     }
 
     #[test]
-    fn hybrid_mode_picks_the_claimed_pipeline() {
-        let cache = TrafficCache::new().with_mode(TrafficMode::Hybrid);
+    fn symbolic_mode_picks_the_claimed_pipeline() {
+        let cache = TrafficCache::new().with_mode(TrafficMode::Symbolic);
         let cfg = small_hierarchy();
         cache.get(Variant::shift_fuse(), 8, &cfg);
-        assert_eq!(cache.provenance(Variant::shift_fuse(), 8, &cfg), Some(TrafficMode::Hybrid));
+        assert_eq!(cache.provenance(Variant::shift_fuse(), 8, &cfg), Some(TrafficMode::Symbolic));
         let wf = Variant::blocked_wavefront(CompLoop::Outside, 4);
         cache.get(wf, 8, &cfg);
         assert_eq!(cache.provenance(wf, 8, &cfg), Some(TrafficMode::Simulate));
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn dropped_cache_leaves_no_pid_in_the_lock_file() {
+        let dir = TempDir::new("lockdrop");
+        let path = dir.file("traffic.txt");
+        let lock = lock_path_for(&path);
+        let cache = TrafficCache::with_store(&path);
+        assert!(!cache.store_read_only());
+        assert_eq!(std::fs::read_to_string(&lock).unwrap(), std::process::id().to_string());
+        drop(cache);
+        // This process lives on; its pid must not stay behind as a
+        // holder nobody can tell from a foreign-protocol writer.
+        assert_eq!(std::fs::read_to_string(&lock).unwrap(), "");
+        // The content gate itself stays: a live foreign pid written
+        // under no flock (another protocol's lock) is still respected.
+        std::fs::write(&lock, std::os::unix::process::parent_id().to_string()).unwrap();
+        assert!(TrafficCache::with_store(&path).store_read_only());
     }
 
     #[test]
@@ -1687,7 +1710,7 @@ mod tests {
 
     #[test]
     fn get_optimized_tags_producers_and_memoizes() {
-        let cache = TrafficCache::new().with_mode(TrafficMode::Hybrid);
+        let cache = TrafficCache::new().with_mode(TrafficMode::Symbolic);
         let cfg = small_hierarchy();
         // Empty pipeline delegates to the plain entry point (same key).
         let plain = cache.get_optimized(Variant::baseline(), 8, &cfg, &Pipeline::empty()).unwrap();

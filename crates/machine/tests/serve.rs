@@ -87,28 +87,47 @@ fn count_entry_lines(store: &std::path::Path) -> usize {
 /// answer, and the store gains exactly one provenance entry.
 #[test]
 fn thundering_herd_coalesces_to_one_simulation() {
+    const CLIENTS: usize = 64;
+    /// Holds the leader's simulation open until the whole herd has
+    /// written its request: an n = 8 simulation is short enough to
+    /// finish before a second client arrives, and then nobody coalesces.
+    struct HerdGate {
+        written: AtomicUsize,
+    }
+    impl FaultHook for HerdGate {
+        fn before_simulation(&self, _sim_index: u64, _key: &str) {
+            let t0 = Instant::now();
+            while self.written.load(Ordering::SeqCst) < CLIENTS {
+                assert!(t0.elapsed() < Duration::from_secs(30), "the herd never finished writing");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+    }
+    let gate = Arc::new(HerdGate { written: AtomicUsize::new(0) });
     let dir = TempDir::new("servherd");
     let store = dir.file("t.txt");
     let server = Server::start(ServeConfig {
         store: Some(store.clone()),
         max_inflight: 128,
+        store_fault: Some(gate.clone()),
         ..ServeConfig::default()
     })
     .expect("bind");
     let addr = server.local_addr();
 
-    const CLIENTS: usize = 64;
     let barrier = Arc::new(Barrier::new(CLIENTS));
     let responses: Vec<String> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..CLIENTS)
             .map(|_| {
                 let barrier = Arc::clone(&barrier);
+                let gate = &gate;
                 s.spawn(move || {
                     let mut stream = TcpStream::connect(addr).expect("connect");
                     barrier.wait();
                     stream
                         .write_all(b"{\"machine\":\"i5\",\"n\":8,\"threads\":2,\"top\":1}\n")
                         .unwrap();
+                    gate.written.fetch_add(1, Ordering::SeqCst);
                     let mut line = String::new();
                     BufReader::new(stream).read_line(&mut line).expect("read");
                     line.trim_end().to_string()

@@ -7,9 +7,9 @@
 //! plans run the window engine, unclaimed plans must take the simulate
 //! fallback and be *trivially* identical.
 //!
-//! The second half pins the `TrafficMode::Hybrid` contract at the
-//! figure layer: a Hybrid-mode cache produces byte-identical figures to
-//! a Simulate-mode cache, including when no phase is claimed.
+//! The second half pins the `TrafficMode::Symbolic` contract at the
+//! figure layer: a Symbolic-mode cache produces byte-identical figures
+//! to a Simulate-mode cache, including when no phase is claimed.
 
 use pdesched_cachesim::CacheConfig;
 use pdesched_core::{CompLoop, Granularity, IntraTile, Variant};
@@ -116,24 +116,24 @@ fn provenance_tracks_the_claim_boundary() {
     assert_identical("bwf_cli4", 8, &t, &measure_box_traffic(wf, 8, &small()));
 }
 
-/// Hybrid mode through the cache: identical numbers to Simulate mode
+/// Symbolic mode through the cache: identical numbers to Simulate mode
 /// for every point, with provenance recording which engine produced
-/// each entry — including the zero-claimed case, where Hybrid must
+/// each entry — including the zero-claimed case, where Symbolic must
 /// degrade to Simulate wholesale.
 #[test]
-fn hybrid_cache_is_bit_identical_to_simulate_cache() {
+fn symbolic_cache_is_bit_identical_to_simulate_cache() {
     let cfg = small();
-    let hyb = TrafficCache::new().with_mode(TrafficMode::Hybrid);
+    let sym = TrafficCache::new().with_mode(TrafficMode::Symbolic);
     for (name, v) in variants() {
         if v.validate_for_box(8).is_err() {
             continue;
         }
-        let t = hyb.get(v, 8, &cfg);
+        let t = sym.get(v, 8, &cfg);
         assert_identical(name, 8, &t, &measure_box_traffic(v, 8, &cfg));
         let claimed = analyze(v, 8).fully_claimed();
-        let expect = if claimed { TrafficMode::Hybrid } else { TrafficMode::Simulate };
+        let expect = if claimed { TrafficMode::Symbolic } else { TrafficMode::Simulate };
         assert_eq!(
-            hyb.provenance(v, 8, &cfg),
+            sym.provenance(v, 8, &cfg),
             Some(expect),
             "{name}: provenance must record the engine that ran"
         );
@@ -141,12 +141,12 @@ fn hybrid_cache_is_bit_identical_to_simulate_cache() {
 }
 
 /// Property test over pseudo-random `(variant, n, hierarchy)` points
-/// (deterministic LCG, so failures reproduce): Hybrid equals Simulate
+/// (deterministic LCG, so failures reproduce): Symbolic equals Simulate
 /// bit-for-bit everywhere — trivially when the analysis claims zero
 /// phases (the fallback *is* the simulator), and through the window
 /// engine's exact-match contract when it claims the plan.
 #[test]
-fn hybrid_matches_simulate_on_random_points() {
+fn symbolic_matches_simulate_on_random_points() {
     let mut state = 0x9e37_79b9_7f4a_7c15u64;
     let mut next = move |bound: usize| {
         state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -167,8 +167,8 @@ fn hybrid_matches_simulate_on_random_points() {
         let (b1, a1) = l1s[next(l1s.len())];
         let (b2, a2) = llcs[next(llcs.len())];
         let cfg = vec![CacheConfig::new(b1, a1), CacheConfig::new(b2, a2)];
-        let hyb = TrafficCache::new().with_mode(TrafficMode::Hybrid);
-        let t = hyb.get(v, n, &cfg);
+        let sym = TrafficCache::new().with_mode(TrafficMode::Symbolic);
+        let t = sym.get(v, n, &cfg);
         assert_identical(name, n, &t, &measure_box_traffic(v, n, &cfg));
         match analyze(v, n).fully_claimed() {
             true => claimed_seen = true,
@@ -178,23 +178,23 @@ fn hybrid_matches_simulate_on_random_points() {
     assert!(claimed_seen && fallback_seen, "the sample must hit both claim outcomes");
 }
 
-/// Figures generated through a Hybrid cache are byte-identical to the
+/// Figures generated through a Symbolic cache are byte-identical to the
 /// Simulate-mode figures (the committed goldens' pipeline): the mode is
 /// a pure engine swap, invisible in every figure number.
 #[test]
-fn hybrid_figures_match_simulate_figures() {
+fn symbolic_figures_match_simulate_figures() {
     let spec = MachineSpec::i5_desktop();
     let big_n = 16; // keep the test cheap; the mode plumbing is size-blind
     let sim_cache = TrafficCache::new();
     let sim_fig = figure234_sized(&spec, &sim_cache, "figX", big_n);
-    let hyb_cache = TrafficCache::new().with_mode(TrafficMode::Hybrid);
+    let sym_cache = TrafficCache::new().with_mode(TrafficMode::Symbolic);
     // Prewarm through the same enumerator the repro binary uses, so the
-    // Hybrid engine (not figure generation) performs the measurements.
+    // symbolic engine (not figure generation) performs the measurements.
     use pdesched_machine::engine::SweepEngine;
-    SweepEngine::new(4).prewarm(&hyb_cache, &figure234_points(&spec, big_n));
-    let hyb_fig = figure234_sized(&spec, &hyb_cache, "figX", big_n);
-    assert_eq!(sim_fig.series.len(), hyb_fig.series.len());
-    for (a, b) in sim_fig.series.iter().zip(&hyb_fig.series) {
+    SweepEngine::new(4).prewarm(&sym_cache, &figure234_points(&spec, big_n));
+    let sym_fig = figure234_sized(&spec, &sym_cache, "figX", big_n);
+    assert_eq!(sim_fig.series.len(), sym_fig.series.len());
+    for (a, b) in sim_fig.series.iter().zip(&sym_fig.series) {
         assert_eq!(a.label, b.label);
         assert_eq!(a.points.len(), b.points.len(), "{}", a.label);
         for (pa, pb) in a.points.iter().zip(&b.points) {

@@ -278,51 +278,6 @@ pub fn check_current() {
     }
 }
 
-/// Poll `probe` every `interval` on a background thread and trip
-/// `token` with the returned reason the first time it yields `Some` —
-/// the bridge from out-of-band cancellation sources (a control file
-/// written by another *process*, an external flag) into the token tree.
-///
-/// The watcher thread exits as soon as it trips the token, the token is
-/// tripped by anyone else, or the returned [`WatchGuard`] drops
-/// (whichever is first), so it never outlives the scope that installed
-/// it. The guard joins the thread on drop; with an `interval` of
-/// milliseconds that bounds drop latency to one poll.
-pub fn watch(
-    token: &CancelToken,
-    interval: std::time::Duration,
-    probe: impl Fn() -> Option<String> + Send + 'static,
-) -> WatchGuard {
-    let stop = Arc::new(AtomicBool::new(false));
-    let token = token.clone();
-    let stop2 = Arc::clone(&stop);
-    let handle = std::thread::spawn(move || {
-        while !stop2.load(Ordering::Acquire) && !token.is_tripped() {
-            if let Some(reason) = probe() {
-                token.trip(&reason);
-                return;
-            }
-            std::thread::sleep(interval);
-        }
-    });
-    WatchGuard { stop, handle: Some(handle) }
-}
-
-/// Stops and joins the watcher thread on drop (see [`watch`]).
-pub struct WatchGuard {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Drop for WatchGuard {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
 /// Counted interest in one shared piece of work — the bridge between
 /// many client lifetimes and one coalesced execution. `machine::serve`
 /// gives every in-flight point an `InterestSet` over the flight's
@@ -523,40 +478,6 @@ mod tests {
             assert!(!current_is_tripped());
         }
         assert!(current().is_none());
-    }
-
-    #[test]
-    fn watch_trips_token_from_out_of_band_probe() {
-        let t = CancelToken::new();
-        let flag = Arc::new(AtomicBool::new(false));
-        let f = Arc::clone(&flag);
-        let _g = watch(&t, std::time::Duration::from_millis(1), move || {
-            f.load(Ordering::Acquire).then(|| "external stop".to_string())
-        });
-        assert!(!t.is_tripped());
-        flag.store(true, Ordering::Release);
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while !t.is_tripped() && std::time::Instant::now() < deadline {
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        assert!(t.is_tripped());
-        assert_eq!(t.reason().as_deref(), Some("external stop"));
-    }
-
-    #[test]
-    fn watch_guard_drop_stops_the_poller() {
-        let t = CancelToken::new();
-        let polls = Arc::new(AtomicUsize::new(0));
-        let p = Arc::clone(&polls);
-        let g = watch(&t, std::time::Duration::from_millis(1), move || {
-            p.fetch_add(1, Ordering::SeqCst);
-            None
-        });
-        drop(g); // joins: no more polls after this
-        let n = polls.load(Ordering::SeqCst);
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        assert_eq!(polls.load(Ordering::SeqCst), n, "poller must stop when the guard drops");
-        assert!(!t.is_tripped());
     }
 
     #[test]

@@ -16,7 +16,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub struct FaultPlan {
     panic_on_sim: Option<u64>,
     hang_on_sim: Option<u64>,
-    abort_on_sim: Option<u64>,
     fail_append_every: Option<u64>,
     truncate_after_byte: Option<u64>,
     drop_on_request: Option<u64>,
@@ -63,16 +62,6 @@ impl FaultPlan {
         self
     }
 
-    /// `std::process::abort()` on the `k`-th (0-based) sim probe: the
-    /// process dies instantly with no unwinding, no destructors, no
-    /// flushes — the in-process stand-in for `kill -9` / the OOM
-    /// killer. Only meaningful in a child process a test spawned on
-    /// purpose (the shard fabric's process-kill fault plans).
-    pub fn abort_on_sim(mut self, k: u64) -> Self {
-        self.abort_on_sim = Some(k);
-        self
-    }
-
     /// Fail every `n`-th (0-based: appends n-1, 2n-1, …) probe of
     /// [`on_append`](Self::on_append).
     pub fn fail_every_nth_append(mut self, n: u64) -> Self {
@@ -111,11 +100,6 @@ impl FaultPlan {
             while keep_hanging() && t0.elapsed() < HANG_CAP {
                 std::thread::sleep(std::time::Duration::from_millis(1));
             }
-        }
-        if self.abort_on_sim == Some(idx) {
-            // Deliberately not a panic: nothing may unwind, flush, or
-            // clean up — this simulates the process being shot.
-            std::process::abort();
         }
         if self.panic_on_sim == Some(idx) {
             panic!("injected fault: panic on simulation {idx}");
