@@ -10,7 +10,7 @@
 //!
 //! Phases:
 //!
-//! * `traffic` (default) — time `measure_box_traffic` for the named
+//! * `traffic` (default) — time `traffic::measure` for the named
 //!   variant shortlist, as before.
 //! * `lower` — time `pdesched_core::plan::lower` (schedule lowering to
 //!   the plan IR) for *every* extended variant valid at each size, and
@@ -31,9 +31,9 @@
 //!   than a timing smoke); `--check-against` then checks whichever
 //!   kinds the baseline file carries.
 //!
-//! Times `measure_box_traffic` (the run-batched, hot-line-filtered fast
-//! path) and `measure_box_traffic_reference` (the per-element reference
-//! path) for each (variant, box size) point and reports simulated
+//! Times `Engine::Simulate` (the run-batched, hot-line-filtered fast
+//! path) and `Engine::Reference` (the per-element reference path) for
+//! each (variant, box size) point and reports simulated
 //! accesses per second plus per-point wall time. Results go to
 //! `BENCH_<label>.json` at the invocation directory (repo root in CI)
 //! unless `--out` overrides the path.
@@ -49,7 +49,7 @@
 //!   catching an accidental return to per-element dispatch). Points
 //!   missing from the baseline are reported and skipped.
 //! * `--mode symbolic` — time the symbolic traffic pipeline
-//!   (`measure_box_traffic_symbolic`) as the fast path instead; the
+//!   (`Engine::Symbolic`) as the fast path instead; the
 //!   comparator becomes the fast-path *simulator*, so `speedup` in the
 //!   JSON is symbolic-vs-simulate and the results are asserted
 //!   bit-identical on every sample. The default label becomes the mode
@@ -60,9 +60,9 @@
 //!   every *claimed* point's symbolic-vs-simulate speedup is at least
 //!   X× (the ≥10× throughput criterion, enforced in CI at n=64).
 //! * `--threads N` — run the fast path through the set-sharded parallel
-//!   measurement pipeline with N engine threads
-//!   (`measure_box_traffic_parallel`, or the forced trace-splitter
-//!   variant under `--mode simulate`). The comparator becomes the
+//!   measurement pipeline with N engine threads (the same engine with
+//!   `threads: N`; under `--mode simulate` that is the trace
+//!   splitter). The comparator becomes the
 //!   *serial same-mode engine*, so `speedup` in the JSON is the
 //!   parallel-vs-serial wall ratio for one point, and every sample is
 //!   still asserted bit-identical. Per-point `engine_threads` and the
@@ -83,9 +83,8 @@
 
 use pdesched_cachesim::CacheConfig;
 use pdesched_core::{CompLoop, Variant};
-use pdesched_machine::parallel::{measure_box_traffic_parallel, measure_box_traffic_parallel_sim};
-use pdesched_machine::symbolic::{analyze, measure_box_traffic_symbolic};
-use pdesched_machine::traffic::{measure_box_traffic, measure_box_traffic_reference, BoxTraffic};
+use pdesched_machine::symbolic::analyze;
+use pdesched_machine::traffic::{box_reps, measure, BoxTraffic, Engine, Point as MeasurePoint};
 use pdesched_machine::{search_schedules, MachineSpec, TrafficCache};
 use std::time::Instant;
 
@@ -94,18 +93,6 @@ use std::time::Instant;
 /// worst-case load on the simulator itself.
 fn hierarchy() -> Vec<CacheConfig> {
     vec![CacheConfig::new(8 * 1024, 4), CacheConfig::new(64 * 1024, 8)]
-}
-
-/// Box repetitions `measure_box_traffic` runs per call (its `k`); the
-/// per-call access total is the per-box counters times this.
-fn boxes_per_call(n: i32) -> u64 {
-    if n <= 32 {
-        4
-    } else if n <= 64 {
-        2
-    } else {
-        1
-    }
 }
 
 struct Point {
@@ -208,7 +195,7 @@ fn named_variants() -> Vec<(&'static str, Variant)> {
 fn usage(msg: &str) -> ! {
     eprintln!("bench: {msg}");
     eprintln!(
-        "usage: bench [--phase traffic|lower|all] [--mode simulate|symbolic] [--label L] \
+        "usage: bench [--phase traffic|lower|passes|all] [--mode simulate|symbolic] [--label L] \
          [--sizes 16,32,64] [--samples K] [--variants a,b] [--out PATH] [--skip-reference] \
          [--check-against PATH] [--threshold X] [--min-speedup X] [--threads N] \
          [--min-par-speedup X]"
@@ -346,41 +333,28 @@ fn main() {
             // With `--threads N > 1` the fast path is the set-sharded
             // parallel pipeline and the comparator is the serial engine
             // of the *same* mode, so `speedup` is parallel-vs-serial.
-            let mut shard_balance = None;
-            let (fast_seconds, traffic) = if threads > 1 {
-                if symbolic_mode {
-                    time_best(samples, || {
-                        let (t, ps) = measure_box_traffic_parallel(variant, n, &configs, threads);
-                        shard_balance = Some(ps.balance());
-                        t
-                    })
-                } else {
-                    time_best(samples, || {
-                        let (t, ps) =
-                            measure_box_traffic_parallel_sim(variant, n, &configs, threads);
-                        shard_balance = Some(ps.balance());
-                        t
-                    })
-                }
-            } else if symbolic_mode {
-                time_best(samples, || measure_box_traffic_symbolic(variant, n, &configs))
+            let fast = if symbolic_mode {
+                Engine::Symbolic { threads }
             } else {
-                time_best(samples, || measure_box_traffic(variant, n, &configs))
+                Engine::Simulate { threads }
             };
-            let k = boxes_per_call(n);
-            let accesses = (traffic.reads + traffic.writes) * k;
+            let comparator = match (threads > 1, symbolic_mode) {
+                (true, true) => Engine::Symbolic { threads: 1 },
+                (true, false) | (false, true) => Engine::Simulate { threads: 1 },
+                (false, false) => Engine::Reference,
+            };
+            let point = MeasurePoint::hand(variant, n, &configs);
+            let mut shard_balance = None;
+            let (fast_seconds, traffic) = time_best(samples, || {
+                let (t, ps) = measure(&point, fast).expect("validated above; no passes");
+                shard_balance = (threads > 1).then(|| ps.balance());
+                t
+            });
+            let accesses = (traffic.reads + traffic.writes) * box_reps(n) as u64;
             let ref_seconds = (!skip_reference).then(|| {
-                let (secs, r) = if threads > 1 {
-                    if symbolic_mode {
-                        time_best(samples, || measure_box_traffic_symbolic(variant, n, &configs))
-                    } else {
-                        time_best(samples, || measure_box_traffic(variant, n, &configs))
-                    }
-                } else if symbolic_mode {
-                    time_best(samples, || measure_box_traffic(variant, n, &configs))
-                } else {
-                    time_best(samples, || measure_box_traffic_reference(variant, n, &configs))
-                };
+                let (secs, r) = time_best(samples, || {
+                    measure(&point, comparator).expect("validated above; no passes").0
+                });
                 assert_eq!(traffic, r, "fast path diverged from comparator for {vname} n={n}");
                 secs
             });

@@ -102,19 +102,6 @@ pub fn run_level_plain(
     run_level(variant, phi0, phi1, nthreads, &NoMem)
 }
 
-/// Convenience: run one box single-threaded under a tracing `Mem`
-/// implementation (the cache-simulator adapter), which need not be
-/// thread-safe.
-pub fn run_box_traced<M: Mem>(
-    variant: Variant,
-    phi0: &FArrayBox,
-    phi1: &mut FArrayBox,
-    cells: IBox,
-    mem: &M,
-) -> TempStorage {
-    run_box(variant, phi0, phi1, cells, 1, mem)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -43,7 +43,7 @@ pub mod storage;
 pub mod variant;
 pub mod wavefront;
 
-pub use exec::{run_box, run_box_traced, run_level};
+pub use exec::{run_box, run_level};
 pub use mem::{CountingMem, Mem, NoMem};
 pub use plan::{plan_for, plan_for_optimized, Pass, Pipeline, PipelineError, Plan};
 pub use storage::TempStorage;

@@ -24,7 +24,7 @@ use super::analysis;
 use super::ir::{Phase, Plan, Step};
 use super::lower_impl::lower;
 use super::verify::{self, VerifyError};
-use crate::variant::Variant;
+use crate::variant::{InvalidVariant, Variant};
 use std::fmt;
 
 /// One plan-to-plan rewrite.
@@ -225,6 +225,9 @@ pub enum PipelineError {
     Pass { pass: String, reason: String },
     /// The transformed plan failed verification.
     Verify(VerifyError),
+    /// The variant cannot execute on the requested box at all, so there
+    /// is no plan to transform.
+    Invalid(InvalidVariant),
 }
 
 impl fmt::Display for PipelineError {
@@ -232,6 +235,7 @@ impl fmt::Display for PipelineError {
         match self {
             PipelineError::Pass { pass, reason } => write!(f, "pass '{pass}': {reason}"),
             PipelineError::Verify(e) => write!(f, "verification failed: {e}"),
+            PipelineError::Invalid(e) => write!(f, "{e}"),
         }
     }
 }
@@ -247,7 +251,7 @@ pub struct Pipeline {
 
 impl Pipeline {
     /// The identity pipeline.
-    pub fn empty() -> Pipeline {
+    pub const fn empty() -> Pipeline {
         Pipeline { passes: Vec::new() }
     }
 

@@ -10,15 +10,16 @@ use std::cell::UnsafeCell;
 ///
 /// Holds the simulator in an `UnsafeCell` for hook-call speed (a trace
 /// of one 128^3 box is ~400M accesses); it must only be used with
-/// single-threaded schedule execution
-/// ([`pdesched_core::run_box_traced`]), which is what upholds the `Sync`
+/// single-threaded schedule execution (a one-thread plan, as
+/// [`crate::traffic::measure`] lowers), which is what upholds the `Sync`
 /// bound required by `Mem`.
 pub struct TraceMem {
     sim: UnsafeCell<Hierarchy>,
 }
 
-// Safety: trace runs are single-threaded by contract (run_box_traced
-// forces nthreads == 1), so the cell is never accessed concurrently.
+// Safety: trace runs are single-threaded by contract (`measure` lowers
+// every traced plan for nthreads == 1), so the cell is never accessed
+// concurrently.
 unsafe impl Sync for TraceMem {}
 
 impl TraceMem {

@@ -167,7 +167,7 @@ pub fn shared_halo_bytes(n: i32) -> u64 {
 }
 
 /// Closed-form **per-box** traffic of the two-box pair workload
-/// ([`crate::traffic::measure_pair_traffic`]) through an effective cache
+/// ([`crate::traffic::Boxes::Pair`]) through an effective cache
 /// of `cache_bytes`. `interleaved` models the `cross-box-fuse` pass with
 /// chunk depth `chunk` (rows of z per visit); `chunk = 0` or
 /// `interleaved = false` is plain sequential execution, which equals

@@ -2,7 +2,7 @@
 //! figure or ranking will need, concurrently, then generate serially.
 //!
 //! Figure generation spends essentially all of its time inside
-//! [`crate::traffic::measure_box_traffic`] — full schedule executions
+//! [`crate::traffic::measure`] — full schedule executions
 //! replayed through the cache simulator. Those measurements are
 //! independent across (variant, box size, hierarchy) points, so the
 //! engine fans them out over a [`SpmdPool`] (the repo's own OpenMP-style

@@ -49,10 +49,7 @@ pub use engine::{PointFailure, PrewarmReport, SimPoint, SkippedPoint, SweepBudge
 pub use fault::FaultHook;
 pub use journal::PriorSweep;
 pub use model::{predict_time, predict_time_with_traffic, Prediction, Workload};
-pub use parallel::{
-    max_point_threads, measure_box_traffic_optimized, measure_box_traffic_optimized_sim,
-    measure_box_traffic_parallel, measure_box_traffic_parallel_sim, ParallelStats,
-};
+pub use parallel::{max_point_threads, measure_box_traffic_parallel, ParallelStats};
 pub use serve::{ServeConfig, ServeFaultAction, ServeHook, ServeStats, Server};
 pub use spec::MachineSpec;
 pub use sweep::{
@@ -60,7 +57,6 @@ pub use sweep::{
 };
 pub use symbolic::{measure_box_traffic_symbolic, SymbolicAnalysis};
 pub use traffic::{
-    measure_box_traffic, measure_box_traffic_reference, measure_optimized_box_traffic,
-    measure_pair_traffic, pair_store_key, store_key, store_key_with_passes, BoxTraffic, CacheStats,
-    StoreReader, StoreView, TrafficCache, TrafficMode,
+    measure, measure_box_traffic, pair_store_key, store_key, store_key_with_passes, BoxTraffic,
+    Boxes, CacheStats, Engine, Point, StoreReader, StoreView, TrafficCache, TrafficMode,
 };

@@ -1,6 +1,6 @@
-//! Parallel single-point measurement: run one traffic measurement's
-//! miss machinery across worker threads, bit-identical to the serial
-//! engines.
+//! Parallel single-point measurement: the set-sharded sink of
+//! [`crate::traffic::measure`], running one measurement's miss
+//! machinery across worker threads, bit-identical to the serial sink.
 //!
 //! DESIGN.md §11 shows every bit-exact serial engine is bound by the
 //! same floor — the L1-miss fills and victim scans that cannot be
@@ -12,13 +12,12 @@
 //!
 //! Shape: a pipeline with one producer and `K` shard workers.
 //!
-//! * The **producer** is the existing serial front half — either the
-//!   symbolic emitters walking the plan (claimed variants: cheap, no
-//!   data, no FP) or the real traced execution (the trace-splitter
-//!   fallback for wavefront/overlapped variants, so the parallel path
-//!   is *total*). Its sink packs each `(line, reps, write)` rep into a
-//!   `u64` and routes it to `shard = line mod K`, buffered into chunks
-//!   on bounded channels.
+//! * The **producer** is whichever serial front half `measure` picked
+//!   — the symbolic emitters walking the plan (claimed plans: cheap, no
+//!   data, no FP) or the plan interpreter behind [`SplitMem`] (the
+//!   trace splitter, so the parallel path is *total*). The router packs
+//!   each `(line, reps, write)` rep into a `u64` and routes it to
+//!   `shard = line mod K`, buffered into chunks on bounded channels.
 //! * Each **worker** owns one set-shard of the hierarchy (every level
 //!   scaled to `sets / K`; the 512-slot hot-line filter comes per shard
 //!   and is statistics-neutral) and replays its chunks in producer
@@ -37,15 +36,10 @@
 //! pipeline. A worker panic surfaces the same way (the producer's send
 //! fails, workers are joined, the original payload is re-raised).
 
-use crate::symbolic::{analyze, emit_symbolic_stream, LineSink};
-use crate::traffic::{box_reps, BoxTraffic};
-use pdesched_cachesim::{merge_stats, shard_configs, shard_count, CacheConfig, Hierarchy, Stats};
-use pdesched_core::plan::Plan;
-use pdesched_core::{
-    plan, plan_for_optimized, run_box_traced, Mem, Pipeline, PipelineError, Variant,
-};
-use pdesched_kernels::{GHOST, NCOMP};
-use pdesched_mesh::{trace_addr, FArrayBox, IBox};
+use crate::symbolic::LineSink;
+use crate::traffic::{measure, BoxTraffic, Engine, Point};
+use pdesched_cachesim::{merge_stats, shard_configs, CacheConfig, Hierarchy, Stats};
+use pdesched_core::{Mem, Variant};
 use std::cell::UnsafeCell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{sync_channel, SyncSender};
@@ -62,16 +56,18 @@ const CHUNK_OPS: usize = 1 << 15;
 /// Chunks in flight per shard before the producer blocks.
 const CHANNEL_DEPTH: usize = 4;
 
-/// How a parallel measurement distributed its work.
+/// Provenance of one [`measure`] call: which producer ran and how the
+/// sink distributed its work.
 #[derive(Clone, Debug)]
 pub struct ParallelStats {
     /// Shard workers used (power of two ≤ requested threads, capped by
-    /// the smallest level's set count).
+    /// the smallest level's set count); 1 for the serial sink.
     pub nshards: usize,
-    /// Packed rep ops routed to each shard.
+    /// Packed rep ops routed to each shard (`[0]` for the serial sink,
+    /// which routes nothing).
     pub shard_ops: Vec<u64>,
     /// Whether the producer was the symbolic emitter (claimed plan) or
-    /// the trace splitter (simulate fallback).
+    /// the plan interpreter.
     pub used_symbolic: bool,
 }
 
@@ -183,15 +179,20 @@ impl LineSink for ShardRouter<'_> {
 ///
 /// Same `UnsafeCell` pattern (and safety argument) as
 /// [`crate::adapter::TraceMem`]: `Mem` hooks take `&self` because
-/// executors share the recorder, but `run_box_traced` drives this from
-/// a single thread, so accesses are serialized by construction.
-struct SplitMem<'r, 'a> {
+/// executors share the recorder, but `measure` executes one-thread
+/// plans on the calling thread, so accesses are serialized by
+/// construction.
+pub(crate) struct SplitMem<'r, 'a> {
     router: UnsafeCell<&'r mut ShardRouter<'a>>,
 }
 
 unsafe impl Sync for SplitMem<'_, '_> {}
 
-impl SplitMem<'_, '_> {
+impl<'r, 'a> SplitMem<'r, 'a> {
+    pub(crate) fn new(router: &'r mut ShardRouter<'a>) -> Self {
+        SplitMem { router: UnsafeCell::new(router) }
+    }
+
     #[allow(clippy::mut_from_ref)]
     #[inline(always)]
     fn rt(&self) -> &mut ShardRouter<'static> {
@@ -223,7 +224,7 @@ impl Mem for SplitMem<'_, '_> {
 /// Run `produce` against a router feeding `nshards` replay workers;
 /// returns the merged statistics (after per-worker flush), the
 /// per-shard op counts, and the producer's result.
-fn parallel_replay<R>(
+pub(crate) fn parallel_replay<R>(
     configs: &[CacheConfig],
     nshards: usize,
     produce: impl FnOnce(&mut ShardRouter<'_>) -> R,
@@ -285,180 +286,18 @@ fn parallel_replay<R>(
     })
 }
 
-/// The trace-splitter producer: `measure_impl`'s exact setup (same
-/// trace-address layout, same warm-up boxes, same rewinds) with the
-/// router in place of the simulator behind the `Mem` hooks.
-fn produce_simulate(variant: Variant, n: i32, router: &mut ShardRouter<'_>) -> usize {
-    trace_addr::reset();
-    let k = box_reps(n);
-    let cells = IBox::cube(n);
-    let mut boxes: Vec<(FArrayBox, FArrayBox)> = (0..k)
-        .map(|i| {
-            let mut phi0 = FArrayBox::new(cells.grown(GHOST), NCOMP);
-            phi0.fill_synthetic(97 + i as u64);
-            (phi0, FArrayBox::new(cells, NCOMP))
-        })
-        .collect();
-    let trace = SplitMem { router: UnsafeCell::new(router) };
-    let scratch = trace_addr::mark();
-    for (phi0, phi1) in &mut boxes {
-        trace_addr::rewind(scratch);
-        run_box_traced(variant, phi0, phi1, cells, &trace);
-    }
-    k
-}
-
-/// The trace-splitter producer for a *transformed* plan: the same
-/// deterministic layout as `produce_simulate`, executing the given plan
-/// directly instead of re-lowering from the variant.
-fn produce_simulate_plan(arc: &Plan, n: i32, router: &mut ShardRouter<'_>) -> usize {
-    trace_addr::reset();
-    let k = box_reps(n);
-    let cells = IBox::cube(n);
-    let mut boxes: Vec<(FArrayBox, FArrayBox)> = (0..k)
-        .map(|i| {
-            let mut phi0 = FArrayBox::new(cells.grown(GHOST), NCOMP);
-            phi0.fill_synthetic(97 + i as u64);
-            (phi0, FArrayBox::new(cells, NCOMP))
-        })
-        .collect();
-    let trace = SplitMem { router: UnsafeCell::new(router) };
-    let scratch = trace_addr::mark();
-    for (phi0, phi1) in &mut boxes {
-        trace_addr::rewind(scratch);
-        plan::execute(arc, phi0, phi1, cells, &trace);
-    }
-    k
-}
-
-/// [`measure_box_traffic_parallel`] for a pass-transformed plan, with a
-/// serial escape hatch (`threads <= 1` runs
-/// [`crate::traffic::measure_optimized_box_traffic`] directly).
-///
-/// Producer choice: an order-preserving pipeline on a claimed plan keeps
-/// the symbolic emitters' certificate (the verifier pinned the serial
-/// step stream to the hand lowering), so those points use the symbolic
-/// producer; every other pipeline — rechunk, cross-box fusion — routes
-/// the transformed plan's real traced execution through the splitter.
-/// Fails only if the pipeline fails; nothing is measured then.
-pub fn measure_box_traffic_optimized(
-    variant: Variant,
-    n: i32,
-    configs: &[CacheConfig],
-    threads: usize,
-    pipeline: &Pipeline,
-) -> Result<(BoxTraffic, ParallelStats), PipelineError> {
-    measure_optimized_impl(variant, n, configs, threads, pipeline, true)
-}
-
-/// [`measure_box_traffic_optimized`] pinned to the simulator producers:
-/// the optimized counterpart of `TrafficMode::Simulate`.
-pub fn measure_box_traffic_optimized_sim(
-    variant: Variant,
-    n: i32,
-    configs: &[CacheConfig],
-    threads: usize,
-    pipeline: &Pipeline,
-) -> Result<(BoxTraffic, ParallelStats), PipelineError> {
-    measure_optimized_impl(variant, n, configs, threads, pipeline, false)
-}
-
-fn measure_optimized_impl(
-    variant: Variant,
-    n: i32,
-    configs: &[CacheConfig],
-    threads: usize,
-    pipeline: &Pipeline,
-    allow_symbolic: bool,
-) -> Result<(BoxTraffic, ParallelStats), PipelineError> {
-    if pipeline.is_empty() {
-        if threads <= 1 {
-            let t = crate::traffic::measure_box_traffic(variant, n, configs);
-            return Ok((t, ParallelStats { nshards: 1, shard_ops: vec![0], used_symbolic: false }));
-        }
-        return Ok(measure_box_traffic_parallel_sim(variant, n, configs, threads));
-    }
-    if allow_symbolic && pipeline.order_preserving() && analyze(variant, n).fully_claimed() {
-        // Validate the pipeline (errors must surface even on the claimed
-        // path), then reuse the claim-aware engine wholesale: the
-        // transformed serial stream is the reference stream.
-        plan_for_optimized(variant, IBox::cube(n).size(), 1, pipeline)?;
-        if threads <= 1 {
-            let t = crate::symbolic::measure_box_traffic_symbolic(variant, n, configs);
-            return Ok((t, ParallelStats { nshards: 1, shard_ops: vec![0], used_symbolic: true }));
-        }
-        return Ok(measure_box_traffic_parallel(variant, n, configs, threads));
-    }
-    let arc = plan_for_optimized(variant, IBox::cube(n).size(), 1, pipeline)?;
-    if threads <= 1 {
-        let t = crate::traffic::measure_optimized_box_traffic(variant, n, configs, pipeline)?;
-        return Ok((t, ParallelStats { nshards: 1, shard_ops: vec![0], used_symbolic: false }));
-    }
-    let nshards = shard_count(configs, threads);
-    let (stats, ops, k) =
-        parallel_replay(configs, nshards, |router| produce_simulate_plan(&arc, n, router));
-    let nlev = stats.levels.len();
-    let t = BoxTraffic {
-        dram_bytes: stats.dram_bytes(configs[0].line) / k as u64,
-        reads: stats.reads / k as u64,
-        writes: stats.writes / k as u64,
-        l1_hit: stats.levels[0].hit_ratio(),
-        llc_hit: stats.levels[nlev - 1].hit_ratio(),
-    };
-    Ok((t, ParallelStats { nshards, shard_ops: ops, used_symbolic: false }))
-}
-
-/// Measure one point with up to `threads` shard workers, choosing the
-/// producer by claim: symbolic emission when the analysis claims the
-/// whole plan, the trace splitter otherwise. Bit-identical to
-/// [`crate::traffic::measure_box_traffic`] (and so to every serial
-/// engine) for every input, at every thread count.
+/// [`measure`] for the hand lowering of one box under
+/// [`Engine::Symbolic`] with `threads` workers, panicking where
+/// `measure` refuses. Frozen for `benchmark/`, which cannot change in
+/// the PR that introduced `measure`; new code calls `measure`.
 pub fn measure_box_traffic_parallel(
     variant: Variant,
     n: i32,
     configs: &[CacheConfig],
     threads: usize,
 ) -> (BoxTraffic, ParallelStats) {
-    let symbolic = analyze(variant, n).fully_claimed();
-    measure_parallel_impl(variant, n, configs, threads, symbolic)
-}
-
-/// [`measure_box_traffic_parallel`] pinned to the trace-splitter
-/// producer: the parallel counterpart of `TrafficMode::Simulate`.
-pub fn measure_box_traffic_parallel_sim(
-    variant: Variant,
-    n: i32,
-    configs: &[CacheConfig],
-    threads: usize,
-) -> (BoxTraffic, ParallelStats) {
-    measure_parallel_impl(variant, n, configs, threads, false)
-}
-
-fn measure_parallel_impl(
-    variant: Variant,
-    n: i32,
-    configs: &[CacheConfig],
-    threads: usize,
-    symbolic: bool,
-) -> (BoxTraffic, ParallelStats) {
-    let nshards = shard_count(configs, threads);
-    let (stats, ops, k) = if symbolic {
-        let (stats, ops, (k, _)) = parallel_replay(configs, nshards, |router| {
-            emit_symbolic_stream(variant, n, configs, router)
-        });
-        (stats, ops, k)
-    } else {
-        parallel_replay(configs, nshards, |router| produce_simulate(variant, n, router))
-    };
-    let nlev = stats.levels.len();
-    let t = BoxTraffic {
-        dram_bytes: stats.dram_bytes(configs[0].line) / k as u64,
-        reads: stats.reads / k as u64,
-        writes: stats.writes / k as u64,
-        l1_hit: stats.levels[0].hit_ratio(),
-        llc_hit: stats.levels[nlev - 1].hit_ratio(),
-    };
-    (t, ParallelStats { nshards, shard_ops: ops, used_symbolic: symbolic })
+    measure(&Point::hand(variant, n, configs), Engine::Symbolic { threads })
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Largest useful thread count for one point on `configs` — the
@@ -470,99 +309,18 @@ pub fn max_point_threads(configs: &[CacheConfig]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traffic::measure_box_traffic;
-    use pdesched_core::CompLoop;
     use pdesched_par::cancel::{self, CancelToken};
-
-    fn small() -> Vec<CacheConfig> {
-        vec![CacheConfig::new(8 * 1024, 4), CacheConfig::new(64 * 1024, 8)]
-    }
-
-    /// Claimed (symbolic producer) and unclaimed (trace splitter)
-    /// variants, both bit-identical to the serial engine at several
-    /// thread counts — including 1 (the degenerate single-shard
-    /// pipeline) and a count above the shard cap.
-    #[test]
-    fn parallel_matches_serial_both_producers() {
-        let configs = small();
-        for (variant, expect_symbolic) in
-            [(Variant::baseline(), true), (Variant::blocked_wavefront(CompLoop::Inside, 4), false)]
-        {
-            let serial = measure_box_traffic(variant, 8, &configs);
-            for threads in [1usize, 2, 8, 64] {
-                let (t, ps) = measure_box_traffic_parallel(variant, 8, &configs, threads);
-                assert_eq!(t, serial, "{variant} threads={threads}");
-                assert_eq!(t.l1_hit.to_bits(), serial.l1_hit.to_bits());
-                assert_eq!(t.llc_hit.to_bits(), serial.llc_hit.to_bits());
-                assert_eq!(ps.used_symbolic, expect_symbolic);
-                assert_eq!(ps.nshards, threads.min(32));
-                assert!(ps.balance() >= 1.0 && ps.balance() <= ps.nshards as f64 + 1e-9);
-            }
-        }
-    }
-
-    /// The forced-simulate path must agree with the claim-aware path
-    /// (same numbers, different producer).
-    #[test]
-    fn splitter_matches_symbolic_producer() {
-        let configs = small();
-        let (a, pa) = measure_box_traffic_parallel(Variant::shift_fuse(), 8, &configs, 4);
-        let (b, pb) = measure_box_traffic_parallel_sim(Variant::shift_fuse(), 8, &configs, 4);
-        assert!(pa.used_symbolic && !pb.used_symbolic);
-        assert_eq!(a, b);
-    }
-
-    /// Optimized-plan measurement agrees across every producer: the
-    /// serial transformed-plan interpreter, the sharded trace splitter,
-    /// and (for order-preserving pipelines) the symbolic emitters.
-    #[test]
-    fn optimized_parallel_matches_optimized_serial() {
-        let configs = small();
-        // Stream-reordering pipeline: transformed-plan execution, serial
-        // and sharded.
-        let pipe = Pipeline::parse("cross-box-fuse:2").unwrap();
-        let serial = crate::traffic::measure_optimized_box_traffic(
-            Variant::shift_fuse(),
-            8,
-            &configs,
-            &pipe,
-        )
-        .unwrap();
-        for threads in [1usize, 4] {
-            let (t, ps) =
-                measure_box_traffic_optimized(Variant::shift_fuse(), 8, &configs, threads, &pipe)
-                    .unwrap();
-            assert!(!ps.used_symbolic);
-            assert_eq!(t, serial, "threads={threads}");
-        }
-        // Order-preserving pipeline on a claimed variant: the symbolic
-        // producer answers with the plain variant's (identical) stream.
-        let ep = Pipeline::parse("elide-barriers").unwrap();
-        let plain = measure_box_traffic(Variant::baseline(), 8, &configs);
-        let (b, pb) =
-            measure_box_traffic_optimized(Variant::baseline(), 8, &configs, 4, &ep).unwrap();
-        assert!(pb.used_symbolic);
-        assert_eq!(b, plain);
-        // The forced-simulate twin agrees without claiming.
-        let (c, pc) =
-            measure_box_traffic_optimized_sim(Variant::baseline(), 8, &configs, 4, &ep).unwrap();
-        assert!(!pc.used_symbolic);
-        assert_eq!(c, plain);
-        // Pipeline preconditions surface as errors through every entry.
-        let bad = Pipeline::parse("rechunk:4").unwrap();
-        assert!(measure_box_traffic_optimized(Variant::baseline(), 8, &configs, 4, &bad).is_err());
-    }
 
     /// A tripped ambient token cancels the pipeline at a producer
     /// checkpoint and the `Cancelled` payload survives the worker join.
     #[test]
     fn cancellation_unwinds_cleanly() {
-        let configs = small();
+        let configs = vec![CacheConfig::new(8 * 1024, 4), CacheConfig::new(64 * 1024, 8)];
         let token = CancelToken::new();
         token.trip("test");
         let _g = cancel::set_current(Some(token));
         let r = catch_unwind(AssertUnwindSafe(|| {
-            measure_box_traffic_parallel(Variant::baseline(), 8, &configs, 4)
+            measure(&Point::hand(Variant::baseline(), 8, &configs), Engine::Symbolic { threads: 4 })
         }));
         let payload = r.expect_err("tripped token must cancel the measurement");
         assert!(

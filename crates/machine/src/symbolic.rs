@@ -5,7 +5,7 @@
 //!
 //! # How it works
 //!
-//! The simulate path ([`crate::traffic::measure_box_traffic`]) runs the
+//! The plan-interpreter producer of [`crate::traffic::measure`] runs the
 //! schedule for real — floating point, data movement, one `Mem` hook per
 //! element — and replays every access through the hierarchy. But the
 //! access *stream* of the regular schedule families (series passes,
@@ -69,12 +69,12 @@
 //! ([`pdesched_core::plan::Plan::phase_infos`]) and claims every phase
 //! of a `Series` or `Fuse` region; wavefront and overlapped-tile
 //! regions are unclaimed (their tile interleavings are not mirrored
-//! here). A plan with any unclaimed phase falls back to the bit-exact
-//! simulate path wholesale, so [`measure_box_traffic_symbolic`] equals
-//! [`crate::traffic::measure_box_traffic`] for *every* variant, by
+//! here). [`crate::traffic::measure`] uses these emitters only for a
+//! fully claimed plan and the plan interpreter for everything else, so
+//! `Engine::Symbolic` equals `Engine::Simulate` for *every* variant, by
 //! construction.
 
-use crate::traffic::{measure_box_traffic, BoxTraffic};
+use crate::traffic::{measure, BoxTraffic, Engine, Point};
 use pdesched_cachesim::{CacheConfig, Hierarchy};
 use pdesched_core::plan::{plan_for, zslab, AllocKind, Plan, RegionKind, Step};
 use pdesched_core::{CompLoop, Variant};
@@ -131,57 +131,18 @@ pub struct SymbolicStats {
     pub cert_misses: u64,
 }
 
-/// Traffic of `variant` on an `n^3` box through `configs`, via the
-/// symbolic pipeline when the analysis claims the whole plan, else via
-/// the bit-exact simulator. Equal to
-/// [`crate::traffic::measure_box_traffic`] for every input.
+/// [`measure`] for the hand lowering of one box under
+/// [`Engine::Symbolic`] on one thread, panicking where `measure`
+/// refuses. Frozen for `benchmark/`, which cannot change in the PR that
+/// introduced `measure`; new code calls `measure`.
 pub fn measure_box_traffic_symbolic(
     variant: Variant,
     n: i32,
     configs: &[CacheConfig],
 ) -> BoxTraffic {
-    measure_with_provenance(variant, n, configs).0
-}
-
-/// [`measure_box_traffic_symbolic`] plus whether the symbolic pipeline
-/// actually ran (`false` = full simulate fallback). The traffic cache
-/// uses the flag to tag store entries with their true provenance.
-pub fn measure_with_provenance(
-    variant: Variant,
-    n: i32,
-    configs: &[CacheConfig],
-) -> (BoxTraffic, bool) {
-    match measure_symbolic_detailed(variant, n, configs) {
-        Some((t, _)) => (t, true),
-        None => (measure_box_traffic(variant, n, configs), false),
-    }
-}
-
-/// The symbolic measurement with its window counters, or `None` when
-/// the analysis leaves any phase unclaimed.
-pub fn measure_symbolic_detailed(
-    variant: Variant,
-    n: i32,
-    configs: &[CacheConfig],
-) -> Option<(BoxTraffic, SymbolicStats)> {
-    if !analyze(variant, n).fully_claimed() {
-        return None;
-    }
-    let mut h = Hierarchy::new(configs);
-    let (k, stats) = emit_symbolic_stream(variant, n, configs, &mut h);
-    h.flush();
-    let s = h.stats();
-    let nlev = s.levels.len();
-    Some((
-        BoxTraffic {
-            dram_bytes: s.dram_bytes(h.line()) / k as u64,
-            reads: s.reads / k as u64,
-            writes: s.writes / k as u64,
-            l1_hit: s.levels[0].hit_ratio(),
-            llc_hit: s.levels[nlev - 1].hit_ratio(),
-        },
-        stats,
-    ))
+    measure(&Point::hand(variant, n, configs), Engine::Symbolic { threads: 1 })
+        .unwrap_or_else(|e| panic!("{e}"))
+        .0
 }
 
 /// Drive the whole symbolic emission for one measurement point into
@@ -201,9 +162,10 @@ pub(crate) fn emit_symbolic_stream<S: LineSink>(
     if let Err(e) = variant.validate_for_box(min_edge) {
         panic!("{e} ({cells:?})");
     }
-    // Mirror `measure_impl`'s deterministic trace layout exactly: reset,
-    // k interleaved (phi0, phi1) allocations, then per-box rewinds of the
-    // scratch region — the emitted addresses must equal the real run's.
+    // Mirror the interpreter producer's deterministic trace layout for
+    // one box exactly (`traffic::drive`): reset, k interleaved
+    // (phi0, phi1) allocations, then per-box rewinds of the scratch
+    // region — the emitted addresses must equal the real run's.
     trace_addr::reset();
     let k = crate::traffic::box_reps(n);
     let grown = cells.grown(GHOST);
@@ -1376,6 +1338,7 @@ fn emit_fused_cli<S: LineSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traffic::measure_box_traffic;
     use pdesched_core::{Granularity, IntraTile};
 
     fn small() -> Vec<CacheConfig> {
@@ -1418,7 +1381,7 @@ mod tests {
                 emit_symbolic_stream(variant, n, &cfg, &mut sink);
             });
             let serial = time(&mut || {
-                std::hint::black_box(measure_symbolic_detailed(variant, n, &cfg));
+                std::hint::black_box(measure_box_traffic_symbolic(variant, n, &cfg));
             });
             println!(
                 "{variant} n={n}: emit-only {emit:.3}s of serial {serial:.3}s \
@@ -1519,7 +1482,7 @@ mod tests {
     fn row_class_hit_rates_at_n64() {
         for variant in [Variant::baseline(), Variant::shift_fuse()] {
             let t0 = std::time::Instant::now();
-            let (_, s) = measure_symbolic_detailed(variant, 64, &small()).unwrap();
+            let s = emit_symbolic_stream(variant, 64, &small(), &mut Hierarchy::new(&small())).1;
             println!(
                 "{variant}: grouped {} exact {} captured {} replayed {} reps {} cert_misses {} in {:.3}s",
                 s.grouped_windows,
@@ -1557,19 +1520,11 @@ mod tests {
     }
 
     #[test]
-    fn unclaimed_variant_falls_back_to_simulate() {
-        let wf = Variant::blocked_wavefront(CompLoop::Inside, 4);
-        assert!(measure_symbolic_detailed(wf, 8, &small()).is_none());
-        let (t, used_symbolic) = measure_with_provenance(wf, 8, &small());
-        assert!(!used_symbolic);
-        assert_eq!(t, measure_box_traffic(wf, 8, &small()));
-    }
-
-    #[test]
     fn windows_actually_group() {
         // The collapse that makes the pipeline fast must engage on the
         // regular interiors: far more grouped than exact windows.
-        let (_, s) = measure_symbolic_detailed(Variant::baseline(), 16, &big()).unwrap();
+        let s =
+            emit_symbolic_stream(Variant::baseline(), 16, &big(), &mut Hierarchy::new(&big())).1;
         assert!(s.grouped_windows > 0, "{s:?}");
         assert!(s.grouped_windows > s.exact_windows, "{s:?}");
     }

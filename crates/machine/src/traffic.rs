@@ -15,10 +15,13 @@
 
 use crate::adapter::TraceMem;
 use crate::fault::FaultHook;
-use pdesched_cachesim::{CacheConfig, Hierarchy};
-use pdesched_core::{plan, plan_for_optimized, run_box_traced, Pipeline, PipelineError, Variant};
+use crate::parallel::{parallel_replay, ParallelStats, SplitMem};
+use crate::symbolic::{analyze, emit_symbolic_stream};
+use pdesched_cachesim::{shard_count, CacheConfig, Hierarchy, Stats};
+use pdesched_core::plan::{self, Plan};
+use pdesched_core::{plan_for_optimized, Mem, Pipeline, PipelineError, Variant};
 use pdesched_kernels::{GHOST, NCOMP};
-use pdesched_mesh::{FArrayBox, IBox};
+use pdesched_mesh::{trace_addr, FArrayBox, IBox, IntVect};
 use std::collections::HashMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -90,40 +93,81 @@ pub struct BoxTraffic {
     pub llc_hit: f64,
 }
 
-/// Measure the steady-state DRAM traffic of `variant` updating one
-/// `n^3` box through the cache hierarchy `configs` (L1 first, LLC last).
-///
-/// A thread in the real computation streams through many boxes, so the
-/// relevant quantity is the *per-box increment* once the caches are in
-/// steady state: a warm-up box runs first (heating the temporary buffers,
-/// which the allocator reuses at the same addresses), then a second,
-/// distinct box pair runs and its incremental traffic is reported. The
-/// increment naturally includes the writeback of the previous box's dirty
-/// output lines — exactly the steady-state behavior.
-pub fn measure_box_traffic(variant: Variant, n: i32, configs: &[CacheConfig]) -> BoxTraffic {
-    measure_impl(variant, n, configs, false)
+/// Which traced workload a [`Point`] asks about.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Boxes {
+    /// One `n^3` box in steady state.
+    Single,
+    /// Two adjacent `n^3` boxes sharing a ghost halo in `x`, updated
+    /// from one `phi0` covering their union. This is the workload where
+    /// cross-box phase fusion is visible: sequential execution (the
+    /// default) fetches the shared halo lines once per box, while an
+    /// interleaved plan (`interleave > 1`, produced by the
+    /// `cross-box-fuse` pass) revisits them at chunk distance, short
+    /// enough to still find them in the LLC.
+    Pair,
 }
 
-/// [`measure_box_traffic`] through the simulator's per-element reference
-/// path ([`Hierarchy::reference`]): no run batching, no front-end
-/// filters. Slow; exists so the fast path's bit-identity can be checked
-/// forever (see `tests/fastpath_equivalence.rs`) and as the baseline the
-/// bench harness reports speedup against.
-pub fn measure_box_traffic_reference(
-    variant: Variant,
-    n: i32,
-    configs: &[CacheConfig],
-) -> BoxTraffic {
-    measure_impl(variant, n, configs, true)
+/// One measurement question: DRAM traffic of `variant`, transformed by
+/// `pipeline`, updating `boxes` of edge `n` through the cache hierarchy
+/// `configs` (L1 first, LLC last). Everything a number depends on and
+/// nothing about how it is produced — that is [`Engine`].
+#[derive(Clone, Copy)]
+pub struct Point<'a> {
+    pub variant: Variant,
+    pub n: i32,
+    pub configs: &'a [CacheConfig],
+    pub pipeline: &'a Pipeline,
+    pub boxes: Boxes,
+}
+
+/// The empty pipeline, for points that outlive no caller's pipeline.
+static HAND_LOWERING: Pipeline = Pipeline::empty();
+
+impl<'a> Point<'a> {
+    /// The hand lowering of `variant` (no passes) on one box.
+    pub fn hand(variant: Variant, n: i32, configs: &'a [CacheConfig]) -> Self {
+        Point { variant, n, configs, pipeline: &HAND_LOWERING, boxes: Boxes::Single }
+    }
+
+    /// The point's memoization key: [`store_key_with_passes`] for a
+    /// single box, [`pair_store_key`] for the pair workload.
+    pub fn key(&self) -> String {
+        match self.boxes {
+            Boxes::Single => {
+                store_key_with_passes(self.variant, self.n, self.configs, self.pipeline)
+            }
+            Boxes::Pair => pair_store_key(self.variant, self.n, self.configs, self.pipeline),
+        }
+    }
+}
+
+/// How [`measure`] may produce a number. Every engine returns the same
+/// bits for the same [`Point`] (`tests/engine_matrix.rs`); they differ
+/// in cost only. [`TrafficCache`] builds one from its [`TrafficMode`]
+/// and engine-thread grant.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Engine {
+    /// The plan interpreter into [`Hierarchy::reference`]: per-element
+    /// probes, no run batching, no front-end filters, one thread. Slow;
+    /// the oracle every other engine is checked against.
+    Reference,
+    /// The plan interpreter into the fast simulator, set-sharded over
+    /// `threads` workers when `threads > 1`.
+    Simulate { threads: usize },
+    /// [`Engine::Simulate`], except that a plan the symbolic analysis
+    /// fully claims is produced by the symbolic emitters instead of the
+    /// interpreter.
+    Symbolic { threads: usize },
 }
 
 /// How many boxes one measurement streams through before dividing the
 /// counters: amortizes cold-start (first touch of the reusable
 /// temporaries) and the final flush. Cheap small boxes get more
 /// repetitions; large boxes stream through the caches anyway, so one
-/// pass is already steady state. Shared by every engine — the division
-/// must match the allocation pattern exactly.
-pub(crate) fn box_reps(n: i32) -> usize {
+/// pass is already steady state. Shared by every producer — the
+/// division must match the allocation pattern exactly.
+pub fn box_reps(n: i32) -> usize {
     if n <= 32 {
         4
     } else if n <= 64 {
@@ -133,139 +177,138 @@ pub(crate) fn box_reps(n: i32) -> usize {
     }
 }
 
-fn measure_impl(variant: Variant, n: i32, configs: &[CacheConfig], reference: bool) -> BoxTraffic {
+/// The plan-interpreter producer: execute `plan` for real over
+/// [`box_reps`] box sets with every access reported to `mem`. Returns
+/// the number of boxes updated, which is what the sink's counters are
+/// divided by.
+///
+/// A thread in the real computation streams through many boxes, so the
+/// relevant quantity is the *per-box increment* once the caches are in
+/// steady state: the first set warms the temporary buffers (which the
+/// allocator reuses at the same addresses), and the increment naturally
+/// includes the writeback of the previous box's dirty output lines.
+fn drive<M: Mem>(plan: &Plan, n: i32, boxes: Boxes, mem: &M) -> usize {
     // Deterministic trace layout: every buffer below (and every
     // temporary inside the runs) gets its virtual address from this
-    // thread's allocation order, so the measurement is a pure function
-    // of (variant, n, configs) — identical on any thread of any run.
-    pdesched_mesh::trace_addr::reset();
-    let k = box_reps(n);
-    let cells = IBox::cube(n);
-    let mut boxes: Vec<(FArrayBox, FArrayBox)> = (0..k)
+    // thread's allocation order, so the stream is a pure function of
+    // (plan, n, boxes) — identical on any thread of any run.
+    trace_addr::reset();
+    let first = IBox::cube(n);
+    let cells = match boxes {
+        Boxes::Single => vec![first],
+        Boxes::Pair => vec![first, first.shifted(IntVect::new(n, 0, 0))],
+    };
+    let source = IBox::new(first.lo(), cells[cells.len() - 1].hi()).grown(GHOST);
+    let mut sets: Vec<(FArrayBox, Vec<FArrayBox>)> = (0..box_reps(n))
         .map(|i| {
-            let mut phi0 = FArrayBox::new(cells.grown(GHOST), NCOMP);
+            let mut phi0 = FArrayBox::new(source, NCOMP);
             phi0.fill_synthetic(97 + i as u64);
-            (phi0, FArrayBox::new(cells, NCOMP))
+            (phi0, cells.iter().map(|&c| FArrayBox::new(c, NCOMP)).collect())
         })
         .collect();
-    let sim = if reference { Hierarchy::reference(configs) } else { Hierarchy::new(configs) };
-    let trace = TraceMem::new(sim);
-    // Rewind the scratch region between boxes: each run's temporaries
+    // Rewind the scratch region between sets: each run's temporaries
     // occupy the same virtual addresses (a real allocator hands the
-    // just-freed blocks back), so the warm-up box really does heat them.
-    let scratch = pdesched_mesh::trace_addr::mark();
-    for pair in &mut boxes {
-        let (phi0, phi1) = pair;
-        pdesched_mesh::trace_addr::rewind(scratch);
-        run_box_traced(variant, phi0, phi1, cells, &trace);
-    }
-    let sim = trace.finish();
-    let s = sim.stats();
-    let nlev = s.levels.len();
-    BoxTraffic {
-        dram_bytes: s.dram_bytes(sim.line()) / k as u64,
-        reads: s.reads / k as u64,
-        writes: s.writes / k as u64,
-        l1_hit: s.levels[0].hit_ratio(),
-        llc_hit: s.levels[nlev - 1].hit_ratio(),
-    }
-}
-
-/// [`measure_box_traffic`], but executing the plan a pass `pipeline`
-/// produced instead of the hand lowering. The trace layout, warm-up
-/// repetitions, and counter division mirror `measure_impl` exactly, so
-/// the empty pipeline is bit-identical to [`measure_box_traffic`].
-/// Fails only if the pipeline itself fails (a pass precondition or the
-/// plan verifier); nothing is measured in that case.
-pub fn measure_optimized_box_traffic(
-    variant: Variant,
-    n: i32,
-    configs: &[CacheConfig],
-    pipeline: &Pipeline,
-) -> Result<BoxTraffic, PipelineError> {
-    let cells = IBox::cube(n);
-    // Lower + transform *before* the trace reset: plan verification may
-    // draw trace addresses of its own, and the measurement layout must
-    // start from a clean slate either way.
-    let plan = plan_for_optimized(variant, cells.size(), 1, pipeline)?;
-    pdesched_mesh::trace_addr::reset();
-    let k = box_reps(n);
-    let mut boxes: Vec<(FArrayBox, FArrayBox)> = (0..k)
-        .map(|i| {
-            let mut phi0 = FArrayBox::new(cells.grown(GHOST), NCOMP);
-            phi0.fill_synthetic(97 + i as u64);
-            (phi0, FArrayBox::new(cells, NCOMP))
-        })
-        .collect();
-    let trace = TraceMem::new(Hierarchy::new(configs));
-    let scratch = pdesched_mesh::trace_addr::mark();
-    for (phi0, phi1) in &mut boxes {
-        pdesched_mesh::trace_addr::rewind(scratch);
-        plan::execute(&plan, phi0, phi1, cells, &trace);
-    }
-    let sim = trace.finish();
-    let s = sim.stats();
-    let nlev = s.levels.len();
-    Ok(BoxTraffic {
-        dram_bytes: s.dram_bytes(sim.line()) / k as u64,
-        reads: s.reads / k as u64,
-        writes: s.writes / k as u64,
-        l1_hit: s.levels[0].hit_ratio(),
-        llc_hit: s.levels[nlev - 1].hit_ratio(),
-    })
-}
-
-/// Per-box steady-state DRAM traffic of the **pair workload**: two
-/// adjacent `n^3` boxes sharing a ghost halo in `x`, updated from one
-/// `phi0` covering their union. This is the workload where cross-box
-/// phase fusion is visible: sequential execution (the default) fetches
-/// the shared halo lines once per box, while an interleaved plan
-/// (`interleave > 1`, produced by the `cross-box-fuse` pass) revisits
-/// them at chunk distance, short enough to still find them in the LLC.
-///
-/// Counters are divided by `2 · box_reps(n)` so the numbers are
-/// per-box, directly comparable to [`measure_box_traffic`].
-pub fn measure_pair_traffic(
-    variant: Variant,
-    n: i32,
-    configs: &[CacheConfig],
-    pipeline: &Pipeline,
-) -> Result<BoxTraffic, PipelineError> {
-    let cells_a = IBox::cube(n);
-    let cells_b = cells_a.shifted(pdesched_mesh::IntVect::new(n, 0, 0));
-    let union = IBox::new(cells_a.lo(), cells_b.hi());
-    let plan = plan_for_optimized(variant, cells_a.size(), 1, pipeline)?;
-    pdesched_mesh::trace_addr::reset();
-    let k = box_reps(n);
-    let mut sets: Vec<(FArrayBox, FArrayBox, FArrayBox)> = (0..k)
-        .map(|i| {
-            let mut phi0 = FArrayBox::new(union.grown(GHOST), NCOMP);
-            phi0.fill_synthetic(97 + i as u64);
-            (phi0, FArrayBox::new(cells_a, NCOMP), FArrayBox::new(cells_b, NCOMP))
-        })
-        .collect();
-    let trace = TraceMem::new(Hierarchy::new(configs));
-    let scratch = pdesched_mesh::trace_addr::mark();
-    for (phi0, phi1a, phi1b) in &mut sets {
-        pdesched_mesh::trace_addr::rewind(scratch);
-        if plan.interleave > 1 {
-            plan::execute_pair(&plan, phi0, phi1a, phi1b, cells_a, cells_b, &trace);
-        } else {
-            plan::execute(&plan, phi0, phi1a, cells_a, &trace);
-            plan::execute(&plan, phi0, phi1b, cells_b, &trace);
+    // just-freed blocks back), so the warm-up set really does heat them.
+    let scratch = trace_addr::mark();
+    for (phi0, phi1) in &mut sets {
+        trace_addr::rewind(scratch);
+        match &mut phi1[..] {
+            [a, b] if plan.interleave > 1 => {
+                plan::execute_pair(plan, phi0, a, b, cells[0], cells[1], mem);
+            }
+            outs => {
+                for (out, &c) in outs.iter_mut().zip(&cells) {
+                    plan::execute(plan, phi0, out, c, mem);
+                }
+            }
         }
     }
-    let sim = trace.finish();
-    let s = sim.stats();
-    let nlev = s.levels.len();
-    let div = 2 * k as u64;
-    Ok(BoxTraffic {
-        dram_bytes: s.dram_bytes(sim.line()) / div,
-        reads: s.reads / div,
-        writes: s.writes / div,
+    sets.len() * cells.len()
+}
+
+/// The one `Stats → BoxTraffic` conversion: counters per box, hit
+/// ratios from the undivided sums.
+fn box_traffic(s: &Stats, line: usize, boxes: usize) -> BoxTraffic {
+    let boxes = boxes as u64;
+    BoxTraffic {
+        dram_bytes: s.dram_bytes(line) / boxes,
+        reads: s.reads / boxes,
+        writes: s.writes / boxes,
         l1_hit: s.levels[0].hit_ratio(),
-        llc_hit: s.levels[nlev - 1].hit_ratio(),
-    })
+        llc_hit: s.levels[s.levels.len() - 1].hit_ratio(),
+    }
+}
+
+/// Measure `point` under `engine`: per-box steady-state DRAM traffic
+/// plus how the work was produced and distributed.
+///
+/// The whole engine decision lives here. **Producer:** the symbolic
+/// emitters iff the engine is [`Engine::Symbolic`], the workload is a
+/// single box, the pipeline is order-preserving (the verifier pinned
+/// the serial step stream to the hand lowering, so the claim stays
+/// sound) and the analysis claims every phase; otherwise the plan
+/// interpreter ([`drive`]). **Sink:** [`Hierarchy::reference`] for
+/// [`Engine::Reference`], else `threads` set-shard workers
+/// ([`crate::parallel`]) iff `threads > 1`, else [`Hierarchy::new`].
+///
+/// Fails — measuring nothing — if the variant cannot run on the box or
+/// the pipeline fails (a pass precondition or the plan verifier).
+pub fn measure(
+    point: &Point<'_>,
+    engine: Engine,
+) -> Result<(BoxTraffic, ParallelStats), PipelineError> {
+    let Point { variant, n, configs, pipeline, boxes } = *point;
+    variant.validate_for_box(n).map_err(PipelineError::Invalid)?;
+    // Lower + transform *before* any trace reset: plan verification may
+    // draw trace addresses of its own, and the measurement layout must
+    // start from a clean slate either way.
+    let plan = plan_for_optimized(variant, IntVect::splat(n), 1, pipeline)?;
+    let (threads, may_claim) = match engine {
+        Engine::Reference => (1, false),
+        Engine::Simulate { threads } => (threads, false),
+        Engine::Symbolic { threads } => (threads, true),
+    };
+    let used_symbolic = may_claim
+        && boxes == Boxes::Single
+        && pipeline.order_preserving()
+        && analyze(variant, n).fully_claimed();
+    let (stats, shard_ops, boxes_run) = if threads > 1 {
+        parallel_replay(configs, shard_count(configs, threads), |router| {
+            if used_symbolic {
+                emit_symbolic_stream(variant, n, configs, router).0
+            } else {
+                drive(&plan, n, boxes, &SplitMem::new(router))
+            }
+        })
+    } else {
+        let mut sim = match engine {
+            Engine::Reference => Hierarchy::reference(configs),
+            _ => Hierarchy::new(configs),
+        };
+        let boxes_run = if used_symbolic {
+            let k = emit_symbolic_stream(variant, n, configs, &mut sim).0;
+            sim.flush();
+            k
+        } else {
+            let trace = TraceMem::new(sim);
+            let k = drive(&plan, n, boxes, &trace);
+            sim = trace.finish();
+            k
+        };
+        (sim.stats(), vec![0], boxes_run)
+    };
+    let t = box_traffic(&stats, configs[0].line, boxes_run);
+    Ok((t, ParallelStats { nshards: shard_ops.len(), shard_ops, used_symbolic }))
+}
+
+/// [`measure`] for the hand lowering of one box on the serial fast
+/// simulator, panicking where `measure` refuses. Frozen for
+/// `benchmark/`, which cannot change in the PR that introduced
+/// `measure`; new code calls `measure`.
+pub fn measure_box_traffic(variant: Variant, n: i32, configs: &[CacheConfig]) -> BoxTraffic {
+    measure(&Point::hand(variant, n, configs), Engine::Simulate { threads: 1 })
+        .unwrap_or_else(|e| panic!("{e}"))
+        .0
 }
 
 /// Hit/miss and store-health counters of a [`TrafficCache`] at one
@@ -391,7 +434,7 @@ pub fn store_key_with_passes(
     k
 }
 
-/// The key of a pair-workload measurement ([`measure_pair_traffic`]):
+/// The key of a pair-workload measurement ([`Boxes::Pair`]):
 /// the single-box key with a `/pair` component, then the pass suffix.
 /// Distinct from every single-box key, so pair and single-box numbers
 /// can never be served for one another.
@@ -1053,62 +1096,53 @@ impl TrafficCache {
         self.map.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Measured (or memoized) traffic.
+    /// Measured (or memoized) traffic of the hand lowering on one box.
     ///
     /// On a miss this measures under the cache's [`TrafficMode`] (the
     /// modes agree bit-for-bit, so hits are served regardless of the
     /// mode an entry was measured under). A failed store append degrades
     /// to in-memory memoization and bumps [`CacheStats::store_errors`].
+    /// Panics if the variant cannot run on the box.
     pub fn get(&self, variant: Variant, n: i32, configs: &[CacheConfig]) -> BoxTraffic {
-        let key = store_key(variant, n, configs);
+        self.fetch(&Point::hand(variant, n, configs)).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The one lookup-or-measure path behind every `get*`: serve a held
+    /// entry, else count the miss, give the fault hook its turn,
+    /// [`measure`] under the engine this cache's mode and thread grant
+    /// select, and record the number tagged with what actually produced
+    /// it (a fallback is a simulated entry whatever the configured
+    /// mode). Errors are returned, never cached.
+    fn fetch(&self, point: &Point<'_>) -> Result<BoxTraffic, PipelineError> {
+        let key = point.key();
         if let Some((t, _)) = self.map_lock().get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return *t;
+            return Ok(*t);
         }
         let sim_index = self.misses.fetch_add(1, Ordering::Relaxed);
         if let Some(hook) = &self.fault {
             hook.before_simulation(sim_index, &key);
         }
-        // 0 and 1 both mean the serial engines (the field defaults to 0
-        // through `derive(Default)`).
-        let threads = self.engine_threads.load(Ordering::Relaxed).max(1) as usize;
-        let (t, mode) = match self.mode {
-            TrafficMode::Simulate => {
-                let t = if threads > 1 {
-                    crate::parallel::measure_box_traffic_parallel_sim(variant, n, configs, threads)
-                        .0
-                } else {
-                    measure_box_traffic(variant, n, configs)
-                };
-                (t, TrafficMode::Simulate)
-            }
-            // Tag with what actually produced the number: a full
-            // fallback is a simulated entry whatever the configured
-            // mode.
-            TrafficMode::Symbolic => {
-                let (t, used_symbolic) = if threads > 1 {
-                    let (t, ps) =
-                        crate::parallel::measure_box_traffic_parallel(variant, n, configs, threads);
-                    (t, ps.used_symbolic)
-                } else {
-                    crate::symbolic::measure_with_provenance(variant, n, configs)
-                };
-                if used_symbolic {
-                    self.claimed_points.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    self.fallback_points.fetch_add(1, Ordering::Relaxed);
-                }
-                (t, if used_symbolic { TrafficMode::Symbolic } else { TrafficMode::Simulate })
-            }
+        let threads = self.engine_threads();
+        let engine = match self.mode {
+            TrafficMode::Simulate => Engine::Simulate { threads },
+            TrafficMode::Symbolic => Engine::Symbolic { threads },
         };
-        self.record(key, t, mode);
-        t
+        let (t, ps) = measure(point, engine)?;
+        if self.mode == TrafficMode::Symbolic {
+            if ps.used_symbolic {
+                self.claimed_points.fetch_add(1, Ordering::Relaxed);
+            } else {
+                self.fallback_points.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        let produced = if ps.used_symbolic { TrafficMode::Symbolic } else { TrafficMode::Simulate };
+        self.record(key, t, produced);
+        Ok(t)
     }
 
     /// Memoize a fresh measurement and append it to the store (if this
     /// cache owns the writer lock), with the configured retry budget.
-    /// Shared by every miss path so the append semantics cannot drift
-    /// between the plain, optimized, and pair entry points.
     fn record(&self, key: String, t: BoxTraffic, mode: TrafficMode) {
         self.map_lock().insert(key.clone(), (t, mode));
         if let (Some(path), true) = (&self.store, self.owned_lock.is_some()) {
@@ -1151,20 +1185,12 @@ impl TrafficCache {
     /// Measured (or memoized) traffic of `variant` transformed by a pass
     /// `pipeline`.
     ///
-    /// The empty pipeline delegates to [`TrafficCache::get`] — same key,
-    /// same entry, same counters — so pass-free callers share the warm
-    /// store. Non-empty pipelines key under
-    /// [`store_key_with_passes`]'s `/p[...]`-suffixed key.
-    ///
-    /// Under a symbolic-capable mode, an **order-preserving** pipeline
-    /// (barrier/phase restructuring only — the verifier proves the
-    /// serial step stream unchanged) on a fully claimed plan is served
-    /// by the symbolic engine: the transformed plan's one-thread trace
-    /// is identical to the hand lowering's, so the claim stays sound.
-    /// Everything else (rechunk, cross-box fusion) executes the
-    /// transformed plan through the exact simulator and counts as a
-    /// fallback point. Errors (a pass precondition or verifier
-    /// rejection) are returned, never cached.
+    /// The empty pipeline shares [`TrafficCache::get`]'s key, entry and
+    /// counters, so pass-free callers share the warm store. Non-empty
+    /// pipelines key under [`store_key_with_passes`]'s `/p[...]`-suffixed
+    /// key. Which engine answers a miss is [`measure`]'s decision; an
+    /// invalid variant, a pass precondition or a verifier rejection is
+    /// returned, never cached.
     pub fn get_optimized(
         &self,
         variant: Variant,
@@ -1172,54 +1198,14 @@ impl TrafficCache {
         configs: &[CacheConfig],
         pipeline: &Pipeline,
     ) -> Result<BoxTraffic, PipelineError> {
-        if pipeline.is_empty() {
-            return Ok(self.get(variant, n, configs));
-        }
-        let key = store_key_with_passes(variant, n, configs, pipeline);
-        if let Some((t, _)) = self.map_lock().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(*t);
-        }
-        let sim_index = self.misses.fetch_add(1, Ordering::Relaxed);
-        if let Some(hook) = &self.fault {
-            hook.before_simulation(sim_index, &key);
-        }
-        let threads = self.engine_threads.load(Ordering::Relaxed).max(1) as usize;
-        let (t, mode) = match self.mode {
-            TrafficMode::Simulate => {
-                let t = crate::parallel::measure_box_traffic_optimized_sim(
-                    variant, n, configs, threads, pipeline,
-                )?
-                .0;
-                (t, TrafficMode::Simulate)
-            }
-            TrafficMode::Symbolic => {
-                // The claim rule lives in the parallel front end: an
-                // order-preserving pipeline on a claimed plan keeps the
-                // symbolic certificate (the verifier pinned the serial
-                // stream to the hand lowering); everything else executes
-                // the transformed plan through the exact simulator.
-                let (t, ps) = crate::parallel::measure_box_traffic_optimized(
-                    variant, n, configs, threads, pipeline,
-                )?;
-                if ps.used_symbolic {
-                    self.claimed_points.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    self.fallback_points.fetch_add(1, Ordering::Relaxed);
-                }
-                (t, if ps.used_symbolic { TrafficMode::Symbolic } else { TrafficMode::Simulate })
-            }
-        };
-        self.record(key, t, mode);
-        Ok(t)
+        self.fetch(&Point { variant, n, configs, pipeline, boxes: Boxes::Single })
     }
 
-    /// Measured (or memoized) traffic of the two-box pair workload
-    /// ([`measure_pair_traffic`]), keyed under [`pair_store_key`]. The
-    /// pair workload is always measured by the exact simulator — the
-    /// symbolic engine does not model the interleaved two-box stream —
-    /// so under a symbolic-capable mode a pair miss counts as a fallback
-    /// point and is tagged `sim`.
+    /// Measured (or memoized) per-box traffic of the two-box pair
+    /// workload ([`Boxes::Pair`]), keyed under [`pair_store_key`]. The
+    /// symbolic emitters do not model the interleaved two-box stream,
+    /// so under [`TrafficMode::Symbolic`] a pair miss counts as a
+    /// fallback point and is tagged `sim`.
     pub fn get_pair(
         &self,
         variant: Variant,
@@ -1227,21 +1213,7 @@ impl TrafficCache {
         configs: &[CacheConfig],
         pipeline: &Pipeline,
     ) -> Result<BoxTraffic, PipelineError> {
-        let key = pair_store_key(variant, n, configs, pipeline);
-        if let Some((t, _)) = self.map_lock().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(*t);
-        }
-        let sim_index = self.misses.fetch_add(1, Ordering::Relaxed);
-        if let Some(hook) = &self.fault {
-            hook.before_simulation(sim_index, &key);
-        }
-        let t = measure_pair_traffic(variant, n, configs, pipeline)?;
-        if self.mode == TrafficMode::Symbolic {
-            self.fallback_points.fetch_add(1, Ordering::Relaxed);
-        }
-        self.record(key, t, TrafficMode::Simulate);
-        Ok(t)
+        self.fetch(&Point { variant, n, configs, pipeline, boxes: Boxes::Pair })
     }
 
     /// Retry transient store-append failures: up to `max_retries` extra
@@ -1539,17 +1511,6 @@ mod tests {
         assert_eq!(reload.stats().hits, 1);
     }
 
-    #[test]
-    fn symbolic_mode_picks_the_claimed_pipeline() {
-        let cache = TrafficCache::new().with_mode(TrafficMode::Symbolic);
-        let cfg = small_hierarchy();
-        cache.get(Variant::shift_fuse(), 8, &cfg);
-        assert_eq!(cache.provenance(Variant::shift_fuse(), 8, &cfg), Some(TrafficMode::Symbolic));
-        let wf = Variant::blocked_wavefront(CompLoop::Outside, 4);
-        cache.get(wf, 8, &cfg);
-        assert_eq!(cache.provenance(wf, 8, &cfg), Some(TrafficMode::Simulate));
-    }
-
     #[cfg(unix)]
     #[test]
     fn dropped_cache_leaves_no_pid_in_the_lock_file() {
@@ -1669,26 +1630,6 @@ mod tests {
     }
 
     #[test]
-    fn optimized_measurement_matches_plain_for_stream_preserving_pipelines() {
-        // Empty pipeline: same producer, identical numbers. An
-        // order-preserving pipeline keeps the serial access stream, so
-        // the simulated traffic is identical too (barriers are free at
-        // one thread).
-        let n = 8;
-        let cfg = small_hierarchy();
-        let plain = measure_box_traffic(Variant::baseline(), n, &cfg);
-        let empty = measure_optimized_box_traffic(Variant::baseline(), n, &cfg, &Pipeline::empty())
-            .unwrap();
-        assert_eq!(plain, empty);
-        let pipe = Pipeline::parse("elide-barriers,fuse-phases").unwrap();
-        let opt = measure_optimized_box_traffic(Variant::baseline(), n, &cfg, &pipe).unwrap();
-        assert_eq!(plain, opt);
-        // A pass that refuses the plan surfaces as an error, not a panic.
-        let bad = Pipeline::parse("rechunk:4").unwrap();
-        assert!(measure_optimized_box_traffic(Variant::baseline(), n, &cfg, &bad).is_err());
-    }
-
-    #[test]
     fn cross_box_fusion_saves_shared_halo_traffic() {
         // The headline mechanism at unit scale: two x-adjacent boxes
         // share a 2-ghost halo slab of phi0. Sequential execution
@@ -1697,43 +1638,18 @@ mod tests {
         let n = 12;
         let cfg = vec![CacheConfig::new(8 * 1024, 4), CacheConfig::new(256 * 1024, 16)];
         let v = Variant { comp: CompLoop::Inside, ..Variant::shift_fuse() };
-        let seq = measure_pair_traffic(v, n, &cfg, &Pipeline::empty()).unwrap();
-        let pipe = Pipeline::parse("cross-box-fuse:2").unwrap();
-        let fused = measure_pair_traffic(v, n, &cfg, &pipe).unwrap();
+        let pair = |pipeline: &Pipeline| {
+            let point = Point { variant: v, n, configs: &cfg, pipeline, boxes: Boxes::Pair };
+            measure(&point, Engine::Simulate { threads: 1 }).unwrap().0
+        };
+        let seq = pair(&Pipeline::empty());
+        let fused = pair(&Pipeline::parse("cross-box-fuse:2").unwrap());
         assert!(
             fused.dram_bytes < seq.dram_bytes,
             "interleaved {} !< sequential {}",
             fused.dram_bytes,
             seq.dram_bytes
         );
-    }
-
-    #[test]
-    fn get_optimized_tags_producers_and_memoizes() {
-        let cache = TrafficCache::new().with_mode(TrafficMode::Symbolic);
-        let cfg = small_hierarchy();
-        // Empty pipeline delegates to the plain entry point (same key).
-        let plain = cache.get_optimized(Variant::baseline(), 8, &cfg, &Pipeline::empty()).unwrap();
-        assert_eq!(plain, cache.get(Variant::baseline(), 8, &cfg));
-        assert_eq!(cache.len(), 1);
-        // Order-preserving pipeline on a fully claimed variant: the
-        // symbolic producer answers, under a pass-suffixed key.
-        let ep = Pipeline::parse("elide-barriers,fuse-phases").unwrap();
-        let claimed_before = cache.stats().claimed_points;
-        let a = cache.get_optimized(Variant::baseline(), 8, &cfg, &ep).unwrap();
-        assert_eq!(a, plain, "stream-preserving pipeline must not change traffic");
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.stats().claimed_points, claimed_before + 1);
-        // Stream-reordering pipeline: simulator fallback.
-        let xb = Pipeline::parse("cross-box-fuse:2").unwrap();
-        let fallback_before = cache.stats().fallback_points;
-        let _ = cache.get_optimized(Variant::shift_fuse(), 8, &cfg, &xb).unwrap();
-        assert_eq!(cache.stats().fallback_points, fallback_before + 1);
-        // Second lookups hit.
-        let h = cache.stats().hits;
-        let _ = cache.get_optimized(Variant::baseline(), 8, &cfg, &ep).unwrap();
-        let _ = cache.get_optimized(Variant::shift_fuse(), 8, &cfg, &xb).unwrap();
-        assert_eq!(cache.stats().hits, h + 2);
     }
 
     #[test]

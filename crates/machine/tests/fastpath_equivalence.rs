@@ -18,12 +18,16 @@
 
 use pdesched_cachesim::CacheConfig;
 use pdesched_core::Variant;
-use pdesched_machine::traffic::{measure_box_traffic, measure_box_traffic_reference};
+use pdesched_machine::traffic::{measure, measure_box_traffic, BoxTraffic, Engine, Point};
 
 /// Small caches spill constantly: richest possible miss/writeback
 /// interleaving per simulated access.
 fn spilly() -> Vec<CacheConfig> {
     vec![CacheConfig::new(8 * 1024, 4), CacheConfig::new(64 * 1024, 8)]
+}
+
+fn measure_reference(variant: Variant, n: i32, configs: &[CacheConfig]) -> BoxTraffic {
+    measure(&Point::hand(variant, n, configs), Engine::Reference).unwrap().0
 }
 
 fn check_all(n: i32, configs: &[CacheConfig]) {
@@ -32,7 +36,7 @@ fn check_all(n: i32, configs: &[CacheConfig]) {
             continue;
         }
         let fast = measure_box_traffic(variant, n, configs);
-        let reference = measure_box_traffic_reference(variant, n, configs);
+        let reference = measure_reference(variant, n, configs);
         assert_eq!(
             fast, reference,
             "fast path diverged from per-element reference for {variant} at n={n}"
@@ -76,7 +80,7 @@ fn three_level_hierarchy_bit_identical() {
     ];
     for variant in [Variant::baseline(), Variant::shift_fuse()] {
         let fast = measure_box_traffic(variant, 16, &configs);
-        let reference = measure_box_traffic_reference(variant, 16, &configs);
+        let reference = measure_reference(variant, 16, &configs);
         assert_eq!(fast, reference, "fast path diverged for {variant} on three levels");
     }
 }

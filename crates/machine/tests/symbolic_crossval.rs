@@ -15,8 +15,10 @@ use pdesched_cachesim::CacheConfig;
 use pdesched_core::{CompLoop, Granularity, IntraTile, Variant};
 use pdesched_machine::figures::{figure234_points, figure234_sized};
 use pdesched_machine::spec::MachineSpec;
-use pdesched_machine::symbolic::{analyze, measure_box_traffic_symbolic, measure_with_provenance};
-use pdesched_machine::traffic::{measure_box_traffic, BoxTraffic, TrafficCache, TrafficMode};
+use pdesched_machine::symbolic::{analyze, measure_box_traffic_symbolic};
+use pdesched_machine::traffic::{
+    measure, measure_box_traffic, BoxTraffic, Engine, Point, TrafficCache, TrafficMode,
+};
 
 fn small() -> Vec<CacheConfig> {
     vec![CacheConfig::new(8 * 1024, 4), CacheConfig::new(64 * 1024, 8)]
@@ -108,11 +110,13 @@ fn symbolic_is_bit_identical_at_odd_sizes() {
 /// simulate result.
 #[test]
 fn provenance_tracks_the_claim_boundary() {
-    let (_, used) = measure_with_provenance(Variant::baseline(), 8, &small());
-    assert!(used, "fully-claimed plan must run symbolically");
+    let cfg = small();
+    let symbolic = |v| measure(&Point::hand(v, 8, &cfg), Engine::Symbolic { threads: 1 }).unwrap();
+    let (_, ps) = symbolic(Variant::baseline());
+    assert!(ps.used_symbolic, "fully-claimed plan must run symbolically");
     let wf = Variant::blocked_wavefront(CompLoop::Inside, 4);
-    let (t, used) = measure_with_provenance(wf, 8, &small());
-    assert!(!used, "unclaimed plan must fall back");
+    let (t, ps) = symbolic(wf);
+    assert!(!ps.used_symbolic, "unclaimed plan must fall back");
     assert_identical("bwf_cli4", 8, &t, &measure_box_traffic(wf, 8, &small()));
 }
 
