@@ -348,12 +348,12 @@ fn main() {
             let (fast_seconds, traffic) = time_best(samples, || {
                 let (t, ps) = measure(&point, fast).expect("validated above; no passes");
                 shard_balance = (threads > 1).then(|| ps.balance());
-                t
+                t[0]
             });
             let accesses = (traffic.reads + traffic.writes) * box_reps(n) as u64;
             let ref_seconds = (!skip_reference).then(|| {
                 let (secs, r) = time_best(samples, || {
-                    measure(&point, comparator).expect("validated above; no passes").0
+                    measure(&point, comparator).expect("validated above; no passes").0[0]
                 });
                 assert_eq!(traffic, r, "fast path diverged from comparator for {vname} n={n}");
                 secs

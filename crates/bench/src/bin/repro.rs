@@ -104,6 +104,8 @@ struct Stage {
     seconds: f64,
     hits: u64,
     misses: u64,
+    /// Producer passes that answered this stage's misses.
+    passes: u64,
     /// Largest per-point engine-thread grant any of this stage's sweeps
     /// received (1 = every point measured on the serial engines).
     engine_threads: usize,
@@ -469,13 +471,15 @@ fn main() {
                 seconds: t0.elapsed().as_secs_f64(),
                 hits: s.hits - before.hits,
                 misses: s.misses - before.misses,
+                passes: s.passes - before.passes,
                 engine_threads: log.stage_engine_threads,
             };
             eprintln!(
-                "[repro] {w} done in {:.1?} ({} hits / {} misses, {} traces cached)",
+                "[repro] {w} done in {:.1?} ({} hits / {} misses in {}, {} traces cached)",
                 t0.elapsed(),
                 stage.hits,
                 stage.misses,
+                passes(stage.passes),
                 cache.len()
             );
             stages.push(stage);
@@ -494,9 +498,10 @@ fn main() {
 
     let total = cache.stats();
     eprintln!(
-        "[repro] all done: {} cache hits, {} simulations, {} traces cached",
+        "[repro] all done: {} cache hits, {} misses in {}, {} traces cached",
         total.hits,
         total.misses,
+        passes(total.passes),
         cache.len()
     );
     if !log.failures.is_empty() {
@@ -1047,6 +1052,11 @@ struct RunLog {
     stage_engine_threads: usize,
 }
 
+/// "`n` pass(es)": how many producer passes answered some misses.
+fn passes(n: u64) -> String {
+    format!("{n} pass{}", if n == 1 { "" } else { "es" })
+}
+
 /// Prewarm one target's simulation points, narrating to stderr and
 /// collecting per-point failures and timeouts (the target still renders
 /// from whatever did complete). Returns `false` when the sweep was
@@ -1074,10 +1084,11 @@ fn prewarm(
     }
     if r.measured > 0 || !r.failed.is_empty() || !r.timed_out.is_empty() {
         eprintln!(
-            "[repro] {target}: measured {} of {} unique points in {:.1}s \
+            "[repro] {target}: measured {} of {} unique points in {}, {:.1}s \
              ({:.2} points/s) on {} threads{}{}{}",
             r.measured,
             r.unique,
+            passes(r.passes as u64),
             r.seconds,
             r.points_per_sec,
             engine.nthreads(),
@@ -1147,19 +1158,22 @@ fn render_json(
     use std::fmt::Write;
     let mut j = String::new();
     let _ = writeln!(j, "{{");
-    let _ = writeln!(j, "  \"schema_version\": 5,");
+    let _ = writeln!(j, "  \"schema_version\": 6,");
     let _ = writeln!(j, "  \"fast\": {fast},");
     let _ = writeln!(j, "  \"threads\": {threads},");
     let _ = writeln!(j, "  \"mode\": {},", json_str(cache.mode().tag()));
     // Claim-rate observability: how many of this run's measured points
     // the symbolic engine claimed vs fell back to the simulator (both
-    // zero under `--mode simulate`, where no claiming happens).
+    // zero under `--mode simulate`, where no claiming happens), and how
+    // many producer passes answered the run's misses — how much
+    // simulation actually ran.
     {
         let s = cache.stats();
         let _ = writeln!(
             j,
-            "  \"traffic\": {{\"claimed_points\": {}, \"fallback_points\": {}}},",
-            s.claimed_points, s.fallback_points
+            "  \"traffic\": {{\"claimed_points\": {}, \"fallback_points\": {}, \
+             \"passes\": {}}},",
+            s.claimed_points, s.fallback_points, s.passes
         );
     }
     match interrupted {

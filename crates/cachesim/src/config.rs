@@ -1,7 +1,7 @@
 //! Cache-level configuration.
 
 /// Geometry of one cache level.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size: usize,

@@ -16,7 +16,11 @@
 //! * dirty victims are inserted one level down (recursively), and
 //!   victims of the last level write back to DRAM,
 //! * DRAM traffic is counted in whole lines, reads and writebacks
-//!   separately.
+//!   separately,
+//! * the last level only receives (demand probes and pushed-down
+//!   victims) and is never read back, so one access stream can be
+//!   accounted against several alternative last levels at once
+//!   ([`Hierarchy::fan_out`]).
 //!
 //! The simulator is deliberately *not* cycle-accurate — only traffic and
 //! hit ratios matter for the bandwidth model (see `pdesched-machine`).

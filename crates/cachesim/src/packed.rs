@@ -17,7 +17,10 @@
 //! The packing bounds what the fast path can simulate: line indices
 //! below 2^28 (16 GiB of traced address space at 64-byte lines) and
 //! clocks below 2^34 (17 G accesses per level). Both are asserted, not
-//! assumed — see [`LINE_LIMIT`] and the checks in `Hierarchy`.
+//! assumed: [`LINE_LIMIT`] on every access (the hierarchy's window
+//! rebase), [`CLOCK_LIMIT`] once per measurement
+//! ([`PackedLevel::check_clock`], called by `Hierarchy::flush` — a
+//! clock only grows, so its final value bounds every stamp ever packed).
 //! Statistics equivalence with the unpacked reference is pinned by the
 //! property and golden tests layered above.
 
@@ -77,23 +80,51 @@ impl PackedLevel {
         (line & self.set_mask) as usize * self.assoc
     }
 
-    /// Look up `line`; on a hit re-stamp and optionally mark dirty.
-    /// Counts the hit or miss either way (reference `access` semantics).
-    #[inline]
-    pub(crate) fn access(&mut self, line: u64, write: bool) -> bool {
-        self.clock += 1;
+    /// One pass over `line`'s set: the way holding `line`, if any, and
+    /// the way a fill of `line` would claim (first invalid way, else
+    /// first true-LRU way — word order is recency order, so the first
+    /// strict minimum decides). Both answers come from the same `assoc`
+    /// loads; the loop carries no early exit, so it compiles to compares
+    /// and conditional moves.
+    #[inline(always)]
+    fn scan(&self, line: u64) -> (Option<usize>, usize) {
         let start = self.set_start(line);
+        let set = &self.words[start..start + self.assoc];
         let k = key(line);
-        for w in start..start + self.assoc {
-            let word = self.words[w];
+        let (mut hit, mut victim, mut least) = (usize::MAX, 0, set[0]);
+        for (j, &word) in set.iter().enumerate() {
             if word & MATCH_MASK == k {
-                self.words[w] = (self.clock << LRU_SHIFT) | k | (word & 2) | ((write as u64) << 1);
-                self.hits += 1;
-                return true;
+                hit = j;
+            }
+            if word < least {
+                least = word;
+                victim = j;
             }
         }
-        self.misses += 1;
-        false
+        ((hit != usize::MAX).then(|| start + hit), start + victim)
+    }
+
+    /// Look up `line` for a read; on a hit re-stamp, on a miss return
+    /// the way [`PackedLevel::fill_at`] must claim for it. Counts the
+    /// hit or miss either way (reference `access` semantics). The
+    /// victim stays valid until that fill as long as nothing else
+    /// touches this set in between — which is how the hierarchy's miss
+    /// path runs: probe top-down, fill bottom-up, one line at a time.
+    #[inline]
+    pub(crate) fn access(&mut self, line: u64) -> Result<(), usize> {
+        self.clock += 1;
+        match self.scan(line) {
+            (Some(w), _) => {
+                self.words[w] =
+                    (self.clock << LRU_SHIFT) | (self.words[w] & ((1 << LRU_SHIFT) - 1));
+                self.hits += 1;
+                Ok(())
+            }
+            (None, victim) => {
+                self.misses += 1;
+                Err(victim)
+            }
+        }
     }
 
     /// Look up `line` without stamping or counting — the L1 front end
@@ -105,9 +136,9 @@ impl PackedLevel {
         (start..start + self.assoc).find(|&w| self.words[w] & MATCH_MASK == k)
     }
 
-    /// Way the next [`PackedLevel::fill`] of `line` would claim: first
-    /// invalid way, else first true-LRU way. Word order is recency
-    /// order, so one strict-minimum pass decides.
+    /// Way a fill of `line` would claim (the L1 front end picks its
+    /// victim here, after materializing the set's deferred stamps):
+    /// first invalid way, else first true-LRU way.
     #[inline]
     pub(crate) fn victim_way(&self, line: u64) -> usize {
         let start = self.set_start(line);
@@ -120,22 +151,38 @@ impl PackedLevel {
         j
     }
 
-    /// Insert `line` (after a miss), evicting the LRU way if the set is
-    /// full. Returns the evicted line and its dirty bit, if any.
-    pub(crate) fn fill(&mut self, line: u64, dirty: bool) -> Option<(u64, bool)> {
-        let w = self.victim_way(line);
-        self.fill_at(w, line, dirty)
-    }
-
-    /// Insert `line` at way `w` (a [`PackedLevel::victim_way`] result;
-    /// split out so the miss path can pick victims during its probe
-    /// sweep and fill later, bottom-up, like the reference).
+    /// Insert `line` at way `w` — the victim a [`PackedLevel::access`]
+    /// miss or [`PackedLevel::victim_way`] named — evicting what the way
+    /// held. Returns the evicted line and its dirty bit, if any.
     pub(crate) fn fill_at(&mut self, w: usize, line: u64, dirty: bool) -> Option<(u64, bool)> {
         self.clock += 1;
-        debug_assert!(self.clock < CLOCK_LIMIT);
         let old = self.words[w];
         self.words[w] = (self.clock << LRU_SHIFT) | key(line) | ((dirty as u64) << 1);
         (old & 1 != 0).then_some(((old >> 2) & (LINE_LIMIT - 1), old & 2 != 0))
+    }
+
+    /// Land a dirty victim pushed down from the level above, as one set
+    /// transaction: if `line` is present the copies merge (mark dirty,
+    /// recency untouched), else it is filled dirty over the LRU way.
+    /// Returns what that fill evicted, if anything.
+    pub(crate) fn push_dirty(&mut self, line: u64) -> Option<(u64, bool)> {
+        match self.scan(line) {
+            (Some(w), _) => {
+                self.words[w] |= 2;
+                None
+            }
+            (None, victim) => self.fill_at(victim, line, true),
+        }
+    }
+
+    /// Refuse a stream longer than the packed stamp can order: past
+    /// [`CLOCK_LIMIT`] ticks a stamp no longer fits its 34 bits, and
+    /// every LRU decision after that point compared truncated stamps.
+    pub(crate) fn check_clock(&self) {
+        assert!(
+            self.clock < CLOCK_LIMIT,
+            "traced stream exceeds the fast path's 2^34 accesses per level"
+        );
     }
 
     /// Overwrite way `w`'s LRU stamp (and OR in a dirty bit): the
@@ -159,19 +206,6 @@ impl PackedLevel {
     #[inline]
     pub(crate) fn is_dirty(&self, w: usize) -> bool {
         self.words[w] & 2 != 0
-    }
-
-    /// Mark `line` dirty if present, returning whether it was found.
-    pub(crate) fn merge_dirty(&mut self, line: u64) -> bool {
-        let start = self.set_start(line);
-        let k = key(line);
-        for w in start..start + self.assoc {
-            if self.words[w] & MATCH_MASK == k {
-                self.words[w] |= 2;
-                return true;
-            }
-        }
-        false
     }
 
     /// Drain every dirty line, returning how many there were, and mark
@@ -203,12 +237,19 @@ mod tests {
         PackedLevel::new(CacheConfig::new(512, 2))
     }
 
+    /// Fill `line` where the LRU policy puts it (no probe first).
+    fn fill(l: &mut PackedLevel, line: u64, dirty: bool) -> Option<(u64, bool)> {
+        let w = l.victim_way(line);
+        l.fill_at(w, line, dirty)
+    }
+
     #[test]
     fn hit_after_fill() {
         let mut l = tiny();
-        assert!(!l.access(5, false));
-        assert_eq!(l.fill(5, false), None);
-        assert!(l.access(5, false));
+        let victim = l.access(5).expect_err("cold probe misses");
+        assert_eq!(victim, l.victim_way(5));
+        assert_eq!(l.fill_at(victim, 5, false), None);
+        assert_eq!(l.access(5), Ok(()));
         assert_eq!((l.hits, l.misses), (1, 1));
         assert_eq!(l.find(5), Some(l.set_start(5)));
         assert_eq!(l.find(13), None);
@@ -217,39 +258,42 @@ mod tests {
     #[test]
     fn lru_eviction_order() {
         let mut l = tiny();
-        l.fill(0, false);
-        l.fill(4, false);
-        assert!(l.access(0, false));
-        assert_eq!(l.fill(8, false), Some((4, false)));
-        assert!(l.access(0, false));
-        assert!(!l.access(4, false));
+        fill(&mut l, 0, false);
+        fill(&mut l, 4, false);
+        assert!(l.access(0).is_ok());
+        let victim = l.access(8).expect_err("8 is absent");
+        assert_eq!(l.fill_at(victim, 8, false), Some((4, false)));
+        assert!(l.access(0).is_ok());
+        assert!(l.access(4).is_err());
     }
 
     #[test]
     fn dirty_travels_with_eviction() {
         let mut l = tiny();
-        l.fill(0, false);
-        assert!(l.access(0, true)); // dirty now
-        l.fill(4, false);
-        assert_eq!(l.fill(8, false), Some((0, true)));
+        fill(&mut l, 0, false);
+        assert_eq!(l.push_dirty(0), None); // merged: dirty now, recency untouched
+        fill(&mut l, 4, false);
+        assert_eq!(fill(&mut l, 8, false), Some((0, true)));
     }
 
     #[test]
     fn flush_and_dirty_lines() {
         let mut l = tiny();
-        l.fill(1, true);
-        l.fill(2, false);
-        l.fill(3, true);
+        fill(&mut l, 1, true);
+        fill(&mut l, 2, false);
+        fill(&mut l, 3, true);
         assert_eq!(l.dirty_lines(), vec![1, 3]);
-        assert!(l.merge_dirty(2));
-        assert!(!l.merge_dirty(11));
-        assert_eq!(l.flush(), 3);
-        assert!(!l.access(1, false));
+        assert_eq!(l.push_dirty(2), None);
+        assert_eq!(l.push_dirty(11), None, "absent: filled dirty into a free way");
+        assert_eq!(l.flush(), 4);
+        assert!(l.access(1).is_err());
         assert!(l.dirty_lines().is_empty());
     }
 
     /// Packed and unpacked levels must agree step by step on a random
-    /// mixed stream — same hits, same victims, same dirty sets.
+    /// mixed stream: the one-scan transactions give the same hits, the
+    /// same victims (way and evicted line), the same dirty sets as
+    /// `CacheLevel::{access, fill, merge_dirty}`.
     #[test]
     fn packed_matches_unpacked_levels() {
         let mut state = 0x243f6a8885a308d3u64;
@@ -261,21 +305,28 @@ mod tests {
         let mut plain = CacheLevel::new(CacheConfig::new(2048, 4));
         for _ in 0..20_000 {
             let line = rng() % 256;
-            let write = rng() % 3 == 0;
-            match rng() % 3 {
-                0 => {
-                    let a = packed.access(line, write);
-                    let b = plain.access(line, write) == Probe::Hit;
-                    assert_eq!(a, b);
-                }
-                1 => {
-                    if packed.find(line).is_none() {
-                        assert_eq!(packed.fill(line, write), plain.fill(line, write));
+            if rng() % 3 != 0 {
+                // A demand: probe, and on a miss fill at the way the
+                // probe's scan named — sometimes clean, sometimes dirty.
+                let dirty = rng() % 4 == 0;
+                let hit = plain.access(line, false) == Probe::Hit;
+                match packed.access(line) {
+                    Ok(()) => assert!(hit, "line {line}: packed hit, plain miss"),
+                    Err(victim) => {
+                        assert!(!hit, "line {line}: packed miss, plain hit");
+                        assert_eq!(victim, packed.victim_way(line), "scan vs victim_way");
+                        assert_eq!(
+                            packed.fill_at(victim, line, dirty),
+                            plain.fill(line, dirty),
+                            "evicted line and dirty bit"
+                        );
                     }
                 }
-                _ => {
-                    assert_eq!(packed.merge_dirty(line), plain.merge_dirty(line));
-                }
+            } else {
+                // A pushed-down dirty victim: merge if present, else
+                // fill dirty — the reference's two calls in one.
+                let want = if plain.merge_dirty(line) { None } else { plain.fill(line, true) };
+                assert_eq!(packed.push_dirty(line), want);
             }
         }
         assert_eq!(packed.dirty_lines(), plain.dirty_lines());

@@ -41,6 +41,16 @@
 //! every set count, so set residues are preserved exactly as in the
 //! serial engine (and the compressed per-shard line range never windows
 //! out earlier than the serial stream would).
+//!
+//! # Shards × tails
+//!
+//! A fan-out hierarchy ([`Hierarchy::fan_out`]: one front, `T` last
+//! levels) shards the same way: `K` must divide the set count of every
+//! level *including every tail* ([`shard_count`] over `front ++ lasts`),
+//! each shard is a fan-out of the scaled front over the `T` scaled
+//! tails, and tail `i`'s statistics are the sum of every shard's tail
+//! `i`. The two decompositions commute because they cut along different
+//! axes — shards by line residue, tails by which last level answers.
 
 use crate::config::CacheConfig;
 use crate::sim::{Hierarchy, Stats};
@@ -109,6 +119,8 @@ pub fn merge_stats<'a>(parts: impl IntoIterator<Item = &'a Stats>) -> Stats {
 /// across worker threads instead.
 pub struct ShardedHierarchy {
     shards: Vec<Hierarchy>,
+    /// Levels per member hierarchy (front + one last).
+    levels: usize,
     /// log2(shard count): shard = `line & (K-1)`, local = `line >> kbits`.
     kbits: u32,
     line: usize,
@@ -120,10 +132,19 @@ impl ShardedHierarchy {
     /// (`nshards` must be a power of two dividing every level's set
     /// count — see [`shard_count`]).
     pub fn new(configs: &[CacheConfig], nshards: usize) -> Self {
-        let sub = shard_configs(configs, nshards);
-        let line = configs[0].line;
+        let (front, last) = configs.split_at(configs.len().saturating_sub(1));
+        ShardedHierarchy::fan_out(front, last, nshards)
+    }
+
+    /// Split the fan-out hierarchy [`Hierarchy::fan_out`]`(front, lasts)`
+    /// into `nshards` set-shards; `nshards` must divide the set count of
+    /// every front level and every last level.
+    pub fn fan_out(front: &[CacheConfig], lasts: &[CacheConfig], nshards: usize) -> Self {
+        let (front, lasts) = (shard_configs(front, nshards), shard_configs(lasts, nshards));
+        let line = lasts[0].line;
         ShardedHierarchy {
-            shards: (0..nshards).map(|_| Hierarchy::new(&sub)).collect(),
+            shards: (0..nshards).map(|_| Hierarchy::fan_out(&front, &lasts)).collect(),
+            levels: front.len() + 1,
             kbits: nshards.trailing_zeros(),
             line,
             line_shift: line.trailing_zeros(),
@@ -223,11 +244,17 @@ impl ShardedHierarchy {
         }
     }
 
-    /// Merged whole-hierarchy statistics, bit-identical to the serial
-    /// engine's: integer counters sum order-independently and ratios are
-    /// derived only from the sums.
+    /// Merged whole-hierarchy statistics of the first (or only) last
+    /// level; see [`ShardedHierarchy::tail_stats`].
     pub fn stats(&self) -> Stats {
-        let parts: Vec<Stats> = self.shards.iter().map(|s| s.stats()).collect();
+        self.tail_stats(0)
+    }
+
+    /// Merged statistics of the hierarchy ending in last level `i`,
+    /// bit-identical to the serial engine's: integer counters sum
+    /// order-independently and ratios are derived only from the sums.
+    pub fn tail_stats(&self, i: usize) -> Stats {
+        let parts: Vec<Stats> = self.shards.iter().map(|s| s.tail_stats(i)).collect();
         merge_stats(parts.iter())
     }
 
@@ -236,13 +263,19 @@ impl ShardedHierarchy {
         self.shards.iter().map(|s| s.dram_bytes()).sum()
     }
 
-    /// Dirty absolute line indexes per level (sorted), reconstructed
-    /// from each shard's local lines via `global = local·K + shard`.
+    /// Dirty absolute line indexes per level (sorted) of the first (or
+    /// only) last level; see [`ShardedHierarchy::tail_dirty_lines`].
     pub fn dirty_lines_by_level(&self) -> Vec<Vec<u64>> {
-        let nlev = self.shards[0].geometry().len();
-        let mut out = vec![Vec::new(); nlev];
+        self.tail_dirty_lines(0)
+    }
+
+    /// Dirty absolute line indexes per level (sorted) of the hierarchy
+    /// ending in last level `i`, reconstructed from each shard's local
+    /// lines via `global = local·K + shard`.
+    pub fn tail_dirty_lines(&self, i: usize) -> Vec<Vec<u64>> {
+        let mut out = vec![Vec::new(); self.levels];
         for (w, s) in self.shards.iter().enumerate() {
-            for (lvl, lines) in s.dirty_lines_by_level().into_iter().enumerate() {
+            for (lvl, lines) in s.tail_dirty_lines(i).into_iter().enumerate() {
                 out[lvl].extend(lines.into_iter().map(|l| (l << self.kbits) | w as u64));
             }
         }

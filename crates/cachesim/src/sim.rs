@@ -18,6 +18,17 @@
 //!   goes through the full per-level probe over plain
 //!   [`CacheLevel`]s, exactly the pre-fast-path simulator.
 //!
+//! The fast path's *last* level is a list of **tails** — `K` last
+//! levels (each with its own DRAM counters) fed by one shared front
+//! ([`Hierarchy::fan_out`]; [`Hierarchy::new`] is the fan-out of one).
+//! The last level only receives: demand probes of lines that missed
+//! every level above it, and dirty victims pushed down. Nothing it
+//! decides is read back by the front (non-inclusive, no
+//! back-invalidation, upper fills happen on a last-level hit and miss
+//! alike), so `K` tails fed that event sequence in order each end with
+//! exactly the counters and dirty set they would have alone, and one
+//! access stream answers every LLC share a thread sweep asks about.
+//!
 //! Both produce bit-identical statistics: deferring a stamp never
 //! changes an eviction decision because the true stamp is restored
 //! before any victim comparison reads it, and L1 hit counts follow from
@@ -52,7 +63,7 @@ impl LevelStats {
 }
 
 /// Whole-hierarchy statistics.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Stats {
     /// Total 8-byte reads observed.
     pub reads: u64,
@@ -122,6 +133,48 @@ const HOT_EMPTY: HotEntry = HotEntry { line: NO_LINE, way: 0, dirty: 0, last_tou
 /// `1`, silently passing small lines through shifted.)
 const NO_BASE: u64 = 1 << 63;
 
+/// What sits below the shared front of a fast-path hierarchy: one last
+/// level and the DRAM behind it.
+struct Tail {
+    /// The last level; `None` for a one-level hierarchy, whose only
+    /// level is the L1 front end and whose tail is DRAM itself.
+    level: Option<PackedLevel>,
+    dram_lines_read: u64,
+    dram_lines_written: u64,
+}
+
+impl Tail {
+    /// A line that missed every level above is demanded from this tail:
+    /// a last-level hit re-stamps it, a miss fetches it from DRAM and
+    /// fills it clean over the way the probe's own scan picked (nothing
+    /// touches the set in between), writing back a dirty victim.
+    #[inline]
+    fn demand(&mut self, line: u64) {
+        let Some(l) = &mut self.level else {
+            self.dram_lines_read += 1;
+            return;
+        };
+        if let Err(victim) = l.access(line) {
+            self.dram_lines_read += 1;
+            if let Some((_, true)) = l.fill_at(victim, line, false) {
+                self.dram_lines_written += 1;
+            }
+        }
+    }
+
+    /// A dirty victim pushed out of the level above lands here.
+    #[inline]
+    fn push(&mut self, line: u64) {
+        let evicted = match &mut self.level {
+            Some(l) => l.push_dirty(line),
+            None => Some((line, true)),
+        };
+        if let Some((_, true)) = evicted {
+            self.dram_lines_written += 1;
+        }
+    }
+}
+
 /// A multi-level cache hierarchy with DRAM traffic accounting.
 ///
 /// ```
@@ -140,16 +193,23 @@ pub struct Hierarchy {
     /// Fast-path L1, outside the level vector so the hot path reaches
     /// it through one pointer, not two.
     l1p: PackedLevel,
-    /// Fast-path levels below L1 (L2 … LLC), in order.
-    lowerp: Vec<PackedLevel>,
+    /// Fast-path levels between L1 and the last level, in order.
+    mids: Vec<PackedLevel>,
+    /// Fast-path last levels, fed in order by every event that leaves
+    /// the front (empty in reference mode).
+    tails: Vec<Tail>,
+    /// Dirty lines the front's levels held at the last flush: written
+    /// back to DRAM whichever tail is asked.
+    front_flushed: u64,
     /// Reference-path levels, L1 first (empty in fast mode).
     ref_levels: Vec<CacheLevel>,
-    /// Level geometries, L1 first (for [`Hierarchy::geometry`]).
+    /// Level geometries: the front (L1 first), then every last level.
     configs: Vec<CacheConfig>,
     line: usize,
     line_shift: u32,
     reads: u64,
     writes: u64,
+    /// Reference-path DRAM counters (the fast path counts per tail).
     dram_lines_read: u64,
     dram_lines_written: u64,
     /// Reference mode: bypass the hot table and expand runs per
@@ -166,7 +226,35 @@ impl Hierarchy {
     /// Build a hierarchy from level geometries, L1 first, LLC last.
     /// All levels must share one line size.
     pub fn new(configs: &[CacheConfig]) -> Self {
-        Hierarchy::build(configs, false)
+        let (front, last) = configs.split_at(configs.len().saturating_sub(1));
+        Hierarchy::fan_out(front, last)
+    }
+
+    /// Build one fast-path front (`front`, L1 first) over `lasts.len()`
+    /// alternative last levels. Tail `i` accounts the accesses exactly
+    /// as `Hierarchy::new(front ++ [lasts[i]])` would
+    /// ([`Hierarchy::tail_stats`]); the stream, the hot-line table and
+    /// the front's levels are simulated once. An empty `front` makes
+    /// the single last level the L1 — an L1 is the front end, so it
+    /// cannot fan out.
+    pub fn fan_out(front: &[CacheConfig], lasts: &[CacheConfig]) -> Self {
+        assert!(!lasts.is_empty(), "a hierarchy needs a last level");
+        assert!(!front.is_empty() || lasts.len() == 1, "a one-level hierarchy cannot fan out");
+        let configs: Vec<CacheConfig> = front.iter().chain(lasts).copied().collect();
+        let mut h = Hierarchy::build(&configs, false);
+        // With no front the single last level is the L1 `build` made;
+        // what is left below it is DRAM alone.
+        let levels: Vec<Option<PackedLevel>> = if front.is_empty() {
+            vec![None]
+        } else {
+            lasts.iter().map(|&c| Some(PackedLevel::new(c))).collect()
+        };
+        h.tails = levels
+            .into_iter()
+            .map(|level| Tail { level, dram_lines_read: 0, dram_lines_written: 0 })
+            .collect();
+        h.mids = front.iter().skip(1).map(|&c| PackedLevel::new(c)).collect();
+        h
     }
 
     /// Build a hierarchy that simulates every access through the
@@ -189,7 +277,9 @@ impl Hierarchy {
         };
         Hierarchy {
             l1p: PackedLevel::new(configs[0]),
-            lowerp: configs[1..].iter().map(|&c| PackedLevel::new(c)).collect(),
+            mids: Vec::new(),
+            tails: Vec::new(),
+            front_flushed: 0,
             ref_levels,
             configs: configs.to_vec(),
             line,
@@ -214,41 +304,59 @@ impl Hierarchy {
         self.line
     }
 
-    /// The level geometries this hierarchy was built from, L1 first.
-    /// Symbolic analyses use these (set counts, associativities,
-    /// capacities in lines) to prove that a grouped replay cannot
+    /// Every level geometry this hierarchy simulates: the front, L1
+    /// first, then each last level. Symbolic analyses use these (set
+    /// counts, associativities) to prove that a grouped replay cannot
     /// perturb any replacement decision.
     pub fn geometry(&self) -> &[CacheConfig] {
         &self.configs
     }
 
-    /// Statistics so far. Assembled on demand: in fast mode L1 hits are
-    /// derived (`accesses − misses`) rather than counted per access.
+    /// How many last levels share this hierarchy's front (1 unless
+    /// built by [`Hierarchy::fan_out`]).
+    pub fn tails(&self) -> usize {
+        self.tails.len().max(1)
+    }
+
+    /// Statistics so far of the first (or only) last level.
     pub fn stats(&self) -> Stats {
-        let levels = if self.reference {
-            self.ref_levels
+        self.tail_stats(0)
+    }
+
+    /// Statistics so far as the hierarchy ending in last level `i`
+    /// counts them: the shared front's rows and flush writebacks plus
+    /// that tail's own. Assembled on demand: in fast mode L1 hits are
+    /// derived (`accesses − misses`) rather than counted per access.
+    pub fn tail_stats(&self, i: usize) -> Stats {
+        let level_stats = |l: &PackedLevel| LevelStats { hits: l.hits, misses: l.misses };
+        let (levels, dram_lines_read, dram_lines_written) = if self.reference {
+            let levels = self
+                .ref_levels
                 .iter()
                 .map(|l| LevelStats { hits: l.hits(), misses: l.misses() })
-                .collect()
+                .collect();
+            (levels, self.dram_lines_read, self.dram_lines_written)
         } else {
+            let tail = &self.tails[i];
             let accesses = self.reads + self.writes;
             let l1 = LevelStats { hits: accesses - self.l1p.misses, misses: self.l1p.misses };
-            std::iter::once(l1)
-                .chain(self.lowerp.iter().map(|l| LevelStats { hits: l.hits, misses: l.misses }))
-                .collect()
+            let levels = std::iter::once(l1)
+                .chain(self.mids.iter().chain(&tail.level).map(level_stats))
+                .collect();
+            (levels, tail.dram_lines_read, tail.dram_lines_written + self.front_flushed)
         };
         Stats {
             reads: self.reads,
             writes: self.writes,
             levels,
-            dram_lines_read: self.dram_lines_read,
-            dram_lines_written: self.dram_lines_written,
+            dram_lines_read,
+            dram_lines_written,
         }
     }
 
-    /// Total DRAM traffic so far in bytes.
+    /// Total DRAM traffic so far in bytes (first or only last level).
     pub fn dram_bytes(&self) -> u64 {
-        (self.dram_lines_read + self.dram_lines_written) * self.line as u64
+        self.stats().dram_bytes(self.line)
     }
 
     /// An 8-byte read at `addr`.
@@ -487,22 +595,29 @@ impl Hierarchy {
     /// exactly like the reference), propagating dirty victims downward.
     /// Returns the L1 way now holding the line.
     fn miss_fill(&mut self, line: u64, write: bool) -> usize {
-        let mut fill_to = self.lowerp.len();
-        for (i, l) in self.lowerp.iter_mut().enumerate() {
-            if l.access(line, false) {
-                fill_to = i;
-                break;
-            }
-        }
-        if fill_to == self.lowerp.len() {
-            self.dram_lines_read += 1;
-        }
-        for i in (0..fill_to).rev() {
-            if let Some((victim, true)) = self.lowerp[i].fill(line, false) {
-                self.push_down(victim, i + 2);
-            }
-        }
+        self.fetch_below(line, 0);
         self.fill_l1(line, write)
+    }
+
+    /// Bring `line` into every level from `mids[i]` down to the first
+    /// one already holding it. Each level sees the reference's event
+    /// order — its probe, then (after everything below it has settled)
+    /// its fill — and the fill claims the way the probe's own scan
+    /// picked: nothing touches that set in between. Past the last mid
+    /// level the demand goes to every tail.
+    fn fetch_below(&mut self, line: u64, i: usize) {
+        if i == self.mids.len() {
+            for t in &mut self.tails {
+                t.demand(line);
+            }
+            return;
+        }
+        if let Err(victim) = self.mids[i].access(line) {
+            self.fetch_below(line, i + 1);
+            if let Some((evicted, true)) = self.mids[i].fill_at(victim, line, false) {
+                self.push_down(evicted, i + 1);
+            }
+        }
     }
 
     /// Fill `line` into L1 with exact reference victim choice: the
@@ -530,24 +645,21 @@ impl Hierarchy {
             }
         }
         if let Some((victim, true)) = self.l1p.fill_at(w, line, write) {
-            self.push_down(victim, 1);
+            self.push_down(victim, 0);
         }
         w
     }
 
-    /// Insert a dirty victim line into fast-path level `i` (1 = the
-    /// level below L1; past the last level = DRAM), recursively
-    /// handling its own victims.
+    /// Land a dirty victim line in `mids[i]` (past the last mid level:
+    /// in every tail), recursively handling its own victims.
     fn push_down(&mut self, line: u64, i: usize) {
-        if i > self.lowerp.len() {
-            self.dram_lines_written += 1;
+        if i == self.mids.len() {
+            for t in &mut self.tails {
+                t.push(line);
+            }
             return;
         }
-        let l = &mut self.lowerp[i - 1];
-        if l.merge_dirty(line) {
-            return;
-        }
-        if let Some((victim, true)) = l.fill(line, true) {
+        if let Some((victim, true)) = self.mids[i].push_dirty(line) {
             self.push_down(victim, i + 1);
         }
     }
@@ -598,22 +710,43 @@ impl Hierarchy {
     /// the `dirty_line_accounting` tests pin both behaviors. (Changing
     /// this accounting would change measured traffic and therefore
     /// require a `STORE_VERSION` bump in `pdesched-machine`.)
+    ///
+    /// This is also where the fast path answers for its packed LRU
+    /// clocks: every measurement ends here, a clock only grows, and no
+    /// statistic is read before the flush — so one check per level per
+    /// flush refuses an over-long stream before any number built on
+    /// truncated stamps gets out, at no cost to the access path.
     pub fn flush(&mut self) {
-        let written: u64 = if self.reference {
-            self.ref_levels.iter_mut().map(|l| l.flush()).sum()
-        } else {
-            for slot in 0..HOT_SLOTS {
-                self.retire_hot(slot);
+        if self.reference {
+            let written: u64 = self.ref_levels.iter_mut().map(|l| l.flush()).sum();
+            self.dram_lines_written += written;
+            return;
+        }
+        for slot in 0..HOT_SLOTS {
+            self.retire_hot(slot);
+        }
+        for l in std::iter::once(&mut self.l1p).chain(&mut self.mids) {
+            l.check_clock();
+            self.front_flushed += l.flush();
+        }
+        for t in &mut self.tails {
+            if let Some(l) = &mut t.level {
+                l.check_clock();
+                t.dram_lines_written += l.flush();
             }
-            self.l1p.flush() + self.lowerp.iter_mut().map(|l| l.flush()).sum::<u64>()
-        };
-        self.dram_lines_written += written;
+        }
     }
 
-    /// Per-level dirty-line indices, L1 first, LLC last
-    /// (tests/diagnostics). Includes dirtiness still deferred in the hot
-    /// table.
+    /// Per-level dirty-line indices, L1 first, LLC last, of the first
+    /// (or only) last level; see [`Hierarchy::tail_dirty_lines`].
     pub fn dirty_lines_by_level(&self) -> Vec<Vec<u64>> {
+        self.tail_dirty_lines(0)
+    }
+
+    /// Per-level dirty-line indices of the hierarchy ending in last
+    /// level `i`, L1 first (tests/diagnostics). Includes dirtiness still
+    /// deferred in the hot table.
+    pub fn tail_dirty_lines(&self, i: usize) -> Vec<Vec<u64>> {
         if self.reference {
             return self.ref_levels.iter().map(|l| l.dirty_lines()).collect();
         }
@@ -630,8 +763,9 @@ impl Hierarchy {
             .collect();
         std::iter::once(l1)
             .chain(
-                self.lowerp
+                self.mids
                     .iter()
+                    .chain(&self.tails[i].level)
                     .map(|l| l.dirty_lines().into_iter().map(|ln| ln + base).collect()),
             )
             .collect()
@@ -1039,6 +1173,31 @@ mod tests {
             reference.read(base + i * 8);
         }
         assert_same_state(&fast, &reference);
+    }
+
+    /// A stream longer than the packed LRU stamp can order (2^34 ticks
+    /// of any one level's clock) is refused at the flush that ends the
+    /// measurement — in release builds too — whichever level overran.
+    #[test]
+    fn flush_refuses_a_stream_past_the_packed_clock() {
+        let near = crate::packed::CLOCK_LIMIT - 4;
+        let overrun = |set_clock: fn(&mut Hierarchy, u64)| {
+            let mut h = small();
+            set_clock(&mut h, near);
+            h.read_run(0, 8); // one L1 miss, one L2 probe + fill, 8 L1 ticks
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| h.flush()));
+            r.err().and_then(|p| p.downcast_ref::<&str>().copied()).unwrap_or_default()
+        };
+        let msg = overrun(|h, c| h.l1p.clock = c);
+        assert!(msg.contains("2^34 accesses per level"), "L1 overrun not refused: {msg:?}");
+        let msg = overrun(|h, c| h.tails[0].level.as_mut().unwrap().clock = c + 2);
+        assert!(msg.contains("2^34 accesses per level"), "LLC overrun not refused: {msg:?}");
+        // Just under the limit is fine.
+        let mut h = small();
+        h.l1p.clock = near - 8;
+        h.read_run(0, 8);
+        h.flush();
+        assert_eq!(h.stats().dram_lines_read, 1);
     }
 
     /// A stream spanning two 16 GiB windows cannot be packed: it must

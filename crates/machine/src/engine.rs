@@ -12,15 +12,26 @@
 //! run: parallelism only changes the order measurements complete, never
 //! a measured value (each point is simulated exactly once, from a fixed
 //! seed) nor the order points are read back.
+//!
+//! The unit of work is a **pass**, not a point: the points of a sweep
+//! that differ only in their last cache level (one series of a scaling
+//! figure — same variant, box and private L1/L2, one LLC share per
+//! thread count) share one access stream, so one producer run accounts
+//! all of them through a fan-out hierarchy
+//! (`pdesched_cachesim::Hierarchy::fan_out`), bit-identical to
+//! measuring each alone. Counts the operator sees (`measured`,
+//! `remaining`, the journal's total, progress lines) stay in points.
 
 use crate::journal::{self, PriorSweep, SweepJournal};
 use crate::model::prediction_hierarchy;
 use crate::spec::MachineSpec;
-use crate::traffic::TrafficCache;
+use crate::traffic::{Point, TrafficCache};
 use pdesched_cachesim::CacheConfig;
 use pdesched_core::Variant;
 use pdesched_par::cancel::{self, CancelToken, Cancelled};
 use pdesched_par::SpmdPool;
+use std::cmp::Reverse;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -155,9 +166,15 @@ pub struct PrewarmReport {
     /// complete store doesn't report a collapsed rate; 0 when nothing
     /// was measured.
     pub points_per_sec: f64,
-    /// Shard-worker threads each point's measurement was granted
-    /// (1 = serial engines): `pool threads / ready points` when the
-    /// sweep had fewer ready points than pool threads, else 1.
+    /// Producer passes the missing points were grouped into: points
+    /// sharing variant, box size and every cache level but the last are
+    /// measured by one pass (split while there are fewer passes than
+    /// pool threads). `measured / passes` is the fan-out achieved.
+    pub passes: usize,
+    /// Shard-worker threads each pass's measurement was granted
+    /// (1 = serial engines): `pool threads / passes` when the sweep had
+    /// fewer passes than pool threads — every pass is then a single
+    /// point — else 1.
     pub engine_threads: usize,
 }
 
@@ -235,17 +252,21 @@ impl SweepEngine {
         self.pool.nthreads()
     }
 
-    /// Measure every point of `points` not already in `cache`,
-    /// dynamically scheduled over the pool (costs vary by orders of
-    /// magnitude with box size, so static partitioning would straggle).
-    /// Big boxes go first to keep the tail short.
+    /// Measure every point of `points` not already in `cache`, grouped
+    /// into passes (see the module docs) that are dynamically scheduled
+    /// over the pool (costs vary by orders of magnitude with box size,
+    /// so static partitioning would straggle). Big boxes and wide
+    /// passes go first to keep the tail short.
     ///
-    /// Degrades gracefully: a point whose measurement panics is caught
-    /// on its worker, recorded in [`PrewarmReport::failed`], and the
-    /// remaining points still complete — one poisoned simulation must
-    /// not abort an hours-long unattended sweep. Under a [`SweepBudget`]
-    /// a watchdog additionally kills individual points that exceed the
-    /// per-point deadline (reported in [`PrewarmReport::timed_out`]) and
+    /// Degrades gracefully: a pass whose measurement panics is caught
+    /// on its worker, every point it was measuring is recorded in
+    /// [`PrewarmReport::failed`], and the remaining passes still
+    /// complete — one poisoned simulation must not abort an hours-long
+    /// unattended sweep. (A fault hook that panics for one member fails
+    /// that member alone; the rest of its pass is measured.) Under a
+    /// [`SweepBudget`] a watchdog additionally kills individual passes
+    /// that exceed the per-point deadline (their points are reported in
+    /// [`PrewarmReport::timed_out`]) and
     /// cancels the whole sweep at the sweep deadline; an engine-level
     /// [`CancelToken`] cancels it externally. However the sweep stops,
     /// every completed point is already durably appended to the store
@@ -254,38 +275,57 @@ impl SweepEngine {
     /// bit-identical to an uninterrupted run.
     pub fn prewarm(&self, cache: &TrafficCache, points: &[SimPoint]) -> PrewarmReport {
         let t0 = Instant::now();
-        let mut todo: Vec<&SimPoint> = Vec::new();
+        // One keyed walk: dedupe, the skip list, and the missing points
+        // grouped by everything but their last cache level.
+        let mut seen: HashSet<(Variant, i32, &[CacheConfig])> = HashSet::new();
+        let mut family: HashMap<(Variant, i32, &[CacheConfig]), usize> = HashMap::new();
+        let mut passes: Vec<Vec<&SimPoint>> = Vec::new();
         let mut skipped: Vec<SkippedPoint> = Vec::new();
         for p in points {
-            if todo.contains(&p) {
+            if !seen.insert((p.variant, p.n, &p.configs)) {
                 continue;
             }
-            if let Err(e) = p.variant.validate_for_box(p.n) {
-                let s = SkippedPoint { variant: p.variant.to_string(), n: p.n, reason: e.reason };
-                if !skipped.contains(&s) {
-                    skipped.push(s);
-                }
+            let refusal = match p.configs.split_last() {
+                None => Some("empty cache hierarchy".to_string()),
+                Some(_) => p.variant.validate_for_box(p.n).err().map(|e| e.reason),
+            };
+            if let Some(reason) = refusal {
+                skipped.push(SkippedPoint { variant: p.variant.to_string(), n: p.n, reason });
                 continue;
             }
-            if !cache.contains(p.variant, p.n, &p.configs) {
-                todo.push(p);
+            if cache.contains(p.variant, p.n, &p.configs) {
+                continue;
             }
+            let front = &p.configs[..p.configs.len() - 1];
+            let i = *family.entry((p.variant, p.n, front)).or_insert_with(|| {
+                passes.push(Vec::new());
+                passes.len() - 1
+            });
+            passes[i].push(p);
         }
-        skipped.sort_by(|a, b| (&a.variant, a.n).cmp(&(&b.variant, b.n)));
-        let unique = {
-            let mut seen: Vec<&SimPoint> = Vec::new();
-            for p in points {
-                if !seen.contains(&p) {
-                    seen.push(p);
-                }
+        let unique = seen.len();
+        skipped.sort_by(|a, b| (&a.variant, a.n, &a.reason).cmp(&(&b.variant, b.n, &b.reason)));
+        skipped.dedup();
+        // Grouping must never idle a wide host: while there are fewer
+        // passes than pool threads, the widest pass splits in half. All
+        // singletons is the ungrouped schedule.
+        while passes.len() < self.pool.nthreads() {
+            let Some(widest) = (0..passes.len()).max_by_key(|&i| (passes[i].len(), Reverse(i)))
+            else {
+                break;
+            };
+            let keep = passes[widest].len().div_ceil(2);
+            if keep == passes[widest].len() {
+                break;
             }
-            seen.len()
-        };
-        todo.sort_by_key(|p| std::cmp::Reverse(p.n));
-        let total = todo.len();
+            let half = passes[widest].split_off(keep);
+            passes.insert(widest + 1, half);
+        }
+        passes.sort_by_key(|members| Reverse((members[0].n, members.len())));
+        let total: usize = passes.iter().map(Vec::len).sum();
 
         // Checkpoint/resume: the store is the source of truth for
-        // completed points (they were filtered out of `todo` above); the
+        // completed points (they were filtered out of the passes above); the
         // journal sidecar records everything else about the previous
         // sweep. An unterminated journal means we are resuming it.
         let mut resumed_from: Option<PriorSweep> = None;
@@ -299,14 +339,14 @@ impl SweepEngine {
         };
         cache.set_append_retry(self.budget.max_retries, self.budget.backoff);
 
-        // Point-level thread policy: when the sweep has fewer ready
-        // points than pool threads, the idle threads become shard
-        // workers *inside* each point's measurement (`crate::parallel`,
-        // bit-identical by construction). With plenty of points the
-        // point-level parallelism of the pool already saturates the
-        // host, so each point stays serial.
-        let engine_threads = if total > 0 && total < self.pool.nthreads() {
-            self.pool.nthreads() / total
+        // Pass-level thread policy: when the sweep has fewer passes
+        // than pool threads (each then a single point, by the split
+        // above), the idle threads become shard workers *inside* each
+        // measurement (`crate::parallel`, bit-identical by
+        // construction). With plenty of passes the pool's own
+        // parallelism already saturates the host, so each stays serial.
+        let engine_threads = if total > 0 && passes.len() < self.pool.nthreads() {
+            self.pool.nthreads() / passes.len()
         } else {
             1
         };
@@ -319,7 +359,7 @@ impl SweepEngine {
         let failures: Mutex<Vec<PointFailure>> = Mutex::new(Vec::new());
         let timeouts: Mutex<Vec<PointFailure>> = Mutex::new(Vec::new());
         // One supervision slot per worker: the token and start time of
-        // the point it is currently measuring, for the watchdog's
+        // the pass it is currently measuring, for the watchdog's
         // per-point deadline scan.
         let slots: Vec<Mutex<Option<(CancelToken, Instant)>>> =
             (0..self.pool.nthreads()).map(|_| Mutex::new(None)).collect();
@@ -398,14 +438,15 @@ impl SweepEngine {
             }
 
             let r = self.pool.run_cancellable(&sweep_token, |ctx| {
-                ctx.dynamic_items(&counter, total, 1, |i| {
+                ctx.dynamic_items(&counter, passes.len(), 1, |i| {
                     if sweep_token.is_tripped() {
                         // Cancelled sweep: drain the queue without
                         // measuring; the skipped points stay missing
                         // from the store for the resume run.
                         return;
                     }
-                    let p = todo[i];
+                    let members = &passes[i];
+                    let head = members[0];
                     {
                         let mut fm = first_measure.lock().unwrap_or_else(|e| e.into_inner());
                         if fm.is_none() {
@@ -416,69 +457,89 @@ impl SweepEngine {
                     *slots[ctx.tid()].lock().unwrap_or_else(|e| e.into_inner()) =
                         Some((point_token.clone(), Instant::now()));
                     let _ambient = cancel::set_current(Some(point_token.clone()));
+                    let lasts: Vec<CacheConfig> =
+                        members.iter().map(|p| p.configs[p.configs.len() - 1]).collect();
+                    // The hand lowering on one box, as `TrafficCache::get`
+                    // asks it, over the whole family's last levels.
+                    let point = Point {
+                        front: &head.configs[..head.configs.len() - 1],
+                        lasts: &lasts,
+                        ..Point::hand(head.variant, head.n, &head.configs)
+                    };
                     let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        cache.get(p.variant, p.n, &p.configs);
+                        cache.fetch(&point).unwrap_or_else(|e| panic!("{e}"))
                     }));
                     *slots[ctx.tid()].lock().unwrap_or_else(|e| e.into_inner()) = None;
-                    let d = done.fetch_add(1, Ordering::Relaxed) + 1;
+                    let d = done.fetch_add(members.len(), Ordering::Relaxed) + members.len();
+                    // One member that has no number: narrate, journal,
+                    // and file it under failures or timeouts.
+                    let lost = |timed_out: bool, p: &SimPoint, error: String| {
+                        let f = PointFailure { variant: p.variant.to_string(), n: p.n, error };
+                        if self.progress {
+                            eprintln!(
+                                "[sweep] {} {d}/{total}: {} n={}: {} (thread {})",
+                                if timed_out { "TIMEOUT" } else { "FAILED" },
+                                p.variant,
+                                p.n,
+                                f.error,
+                                ctx.tid()
+                            );
+                        }
+                        let list = if timed_out {
+                            if let Some(j) = &journal {
+                                j.timeout(&f.variant, f.n, &f.error);
+                            }
+                            &timeouts
+                        } else {
+                            if let Some(j) = &journal {
+                                j.fail(&f.variant, f.n, &f.error);
+                            }
+                            &failures
+                        };
+                        list.lock().unwrap_or_else(|e| e.into_inner()).push(f);
+                    };
                     match r {
-                        Ok(()) => {
-                            measured.fetch_add(1, Ordering::Relaxed);
-                            if self.progress {
+                        Ok(results) => {
+                            let mut ok = 0;
+                            for (p, result) in members.iter().zip(results) {
+                                match result {
+                                    Ok(_) => ok += 1,
+                                    // This member's fault hook panicked;
+                                    // the rest of the pass was measured.
+                                    Err(payload) => lost(false, p, panic_message(payload.as_ref())),
+                                }
+                            }
+                            measured.fetch_add(ok, Ordering::Relaxed);
+                            if self.progress && ok > 0 {
+                                let kib: Vec<String> =
+                                    lasts.iter().map(|c| (c.size / 1024).to_string()).collect();
                                 eprintln!(
-                                    "[sweep] measured {d}/{total}: {} n={} (thread {})",
-                                    p.variant,
-                                    p.n,
+                                    "[sweep] measured {d}/{total}: {} n={}, LLC {} KiB (thread {})",
+                                    head.variant,
+                                    head.n,
+                                    kib.join("+"),
                                     ctx.tid()
                                 );
                             }
                         }
                         Err(payload) if payload.is::<Cancelled>() => {
                             if point_token.tripped_directly() {
-                                // This point's own deadline fired.
-                                let f = PointFailure {
-                                    variant: p.variant.to_string(),
-                                    n: p.n,
-                                    error: point_token
-                                        .reason()
-                                        .unwrap_or_else(|| "point deadline".into()),
-                                };
-                                if self.progress {
-                                    eprintln!(
-                                        "[sweep] TIMEOUT {d}/{total}: {} n={}: {} (thread {})",
-                                        p.variant,
-                                        p.n,
-                                        f.error,
-                                        ctx.tid()
-                                    );
+                                // This pass's own deadline fired: every
+                                // point it was measuring timed out.
+                                let reason =
+                                    point_token.reason().unwrap_or_else(|| "point deadline".into());
+                                for p in members {
+                                    lost(true, p, reason.clone());
                                 }
-                                if let Some(j) = &journal {
-                                    j.timeout(&f.variant, f.n, &f.error);
-                                }
-                                timeouts.lock().unwrap_or_else(|e| e.into_inner()).push(f);
                             }
-                            // Sweep-level cancel: the point is simply
+                            // Sweep-level cancel: the points are simply
                             // unmeasured (counted in `remaining`).
                         }
                         Err(payload) => {
-                            let f = PointFailure {
-                                variant: p.variant.to_string(),
-                                n: p.n,
-                                error: panic_message(payload.as_ref()),
-                            };
-                            if self.progress {
-                                eprintln!(
-                                    "[sweep] FAILED {d}/{total}: {} n={}: {} (thread {})",
-                                    p.variant,
-                                    p.n,
-                                    f.error,
-                                    ctx.tid()
-                                );
+                            let error = panic_message(payload.as_ref());
+                            for p in members {
+                                lost(false, p, error.clone());
                             }
-                            if let Some(j) = &journal {
-                                j.fail(&f.variant, f.n, &f.error);
-                            }
-                            failures.lock().unwrap_or_else(|e| e.into_inner()).push(f);
                         }
                     }
                 });
@@ -534,6 +595,7 @@ impl SweepEngine {
             } else {
                 0.0
             },
+            passes: passes.len(),
             engine_threads,
         }
     }
@@ -603,10 +665,65 @@ mod tests {
         }
         let after = cache.stats();
         assert_eq!(after.misses, before.misses, "all reads must be hits");
-        assert_eq!(
-            after,
-            CacheStats { hits: before.hits + 4, misses: before.misses, ..Default::default() }
-        );
+        assert_eq!(after, CacheStats { hits: before.hits + 4, ..before });
+    }
+
+    /// The four LLC shares of one series behind a shared L1/L2.
+    fn series(variant: Variant, n: i32) -> Vec<SimPoint> {
+        [512, 256, 128, 64]
+            .iter()
+            .map(|&kib| {
+                let mut configs = tiny();
+                configs.push(CacheConfig::new(kib * 1024, 8));
+                SimPoint { variant, n, configs }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn points_differing_only_in_the_last_level_share_a_pass() {
+        let mut pts = series(Variant::baseline(), 8);
+        pts.extend(series(Variant::shift_fuse(), 12));
+        pts.extend(points()); // two-level hierarchies: a different front
+        let serial = TrafficCache::new();
+        let want: Vec<_> = pts.iter().map(|p| serial.get(p.variant, p.n, &p.configs)).collect();
+        // One thread: nothing splits. Two series of four, and the four
+        // `points()` (distinct variant or n each) as singletons.
+        let cache = TrafficCache::new();
+        let r = SweepEngine::new(1).prewarm(&cache, &pts);
+        assert_eq!((r.requested, r.unique, r.measured, r.passes), (12, 12, 12, 6));
+        assert_eq!((cache.stats().misses, cache.stats().passes), (12, 6));
+        for (p, want) in pts.iter().zip(&want) {
+            assert_eq!(cache.get(p.variant, p.n, &p.configs), *want, "{} n={}", p.variant, p.n);
+        }
+        // A family with members already held measures only the rest.
+        let partial = TrafficCache::new();
+        partial.get(pts[1].variant, pts[1].n, &pts[1].configs);
+        let r = SweepEngine::new(1).prewarm(&partial, &pts[..4]);
+        assert_eq!((r.unique, r.measured, r.passes), (4, 3, 1));
+        assert_eq!(partial.stats().misses, 4);
+    }
+
+    #[test]
+    fn the_widest_pass_splits_until_every_thread_has_one() {
+        let pts = series(Variant::baseline(), 8);
+        let want = TrafficCache::new();
+        for (threads, passes, engine_threads) in
+            [(1, 1, 1), (2, 2, 1), (3, 3, 1), (4, 4, 1), (8, 4, 2)]
+        {
+            let cache = TrafficCache::new();
+            let r = SweepEngine::new(threads).prewarm(&cache, &pts);
+            assert_eq!(
+                (r.measured, r.passes, r.engine_threads),
+                (4, passes, engine_threads),
+                "{threads} threads"
+            );
+            for p in &pts {
+                let (a, b) =
+                    (cache.get(p.variant, p.n, &p.configs), want.get(p.variant, p.n, &p.configs));
+                assert_eq!(a, b, "{threads} threads, LLC {}", p.configs[2].size);
+            }
+        }
     }
 
     #[test]

@@ -18,15 +18,17 @@
 //!   trace splitter, so the parallel path is *total*). The router packs
 //!   each `(line, reps, write)` rep into a `u64` and routes it to
 //!   `shard = line mod K`, buffered into chunks on bounded channels.
-//! * Each **worker** owns one set-shard of the hierarchy (every level
-//!   scaled to `sets / K`; the 512-slot hot-line filter comes per shard
-//!   and is statistics-neutral) and replays its chunks in producer
+//! * Each **worker** owns one set-shard of the fan-out hierarchy (the
+//!   front and every last level scaled to `sets / K`; the 512-slot
+//!   hot-line filter comes per shard and is statistics-neutral) and
+//!   replays its chunks in producer
 //!   order, which is the serial engine's order restricted to that
 //!   residue class — the only order the shard's statistics can depend
 //!   on.
-//! * Integer counters **merge** order-independently after the workers
-//!   flush; hit ratios are divided only from the merged sums, so even
-//!   the f64 bit patterns equal the serial engine's.
+//! * Integer counters **merge** order-independently, per last level,
+//!   after the workers flush; hit ratios are divided only from the
+//!   merged sums, so even the f64 bit patterns equal the serial
+//!   engine's.
 //!
 //! Cancellation rides the existing ambient `par::cancel` token: the
 //! producer hits the per-phase checkpoints (`emit_plan`,
@@ -221,24 +223,26 @@ impl Mem for SplitMem<'_, '_> {
     }
 }
 
-/// Run `produce` against a router feeding `nshards` replay workers;
-/// returns the merged statistics (after per-worker flush), the
-/// per-shard op counts, and the producer's result.
+/// Run `produce` against a router feeding `nshards` replay workers,
+/// each a set-shard of the fan-out hierarchy `front` over `lasts`;
+/// returns the merged statistics of every last level (after per-worker
+/// flush), the per-shard op counts, and the producer's result.
 pub(crate) fn parallel_replay<R>(
-    configs: &[CacheConfig],
+    front: &[CacheConfig],
+    lasts: &[CacheConfig],
     nshards: usize,
     produce: impl FnOnce(&mut ShardRouter<'_>) -> R,
-) -> (Stats, Vec<u64>, R) {
-    let sub = shard_configs(configs, nshards);
+) -> (Vec<Stats>, Vec<u64>, R) {
+    let (front, lasts) = (shard_configs(front, nshards), shard_configs(lasts, nshards));
     std::thread::scope(|s| {
         let mut txs = Vec::with_capacity(nshards);
         let mut handles = Vec::with_capacity(nshards);
         for _ in 0..nshards {
             let (tx, rx) = sync_channel::<Vec<u64>>(CHANNEL_DEPTH);
             txs.push(tx);
-            let sub = sub.clone();
+            let (front, lasts) = (&front, &lasts);
             handles.push(s.spawn(move || {
-                let mut h = Hierarchy::new(&sub);
+                let mut h = Hierarchy::fan_out(front, lasts);
                 while let Ok(chunk) = rx.recv() {
                     for &op in &chunk {
                         h.line_rep(
@@ -249,10 +253,10 @@ pub(crate) fn parallel_replay<R>(
                     }
                 }
                 h.flush();
-                h.stats()
+                (0..h.tails()).map(|i| h.tail_stats(i)).collect::<Vec<Stats>>()
             }));
         }
-        let mut router = ShardRouter::new(configs[0].line, &txs);
+        let mut router = ShardRouter::new(lasts[0].line, &txs);
         let result = catch_unwind(AssertUnwindSafe(|| {
             let r = produce(&mut router);
             router.finish();
@@ -282,7 +286,9 @@ pub(crate) fn parallel_replay<R>(
             Ok(r) => r,
             Err(p) => resume_unwind(p),
         };
-        (merge_stats(parts.iter()), ops, r)
+        let merged =
+            (0..lasts.len()).map(|i| merge_stats(parts.iter().map(|tails| &tails[i]))).collect();
+        (merged, ops, r)
     })
 }
 
@@ -296,8 +302,9 @@ pub fn measure_box_traffic_parallel(
     configs: &[CacheConfig],
     threads: usize,
 ) -> (BoxTraffic, ParallelStats) {
-    measure(&Point::hand(variant, n, configs), Engine::Symbolic { threads })
-        .unwrap_or_else(|e| panic!("{e}"))
+    let (t, ps) = measure(&Point::hand(variant, n, configs), Engine::Symbolic { threads })
+        .unwrap_or_else(|e| panic!("{e}"));
+    (t[0], ps)
 }
 
 /// Largest useful thread count for one point on `configs` — the

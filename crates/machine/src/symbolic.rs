@@ -142,15 +142,19 @@ pub fn measure_box_traffic_symbolic(
 ) -> BoxTraffic {
     measure(&Point::hand(variant, n, configs), Engine::Symbolic { threads: 1 })
         .unwrap_or_else(|e| panic!("{e}"))
-        .0
+        .0[0]
 }
 
 /// Drive the whole symbolic emission for one measurement point into
 /// `sink`, returning the box-repetition count `k` (divide the sink's
 /// accumulated counters by it) and the window-engine counters. The
 /// caller must have checked [`analyze`]`.fully_claimed()` — the
-/// emitters cover only claimed plans. The emitted rep stream is a pure
-/// function of `(variant, n, configs)`, independent of the sink.
+/// emitters cover only claimed plans. `configs` is every level geometry
+/// the sink simulates (a fan-out sink: the front, then each last
+/// level): a window is emitted grouped only when its certificate holds
+/// at all of them, so the grouping is exact for every tail at once. The
+/// emitted rep stream is a pure function of `(variant, n, configs)`,
+/// independent of the sink.
 pub(crate) fn emit_symbolic_stream<S: LineSink>(
     variant: Variant,
     n: i32,

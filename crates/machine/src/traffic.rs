@@ -22,8 +22,11 @@ use pdesched_core::plan::{self, Plan};
 use pdesched_core::{plan_for_optimized, Mem, Pipeline, PipelineError, Variant};
 use pdesched_kernels::{GHOST, NCOMP};
 use pdesched_mesh::{trace_addr, FArrayBox, IBox, IntVect};
+use pdesched_par::Cancelled;
+use std::any::Any;
 use std::collections::HashMap;
 use std::io::Write;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -109,14 +112,22 @@ pub enum Boxes {
 }
 
 /// One measurement question: DRAM traffic of `variant`, transformed by
-/// `pipeline`, updating `boxes` of edge `n` through the cache hierarchy
-/// `configs` (L1 first, LLC last). Everything a number depends on and
-/// nothing about how it is produced — that is [`Engine`].
+/// `pipeline`, updating `boxes` of edge `n` through the cache levels
+/// `front` (L1 first) and then — one answer each — every last level in
+/// `lasts`. Member `i` is the hierarchy `front ++ [lasts[i]]`; the
+/// members share the access stream and everything the front does with
+/// it, which is why a thread sweep (same private L1/L2, one LLC share
+/// per thread count) is one point, not one per thread count. Everything
+/// a number depends on and nothing about how it is produced — that is
+/// [`Engine`].
 #[derive(Clone, Copy)]
 pub struct Point<'a> {
     pub variant: Variant,
     pub n: i32,
-    pub configs: &'a [CacheConfig],
+    /// The levels every member shares; empty for one-level hierarchies
+    /// (which therefore have exactly one member).
+    pub front: &'a [CacheConfig],
+    pub lasts: &'a [CacheConfig],
     pub pipeline: &'a Pipeline,
     pub boxes: Boxes,
 }
@@ -125,19 +136,37 @@ pub struct Point<'a> {
 static HAND_LOWERING: Pipeline = Pipeline::empty();
 
 impl<'a> Point<'a> {
-    /// The hand lowering of `variant` (no passes) on one box.
-    pub fn hand(variant: Variant, n: i32, configs: &'a [CacheConfig]) -> Self {
-        Point { variant, n, configs, pipeline: &HAND_LOWERING, boxes: Boxes::Single }
+    /// The one-member point of the whole hierarchy `configs` (L1 first,
+    /// LLC last).
+    pub fn new(
+        variant: Variant,
+        n: i32,
+        configs: &'a [CacheConfig],
+        pipeline: &'a Pipeline,
+        boxes: Boxes,
+    ) -> Self {
+        let (front, lasts) = configs.split_at(configs.len().saturating_sub(1));
+        Point { variant, n, front, lasts, pipeline, boxes }
     }
 
-    /// The point's memoization key: [`store_key_with_passes`] for a
-    /// single box, [`pair_store_key`] for the pair workload.
-    pub fn key(&self) -> String {
+    /// The hand lowering of `variant` (no passes) on one box.
+    pub fn hand(variant: Variant, n: i32, configs: &'a [CacheConfig]) -> Self {
+        Point::new(variant, n, configs, &HAND_LOWERING, Boxes::Single)
+    }
+
+    /// Member `i`'s whole hierarchy, L1 first.
+    pub fn configs(&self, i: usize) -> Vec<CacheConfig> {
+        self.front.iter().chain(std::iter::once(&self.lasts[i])).copied().collect()
+    }
+
+    /// Member `i`'s memoization key: [`store_key_with_passes`] for a
+    /// single box, [`pair_store_key`] for the pair workload — the key
+    /// the member has when measured alone.
+    pub fn key(&self, i: usize) -> String {
+        let configs = self.configs(i);
         match self.boxes {
-            Boxes::Single => {
-                store_key_with_passes(self.variant, self.n, self.configs, self.pipeline)
-            }
-            Boxes::Pair => pair_store_key(self.variant, self.n, self.configs, self.pipeline),
+            Boxes::Single => store_key_with_passes(self.variant, self.n, &configs, self.pipeline),
+            Boxes::Pair => pair_store_key(self.variant, self.n, &configs, self.pipeline),
         }
     }
 }
@@ -239,25 +268,36 @@ fn box_traffic(s: &Stats, line: usize, boxes: usize) -> BoxTraffic {
     }
 }
 
-/// Measure `point` under `engine`: per-box steady-state DRAM traffic
-/// plus how the work was produced and distributed.
+/// Measure `point` under `engine`: per-box steady-state DRAM traffic of
+/// every member (one [`BoxTraffic`] per entry of `point.lasts`, in
+/// order), plus how the work was produced and distributed.
 ///
 /// The whole engine decision lives here. **Producer:** the symbolic
 /// emitters iff the engine is [`Engine::Symbolic`], the workload is a
 /// single box, the pipeline is order-preserving (the verifier pinned
 /// the serial step stream to the hand lowering, so the claim stays
 /// sound) and the analysis claims every phase; otherwise the plan
-/// interpreter ([`drive`]). **Sink:** [`Hierarchy::reference`] for
-/// [`Engine::Reference`], else `threads` set-shard workers
-/// ([`crate::parallel`]) iff `threads > 1`, else [`Hierarchy::new`].
+/// interpreter ([`drive`]). The producer runs once whatever the number
+/// of members. **Sink:** one [`Hierarchy::reference`] per member for
+/// [`Engine::Reference`] (the oracle shares nothing), else the fan-out
+/// hierarchy [`Hierarchy::fan_out`]`(front, lasts)` — set-sharded over
+/// `threads` workers ([`crate::parallel`]) iff `threads > 1`.
 ///
 /// Fails — measuring nothing — if the variant cannot run on the box or
 /// the pipeline fails (a pass precondition or the plan verifier).
 pub fn measure(
     point: &Point<'_>,
     engine: Engine,
-) -> Result<(BoxTraffic, ParallelStats), PipelineError> {
-    let Point { variant, n, configs, pipeline, boxes } = *point;
+) -> Result<(Vec<BoxTraffic>, ParallelStats), PipelineError> {
+    let Point { variant, n, front, lasts, pipeline, boxes } = *point;
+    if engine == Engine::Reference && lasts.len() > 1 {
+        let mut members = Vec::with_capacity(lasts.len());
+        for i in 0..lasts.len() {
+            members.extend(measure(&Point { lasts: &lasts[i..=i], ..*point }, engine)?.0);
+        }
+        let ps = ParallelStats { nshards: 1, shard_ops: vec![0], used_symbolic: false };
+        return Ok((members, ps));
+    }
     variant.validate_for_box(n).map_err(PipelineError::Invalid)?;
     // Lower + transform *before* any trace reset: plan verification may
     // draw trace addresses of its own, and the measurement layout must
@@ -272,21 +312,24 @@ pub fn measure(
         && boxes == Boxes::Single
         && pipeline.order_preserving()
         && analyze(variant, n).fully_claimed();
+    // Every geometry the sink simulates: what the symbolic window
+    // certificates and the shard count must hold for.
+    let geometry: Vec<CacheConfig> = front.iter().chain(lasts).copied().collect();
     let (stats, shard_ops, boxes_run) = if threads > 1 {
-        parallel_replay(configs, shard_count(configs, threads), |router| {
+        parallel_replay(front, lasts, shard_count(&geometry, threads), |router| {
             if used_symbolic {
-                emit_symbolic_stream(variant, n, configs, router).0
+                emit_symbolic_stream(variant, n, &geometry, router).0
             } else {
                 drive(&plan, n, boxes, &SplitMem::new(router))
             }
         })
     } else {
         let mut sim = match engine {
-            Engine::Reference => Hierarchy::reference(configs),
-            _ => Hierarchy::new(configs),
+            Engine::Reference => Hierarchy::reference(&geometry),
+            _ => Hierarchy::fan_out(front, lasts),
         };
         let boxes_run = if used_symbolic {
-            let k = emit_symbolic_stream(variant, n, configs, &mut sim).0;
+            let k = emit_symbolic_stream(variant, n, &geometry, &mut sim).0;
             sim.flush();
             k
         } else {
@@ -295,10 +338,10 @@ pub fn measure(
             sim = trace.finish();
             k
         };
-        (sim.stats(), vec![0], boxes_run)
+        ((0..lasts.len()).map(|i| sim.tail_stats(i)).collect(), vec![0], boxes_run)
     };
-    let t = box_traffic(&stats, configs[0].line, boxes_run);
-    Ok((t, ParallelStats { nshards: shard_ops.len(), shard_ops, used_symbolic }))
+    let members = stats.iter().map(|s| box_traffic(s, geometry[0].line, boxes_run)).collect();
+    Ok((members, ParallelStats { nshards: shard_ops.len(), shard_ops, used_symbolic }))
 }
 
 /// [`measure`] for the hand lowering of one box on the serial fast
@@ -308,8 +351,13 @@ pub fn measure(
 pub fn measure_box_traffic(variant: Variant, n: i32, configs: &[CacheConfig]) -> BoxTraffic {
     measure(&Point::hand(variant, n, configs), Engine::Simulate { threads: 1 })
         .unwrap_or_else(|e| panic!("{e}"))
-        .0
+        .0[0]
 }
+
+/// What [`TrafficCache::fetch`] has for one member of a point: its
+/// number, or the payload of the fault-hook panic that kept it from
+/// being measured.
+pub(crate) type MemberResult = Result<BoxTraffic, Box<dyn Any + Send>>;
 
 /// Hit/miss and store-health counters of a [`TrafficCache`] at one
 /// instant.
@@ -342,6 +390,12 @@ pub struct CacheStats {
     /// overlapped-tile variants). `claimed_points + fallback_points ==
     /// misses` under [`TrafficMode::Symbolic`].
     pub fallback_points: u64,
+    /// Producer passes run to completion: how many times a schedule's
+    /// access stream was actually generated and simulated. A sweep's
+    /// points that differ only in the last cache level share one pass
+    /// ([`crate::SweepEngine::prewarm`]), so `misses / passes` is the
+    /// fan-out the sweep achieved; single lookups are passes of one.
+    pub passes: u64,
 }
 
 /// A memoizing cache of per-box traffic measurements: figure generation
@@ -375,6 +429,7 @@ pub struct TrafficCache {
     retried_appends: AtomicU64,
     claimed_points: AtomicU64,
     fallback_points: AtomicU64,
+    passes: AtomicU64,
     /// Shard-worker threads each miss may use ([`TrafficCache::set_engine_threads`]);
     /// 1 = the serial engines.
     engine_threads: AtomicU64,
@@ -992,7 +1047,7 @@ impl TrafficCache {
     /// 1 = the serial engines). All counts produce identical numbers —
     /// the parallel path is bit-identical by construction — so this
     /// only trades point latency for thread occupancy. The sweep
-    /// engine raises it when a sweep has fewer ready points than pool
+    /// engine raises it when a sweep has fewer passes than pool
     /// threads ([`crate::SweepEngine::prewarm`]).
     pub fn set_engine_threads(&self, threads: usize) {
         self.engine_threads.store(threads.max(1) as u64, Ordering::Relaxed);
@@ -1104,41 +1159,82 @@ impl TrafficCache {
     /// to in-memory memoization and bumps [`CacheStats::store_errors`].
     /// Panics if the variant cannot run on the box.
     pub fn get(&self, variant: Variant, n: i32, configs: &[CacheConfig]) -> BoxTraffic {
-        self.fetch(&Point::hand(variant, n, configs)).unwrap_or_else(|e| panic!("{e}"))
+        self.fetch_one(&Point::hand(variant, n, configs)).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// The one lookup-or-measure path behind every `get*`: serve a held
-    /// entry, else count the miss, give the fault hook its turn,
-    /// [`measure`] under the engine this cache's mode and thread grant
-    /// select, and record the number tagged with what actually produced
-    /// it (a fallback is a simulated entry whatever the configured
-    /// mode). Errors are returned, never cached.
-    fn fetch(&self, point: &Point<'_>) -> Result<BoxTraffic, PipelineError> {
-        let key = point.key();
-        if let Some((t, _)) = self.map_lock().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(*t);
-        }
-        let sim_index = self.misses.fetch_add(1, Ordering::Relaxed);
-        if let Some(hook) = &self.fault {
-            hook.before_simulation(sim_index, &key);
-        }
-        let threads = self.engine_threads();
-        let engine = match self.mode {
-            TrafficMode::Simulate => Engine::Simulate { threads },
-            TrafficMode::Symbolic => Engine::Symbolic { threads },
+    /// The one lookup-or-measure path behind every `get*` and every
+    /// sweep pass. Each member is served from memory if held; the
+    /// missing ones each count a miss and give the fault hook its turn
+    /// (consecutive indices, the member's own key), then one
+    /// [`measure`] over exactly those last levels — under the engine
+    /// this cache's mode and thread grant select — answers them all,
+    /// and each number is recorded under its member's key, tagged with
+    /// what actually produced it (a fallback is a simulated entry
+    /// whatever the configured mode).
+    ///
+    /// A hook that panics fails its own member only (`Err` with the
+    /// panic payload; the rest of the pass is still measured) — except a
+    /// [`Cancelled`] unwind, which like any unwind out of `measure`
+    /// itself propagates and records nothing. Pipeline errors are
+    /// returned, never cached.
+    pub(crate) fn fetch(&self, point: &Point<'_>) -> Result<Vec<MemberResult>, PipelineError> {
+        let keys: Vec<String> = (0..point.lasts.len()).map(|i| point.key(i)).collect();
+        let mut members: Vec<Option<MemberResult>> = {
+            let map = self.map_lock();
+            keys.iter().map(|k| map.get(k).map(|(t, _)| Ok(*t))).collect()
         };
-        let (t, ps) = measure(point, engine)?;
-        if self.mode == TrafficMode::Symbolic {
-            if ps.used_symbolic {
-                self.claimed_points.fetch_add(1, Ordering::Relaxed);
-            } else {
-                self.fallback_points.fetch_add(1, Ordering::Relaxed);
+        let held = members.iter().flatten().count();
+        self.hits.fetch_add(held as u64, Ordering::Relaxed);
+        let mut missing: Vec<usize> = (0..keys.len()).filter(|&i| members[i].is_none()).collect();
+        let first_index = self.misses.fetch_add(missing.len() as u64, Ordering::Relaxed);
+        if let Some(hook) = &self.fault {
+            let mut sim_index = first_index;
+            missing.retain(|&i| {
+                let turn = catch_unwind(AssertUnwindSafe(|| {
+                    hook.before_simulation(sim_index, &keys[i]);
+                }));
+                sim_index += 1;
+                match turn {
+                    Ok(()) => true,
+                    Err(payload) if payload.is::<Cancelled>() => resume_unwind(payload),
+                    Err(payload) => {
+                        members[i] = Some(Err(payload));
+                        false
+                    }
+                }
+            });
+        }
+        if !missing.is_empty() {
+            let lasts: Vec<CacheConfig> = missing.iter().map(|&i| point.lasts[i]).collect();
+            let threads = self.engine_threads();
+            let engine = match self.mode {
+                TrafficMode::Simulate => Engine::Simulate { threads },
+                TrafficMode::Symbolic => Engine::Symbolic { threads },
+            };
+            let (measured, ps) = measure(&Point { lasts: &lasts, ..*point }, engine)?;
+            self.passes.fetch_add(1, Ordering::Relaxed);
+            if self.mode == TrafficMode::Symbolic {
+                let counter =
+                    if ps.used_symbolic { &self.claimed_points } else { &self.fallback_points };
+                counter.fetch_add(measured.len() as u64, Ordering::Relaxed);
+            }
+            let produced =
+                if ps.used_symbolic { TrafficMode::Symbolic } else { TrafficMode::Simulate };
+            for (&i, t) in missing.iter().zip(measured) {
+                self.record(keys[i].clone(), t, produced);
+                members[i] = Some(Ok(t));
             }
         }
-        let produced = if ps.used_symbolic { TrafficMode::Symbolic } else { TrafficMode::Simulate };
-        self.record(key, t, produced);
-        Ok(t)
+        Ok(members.into_iter().map(|m| m.expect("held, hook-failed or measured")).collect())
+    }
+
+    /// [`TrafficCache::fetch`] for a point of one member, with a
+    /// fault-hook panic handed on to the caller.
+    fn fetch_one(&self, point: &Point<'_>) -> Result<BoxTraffic, PipelineError> {
+        match self.fetch(point)?.pop().expect("a point has at least one member") {
+            Ok(t) => Ok(t),
+            Err(payload) => resume_unwind(payload),
+        }
     }
 
     /// Memoize a fresh measurement and append it to the store (if this
@@ -1198,7 +1294,7 @@ impl TrafficCache {
         configs: &[CacheConfig],
         pipeline: &Pipeline,
     ) -> Result<BoxTraffic, PipelineError> {
-        self.fetch(&Point { variant, n, configs, pipeline, boxes: Boxes::Single })
+        self.fetch_one(&Point::new(variant, n, configs, pipeline, Boxes::Single))
     }
 
     /// Measured (or memoized) per-box traffic of the two-box pair
@@ -1213,7 +1309,7 @@ impl TrafficCache {
         configs: &[CacheConfig],
         pipeline: &Pipeline,
     ) -> Result<BoxTraffic, PipelineError> {
-        self.fetch(&Point { variant, n, configs, pipeline, boxes: Boxes::Pair })
+        self.fetch_one(&Point::new(variant, n, configs, pipeline, Boxes::Pair))
     }
 
     /// Retry transient store-append failures: up to `max_retries` extra
@@ -1285,6 +1381,7 @@ impl TrafficCache {
             retried_appends: self.retried_appends.load(Ordering::Relaxed),
             claimed_points: self.claimed_points.load(Ordering::Relaxed),
             fallback_points: self.fallback_points.load(Ordering::Relaxed),
+            passes: self.passes.load(Ordering::Relaxed),
         }
     }
 
@@ -1562,14 +1659,15 @@ mod tests {
         let cfg = big_hierarchy();
         assert_eq!(cache.stats(), CacheStats::default());
         cache.get(Variant::baseline(), 8, &cfg);
-        assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 1, ..Default::default() });
+        let one_pass = CacheStats { misses: 1, passes: 1, ..Default::default() };
+        assert_eq!(cache.stats(), one_pass);
         cache.get(Variant::baseline(), 8, &cfg);
         cache.get(Variant::baseline(), 8, &cfg);
-        assert_eq!(cache.stats(), CacheStats { hits: 2, misses: 1, ..Default::default() });
+        assert_eq!(cache.stats(), CacheStats { hits: 2, ..one_pass });
         // `contains` probes without perturbing the counters.
         assert!(cache.contains(Variant::baseline(), 8, &cfg));
         assert!(!cache.contains(Variant::shift_fuse(), 8, &cfg));
-        assert_eq!(cache.stats(), CacheStats { hits: 2, misses: 1, ..Default::default() });
+        assert_eq!(cache.stats(), CacheStats { hits: 2, ..one_pass });
     }
 
     #[test]
@@ -1639,8 +1737,8 @@ mod tests {
         let cfg = vec![CacheConfig::new(8 * 1024, 4), CacheConfig::new(256 * 1024, 16)];
         let v = Variant { comp: CompLoop::Inside, ..Variant::shift_fuse() };
         let pair = |pipeline: &Pipeline| {
-            let point = Point { variant: v, n, configs: &cfg, pipeline, boxes: Boxes::Pair };
-            measure(&point, Engine::Simulate { threads: 1 }).unwrap().0
+            let point = Point::new(v, n, &cfg, pipeline, Boxes::Pair);
+            measure(&point, Engine::Simulate { threads: 1 }).unwrap().0[0]
         };
         let seq = pair(&Pipeline::empty());
         let fused = pair(&Pipeline::parse("cross-box-fuse:2").unwrap());

@@ -83,3 +83,58 @@ fn one_miss_path_behind_every_front() {
         assert_eq!(last, Some((6, store_key_with_passes(base, 8, &cfg, &refused))));
     }
 }
+
+/// A sweep family — points differing only in their last cache level —
+/// is one pass, but each member keeps what it has when measured alone:
+/// its own key, its own consecutive hook index, its own provenance tag
+/// and its own claimed-or-fallback count.
+#[test]
+fn family_members_keep_their_own_keys_indices_and_tags() {
+    use pdesched_machine::{SimPoint, SweepEngine};
+    let series = |variant: Variant| -> Vec<SimPoint> {
+        [64, 32, 16]
+            .iter()
+            .map(|&kib| SimPoint {
+                variant,
+                n: 8,
+                configs: vec![CacheConfig::new(8 * 1024, 4), CacheConfig::new(kib * 1024, 8)],
+            })
+            .collect()
+    };
+    let wavefront = Variant::blocked_wavefront(CompLoop::Inside, 4);
+    // Two families of three; the engine orders equal-sized passes as
+    // requested, so the hook sees the members in this order.
+    let points: Vec<SimPoint> = [series(Variant::baseline()), series(wavefront)].concat();
+    for mode in [TrafficMode::Simulate, TrafficMode::Symbolic] {
+        let dir = TempDir::new("miss-path-family");
+        let path = dir.file("traffic.txt");
+        let hook = Arc::new(Recorder::default());
+        let cache = TrafficCache::with_store(&path).with_mode(mode).with_fault_hook(hook.clone());
+        let report = SweepEngine::new(1).prewarm(&cache, &points);
+        assert_eq!((report.measured, report.passes), (6, 2), "{mode:?}");
+
+        let want: Vec<(u64, String)> = points
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (i as u64, store_key(p.variant, p.n, &p.configs)))
+            .collect();
+        assert_eq!(*hook.0.lock().unwrap(), want, "{mode:?}: hook indices and keys");
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.passes, cache.len()), (0, 6, 2, 6), "{mode:?}");
+        match mode {
+            TrafficMode::Simulate => assert_eq!((s.claimed_points, s.fallback_points), (0, 0)),
+            // Baseline is claimed, the wavefront falls back — per member.
+            TrafficMode::Symbolic => assert_eq!((s.claimed_points, s.fallback_points), (3, 3)),
+        }
+        let view = StoreReader::open(&path).view();
+        assert_eq!(view.len(), 6);
+        let alone = TrafficCache::new();
+        for p in &points {
+            let claimed = p.variant == Variant::baseline();
+            let tag = if claimed { mode } else { TrafficMode::Simulate };
+            let (stored, stored_tag) = view.get(&store_key(p.variant, p.n, &p.configs)).unwrap();
+            assert_eq!(stored_tag, tag, "{mode:?}: tag of {} LLC {}", p.variant, p.configs[1].size);
+            assert_eq!(stored, alone.get(p.variant, p.n, &p.configs), "{mode:?}: {}", p.variant);
+        }
+    }
+}

@@ -9,7 +9,7 @@ use pdesched_cachesim::CacheConfig;
 use pdesched_core::Variant;
 use pdesched_machine::{BoxTraffic, FaultHook, SimPoint, SweepBudget, SweepEngine, TrafficCache};
 use pdesched_par::cancel::{self, CancelToken};
-use pdesched_testkit::{check, FaultPlan, TempDir};
+use pdesched_testkit::{check, sorted_lines, FaultPlan, TempDir};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -18,7 +18,11 @@ fn roomy() -> Vec<CacheConfig> {
     vec![CacheConfig::new(32 * 1024, 8), CacheConfig::new(16 * 1024 * 1024, 16)]
 }
 
-/// Six distinct cheap points (three variants × two box sizes).
+/// Ten distinct cheap points: three variants × two box sizes on the
+/// roomy hierarchy, then two more LLC sizes for the first two variants
+/// at n = 8 — so the sweep holds two three-member families (one pass
+/// each) among four singleton passes, and its last point is a family
+/// member.
 fn sweep_points() -> Vec<SimPoint> {
     let variants = [
         Variant::baseline(),
@@ -33,6 +37,12 @@ fn sweep_points() -> Vec<SimPoint> {
     for v in variants {
         for n in [8, 12] {
             pts.push(SimPoint { variant: v, n, configs: roomy() });
+        }
+    }
+    for v in &variants[..2] {
+        for mib in [8, 4] {
+            let configs = vec![roomy()[0], CacheConfig::new(mib * 1024 * 1024, 16)];
+            pts.push(SimPoint { variant: *v, n: 8, configs });
         }
     }
     pts
@@ -81,6 +91,10 @@ fn cancelled_sweep_resumes_bit_identical() {
     let pts = sweep_points();
     let reference = reference_values(&pts);
     let total = pts.len();
+    let golden_dir = TempDir::new("cancelresume-golden");
+    let golden = golden_dir.file("traffic.txt");
+    let uninterrupted = SweepEngine::new(2).prewarm(&TrafficCache::with_store(&golden), &pts);
+    assert_eq!((uninterrupted.measured, uninterrupted.passes), (total, 6));
     check(0xC0FFEE, 12, |rng| {
         let cancel_at = rng.range_usize(0, total) as u64;
         let threads = *rng.choose(&[1usize, 2, 3]);
@@ -103,6 +117,9 @@ fn cancelled_sweep_resumes_bit_identical() {
         assert!(first.failed.is_empty(), "{:?}", first.failed);
         assert!(first.measured < total, "the sweep must actually have been interrupted");
         assert_eq!(first.remaining, total - first.measured);
+        // A cancelled pass records none of its members: what the store
+        // holds is exactly what the report counted.
+        assert_eq!(sorted_lines(&path).len(), first.measured);
 
         // Run 2: same prewarm, fresh process state, no faults. It must
         // see the interruption in the journal and finish the job.
@@ -130,6 +147,7 @@ fn cancelled_sweep_resumes_bit_identical() {
             let got = cache.get(p.variant, p.n, &p.configs);
             assert_eq!(got, *want, "{} n={} after resume", p.variant, p.n);
         }
+        assert_eq!(sorted_lines(&path), sorted_lines(&golden), "resumed vs uninterrupted");
 
         // Run 3: nothing left to resume — the journal was terminated.
         let clean = SweepEngine::new(threads).prewarm(&TrafficCache::with_store(&path), &pts);
@@ -165,6 +183,41 @@ fn hung_point_is_killed_by_point_deadline_without_blocking_the_rest() {
     assert_eq!(retry.timed_out.len(), 0);
     let prior = retry.resumed_from.expect("timed-out sweep must be resumable");
     assert_eq!(prior.timed_out, 1);
+}
+
+/// The per-point deadline supervises a pass: when it fires inside a
+/// family's shared measurement, every member the pass was measuring is
+/// reported timed out, nothing of it is stored, and the other passes
+/// complete.
+#[test]
+fn hung_family_pass_times_out_every_member() {
+    let pts = sweep_points();
+    // One thread: simulation 0 is the first member of the first pass,
+    // and n = 8 families sort behind the n = 12 singletons — so put a
+    // family first by sweeping only the n = 8 points.
+    let pts: Vec<SimPoint> = pts.into_iter().filter(|p| p.n == 8).collect();
+    let plan = Arc::new(FaultPlan::new().hang_on_sim(0));
+    let dir = TempDir::new("hungfamily");
+    let path = dir.file("traffic.txt");
+    let report = {
+        let cache =
+            TrafficCache::with_store(&path).with_fault_hook(Arc::new(HangHook(Arc::clone(&plan))));
+        let engine = SweepEngine::new(1).with_budget(SweepBudget {
+            point_deadline: Some(Duration::from_millis(60)),
+            ..Default::default()
+        });
+        engine.prewarm(&cache, &pts)
+    };
+    assert_eq!(report.passes, 3, "two families of three and a singleton");
+    assert_eq!(report.timed_out.len(), 3, "{:?}", report.timed_out);
+    assert!(report.timed_out.iter().all(|f| f.variant == report.timed_out[0].variant));
+    assert_eq!((report.measured, report.remaining), (pts.len() - 3, 0));
+    assert_eq!(report.cancelled, None);
+    assert_eq!(sorted_lines(&path).len(), pts.len() - 3);
+    // The re-run measures exactly the family that was killed, as one pass.
+    let retry = SweepEngine::new(1).prewarm(&TrafficCache::with_store(&path), &pts);
+    assert_eq!((retry.measured, retry.passes), (3, 1));
+    assert_eq!(retry.resumed_from.expect("timed-out sweep must be resumable").timed_out, 3);
 }
 
 #[test]

@@ -3,9 +3,9 @@
 //! `measure`'s rule says, and refuses what the reference refuses.
 //!
 //! The grid is small on purpose (n = 8, three variants, three
-//! pipelines, both workloads); `fastpath_equivalence`, `parallel_point`
-//! and `symbolic_crossval` sweep the wide variant space through two
-//! engines each.
+//! pipelines, both workloads, one family of three last levels);
+//! `fastpath_equivalence`, `parallel_point` and `symbolic_crossval`
+//! sweep the wide variant space through two engines each.
 
 use pdesched_cachesim::{shard_count, CacheConfig};
 use pdesched_core::{CompLoop, Pipeline, Variant};
@@ -41,15 +41,15 @@ fn every_engine_agrees_with_the_reference() {
     for variant in variants {
         // What the hand lowering of one box moves: order-preserving
         // pipelines must not change it.
-        let hand = measure(&Point::hand(variant, N, &configs), Engine::Reference).unwrap().0;
+        let hand = measure(&Point::hand(variant, N, &configs), Engine::Reference).unwrap().0[0];
         for spec in PIPELINES {
             let pipeline = Pipeline::parse(spec).unwrap();
             for boxes in [Boxes::Single, Boxes::Pair] {
-                let point = Point { variant, n: N, configs: &configs, pipeline: &pipeline, boxes };
+                let point = Point::new(variant, N, &configs, &pipeline, boxes);
                 let ctx = format!("{variant} [{spec}] {boxes:?}");
                 let reference = measure(&point, Engine::Reference)
                     .unwrap_or_else(|e| panic!("{ctx}: every grid cell must measure: {e}"))
-                    .0;
+                    .0[0];
                 if boxes == Boxes::Single && pipeline.order_preserving() {
                     assert_eq!(reference, hand, "{ctx}: stream-preserving pipeline moved traffic");
                 }
@@ -58,6 +58,7 @@ fn every_engine_agrees_with_the_reference() {
                     && analyze(variant, N).fully_claimed();
                 for engine in ENGINES {
                     let (t, ps) = measure(&point, engine).unwrap();
+                    let t = t[0];
                     assert_eq!(t, reference, "{ctx} {engine:?}");
                     assert_eq!(
                         (t.l1_hit.to_bits(), t.llc_hit.to_bits()),
@@ -92,7 +93,55 @@ fn thread_grant_above_the_shard_cap_is_clamped() {
     let serial = measure(&point, Engine::Simulate { threads: 1 }).unwrap().0;
     for engine in [Engine::Simulate { threads: 64 }, Engine::Symbolic { threads: 64 }] {
         let (t, ps) = measure(&point, engine).unwrap();
-        assert_eq!((t, ps.nshards), (serial, 32), "{engine:?}");
+        assert_eq!((t, ps.nshards), (serial.clone(), 32), "{engine:?}");
+    }
+}
+
+/// Family cells: three last levels behind one L1, measured in one pass
+/// by every fast engine, each member equal — hit-ratio bits included —
+/// to the reference measurement of its own two-level hierarchy.
+#[test]
+fn family_members_equal_their_single_last_reference() {
+    let front = [CacheConfig::new(8 * 1024, 4)];
+    let lasts = [64, 32, 16].map(|kib| CacheConfig::new(kib * 1024, 8));
+    let geometry: Vec<CacheConfig> = front.iter().chain(&lasts).copied().collect();
+    let variants = [
+        Variant::baseline(),
+        Variant::shift_fuse(),
+        Variant::blocked_wavefront(CompLoop::Inside, 4),
+    ];
+    for variant in variants {
+        let family = Point { front: &front, lasts: &lasts, ..Point::hand(variant, N, &geometry) };
+        let references: Vec<_> = (0..lasts.len())
+            .map(|i| {
+                let alone = family.configs(i);
+                assert_eq!(alone, [front[0], lasts[i]]);
+                measure(&Point::hand(variant, N, &alone), Engine::Reference).unwrap().0[0]
+            })
+            .collect();
+        assert_ne!(references[0].dram_bytes, references[2].dram_bytes, "{variant}: lasts differ");
+        // The oracle itself measures a family member by member.
+        assert_eq!(measure(&family, Engine::Reference).unwrap().0, references, "{variant}");
+        for engine in &ENGINES[1..] {
+            let (members, ps) = measure(&family, *engine).unwrap();
+            assert_eq!(members, references, "{variant} {engine:?}");
+            for (t, r) in members.iter().zip(&references) {
+                assert_eq!(
+                    (t.l1_hit.to_bits(), t.llc_hit.to_bits()),
+                    (r.l1_hit.to_bits(), r.llc_hit.to_bits()),
+                    "{variant} {engine:?}: hit-ratio bits"
+                );
+            }
+            let symbolic = matches!(engine, Engine::Symbolic { .. });
+            assert_eq!(ps.used_symbolic, symbolic && analyze(variant, N).fully_claimed());
+            let want = match *engine {
+                Engine::Simulate { threads } | Engine::Symbolic { threads } if threads > 1 => {
+                    shard_count(&geometry, threads)
+                }
+                _ => 1,
+            };
+            assert_eq!(ps.nshards, want, "{variant} {engine:?}: shards divide every tail");
+        }
     }
 }
 
@@ -104,13 +153,7 @@ fn pipeline_errors_surface_under_every_engine() {
     let configs = stress();
     let pipeline = Pipeline::parse("rechunk:4").unwrap();
     for boxes in [Boxes::Single, Boxes::Pair] {
-        let point = Point {
-            variant: Variant::baseline(),
-            n: N,
-            configs: &configs,
-            pipeline: &pipeline,
-            boxes,
-        };
+        let point = Point::new(Variant::baseline(), N, &configs, &pipeline, boxes);
         for engine in ENGINES {
             assert!(measure(&point, engine).is_err(), "{boxes:?} {engine:?}");
         }
@@ -133,7 +176,7 @@ fn invalid_variants_are_refused_on_every_path() {
         for spec in PIPELINES {
             let pipeline = Pipeline::parse(spec).unwrap();
             for boxes in [Boxes::Single, Boxes::Pair] {
-                let point = Point { variant, n: N, configs: &configs, pipeline: &pipeline, boxes };
+                let point = Point::new(variant, N, &configs, &pipeline, boxes);
                 for engine in ENGINES {
                     let err = measure(&point, engine).err().map(|e| e.to_string());
                     assert!(

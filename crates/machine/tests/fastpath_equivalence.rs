@@ -27,7 +27,7 @@ fn spilly() -> Vec<CacheConfig> {
 }
 
 fn measure_reference(variant: Variant, n: i32, configs: &[CacheConfig]) -> BoxTraffic {
-    measure(&Point::hand(variant, n, configs), Engine::Reference).unwrap().0
+    measure(&Point::hand(variant, n, configs), Engine::Reference).unwrap().0[0]
 }
 
 fn check_all(n: i32, configs: &[CacheConfig]) {

@@ -10,7 +10,7 @@ use pdesched_cachesim::CacheConfig;
 use pdesched_core::Variant;
 use pdesched_machine::{journal, traffic};
 use pdesched_machine::{FaultHook, SimPoint, SweepEngine, TrafficCache};
-use pdesched_testkit::{FaultPlan, TempDir};
+use pdesched_testkit::{sorted_lines, FaultPlan, TempDir};
 use std::sync::Arc;
 
 /// Adapt a deterministic [`FaultPlan`] to the store/measurement hooks.
@@ -169,6 +169,75 @@ fn sweep_engine_degrades_on_injected_measurement_panic() {
     assert!(retry.failed.is_empty());
     assert_eq!(retry.measured, 1);
     assert_eq!(cache.len(), 3);
+}
+
+/// Two sweep families of three: `baseline` and `shift_fuse` at n = 8
+/// behind one L1, each through 16, 8 and 4 MiB last levels. One pass
+/// per family.
+fn family_points() -> Vec<SimPoint> {
+    let mut pts = Vec::new();
+    for variant in [Variant::baseline(), Variant::shift_fuse()] {
+        for mib in [16, 8, 4] {
+            let configs = vec![roomy()[0], CacheConfig::new(mib * 1024 * 1024, 16)];
+            pts.push(SimPoint { variant, n: 8, configs });
+        }
+    }
+    pts
+}
+
+/// A fault hook that panics for one member of a family fails exactly
+/// that member: its siblings are measured by the same pass and stored,
+/// and the re-run re-measures only the missing last level — ending on
+/// the store an undisturbed sweep writes.
+#[test]
+fn injected_panic_fails_one_family_member_and_the_retry_measures_only_it() {
+    let pts = family_points();
+    let dir = TempDir::new("familypanic");
+    let (path, golden) = (dir.file("t.txt"), dir.file("golden.txt"));
+    let clean = SweepEngine::new(1).prewarm(&TrafficCache::with_store(&golden), &pts);
+    assert_eq!((clean.measured, clean.passes), (6, 2));
+    let plan = Arc::new(FaultPlan::new().panic_on_sim(1));
+    let report = {
+        let cache =
+            TrafficCache::with_store(&path).with_fault_hook(Arc::new(PlanHook(Arc::clone(&plan))));
+        let report = SweepEngine::new(1).prewarm(&cache, &pts);
+        assert_eq!((cache.stats().misses, cache.stats().passes, cache.len()), (6, 2, 5));
+        report
+    };
+    assert_eq!((report.measured, report.passes, report.remaining), (5, 2, 0));
+    assert_eq!(report.failed.len(), 1, "{:?}", report.failed);
+    assert!(report.failed[0].error.contains("injected fault"), "{:?}", report.failed);
+    assert_eq!(report.failed[0].variant, pts[1].variant.to_string());
+    // Simulation 1 is the first family's second member (one thread:
+    // members take consecutive indices in request order).
+    let cache = TrafficCache::with_store(&path);
+    let held: Vec<bool> = pts.iter().map(|p| cache.contains(p.variant, p.n, &p.configs)).collect();
+    assert_eq!(held, [true, false, true, true, true, true]);
+    let retry = SweepEngine::new(1).prewarm(&cache, &pts);
+    assert_eq!((retry.measured, retry.passes), (1, 1));
+    assert_eq!(retry.resumed_from.expect("a failed sweep is resumable").failed, 1);
+    assert_eq!((cache.stats().misses, cache.stats().passes), (1, 1));
+    assert_eq!(sorted_lines(&path), sorted_lines(&golden));
+}
+
+/// A panic inside the shared measurement — here a last level whose line
+/// size does not match its front, which the simulator refuses — fails
+/// every member the pass was measuring and nothing else.
+#[test]
+fn panic_inside_a_shared_pass_fails_every_member_it_was_measuring() {
+    let mut pts = family_points();
+    for p in &mut pts[..3] {
+        p.configs[1].line = 128;
+    }
+    let cache = TrafficCache::new();
+    let report = SweepEngine::new(2).prewarm(&cache, &pts);
+    assert_eq!((report.measured, report.passes, report.remaining), (3, 2, 0));
+    assert_eq!(report.failed.len(), 3, "{:?}", report.failed);
+    for f in &report.failed {
+        assert_eq!(f.variant, pts[0].variant.to_string());
+        assert!(f.error.contains("line sizes must match"), "{}", f.error);
+    }
+    assert_eq!(cache.len(), 3, "the sound family is measured and held");
 }
 
 #[test]

@@ -117,7 +117,7 @@ fn provenance_tracks_the_claim_boundary() {
     let wf = Variant::blocked_wavefront(CompLoop::Inside, 4);
     let (t, ps) = symbolic(wf);
     assert!(!ps.used_symbolic, "unclaimed plan must fall back");
-    assert_identical("bwf_cli4", 8, &t, &measure_box_traffic(wf, 8, &small()));
+    assert_identical("bwf_cli4", 8, &t[0], &measure_box_traffic(wf, 8, &small()));
 }
 
 /// Symbolic mode through the cache: identical numbers to Simulate mode

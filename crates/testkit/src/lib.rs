@@ -19,6 +19,17 @@ pub mod tempdir;
 pub use fault::{FaultPlan, SocketFault};
 pub use tempdir::TempDir;
 
+/// The lines of a `#`-commented text file, comments dropped, sorted:
+/// what an order-independent comparison of two line-oriented stores
+/// (append order varies with scheduling) compares.
+pub fn sorted_lines(path: &std::path::Path) -> Vec<String> {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    let mut lines: Vec<String> =
+        text.lines().filter(|l| !l.starts_with('#')).map(String::from).collect();
+    lines.sort();
+    lines
+}
+
 /// SplitMix64: tiny, statistically solid, and stable across platforms —
 /// exactly what reproducible test-case generation needs.
 #[derive(Clone, Debug)]
