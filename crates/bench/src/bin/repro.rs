@@ -37,7 +37,7 @@
 //!   (default: all available cores). Parallelism never changes output:
 //!   measurements are deterministic and figure generation is serial.
 //! * `--json PATH` — also write every figure's series plus per-stage
-//!   wall time and cache counters as JSON (e.g. `BENCH_sweep.json`).
+//!   wall time and cache counters as JSON (e.g. `repro_all.json`).
 //! * `--fast` — substitute 64^3 for the 128^3 box in the scaling
 //!   figures (roughly 8x cheaper traces; shapes are preserved but the
 //!   cache-residency crossover shifts).
@@ -583,6 +583,15 @@ fn parse_variant_arg(cmd: &str, name: &str, n: i32) -> Variant {
     }
 }
 
+/// Parse a `--n` value: a box edge of at least one cell.
+fn parse_box_size(arg: Option<&String>) -> Result<i32, &'static str> {
+    let n: i32 = arg.ok_or("--n needs a box size")?.parse().map_err(|_| "--n needs a number")?;
+    if n < 1 {
+        return Err("--n must be at least 1");
+    }
+    Ok(n)
+}
+
 /// Parse a `--passes` spec ([`Pipeline::parse`] grammar) or exit 2 with
 /// the parser's own message (which lists the known passes).
 fn parse_passes_arg(cmd: &str, spec: &str) -> Pipeline {
@@ -614,13 +623,7 @@ fn parse_variant_cli(cmd: &str, args: &[String]) -> VariantCli {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--n" => {
-                n = it
-                    .next()
-                    .unwrap_or_else(|| usage("--n needs a box size"))
-                    .parse()
-                    .unwrap_or_else(|_| usage("--n needs a number"))
-            }
+            "--n" => n = parse_box_size(it.next()).unwrap_or_else(|msg| usage(msg)),
             "--threads" => {
                 threads = it
                     .next()
@@ -739,13 +742,7 @@ fn run_optimize_command(args: &[String]) {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--n" => {
-                n = it
-                    .next()
-                    .unwrap_or_else(|| usage("--n needs a box size"))
-                    .parse()
-                    .unwrap_or_else(|_| usage("--n needs a number"))
-            }
+            "--n" => n = parse_box_size(it.next()).unwrap_or_else(|msg| usage(msg)),
             "--machine" => {
                 machine = Some(it.next().unwrap_or_else(|| usage("--machine needs a name")).clone())
             }

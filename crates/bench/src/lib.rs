@@ -4,9 +4,8 @@
 use pdesched_machine::figures::Figure;
 
 pub mod harness {
-    //! A std-only micro-benchmark harness (offline stand-in for
-    //! Criterion): warm up once, take N timed samples, report
-    //! min/median/mean on stderr.
+    //! A std-only micro-benchmark harness: warm up once, take N timed
+    //! samples, report min/median/mean on stderr.
 
     use std::time::{Duration, Instant};
 
@@ -45,9 +44,9 @@ pub mod harness {
 }
 
 /// Quote and escape `s` as a JSON string literal (including the
-/// surrounding `"`), so the hand-rolled JSON writers in `repro` and
-/// `bench` stay parseable for any input — store paths and labels can
-/// legally contain `"`, `\`, or control characters.
+/// surrounding `"`), so the hand-rolled JSON writer in `repro` stays
+/// parseable for any input — store paths and labels can legally
+/// contain `"`, `\`, or control characters.
 pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');

@@ -298,6 +298,29 @@ fn run_deadline_interrupts_with_exit_11() {
     assert!(json.contains("deadline"), "{json}");
 }
 
+/// A box needs at least one cell: a non-positive `--n` is refused at
+/// the command line, before anything is lowered, measured or stored.
+#[test]
+fn non_positive_box_size_is_a_usage_error_that_writes_nothing() {
+    let dir = TempDir::new("repro-bad-n");
+    let store = dir.file("store.txt");
+    for n in ["0", "-4"] {
+        for cmd in ["plan", "describe", "optimize"] {
+            let mut c = repro();
+            c.args([cmd, "Baseline: P>=Box", "--n", n]);
+            if cmd == "optimize" {
+                c.args(["--store", store.to_str().unwrap()]);
+            }
+            let (stdout, stderr) = run_expect(&mut c, 2);
+            assert!(stdout.is_empty(), "{cmd} --n {n}: {stdout}");
+            assert!(stderr.contains("--n must be at least 1"), "{cmd} --n {n}: {stderr}");
+            assert!(stderr.contains("usage: repro"), "{cmd} --n {n}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{cmd} --n {n}: {stderr}");
+        }
+    }
+    assert!(!store.exists(), "a refused box size must not create the store");
+}
+
 /// Spawn `repro serve` on an ephemeral port with the given extra env
 /// and scrape the bound address from its stderr banner.
 fn spawn_serve(

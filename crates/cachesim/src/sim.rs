@@ -260,8 +260,7 @@ impl Hierarchy {
     /// Build a hierarchy that simulates every access through the
     /// original per-element probe path: no hot-line table, and runs
     /// expanded element by element. This is the reference the fast path
-    /// is proven bit-identical against (and the baseline the bench
-    /// harness times); it must never be "optimized".
+    /// is proven bit-identical against; it must never be "optimized".
     pub fn reference(configs: &[CacheConfig]) -> Self {
         Hierarchy::build(configs, true)
     }

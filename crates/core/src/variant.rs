@@ -202,10 +202,11 @@ impl Variant {
         self.tile.expect("untiled variant has no tile size")
     }
 
-    /// Is this variant executable for boxes of size `n`? Tiled variants
-    /// require `tile < n` (a tile covering the whole box degenerates to
-    /// the untiled schedule), and tile sizes must divide nothing in
-    /// particular — edge tiles are handled.
+    /// Is this variant executable for boxes of size `n`? Every variant
+    /// requires `n >= 1`; tiled variants require `tile < n` (a tile
+    /// covering the whole box degenerates to the untiled schedule), and
+    /// tile sizes must divide nothing in particular — edge tiles are
+    /// handled.
     pub fn valid_for_box(&self, n: i32) -> bool {
         self.validate_for_box(n).is_ok()
     }
@@ -224,6 +225,9 @@ impl Variant {
             };
             Err(InvalidVariant { variant, box_size: n, reason })
         };
+        if n < 1 {
+            return reject("box size must be at least 1".into());
+        }
         if let IntraTile::Hierarchical(inner) = self.intra {
             if self.category != Category::OverlappedTile {
                 return reject("hierarchical intra-tile schedules require overlapped tiles".into());
@@ -482,6 +486,19 @@ mod tests {
         let mut b = Variant::baseline();
         b.tile = Some(8);
         assert!(b.validate_for_box(128).unwrap_err().reason.contains("untiled"));
+    }
+
+    #[test]
+    fn non_positive_box_sizes_are_rejected() {
+        for v in [Variant::baseline(), Variant::blocked_wavefront(CompLoop::Outside, 4)] {
+            for n in [0, -4] {
+                let err = v.validate_for_box(n).unwrap_err();
+                assert_eq!(err.box_size, n);
+                assert!(err.reason.contains("at least 1"), "{err}");
+            }
+            assert!(v.valid_for_box(8));
+        }
+        assert!(Variant::baseline().valid_for_box(1));
     }
 
     #[test]

@@ -99,11 +99,6 @@ fn cli(mut v: Variant) -> Variant {
     v
 }
 
-fn within(mut v: Variant) -> Variant {
-    v.gran = Granularity::WithinBox;
-    v
-}
-
 /// The machine-specific best N=128 variant highlighted in Figures 2–4
 /// (the diamond-marked series).
 pub fn best_variant_fig234(spec: &MachineSpec) -> (String, Variant) {
@@ -265,7 +260,6 @@ pub fn fig9_candidates(gran: Granularity, n: i32) -> Vec<Variant> {
             out.push(Variant::overlapped(IntraTile::Basic, t, gran));
         }
     }
-    let _ = within; // helper retained for API completeness
     out
 }
 

@@ -76,9 +76,9 @@ pub struct ParallelStats {
 impl ParallelStats {
     /// The shard-balance bound: total ops over the largest shard's ops.
     /// This is the host-independent ceiling on replay-side speedup —
-    /// `K` perfectly balanced shards score `K`. The bench harness gates
-    /// on it when the host has fewer cores than requested threads (a
-    /// wall-clock below the bound measures the host, not the split).
+    /// `K` perfectly balanced shards score `K`. Deterministic, so
+    /// `tests/parallel_point.rs` puts a floor under it where a wall
+    /// clock would measure the host, not the split.
     pub fn balance(&self) -> f64 {
         let total: u64 = self.shard_ops.iter().sum();
         let max = self.shard_ops.iter().copied().max().unwrap_or(0);

@@ -196,7 +196,7 @@ pub enum Engine {
 /// repetitions; large boxes stream through the caches anyway, so one
 /// pass is already steady state. Shared by every producer — the
 /// division must match the allocation pattern exactly.
-pub fn box_reps(n: i32) -> usize {
+pub(crate) fn box_reps(n: i32) -> usize {
     if n <= 32 {
         4
     } else if n <= 64 {

@@ -10,8 +10,8 @@
 
 use pdesched_cachesim::CacheConfig;
 use pdesched_core::{CompLoop, Granularity, IntraTile, Variant};
-use pdesched_machine::parallel::measure_box_traffic_parallel;
-use pdesched_machine::traffic::{measure_box_traffic, TrafficCache, TrafficMode};
+use pdesched_machine::parallel::{measure_box_traffic_parallel, ParallelStats};
+use pdesched_machine::traffic::{measure_box_traffic, BoxTraffic, TrafficCache, TrafficMode};
 
 fn small() -> Vec<CacheConfig> {
     vec![CacheConfig::new(8 * 1024, 4), CacheConfig::new(64 * 1024, 8)]
@@ -26,18 +26,32 @@ const THREADS: [usize; 3] = [1, 2, 8];
 fn check_point(variant: Variant, n: i32, configs: &[CacheConfig], ctx: &str) {
     let serial = measure_box_traffic(variant, n, configs);
     for threads in THREADS {
-        let (t, ps) = measure_box_traffic_parallel(variant, n, configs, threads);
-        assert_eq!(t, serial, "{ctx}: {variant} n={n} threads={threads} diverged from serial");
-        assert_eq!(
-            (t.l1_hit.to_bits(), t.llc_hit.to_bits()),
-            (serial.l1_hit.to_bits(), serial.llc_hit.to_bits()),
-            "{ctx}: {variant} n={n} threads={threads}: hit-ratio bits differ"
-        );
-        assert!(ps.nshards <= threads.max(1), "{ctx}: more shards than threads");
-        assert_eq!(ps.shard_ops.len(), ps.nshards);
-        // One thread is the serial sink, which routes nothing.
-        assert_eq!(ps.shard_ops.iter().sum::<u64>() > 0, threads > 1, "{ctx}: ops routed");
+        check_threads(variant, n, configs, threads, &serial, ctx);
     }
+}
+
+/// One sharded measurement against the serial one: every counter and
+/// hit-ratio bit equal. Returns the sink's provenance.
+fn check_threads(
+    variant: Variant,
+    n: i32,
+    configs: &[CacheConfig],
+    threads: usize,
+    serial: &BoxTraffic,
+    ctx: &str,
+) -> ParallelStats {
+    let (t, ps) = measure_box_traffic_parallel(variant, n, configs, threads);
+    assert_eq!(t, *serial, "{ctx}: {variant} n={n} threads={threads} diverged from serial");
+    assert_eq!(
+        (t.l1_hit.to_bits(), t.llc_hit.to_bits()),
+        (serial.l1_hit.to_bits(), serial.llc_hit.to_bits()),
+        "{ctx}: {variant} n={n} threads={threads}: hit-ratio bits differ"
+    );
+    assert!(ps.nshards <= threads.max(1), "{ctx}: more shards than threads");
+    assert_eq!(ps.shard_ops.len(), ps.nshards);
+    // One thread is the serial sink, which routes nothing.
+    assert_eq!(ps.shard_ops.iter().sum::<u64>() > 0, threads > 1, "{ctx}: ops routed");
+    ps
 }
 
 /// The eight variants of the n=16 golden grids.
@@ -121,6 +135,26 @@ fn three_level_hierarchy_through_sharded_path() {
     ];
     for variant in [Variant::baseline(), Variant::shift_fuse()] {
         check_point(variant, 16, &configs, "three-level");
+    }
+}
+
+/// The shard-balance floor: four workers on a fully claimed plan must
+/// each get real work. `balance()` is total routed ops over the busiest
+/// shard's — deterministic, so it holds on a one-core host where a wall
+/// clock would only measure time-slicing. A router that piles the
+/// stream onto one shard scores 1.0.
+#[test]
+fn four_shards_share_the_claimed_streams() {
+    let mut fuse_cli = Variant::shift_fuse();
+    fuse_cli.comp = CompLoop::Inside;
+    for n in [16, 32] {
+        for v in [Variant::baseline(), Variant::shift_fuse(), fuse_cli] {
+            let serial = measure_box_traffic(v, n, &small());
+            let ps = check_threads(v, n, &small(), 4, &serial, "balance");
+            assert!(ps.used_symbolic, "{v} n={n}: plan not claimed");
+            assert_eq!(ps.nshards, 4, "{v} n={n}");
+            assert!(ps.balance() >= 2.0, "{v} n={n}: shard balance {:.2}", ps.balance());
+        }
     }
 }
 

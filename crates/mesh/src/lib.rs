@@ -23,7 +23,6 @@
 // Pointer-walk inner loops and per-direction index arithmetic are the
 // deliberate idiom here; the flagged clippy styles would obscure them.
 #![allow(clippy::needless_range_loop)]
-pub mod amr;
 pub mod boundary;
 pub mod copier;
 pub mod domain;
