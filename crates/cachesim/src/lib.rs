@@ -9,7 +9,8 @@
 //!
 //! Model:
 //! * levels are ordered L1 first, LLC last — in constructor slices,
-//!   in `Stats::levels`, and in `dirty_lines_by_level`,
+//!   in `Stats::levels`, and in `dirty_lines_by_level` (each level of
+//!   which is a set of lines, returned sorted: way order is layout),
 //! * per-level set-associative arrays with true-LRU replacement,
 //! * write-back, write-allocate at every level,
 //! * non-inclusive fill: a miss fills every level on the path,

@@ -1,28 +1,39 @@
-//! The fast path's packed cache-level representation.
+//! The fast path's packed cache-level representations.
 //!
-//! One `u64` word per way — `lru(34) | line(28) | dirty(1) | valid(1)`,
-//! LRU stamp in the high bits — so that:
+//! Two layouts, one per role:
 //!
-//! * a set probe is `assoc` masked compares over adjacent words (an
-//!   8-way set is exactly one 64-byte host cache line, where the
-//!   unpacked tag/LRU/dirty arrays of [`crate::level::CacheLevel`]
-//!   spread the same set over five);
-//! * victim selection needs no separate LRU pass: stamps are unique
-//!   (the per-level clock ticks on every probe and fill), so comparing
-//!   whole words *is* comparing recency, and an invalid way — all-zero
-//!   word — sorts below everything. "First strict minimum" therefore
-//!   reproduces `CacheLevel::fill`'s "first invalid way, else first
-//!   true-LRU way" exactly.
+//! * **L1** is a [`PackedLevel`]: one `u64` word per way —
+//!   `lru(34) | line(28) | dirty(1) | valid(1)`, LRU stamp in the high
+//!   bits. L1's recency lives *deferred* in the hierarchy's hot-line
+//!   table and is only written back when a fill needs a victim, so it
+//!   needs a stamp that can be materialized out of order. Stamps are
+//!   unique (the L1 clock ticks on every access), so comparing whole
+//!   words *is* comparing recency, and an invalid way — all-zero word —
+//!   sorts below everything: "first strict minimum" reproduces
+//!   `CacheLevel::fill`'s "first invalid way, else first true-LRU way".
+//! * **every level below L1** is an [`OrderedLevel`]: one `u32` per way
+//!   — `line(28) | dirty(1) | valid(1)` — and each set is *kept in
+//!   recency order*, most recently used first. Below L1 every event is
+//!   applied the moment it happens, so position can carry what a stamp
+//!   would: a hit moves its way to the front, a fill enters at the front
+//!   and drops the last way, a merged dirty victim stays where it is.
+//!   Under exactly those three rules position order equals the
+//!   reference's stamp order (hit → newest stamp, fill → newest stamp,
+//!   merge → stamp untouched), and never-filled ways — all-zero, always
+//!   at the end, because ways only ever enter at the front — are what a
+//!   fill drops first: the reference's "first invalid, else true-LRU"
+//!   victim. There is no clock, no stamp and no victim scan to keep.
 //!
 //! The packing bounds what the fast path can simulate: line indices
-//! below 2^28 (16 GiB of traced address space at 64-byte lines) and
-//! clocks below 2^34 (17 G accesses per level). Both are asserted, not
-//! assumed: [`LINE_LIMIT`] on every access (the hierarchy's window
+//! below 2^28 (16 GiB of traced address space at 64-byte lines) at every
+//! level, and an L1 clock below 2^34 (17 G accesses). Both are asserted,
+//! not assumed: [`LINE_LIMIT`] on every access (the hierarchy's window
 //! rebase), [`CLOCK_LIMIT`] once per measurement
 //! ([`PackedLevel::check_clock`], called by `Hierarchy::flush` — a
 //! clock only grows, so its final value bounds every stamp ever packed).
 //! Statistics equivalence with the unpacked reference is pinned by the
-//! property and golden tests layered above.
+//! differential test below and the property and golden tests layered
+//! above.
 
 use crate::config::CacheConfig;
 
@@ -44,33 +55,37 @@ fn key(line: u64) -> u64 {
     (line << 2) | 1
 }
 
-/// A set-associative, true-LRU cache level in packed form. Behaviorally
-/// identical to [`crate::level::CacheLevel`] (which the reference path
-/// keeps using); only the storage layout differs.
+/// Set mask of a level of geometry `cfg`, validated for the packed
+/// layouts.
+fn set_mask(cfg: CacheConfig) -> u64 {
+    cfg.validate();
+    let sets = cfg.sets();
+    // The hierarchy's window rebase subtracts a multiple of LINE_LIMIT,
+    // which preserves set indices only while the set count divides it.
+    assert!((sets as u64) <= LINE_LIMIT, "level has more sets than the packed line range");
+    (sets - 1) as u64
+}
+
+/// The fast path's L1: a set-associative, true-LRU cache level in
+/// stamped packed form. The hierarchy's hot-line front end does the
+/// probing and counting; this type holds the ways, picks victims and
+/// takes fills.
 pub(crate) struct PackedLevel {
     set_mask: u64,
     pub(crate) assoc: usize,
     /// One packed word per way, set-major.
     pub(crate) words: Box<[u64]>,
     pub(crate) clock: u64,
-    pub(crate) hits: u64,
     pub(crate) misses: u64,
 }
 
 impl PackedLevel {
     pub(crate) fn new(cfg: CacheConfig) -> Self {
-        cfg.validate();
-        let sets = cfg.sets();
-        // The hierarchy's window rebase subtracts a multiple of
-        // LINE_LIMIT, which preserves set indices only while the set
-        // count divides it.
-        assert!((sets as u64) <= LINE_LIMIT, "level has more sets than the packed line range");
         PackedLevel {
-            set_mask: (sets - 1) as u64,
+            set_mask: set_mask(cfg),
             assoc: cfg.assoc,
-            words: vec![0; sets * cfg.assoc].into_boxed_slice(),
+            words: vec![0; cfg.sets() * cfg.assoc].into_boxed_slice(),
             clock: 0,
-            hits: 0,
             misses: 0,
         }
     }
@@ -78,53 +93,6 @@ impl PackedLevel {
     #[inline(always)]
     pub(crate) fn set_start(&self, line: u64) -> usize {
         (line & self.set_mask) as usize * self.assoc
-    }
-
-    /// One pass over `line`'s set: the way holding `line`, if any, and
-    /// the way a fill of `line` would claim (first invalid way, else
-    /// first true-LRU way — word order is recency order, so the first
-    /// strict minimum decides). Both answers come from the same `assoc`
-    /// loads; the loop carries no early exit, so it compiles to compares
-    /// and conditional moves.
-    #[inline(always)]
-    fn scan(&self, line: u64) -> (Option<usize>, usize) {
-        let start = self.set_start(line);
-        let set = &self.words[start..start + self.assoc];
-        let k = key(line);
-        let (mut hit, mut victim, mut least) = (usize::MAX, 0, set[0]);
-        for (j, &word) in set.iter().enumerate() {
-            if word & MATCH_MASK == k {
-                hit = j;
-            }
-            if word < least {
-                least = word;
-                victim = j;
-            }
-        }
-        ((hit != usize::MAX).then(|| start + hit), start + victim)
-    }
-
-    /// Look up `line` for a read; on a hit re-stamp, on a miss return
-    /// the way [`PackedLevel::fill_at`] must claim for it. Counts the
-    /// hit or miss either way (reference `access` semantics). The
-    /// victim stays valid until that fill as long as nothing else
-    /// touches this set in between — which is how the hierarchy's miss
-    /// path runs: probe top-down, fill bottom-up, one line at a time.
-    #[inline]
-    pub(crate) fn access(&mut self, line: u64) -> Result<(), usize> {
-        self.clock += 1;
-        match self.scan(line) {
-            (Some(w), _) => {
-                self.words[w] =
-                    (self.clock << LRU_SHIFT) | (self.words[w] & ((1 << LRU_SHIFT) - 1));
-                self.hits += 1;
-                Ok(())
-            }
-            (None, victim) => {
-                self.misses += 1;
-                Err(victim)
-            }
-        }
     }
 
     /// Look up `line` without stamping or counting — the L1 front end
@@ -151,9 +119,9 @@ impl PackedLevel {
         j
     }
 
-    /// Insert `line` at way `w` — the victim a [`PackedLevel::access`]
-    /// miss or [`PackedLevel::victim_way`] named — evicting what the way
-    /// held. Returns the evicted line and its dirty bit, if any.
+    /// Insert `line` at way `w` — the victim [`PackedLevel::victim_way`]
+    /// named — evicting what the way held. Returns the evicted line and
+    /// its dirty bit, if any.
     pub(crate) fn fill_at(&mut self, w: usize, line: u64, dirty: bool) -> Option<(u64, bool)> {
         self.clock += 1;
         let old = self.words[w];
@@ -161,28 +129,11 @@ impl PackedLevel {
         (old & 1 != 0).then_some(((old >> 2) & (LINE_LIMIT - 1), old & 2 != 0))
     }
 
-    /// Land a dirty victim pushed down from the level above, as one set
-    /// transaction: if `line` is present the copies merge (mark dirty,
-    /// recency untouched), else it is filled dirty over the LRU way.
-    /// Returns what that fill evicted, if anything.
-    pub(crate) fn push_dirty(&mut self, line: u64) -> Option<(u64, bool)> {
-        match self.scan(line) {
-            (Some(w), _) => {
-                self.words[w] |= 2;
-                None
-            }
-            (None, victim) => self.fill_at(victim, line, true),
-        }
-    }
-
     /// Refuse a stream longer than the packed stamp can order: past
     /// [`CLOCK_LIMIT`] ticks a stamp no longer fits its 34 bits, and
     /// every LRU decision after that point compared truncated stamps.
     pub(crate) fn check_clock(&self) {
-        assert!(
-            self.clock < CLOCK_LIMIT,
-            "traced stream exceeds the fast path's 2^34 accesses per level"
-        );
+        assert!(self.clock < CLOCK_LIMIT, "traced stream exceeds the fast path's 2^34 L1 accesses");
     }
 
     /// Overwrite way `w`'s LRU stamp (and OR in a dirty bit): the
@@ -220,10 +171,156 @@ impl PackedLevel {
         }
         dirty
     }
+}
 
-    /// Line indices of the currently dirty lines, in way order.
-    pub(crate) fn dirty_lines(&self) -> Vec<u64> {
-        self.words.iter().filter(|&&w| w & 3 == 3).map(|&w| (w >> 2) & (LINE_LIMIT - 1)).collect()
+/// Dirty bit of an [`OrderedLevel`] way.
+const DIRTY: u32 = 2;
+
+/// What an ordered way held: its line and dirty bit, if it was valid.
+#[inline(always)]
+fn held(way: u32) -> Option<(u64, bool)> {
+    (way & 1 != 0).then_some(((way >> 2) as u64, way & DIRTY != 0))
+}
+
+/// The word [`position`] finds `line` by: its way with the valid and
+/// dirty bits set, so that a clean and a dirty copy both match.
+#[inline(always)]
+fn probe_key(line: u64) -> u32 {
+    debug_assert!(line < LINE_LIMIT);
+    (line << 2) as u32 | DIRTY | 1
+}
+
+/// Position of the way [`probe_key`]ed `k` in `set`, or `set.len()`.
+/// Up to 32 ways (every fixed width of [`OrderedLevel::with_set`]) the
+/// scan has no early exit — a set holds a line at most once, so the
+/// compares fold into a bitmask: where a level mostly hits, the hit's
+/// position is as good as random, and an exit branch there mispredicts
+/// once per probe.
+#[inline(always)]
+fn position(set: &[u32], k: u32) -> usize {
+    if set.len() > u32::BITS as usize {
+        return set.iter().position(|&way| way | DIRTY == k).unwrap_or(set.len());
+    }
+    let mut found = 0u32;
+    for (j, &way) in set.iter().enumerate() {
+        found |= ((way | DIRTY == k) as u32) << j;
+    }
+    if found == 0 {
+        set.len()
+    } else {
+        found.trailing_zeros() as usize
+    }
+}
+
+/// Make `front` the first way of `set`, moving ways `0..p` down by one:
+/// way `p` is overwritten, the ways past it stay.
+#[inline(always)]
+fn enter(set: &mut [u32], p: usize, front: u32) {
+    set.copy_within(0..p, 1);
+    set[0] = front;
+}
+
+/// A set-associative, true-LRU cache level whose sets are kept in
+/// recency order (see the module docs). Behaviorally identical to
+/// [`crate::level::CacheLevel`], which the reference path keeps using.
+pub(crate) struct OrderedLevel {
+    set_mask: u64,
+    assoc: usize,
+    /// One packed way per slot, set-major, each set most recent first.
+    ways: Box<[u32]>,
+    pub(crate) hits: u64,
+    pub(crate) misses: u64,
+}
+
+impl OrderedLevel {
+    pub(crate) fn new(cfg: CacheConfig) -> Self {
+        OrderedLevel {
+            set_mask: set_mask(cfg),
+            assoc: cfg.assoc,
+            ways: vec![0; cfg.sets() * cfg.assoc].into_boxed_slice(),
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    /// Run one set transaction on `line`'s set: at a fixed width for the
+    /// associativities the modeled machines have, so `f`'s scan unrolls
+    /// and its shift knows its bound, and at the set's own length
+    /// otherwise.
+    #[inline(always)]
+    fn with_set<R>(&mut self, line: u64, f: impl Fn(&mut [u32]) -> R) -> R {
+        let start = (line & self.set_mask) as usize * self.assoc;
+        let set = &mut self.ways[start..start + self.assoc];
+        match set.len() {
+            8 => f(&mut set[..8]),
+            12 => f(&mut set[..12]),
+            16 => f(&mut set[..16]),
+            20 => f(&mut set[..20]),
+            _ => f(set),
+        }
+    }
+
+    /// Demand `line`: a hit moves it to the front; a miss fills it
+    /// clean at the front, dropping the set's last way. Counts the hit
+    /// or miss. This is the reference's `access`, then `fill` on a miss,
+    /// as one set transaction — the hierarchy settles the levels below
+    /// between the two, and nothing down there touches this level.
+    /// `Err` carries what the fill evicted: line and dirty bit, if the
+    /// dropped way was valid.
+    #[inline]
+    pub(crate) fn demand(&mut self, line: u64) -> Result<(), Option<(u64, bool)>> {
+        let k = probe_key(line);
+        let (hit, old) = self.with_set(line, |set| {
+            let p = position(set, k);
+            let hit = p < set.len();
+            // A miss drops the last way — a branch of its own, so that at
+            // a fixed width the move has a constant length.
+            let p = if hit { p } else { set.len() - 1 };
+            let old = set[p];
+            enter(set, p, if hit { old } else { k & !DIRTY });
+            (hit, old)
+        });
+        self.hits += hit as u64;
+        self.misses += !hit as u64;
+        if hit {
+            Ok(())
+        } else {
+            Err(held(old))
+        }
+    }
+
+    /// Land a dirty victim pushed down from the level above: if `line`
+    /// is present the copies merge (mark dirty, recency untouched), else
+    /// it is filled dirty at the front. Returns what that fill evicted,
+    /// if anything.
+    #[inline]
+    pub(crate) fn push_dirty(&mut self, line: u64) -> Option<(u64, bool)> {
+        let k = probe_key(line);
+        self.with_set(line, |set| {
+            let p = position(set, k);
+            if p < set.len() {
+                set[p] = k;
+                return None;
+            }
+            let last = set.len() - 1;
+            let old = set[last];
+            enter(set, last, k);
+            held(old)
+        })
+    }
+
+    /// Drain every dirty line, returning how many there were, and mark
+    /// everything invalid.
+    pub(crate) fn flush(&mut self) -> u64 {
+        let dirty = self.dirty_lines().count();
+        self.ways.fill(0);
+        dirty as u64
+    }
+
+    /// Line indices of the currently dirty lines, in no particular
+    /// order (ways move).
+    pub(crate) fn dirty_lines(&self) -> impl Iterator<Item = u64> + '_ {
+        self.ways.iter().filter(|&&w| w & 3 == 3).map(|&w| (w >> 2) as u64)
     }
 }
 
@@ -232,105 +329,109 @@ mod tests {
     use super::*;
     use crate::level::{CacheLevel, Probe};
 
-    fn tiny() -> PackedLevel {
+    fn tiny() -> OrderedLevel {
         // 4 sets x 2 ways x 64B = 512 B
-        PackedLevel::new(CacheConfig::new(512, 2))
+        OrderedLevel::new(CacheConfig::new(512, 2))
     }
 
-    /// Fill `line` where the LRU policy puts it (no probe first).
-    fn fill(l: &mut PackedLevel, line: u64, dirty: bool) -> Option<(u64, bool)> {
-        let w = l.victim_way(line);
-        l.fill_at(w, line, dirty)
+    fn sorted_dirty(l: &OrderedLevel) -> Vec<u64> {
+        let mut lines: Vec<u64> = l.dirty_lines().collect();
+        lines.sort_unstable();
+        lines
     }
 
     #[test]
     fn hit_after_fill() {
         let mut l = tiny();
-        let victim = l.access(5).expect_err("cold probe misses");
-        assert_eq!(victim, l.victim_way(5));
-        assert_eq!(l.fill_at(victim, 5, false), None);
-        assert_eq!(l.access(5), Ok(()));
+        assert_eq!(l.demand(5), Err(None), "cold probe misses into a free way");
+        assert_eq!(l.demand(5), Ok(()));
         assert_eq!((l.hits, l.misses), (1, 1));
-        assert_eq!(l.find(5), Some(l.set_start(5)));
-        assert_eq!(l.find(13), None);
     }
 
     #[test]
     fn lru_eviction_order() {
         let mut l = tiny();
-        fill(&mut l, 0, false);
-        fill(&mut l, 4, false);
-        assert!(l.access(0).is_ok());
-        let victim = l.access(8).expect_err("8 is absent");
-        assert_eq!(l.fill_at(victim, 8, false), Some((4, false)));
-        assert!(l.access(0).is_ok());
-        assert!(l.access(4).is_err());
+        // Lines 0, 4, 8 map to set 0 (4 sets).
+        assert_eq!(l.demand(0), Err(None));
+        assert_eq!(l.demand(4), Err(None));
+        assert_eq!(l.demand(0), Ok(())); // 4 is LRU now
+        assert_eq!(l.demand(8), Err(Some((4, false))));
+        assert_eq!(l.demand(0), Ok(()));
+        assert_eq!(l.demand(4), Err(Some((8, false))));
     }
 
     #[test]
     fn dirty_travels_with_eviction() {
         let mut l = tiny();
-        fill(&mut l, 0, false);
+        assert_eq!(l.demand(0), Err(None));
         assert_eq!(l.push_dirty(0), None); // merged: dirty now, recency untouched
-        fill(&mut l, 4, false);
-        assert_eq!(fill(&mut l, 8, false), Some((0, true)));
+        assert_eq!(l.demand(4), Err(None));
+        assert_eq!(l.demand(8), Err(Some((0, true))));
     }
 
     #[test]
     fn flush_and_dirty_lines() {
         let mut l = tiny();
-        fill(&mut l, 1, true);
-        fill(&mut l, 2, false);
-        fill(&mut l, 3, true);
-        assert_eq!(l.dirty_lines(), vec![1, 3]);
+        assert_eq!(l.push_dirty(1), None);
+        assert_eq!(l.demand(2), Err(None));
+        assert_eq!(l.push_dirty(3), None);
+        assert_eq!(sorted_dirty(&l), vec![1, 3]);
         assert_eq!(l.push_dirty(2), None);
         assert_eq!(l.push_dirty(11), None, "absent: filled dirty into a free way");
         assert_eq!(l.flush(), 4);
-        assert!(l.access(1).is_err());
-        assert!(l.dirty_lines().is_empty());
+        assert_eq!(l.demand(1), Err(None));
+        assert_eq!(l.dirty_lines().count(), 0);
     }
 
-    /// Packed and unpacked levels must agree step by step on a random
-    /// mixed stream: the one-scan transactions give the same hits, the
-    /// same victims (way and evicted line), the same dirty sets as
-    /// `CacheLevel::{access, fill, merge_dirty}`.
+    /// Ordered and unpacked levels must agree step by step on a random
+    /// mixed stream, at every fixed-width associativity and through the
+    /// generic fallback: the same hits, the same evicted line and dirty
+    /// bit, the same counters and dirty sets as
+    /// `CacheLevel::{access, fill, merge_dirty}` — across a mid-stream
+    /// flush that leaves sets partly filled.
     #[test]
-    fn packed_matches_unpacked_levels() {
-        let mut state = 0x243f6a8885a308d3u64;
-        let mut rng = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            state >> 33
-        };
-        let mut packed = PackedLevel::new(CacheConfig::new(2048, 4));
-        let mut plain = CacheLevel::new(CacheConfig::new(2048, 4));
-        for _ in 0..20_000 {
-            let line = rng() % 256;
-            if rng() % 3 != 0 {
-                // A demand: probe, and on a miss fill at the way the
-                // probe's scan named — sometimes clean, sometimes dirty.
-                let dirty = rng() % 4 == 0;
-                let hit = plain.access(line, false) == Probe::Hit;
-                match packed.access(line) {
-                    Ok(()) => assert!(hit, "line {line}: packed hit, plain miss"),
-                    Err(victim) => {
-                        assert!(!hit, "line {line}: packed miss, plain hit");
-                        assert_eq!(victim, packed.victim_way(line), "scan vs victim_way");
-                        assert_eq!(
-                            packed.fill_at(victim, line, dirty),
-                            plain.fill(line, dirty),
-                            "evicted line and dirty bit"
-                        );
+    fn ordered_matches_unpacked_levels() {
+        for assoc in [1, 2, 4, 8, 12, 16, 20] {
+            let mut state = 0x243f6a8885a308d3u64 ^ assoc as u64;
+            let mut rng = move || {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                state >> 33
+            };
+            // 8 sets; lines drawn from 3x the capacity.
+            let cfg = CacheConfig::new(8 * 64 * assoc, assoc);
+            let mut ordered = OrderedLevel::new(cfg);
+            let mut plain = CacheLevel::new(cfg);
+            let same_dirty = |ordered: &OrderedLevel, plain: &CacheLevel, step| {
+                let mut want = plain.dirty_lines();
+                want.sort_unstable();
+                assert_eq!(sorted_dirty(ordered), want, "{assoc}-way dirty set at step {step}");
+                assert_eq!((ordered.hits, ordered.misses), (plain.hits(), plain.misses()));
+            };
+            for step in 0..20_000 {
+                let line = rng() % (24 * assoc as u64);
+                let ctx = format!("{assoc}-way step {step} line {line}");
+                if rng() % 3 != 0 {
+                    // A demand: probe, and on a miss fill clean.
+                    let got = ordered.demand(line);
+                    match plain.access(line, false) {
+                        Probe::Hit => assert_eq!(got, Ok(()), "{ctx}"),
+                        Probe::Miss => assert_eq!(got, Err(plain.fill(line, false)), "{ctx}"),
                     }
+                } else {
+                    // A pushed-down dirty victim: merge if present, else
+                    // fill dirty — the reference's two calls in one.
+                    let want = if plain.merge_dirty(line) { None } else { plain.fill(line, true) };
+                    assert_eq!(ordered.push_dirty(line), want, "{ctx}");
                 }
-            } else {
-                // A pushed-down dirty victim: merge if present, else
-                // fill dirty — the reference's two calls in one.
-                let want = if plain.merge_dirty(line) { None } else { plain.fill(line, true) };
-                assert_eq!(packed.push_dirty(line), want);
+                if step % 997 == 0 {
+                    same_dirty(&ordered, &plain, step);
+                }
+                if step == 10_000 {
+                    assert_eq!(ordered.flush(), plain.flush(), "{assoc}-way mid-stream flush");
+                }
             }
+            same_dirty(&ordered, &plain, 20_000);
+            assert_eq!(ordered.flush(), plain.flush(), "{assoc}-way final flush");
         }
-        assert_eq!(packed.dirty_lines(), plain.dirty_lines());
-        assert_eq!((packed.hits, packed.misses), (plain.hits(), plain.misses()));
-        assert_eq!(packed.flush(), plain.flush());
     }
 }

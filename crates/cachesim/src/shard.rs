@@ -8,8 +8,8 @@
 //! power of two and the line size shared across levels. Pick a shard
 //! count `K` (power of two) dividing the *smallest* `S_i`: then
 //! `line mod K` determines `line mod S_i` up to the quotient at every
-//! level, so all state a line can ever touch — its set's LRU stamps at
-//! every level, its victim candidates, its writeback targets — lives
+//! level, so all state a line can ever touch — its set's recency order
+//! at every level, its victim candidates, its writeback targets — lives
 //! entirely inside the residue class `line mod K`. Concretely, writing
 //! `line = w + K·m`, the lines of residue `w` map to set
 //! `w + K·(m mod S_i/K)` of the full hierarchy, and the bijection
@@ -19,9 +19,10 @@
 //!
 //! Three facts carry the fast path's machinery across the split:
 //!
-//! * **Victim choice is per-set and order-relative.** LRU stamps come
-//!   from a per-hierarchy clock, but a victim is the strict minimum
-//!   stamp within one set — only the *relative* order of touches to
+//! * **Victim choice is per-set and order-relative.** L1's LRU stamps
+//!   come from a per-hierarchy clock, but a victim is the strict
+//!   minimum stamp within one set, and below L1 a set simply *is* its
+//!   ways in touch order — only the *relative* order of touches to
 //!   that set matters, and a shard replays its residue class's touches
 //!   in the same relative order the serial engine would.
 //! * **The hot-line filter is statistics-neutral.** The 512-slot
@@ -263,15 +264,16 @@ impl ShardedHierarchy {
         self.shards.iter().map(|s| s.dram_bytes()).sum()
     }
 
-    /// Dirty absolute line indexes per level (sorted) of the first (or
+    /// The set of dirty absolute line indexes per level of the first (or
     /// only) last level; see [`ShardedHierarchy::tail_dirty_lines`].
     pub fn dirty_lines_by_level(&self) -> Vec<Vec<u64>> {
         self.tail_dirty_lines(0)
     }
 
-    /// Dirty absolute line indexes per level (sorted) of the hierarchy
-    /// ending in last level `i`, reconstructed from each shard's local
-    /// lines via `global = local·K + shard`.
+    /// The set of dirty absolute line indexes per level of the hierarchy
+    /// ending in last level `i` — sorted ascending, as
+    /// [`Hierarchy::tail_dirty_lines`] returns them — reconstructed from
+    /// each shard's local lines via `global = local·K + shard`.
     pub fn tail_dirty_lines(&self, i: usize) -> Vec<Vec<u64>> {
         let mut out = vec![Vec::new(); self.levels];
         for (w, s) in self.shards.iter().enumerate() {
@@ -316,10 +318,7 @@ mod tests {
         assert_eq!(a.levels, b.levels, "{ctx}: per-level hits/misses");
         assert_eq!(a.dram_lines_read, b.dram_lines_read, "{ctx}: dram reads");
         assert_eq!(a.dram_lines_written, b.dram_lines_written, "{ctx}: dram writebacks");
-        let mut serial_dirty = serial.dirty_lines_by_level();
-        for lvl in &mut serial_dirty {
-            lvl.sort_unstable();
-        }
+        let serial_dirty = serial.dirty_lines_by_level();
         assert_eq!(sharded.dirty_lines_by_level(), serial_dirty, "{ctx}: dirty lines");
     }
 

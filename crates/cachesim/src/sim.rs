@@ -9,8 +9,9 @@
 //!   entry — so a table hit needs no tag re-validation against the
 //!   cache, and the LRU stamp and dirty bit are carried in the entry
 //!   itself and only materialized when a fill needs to pick a victim.
-//!   The levels themselves use the packed one-word-per-way layout of
-//!   [`crate::packed::PackedLevel`], and the run API
+//!   L1 is a stamped [`crate::packed::PackedLevel`]; every level below
+//!   it is a recency-ordered [`crate::packed::OrderedLevel`] (no clock,
+//!   no stamps: position in the set is the recency), and the run API
 //!   ([`Hierarchy::read_run`]/[`write_run`](Hierarchy::write_run))
 //!   touches each spanned line once, accounting the remaining elements
 //!   in closed form (advance the clock, refresh the stamp);
@@ -39,7 +40,7 @@
 
 use crate::config::CacheConfig;
 use crate::level::{CacheLevel, Probe};
-use crate::packed::{PackedLevel, LINE_LIMIT};
+use crate::packed::{OrderedLevel, PackedLevel, LINE_LIMIT};
 
 /// Per-level hit/miss counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -138,27 +139,27 @@ const NO_BASE: u64 = 1 << 63;
 struct Tail {
     /// The last level; `None` for a one-level hierarchy, whose only
     /// level is the L1 front end and whose tail is DRAM itself.
-    level: Option<PackedLevel>,
+    level: Option<OrderedLevel>,
     dram_lines_read: u64,
     dram_lines_written: u64,
 }
 
 impl Tail {
     /// A line that missed every level above is demanded from this tail:
-    /// a last-level hit re-stamps it, a miss fetches it from DRAM and
-    /// fills it clean over the way the probe's own scan picked (nothing
-    /// touches the set in between), writing back a dirty victim.
+    /// a last-level hit makes it most recent, a miss fetches it from
+    /// DRAM and fills it clean, writing back a dirty victim.
     #[inline]
     fn demand(&mut self, line: u64) {
-        let Some(l) = &mut self.level else {
-            self.dram_lines_read += 1;
-            return;
+        let evicted = match &mut self.level {
+            Some(l) => match l.demand(line) {
+                Ok(()) => return,
+                Err(evicted) => evicted,
+            },
+            None => None,
         };
-        if let Err(victim) = l.access(line) {
-            self.dram_lines_read += 1;
-            if let Some((_, true)) = l.fill_at(victim, line, false) {
-                self.dram_lines_written += 1;
-            }
+        self.dram_lines_read += 1;
+        if let Some((_, true)) = evicted {
+            self.dram_lines_written += 1;
         }
     }
 
@@ -194,7 +195,7 @@ pub struct Hierarchy {
     /// it through one pointer, not two.
     l1p: PackedLevel,
     /// Fast-path levels between L1 and the last level, in order.
-    mids: Vec<PackedLevel>,
+    mids: Vec<OrderedLevel>,
     /// Fast-path last levels, fed in order by every event that leaves
     /// the front (empty in reference mode).
     tails: Vec<Tail>,
@@ -244,16 +245,16 @@ impl Hierarchy {
         let mut h = Hierarchy::build(&configs, false);
         // With no front the single last level is the L1 `build` made;
         // what is left below it is DRAM alone.
-        let levels: Vec<Option<PackedLevel>> = if front.is_empty() {
+        let levels: Vec<Option<OrderedLevel>> = if front.is_empty() {
             vec![None]
         } else {
-            lasts.iter().map(|&c| Some(PackedLevel::new(c))).collect()
+            lasts.iter().map(|&c| Some(OrderedLevel::new(c))).collect()
         };
         h.tails = levels
             .into_iter()
             .map(|level| Tail { level, dram_lines_read: 0, dram_lines_written: 0 })
             .collect();
-        h.mids = front.iter().skip(1).map(|&c| PackedLevel::new(c)).collect();
+        h.mids = front.iter().skip(1).map(|&c| OrderedLevel::new(c)).collect();
         h
     }
 
@@ -327,7 +328,7 @@ impl Hierarchy {
     /// that tail's own. Assembled on demand: in fast mode L1 hits are
     /// derived (`accesses − misses`) rather than counted per access.
     pub fn tail_stats(&self, i: usize) -> Stats {
-        let level_stats = |l: &PackedLevel| LevelStats { hits: l.hits, misses: l.misses };
+        let level_stats = |l: &OrderedLevel| LevelStats { hits: l.hits, misses: l.misses };
         let (levels, dram_lines_read, dram_lines_written) = if self.reference {
             let levels = self
                 .ref_levels
@@ -599,11 +600,12 @@ impl Hierarchy {
     }
 
     /// Bring `line` into every level from `mids[i]` down to the first
-    /// one already holding it. Each level sees the reference's event
-    /// order — its probe, then (after everything below it has settled)
-    /// its fill — and the fill claims the way the probe's own scan
-    /// picked: nothing touches that set in between. Past the last mid
-    /// level the demand goes to every tail.
+    /// one already holding it. The reference probes top-down and fills
+    /// bottom-up; a level's probe and fill are one set transaction here
+    /// because nothing below touches that level in between — what must
+    /// keep the reference's order is what the levels *below* see: this
+    /// line's demand first, the fill's dirty victim after. Past the last
+    /// mid level the demand goes to every tail.
     fn fetch_below(&mut self, line: u64, i: usize) {
         if i == self.mids.len() {
             for t in &mut self.tails {
@@ -611,10 +613,10 @@ impl Hierarchy {
             }
             return;
         }
-        if let Err(victim) = self.mids[i].access(line) {
+        if let Err(evicted) = self.mids[i].demand(line) {
             self.fetch_below(line, i + 1);
-            if let Some((evicted, true)) = self.mids[i].fill_at(victim, line, false) {
-                self.push_down(evicted, i + 1);
+            if let Some((victim, true)) = evicted {
+                self.push_down(victim, i + 1);
             }
         }
     }
@@ -710,11 +712,12 @@ impl Hierarchy {
     /// this accounting would change measured traffic and therefore
     /// require a `STORE_VERSION` bump in `pdesched-machine`.)
     ///
-    /// This is also where the fast path answers for its packed LRU
-    /// clocks: every measurement ends here, a clock only grows, and no
-    /// statistic is read before the flush — so one check per level per
-    /// flush refuses an over-long stream before any number built on
-    /// truncated stamps gets out, at no cost to the access path.
+    /// This is also where the fast path answers for L1's packed LRU
+    /// clock (the only one: levels below L1 keep recency by position):
+    /// every measurement ends here, a clock only grows, and no statistic
+    /// is read before the flush — so one check per flush refuses an
+    /// over-long stream before any number built on truncated stamps
+    /// gets out, at no cost to the access path.
     pub fn flush(&mut self) {
         if self.reference {
             let written: u64 = self.ref_levels.iter_mut().map(|l| l.flush()).sum();
@@ -724,50 +727,53 @@ impl Hierarchy {
         for slot in 0..HOT_SLOTS {
             self.retire_hot(slot);
         }
-        for l in std::iter::once(&mut self.l1p).chain(&mut self.mids) {
-            l.check_clock();
+        self.l1p.check_clock();
+        self.front_flushed += self.l1p.flush();
+        for l in &mut self.mids {
             self.front_flushed += l.flush();
         }
         for t in &mut self.tails {
             if let Some(l) = &mut t.level {
-                l.check_clock();
                 t.dram_lines_written += l.flush();
             }
         }
     }
 
-    /// Per-level dirty-line indices, L1 first, LLC last, of the first
-    /// (or only) last level; see [`Hierarchy::tail_dirty_lines`].
+    /// Per-level dirty-line sets, L1 first, LLC last, of the first (or
+    /// only) last level; see [`Hierarchy::tail_dirty_lines`].
     pub fn dirty_lines_by_level(&self) -> Vec<Vec<u64>> {
         self.tail_dirty_lines(0)
     }
 
-    /// Per-level dirty-line indices of the hierarchy ending in last
-    /// level `i`, L1 first (tests/diagnostics). Includes dirtiness still
-    /// deferred in the hot table.
+    /// The set of dirty lines at each level of the hierarchy ending in
+    /// last level `i`, L1 first, each level's absolute line indices
+    /// sorted ascending (tests/diagnostics). A set, not a way listing:
+    /// which way holds a line is a layout detail the engines do not
+    /// share. Includes dirtiness still deferred in the hot table.
     pub fn tail_dirty_lines(&self, i: usize) -> Vec<Vec<u64>> {
-        if self.reference {
-            return self.ref_levels.iter().map(|l| l.dirty_lines()).collect();
+        let mut levels: Vec<Vec<u64>> = if self.reference {
+            self.ref_levels.iter().map(|l| l.dirty_lines()).collect()
+        } else {
+            // Undo the window rebase so callers see absolute line indices.
+            let base = if self.line_base == NO_BASE { 0 } else { self.line_base };
+            let l1 = (0..self.l1p.words.len())
+                .filter_map(|w| {
+                    let wline = self.l1p.line_of(w)?;
+                    let slot = (wline as usize) & (HOT_SLOTS - 1);
+                    let e = &self.hot[slot];
+                    let dirty = self.l1p.is_dirty(w) || (e.line as u64 == wline && e.dirty != 0);
+                    dirty.then_some(wline + base)
+                })
+                .collect();
+            let below = self.mids.iter().chain(&self.tails[i].level);
+            std::iter::once(l1)
+                .chain(below.map(|l| l.dirty_lines().map(|ln| ln + base).collect()))
+                .collect()
+        };
+        for lines in &mut levels {
+            lines.sort_unstable();
         }
-        // Undo the window rebase so callers see absolute line indices.
-        let base = if self.line_base == NO_BASE { 0 } else { self.line_base };
-        let l1 = (0..self.l1p.words.len())
-            .filter_map(|w| {
-                let wline = self.l1p.line_of(w)?;
-                let slot = (wline as usize) & (HOT_SLOTS - 1);
-                let e = &self.hot[slot];
-                let dirty = self.l1p.is_dirty(w) || (e.line as u64 == wline && e.dirty != 0);
-                dirty.then_some(wline + base)
-            })
-            .collect();
-        std::iter::once(l1)
-            .chain(
-                self.mids
-                    .iter()
-                    .chain(&self.tails[i].level)
-                    .map(|l| l.dirty_lines().into_iter().map(|ln| ln + base).collect()),
-            )
-            .collect()
+        levels
     }
 }
 
@@ -1174,23 +1180,20 @@ mod tests {
         assert_same_state(&fast, &reference);
     }
 
-    /// A stream longer than the packed LRU stamp can order (2^34 ticks
-    /// of any one level's clock) is refused at the flush that ends the
-    /// measurement — in release builds too — whichever level overran.
+    /// A stream longer than L1's packed LRU stamp can order (2^34 ticks
+    /// of its clock, which ticks on every access) is refused at the
+    /// flush that ends the measurement — in release builds too. The
+    /// levels below L1 keep recency by position and have no clock to
+    /// overrun.
     #[test]
     fn flush_refuses_a_stream_past_the_packed_clock() {
         let near = crate::packed::CLOCK_LIMIT - 4;
-        let overrun = |set_clock: fn(&mut Hierarchy, u64)| {
-            let mut h = small();
-            set_clock(&mut h, near);
-            h.read_run(0, 8); // one L1 miss, one L2 probe + fill, 8 L1 ticks
-            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| h.flush()));
-            r.err().and_then(|p| p.downcast_ref::<&str>().copied()).unwrap_or_default()
-        };
-        let msg = overrun(|h, c| h.l1p.clock = c);
-        assert!(msg.contains("2^34 accesses per level"), "L1 overrun not refused: {msg:?}");
-        let msg = overrun(|h, c| h.tails[0].level.as_mut().unwrap().clock = c + 2);
-        assert!(msg.contains("2^34 accesses per level"), "LLC overrun not refused: {msg:?}");
+        let mut h = small();
+        h.l1p.clock = near;
+        h.read_run(0, 8); // one L1 miss, 8 L1 ticks
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| h.flush()));
+        let msg = r.err().and_then(|p| p.downcast_ref::<&str>().copied()).unwrap_or_default();
+        assert!(msg.contains("2^34 L1 accesses"), "L1 overrun not refused: {msg:?}");
         // Just under the limit is fine.
         let mut h = small();
         h.l1p.clock = near - 8;
@@ -1200,7 +1203,11 @@ mod tests {
     }
 
     /// A stream spanning two 16 GiB windows cannot be packed: it must
-    /// fail loudly, never alias.
+    /// fail loudly, never alias. The window is also what keeps a line
+    /// inside the 28 bits of a `u32` way below L1: the last line of the
+    /// window must survive being a *victim* — evicted dirty from L1 into
+    /// the last level, evicted again from there to DRAM — not just being
+    /// probed.
     #[test]
     fn fast_path_rejects_cross_window_streams() {
         let mut h = Hierarchy::new(&[CacheConfig::new(512, 2)]);
@@ -1209,5 +1216,24 @@ mod tests {
             h.read(1usize << 40);
         }));
         assert!(r.is_err(), "cross-window address must fail loudly, not alias");
+
+        // One set per level, so every line contends with every other.
+        let cfgs = [CacheConfig::new(128, 2), CacheConfig::new(256, 4)];
+        let (mut fast, mut reference) = (Hierarchy::new(&cfgs), Hierarchy::reference(&cfgs));
+        let last = LINE_LIMIT - 1;
+        let stream = [last, last - 1, last - 2, last - 3, last - 4, last];
+        for (i, &line) in stream.iter().enumerate() {
+            fast.line_rep(line, 1, i == 0);
+            reference.line_rep(line, 1, i == 0);
+            assert_same_state(&fast, &reference);
+        }
+        // Dirty `last` left L1 on the third access and the LLC on the
+        // fifth: written back once, then fetched again.
+        assert_eq!(fast.stats().dram_lines_written, 1);
+        assert_eq!(fast.stats().dram_lines_read, 6);
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            fast.line_rep(LINE_LIMIT, 1, false);
+        }));
+        assert!(r.is_err(), "the first line past the window must be refused");
     }
 }

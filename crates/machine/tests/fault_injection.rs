@@ -5,10 +5,17 @@
 //!
 //! Expected "injected fault" panic messages in this test's stderr are
 //! the injections themselves, not failures.
+//!
+//! No test here may spawn a process: between `fork` and `exec` a child
+//! holds a copy of every open descriptor, a store lock's `flock` lives
+//! as long as any copy of its descriptor does, and a test that reopens
+//! its store meanwhile finds it "held" and comes up read-only. The
+//! two-process lock race lives in `fallback_lock_race.rs` for that
+//! reason.
 
 use pdesched_cachesim::CacheConfig;
 use pdesched_core::Variant;
-use pdesched_machine::{journal, traffic};
+use pdesched_machine::journal;
 use pdesched_machine::{FaultHook, SimPoint, SweepEngine, TrafficCache};
 use pdesched_testkit::{sorted_lines, FaultPlan, TempDir};
 use std::sync::Arc;
@@ -403,63 +410,6 @@ fn journal_cut_with_non_utf8_tail_stays_loadable_and_counted() {
                 assert_eq!(prior.as_ref().unwrap().failed, 1, "cut at {b}");
             }
         }
-    }
-}
-
-/// Helper for the two-process steal test below: a child process re-runs
-/// this test binary filtered to this "test", which races one fallback
-/// (O_EXCL, flock-less) lock acquisition and reports the verdict on
-/// stdout. A plain run (no env var) is a no-op pass.
-#[test]
-fn fallback_lock_contender_helper() {
-    let Some(lock) = std::env::var_os("PDESCHED_FALLBACK_LOCK") else {
-        return;
-    };
-    let lock = std::path::PathBuf::from(lock);
-    match traffic::try_acquire_lock_fallback(&lock) {
-        Some(_held) => {
-            println!("VERDICT=ACQUIRED");
-            // Hold the lock long enough that the loser's attempt fully
-            // overlaps; the file outlives us (conceders never unlink).
-            std::thread::sleep(std::time::Duration::from_millis(200));
-        }
-        None => println!("VERDICT=CONCEDED"),
-    }
-}
-
-/// Regression for the fallback-lock steal race (two *processes*, the
-/// deployment the fallback path actually serves): both contenders see
-/// the same dead holder's lock file, both enter the steal path, and the
-/// re-verify-after-write step must let exactly one keep the lock —
-/// never zero, never both.
-#[test]
-fn fallback_lock_steal_race_grants_exactly_one_process() {
-    let exe = std::env::current_exe().unwrap();
-    for round in 0..5 {
-        let dir = TempDir::new("fallback2p");
-        let lock = dir.file("t.txt.lock");
-        std::fs::write(&lock, "4294967295").unwrap(); // dead holder
-        let children: Vec<std::process::Child> = (0..2)
-            .map(|_| {
-                std::process::Command::new(&exe)
-                    .args(["--exact", "fallback_lock_contender_helper", "--nocapture"])
-                    .env("PDESCHED_FALLBACK_LOCK", &lock)
-                    .stdout(std::process::Stdio::piped())
-                    .spawn()
-                    .unwrap()
-            })
-            .collect();
-        let verdicts: Vec<String> = children
-            .into_iter()
-            .map(|c| String::from_utf8(c.wait_with_output().unwrap().stdout).unwrap())
-            .collect();
-        let acquired = verdicts.iter().filter(|v| v.contains("VERDICT=ACQUIRED")).count();
-        let conceded = verdicts.iter().filter(|v| v.contains("VERDICT=CONCEDED")).count();
-        assert_eq!(acquired + conceded, 2, "round {round}: {verdicts:?}");
-        assert_eq!(acquired, 1, "round {round}: exactly one steal may win: {verdicts:?}");
-        // The winner's pid is what the lock file records.
-        let content = std::fs::read_to_string(&lock).unwrap();
-        assert!(content.trim().parse::<u32>().is_ok(), "round {round}: {content:?}");
     }
 }
 
