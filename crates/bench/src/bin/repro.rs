@@ -377,8 +377,7 @@ fn main() {
     let engine = SweepEngine::new(threads)
         .with_progress(true)
         .with_budget(SweepBudget {
-            point_deadline,
-            sweep_deadline: None, // the monitor thread owns the run deadline
+            point_deadline, // the monitor thread owns the run deadline
             max_retries: 2,
             backoff: Duration::from_millis(50),
         })

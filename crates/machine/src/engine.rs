@@ -87,18 +87,17 @@ pub struct SkippedPoint {
 
 /// Time and retry budget for one [`SweepEngine::prewarm`] call.
 ///
-/// Deadlines are enforced by a watchdog thread that trips the relevant
-/// [`CancelToken`]: the whole-sweep deadline trips the sweep token
-/// (remaining points are left unmeasured and the report comes back
-/// [`PrewarmReport::cancelled`]); the per-point deadline trips only that
-/// point's child token (the point lands in
-/// [`PrewarmReport::timed_out`] and every other point proceeds).
+/// The per-point deadline is enforced by a watchdog thread that trips
+/// only that point's child [`CancelToken`] (the point lands in
+/// [`PrewarmReport::timed_out`] and every other point proceeds). A
+/// deadline for the whole sweep is the caller's: trip the engine's
+/// token ([`SweepEngine::with_cancel_token`]) and the remaining points
+/// are left unmeasured, the report coming back
+/// [`PrewarmReport::cancelled`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SweepBudget {
     /// Wall-clock limit for a single point's measurement.
     pub point_deadline: Option<Duration>,
-    /// Wall-clock limit for the whole sweep.
-    pub sweep_deadline: Option<Duration>,
     /// Extra attempts for a transiently failing store append
     /// (forwarded to [`TrafficCache::set_append_retry`]).
     pub max_retries: u32,
@@ -109,12 +108,7 @@ pub struct SweepBudget {
 
 impl Default for SweepBudget {
     fn default() -> Self {
-        SweepBudget {
-            point_deadline: None,
-            sweep_deadline: None,
-            max_retries: 0,
-            backoff: Duration::from_millis(25),
-        }
+        SweepBudget { point_deadline: None, max_retries: 0, backoff: Duration::from_millis(25) }
     }
 }
 
@@ -266,9 +260,8 @@ impl SweepEngine {
     /// that member alone; the rest of its pass is measured.) Under a
     /// [`SweepBudget`] a watchdog additionally kills individual passes
     /// that exceed the per-point deadline (their points are reported in
-    /// [`PrewarmReport::timed_out`]) and
-    /// cancels the whole sweep at the sweep deadline; an engine-level
-    /// [`CancelToken`] cancels it externally. However the sweep stops,
+    /// [`PrewarmReport::timed_out`]); an engine-level
+    /// [`CancelToken`] cancels the whole sweep. However the sweep stops,
     /// every completed point is already durably appended to the store
     /// and a journal sidecar marks the interruption, so re-running the
     /// same prewarm resumes with exactly the missing points and ends
@@ -372,11 +365,8 @@ impl SweepEngine {
         let stop_cv = Condvar::new();
 
         let run_result = std::thread::scope(|s| {
-            let supervise = self.budget.sweep_deadline.is_some()
-                || self.budget.point_deadline.is_some()
-                || self.heartbeat.is_some();
+            let supervise = self.budget.point_deadline.is_some() || self.heartbeat.is_some();
             if supervise && total > 0 {
-                let sweep_token = sweep_token.clone();
                 let budget = self.budget.clone();
                 let heartbeat = self.heartbeat;
                 let (slots, stop, stop_cv, done) = (&slots, &stop, &stop_cv, &done);
@@ -391,14 +381,6 @@ impl SweepEngine {
                             .0;
                         if *guard {
                             break;
-                        }
-                        if let Some(sd) = budget.sweep_deadline {
-                            if t0.elapsed() >= sd && !sweep_token.is_tripped() {
-                                sweep_token.trip(&format!(
-                                    "sweep deadline {:.3}s exceeded",
-                                    sd.as_secs_f64()
-                                ));
-                            }
                         }
                         if let Some(pd) = budget.point_deadline {
                             for slot in slots {

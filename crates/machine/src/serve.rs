@@ -29,8 +29,9 @@
 //! ```
 //!
 //! `variants` is ranked fastest-first; `source` says where each
-//! variant's traffic came from (`warm` = the in-memory store snapshot,
-//! `sim` = measured by this request, `analytic` = closed-form fallback
+//! variant's traffic came from (`warm` = already held by the server's
+//! [`TrafficCache`], loaded from the store or measured by an earlier
+//! request; `sim` = measured by this request, `analytic` = closed-form fallback
 //! in degraded mode); `series` is the predicted seconds of the top
 //! variant at 1..=threads threads (the figure series). Failures answer
 //! `{"ok":false,"error":...}` with the errors catalogued in DESIGN.md
@@ -83,14 +84,18 @@
 //!   checkpoint — an abandoned point never simulates into the void,
 //!   while one live follower keeps it running.
 //! * **Degradation**: when the store's writer flock is held elsewhere
-//!   the server runs read-only: warm answers come from the lock-free
-//!   snapshot ([`StoreReader`], refreshed per request so an external
-//!   writer's appends and compactions are picked up), cold points fall
-//!   back to the analytic model, and every response is tagged
-//!   `"stale":true` — if the operator allowed it (`stale_ok`);
-//!   otherwise requests answer `"stale_store"` and the server stays up.
-//!   [`Server::drain`] stops accepting, lets inflight requests finish,
-//!   then compacts the store to its canonical bytes.
+//!   the server runs read-only: the cache's store snapshot is refreshed
+//!   per request ([`TrafficCache::refresh_if_compacted`] — one `stat`,
+//!   and one re-read per change the external writer made), warm answers
+//!   come from it, cold points fall back to the analytic model, and
+//!   every response is tagged `"stale":true` — if the operator allowed
+//!   it (`stale_ok`); otherwise requests answer `"stale_store"` and the
+//!   server stays up. [`Server::drain`] stops accepting, lets inflight
+//!   requests finish, then compacts the store to its canonical bytes.
+//!
+//! The server keeps no store state of its own: the warm path is
+//! [`TrafficCache::peek`] (no counters, no flock), and a flight's
+//! measurement is in the cache before the flight leaves the map.
 
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
@@ -105,7 +110,7 @@ use crate::engine::SweepBudget;
 use crate::model::{self, Workload};
 use crate::spec::MachineSpec;
 use crate::sweep;
-use crate::traffic::{store_key_with_passes, StoreReader, TrafficCache, TrafficMode};
+use crate::traffic::{store_key_with_passes, TrafficCache, TrafficMode};
 use pdesched_core::{Pipeline, Variant};
 use pdesched_par::cancel::{self, CancelToken, Cancelled, InterestSet};
 
@@ -249,12 +254,6 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 struct ServerInner {
     cfg: ServeConfig,
     cache: TrafficCache,
-    /// Lock-free warm path: immutable store snapshot, refreshed when
-    /// the file's stamp changes (an external writer compacted).
-    reader: StoreReader,
-    /// Points measured by this server's own flights — newer than the
-    /// snapshot, consulted after it.
-    overlay: Mutex<HashMap<String, u64>>,
     flights: Mutex<HashMap<String, Arc<Flight>>>,
     machines: Vec<MachineSpec>,
     /// Memoised analytic rankings, keyed by (machine name, box edge,
@@ -307,18 +306,12 @@ impl Server {
             None => cache,
         };
         cache.set_append_retry(cfg.budget.max_retries, cfg.budget.backoff);
-        let reader = match &cfg.store {
-            Some(path) => StoreReader::open(path),
-            None => StoreReader::open(PathBuf::from("")),
-        };
         let mut machines = vec![MachineSpec::i5_desktop()];
         machines.extend(MachineSpec::evaluation_nodes());
 
         let inner = Arc::new(ServerInner {
             cfg,
             cache,
-            reader,
-            overlay: Mutex::new(HashMap::new()),
             flights: Mutex::new(HashMap::new()),
             machines,
             ranks: Mutex::new(HashMap::new()),
@@ -719,8 +712,10 @@ fn answer(
         Some(JVal::N(v)) if *v >= 1.0 && v.fract() == 0.0 => *v as i32,
         _ => return err_json("bad_request", "missing or non-integer field \"n\""),
     };
+    // Bounded by the longest domain edge *before* cubing: `n` comes off
+    // the wire and may be anything up to `i32::MAX`.
     let domain: usize = 512 * 384 * 256;
-    if n < 2 || !domain.is_multiple_of((n as usize).pow(3)) {
+    if !(2..=512).contains(&n) || !domain.is_multiple_of((n as usize).pow(3)) {
         return err_json(
             "bad_request",
             &format!("box edge {n} must divide the 512x384x256 domain"),
@@ -752,7 +747,7 @@ fn answer(
     };
 
     // Degradation policy: writer flock held elsewhere → read-only.
-    let stale = inner.cfg.store.is_some() && inner.cache.store_read_only();
+    let stale = inner.cache.store_read_only();
     if stale {
         if !inner.cfg.stale_ok {
             return err_json(
@@ -763,7 +758,6 @@ fn answer(
         // Pick up the external writer's appends/compactions: a cheap
         // stat when nothing changed, an atomic snapshot swap when the
         // file moved underneath us.
-        inner.reader.refresh();
         inner.cache.refresh_if_compacted();
     }
 
@@ -781,8 +775,8 @@ fn answer(
         if req_token.is_tripped() {
             return cancel_json(req_token);
         }
-        let (dram, source) = match warm_lookup(inner, &key) {
-            Some(dram) => (dram, "warm"),
+        let (dram, source) = match inner.cache.peek(&key) {
+            Some((t, _)) => (t.dram_bytes, "warm"),
             None if stale => {
                 // Read-only degradation: no simulation, answer from the
                 // closed-form model rather than block or die.
@@ -823,7 +817,7 @@ fn answer(
     out.push_str(&jstr(spec.name));
     out.push_str(&format!(
         ",\"n\":{n},\"threads\":{threads},\"stale\":{stale},\"generation\":{},\"variants\":[",
-        inner.reader.view().generation
+        inner.cache.store_generation()
     ));
     for (i, (_, row, _)) in rows.iter().enumerate() {
         if i > 0 {
@@ -901,15 +895,6 @@ fn push_row(rows: &mut Vec<Row>, variant: Variant, p: &model::Prediction, source
         fnum(p.overhead_s),
     );
     rows.push((p.seconds, row, variant));
-}
-
-/// The lock-free warm path: store snapshot first (no flock, no cache
-/// mutex), then the overlay of points this server measured itself.
-fn warm_lookup(inner: &ServerInner, key: &str) -> Option<u64> {
-    if let Some((t, _mode)) = inner.reader.view().get(key) {
-        return Some(t.dram_bytes);
-    }
-    lock(&inner.overlay).get(key).copied()
 }
 
 /// One point to measure: what a flight is keyed by and runs.
@@ -1016,11 +1001,8 @@ fn spawn_flight_worker(inner: &Arc<ServerInner>, flight: &Arc<Flight>, point: &C
             Ok(Err(e)) => Err(format!("pipeline rejected: {e}")),
             Err(payload) => Err(describe_panic(payload)),
         };
-        if let Ok(dram) = result {
-            lock(&inner.overlay).insert(key.clone(), dram);
-        }
-        // Publish order matters: overlay first (so a request arriving
-        // after the removal below finds the point warm), then drop the
+        // The cache already holds a measured point, so a request
+        // arriving after the removal below finds it warm. Drop the
         // flight from the map (failures too — the map is never
         // poisoned; a later request simply starts a fresh flight), then
         // wake the followers.

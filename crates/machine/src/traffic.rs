@@ -12,6 +12,7 @@
 //! two concurrent `repro` runs cannot interleave appends (the second run
 //! degrades to read-only memoization; the kernel releases a crashed
 //! writer's lock atomically, so stale-lock takeover cannot double-grant).
+//! A process holds a store in memory once — see [`TrafficCache`].
 
 use crate::adapter::TraceMem;
 use crate::fault::FaultHook;
@@ -370,9 +371,10 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that ran the cache simulator.
     pub misses: u64,
-    /// Store lines that failed checksum or shape validation on load
-    /// (torn appends, bit rot). They are quarantined next to the store,
-    /// never silently dropped.
+    /// Store lines that failed checksum or shape validation (torn
+    /// appends, bit rot) in the snapshot the cache serves. The writer
+    /// quarantined them next to the store on load; they are never
+    /// silently dropped.
     pub corrupt_lines: u64,
     /// Store appends that failed (I/O error or injected fault) after
     /// exhausting any configured retries. The measurement stays
@@ -409,14 +411,25 @@ pub struct CacheStats {
 /// header; a version mismatch discards the stale contents rather than
 /// serving measurements taken under a different key schema or simulator.
 /// See the module docs for the crash-safety guarantees.
+///
+/// In memory the cache is two disjoint parts: the store as its
+/// [`StoreReader`] snapshot (one loader walks the file, one parser
+/// reads its lines), and `fresh` — what this process measured since,
+/// each also appended to the file iff the cache is the store's writer.
+/// Every lookup is "view, then fresh". The writer never re-reads its own
+/// appends; a read-only cache follows an external writer through the
+/// reader's refresh, which drops from `fresh` whatever the store now
+/// holds; compaction writes the union.
 #[derive(Default)]
 pub struct TrafficCache {
-    map: Mutex<StoreMap>,
+    /// The backing store and its in-memory image; `None` = in-memory
+    /// cache.
+    reader: Option<StoreReader>,
+    /// Measured by this process and absent from the reader's view.
+    fresh: Mutex<StoreMap>,
     /// Measurement mode for misses (provenance-tags new store entries).
     mode: TrafficMode,
-    /// Store file; appends only happen when `owns_lock`.
-    store: Option<PathBuf>,
-    /// Lock file this cache owns.
+    /// Lock file this cache owns; appends only happen when it does.
     owned_lock: Option<PathBuf>,
     /// Open handle holding the exclusive `flock` on `owned_lock`; kept
     /// alive for the cache's lifetime so the kernel releases the lock
@@ -424,7 +437,6 @@ pub struct TrafficCache {
     lock_file: Option<std::fs::File>,
     hits: AtomicU64,
     misses: AtomicU64,
-    corrupt_lines: AtomicU64,
     store_errors: AtomicU64,
     retried_appends: AtomicU64,
     claimed_points: AtomicU64,
@@ -438,13 +450,6 @@ pub struct TrafficCache {
     /// retries per append, and the initial backoff in microseconds.
     retry_max: AtomicU32,
     retry_backoff_us: AtomicU64,
-    /// The store file's [`store_stamp`] as of the last load/reload —
-    /// what [`TrafficCache::refresh_if_compacted`] compares against to
-    /// notice another process rewriting the store underneath a
-    /// long-lived read-only cache.
-    loaded_stamp: Mutex<(u64, u64)>,
-    /// Bumped once per external reload ([`TrafficCache::store_generation`]).
-    store_generation: AtomicU64,
     fault: Option<Arc<dyn FaultHook>>,
 }
 
@@ -544,16 +549,19 @@ pub(crate) fn entry_line(key: &str, t: &BoxTraffic, mode: TrafficMode) -> String
 }
 
 /// Parse and verify one store line; `None` means corrupt (torn, edited,
-/// or bit-rotted — the checksum covers the exact payload bytes).
-pub(crate) fn parse_entry(line: &str) -> Option<(String, BoxTraffic, TrafficMode)> {
+/// or bit-rotted — the checksum covers the exact payload bytes). A v4
+/// line is `tagged` with its provenance; a v3 line has no tag field and
+/// was always simulated.
+pub(crate) fn parse_entry(line: &str, tagged: bool) -> Option<(String, BoxTraffic, TrafficMode)> {
     let (payload, sum_hex) = line.rsplit_once(' ')?;
     let sum = u64::from_str_radix(sum_hex, 16).ok()?;
     if sum != fnv1a64(payload.as_bytes()) {
         return None;
     }
     let mut it = payload.split_whitespace();
-    let (key, tag, d, r, w, l1, llc) =
-        (it.next()?, it.next()?, it.next()?, it.next()?, it.next()?, it.next()?, it.next()?);
+    let key = it.next()?;
+    let mode = if tagged { TrafficMode::from_tag(it.next()?)? } else { TrafficMode::Simulate };
+    let (d, r, w, l1, llc) = (it.next()?, it.next()?, it.next()?, it.next()?, it.next()?);
     if it.next().is_some() {
         return None;
     }
@@ -566,34 +574,7 @@ pub(crate) fn parse_entry(line: &str) -> Option<(String, BoxTraffic, TrafficMode
             l1_hit: l1.parse().ok()?,
             llc_hit: llc.parse().ok()?,
         },
-        TrafficMode::from_tag(tag)?,
-    ))
-}
-
-/// Parse one v3 entry line (no provenance tag). v3 measurements were all
-/// simulated, so migrated entries carry the `sim` tag.
-pub(crate) fn parse_entry_v3(line: &str) -> Option<(String, BoxTraffic, TrafficMode)> {
-    let (payload, sum_hex) = line.rsplit_once(' ')?;
-    let sum = u64::from_str_radix(sum_hex, 16).ok()?;
-    if sum != fnv1a64(payload.as_bytes()) {
-        return None;
-    }
-    let mut it = payload.split_whitespace();
-    let (key, d, r, w, l1, llc) =
-        (it.next()?, it.next()?, it.next()?, it.next()?, it.next()?, it.next()?);
-    if it.next().is_some() {
-        return None;
-    }
-    Some((
-        key.to_string(),
-        BoxTraffic {
-            dram_bytes: d.parse().ok()?,
-            reads: r.parse().ok()?,
-            writes: w.parse().ok()?,
-            l1_hit: l1.parse().ok()?,
-            llc_hit: llc.parse().ok()?,
-        },
-        TrafficMode::Simulate,
+        mode,
     ))
 }
 
@@ -733,13 +714,15 @@ fn try_acquire_lock(lock: &Path) -> Option<std::fs::File> {
 /// format is canonical, the bytes are a pure function of the entry set:
 /// a compacted store is byte-stable regardless of the order its entries
 /// were appended in.
-pub(crate) fn write_store_atomic(path: &Path, entries: &StoreMap) -> std::io::Result<()> {
-    let mut keys: Vec<&String> = entries.keys().collect();
-    keys.sort();
+pub(crate) fn write_store_atomic<'a>(
+    path: &Path,
+    entries: impl Iterator<Item = (&'a str, &'a (BoxTraffic, TrafficMode))>,
+) -> std::io::Result<()> {
+    let mut entries: Vec<_> = entries.collect();
+    entries.sort_unstable_by_key(|&(k, _)| k);
     let mut text = store_header();
     text.push('\n');
-    for k in keys {
-        let (t, mode) = &entries[k];
+    for (k, (t, mode)) in entries {
         text.push_str(&entry_line(k, t, *mode));
         text.push('\n');
     }
@@ -766,40 +749,46 @@ pub(crate) fn store_stamp(path: &Path) -> (u64, u64) {
     (mtime, meta.len())
 }
 
-/// Lock-free, read-only snapshot of a store: intact entries plus the
-/// count of corrupt lines. Accepts the current and the v3 grammar, never
-/// repairs, quarantines, or locks — this is a reader's view of a store
-/// that another process may still own (an append can tear mid-line
-/// under the reader; the torn tail shows up as one corrupt line and the
-/// next snapshot sees it whole). A missing or wrong-version file reads
-/// as empty.
-pub(crate) fn read_store_snapshot(path: &Path) -> (StoreMap, u64) {
-    let mut map = StoreMap::new();
-    let mut corrupt = 0u64;
+/// The one store loader: a lock-free read of the file as a generation-0
+/// [`StoreView`] stamped `stamp`. Accepts the current and the v3 grammar
+/// (v3 measurements are still valid — the simulator is unchanged, only
+/// the line format grew a provenance tag); a missing or wrong-version
+/// file reads as empty. It never repairs, quarantines, or locks — the
+/// file may belong to another process (an append can tear mid-line under
+/// the reader; the torn tail shows up as one corrupt line and the next
+/// read sees it whole). What a writer does about the damage is
+/// [`TrafficCache::with_store`]'s business.
+fn load_store(path: &Path, stamp: (u64, u64)) -> StoreView {
+    let mut view = StoreView {
+        generation: 0,
+        stamp,
+        map: StoreMap::new(),
+        corrupt_lines: 0,
+        corrupt: Vec::new(),
+        current: false,
+    };
     let Ok(text) = std::fs::read_to_string(path) else {
-        return (map, corrupt);
+        return view;
     };
     let mut lines = text.lines();
     let header = lines.next();
-    let parse = if header == Some(store_header().as_str()) {
-        parse_entry
-    } else if header == Some(V3_HEADER) {
-        parse_entry_v3
-    } else {
-        return (map, corrupt);
-    };
+    view.current = header == Some(store_header().as_str());
+    if !view.current && header != Some(V3_HEADER) {
+        return view;
+    }
     for line in lines {
         if line.trim().is_empty() {
             continue;
         }
-        match parse(line) {
+        match parse_entry(line, view.current) {
             Some((k, t, mode)) => {
-                map.insert(k, (t, mode));
+                view.map.insert(k, (t, mode));
             }
-            None => corrupt += 1,
+            None => view.corrupt.push(line.to_string()),
         }
     }
-    (map, corrupt)
+    view.corrupt_lines = view.corrupt.len() as u64;
+    view
 }
 
 /// One immutable, generation-stamped snapshot of a store file, produced
@@ -821,6 +810,12 @@ pub struct StoreView {
     /// in-flight append shows up here (and is absent from `map`) until
     /// the next reload sees it whole.
     pub corrupt_lines: u64,
+    /// Those lines, verbatim, for the writer to quarantine.
+    corrupt: Vec<String>,
+    /// Whether the file carried the current header. Otherwise it is
+    /// missing or foreign (read as empty) or v3 (its entries are in
+    /// `map`, tagged `sim`), and a writer owes it a rewrite.
+    current: bool,
 }
 
 impl StoreView {
@@ -840,8 +835,8 @@ impl StoreView {
     }
 
     /// The entries of this snapshot, for callers that need to iterate
-    /// (tests comparing whole generations; the serve warm path only
-    /// ever calls [`StoreView::get`]).
+    /// (compaction, tests comparing whole generations; lookups go
+    /// through [`StoreView::get`]).
     pub fn entries(&self) -> impl Iterator<Item = (&str, &(BoxTraffic, TrafficMode))> {
         self.map.iter().map(|(k, v)| (k.as_str(), v))
     }
@@ -852,7 +847,9 @@ impl StoreView {
 /// fresh one when [`StoreReader::refresh`] observes the file's stamp
 /// change (another writer appended or compacted). Readers clone the
 /// `Arc` and never touch the store's flock — this is how N concurrent
-/// servers/readers share one store with exactly one writer.
+/// servers/readers share one store with exactly one writer. A
+/// [`TrafficCache`] over a store holds its durable entries as one of
+/// these, so a standalone reader and a cache see a file identically.
 ///
 /// Torn reads cannot escape: a snapshot taken mid-append sees the
 /// incomplete tail line fail its checksum and drops it (counted in
@@ -870,17 +867,10 @@ impl StoreReader {
     /// view).
     pub fn open(path: impl Into<PathBuf>) -> StoreReader {
         let path = path.into();
-        let stamp = store_stamp(&path);
-        let (map, corrupt) = read_store_snapshot(&path);
-        StoreReader {
-            path,
-            state: Mutex::new(Arc::new(StoreView {
-                generation: 0,
-                stamp,
-                map,
-                corrupt_lines: corrupt,
-            })),
-        }
+        // Stamp before reading: a write landing in between leaves a
+        // stale stamp behind, which the next refresh corrects.
+        let view = load_store(&path, store_stamp(&path));
+        StoreReader { path, state: Mutex::new(Arc::new(view)) }
     }
 
     /// The store file this reader snapshots.
@@ -908,15 +898,11 @@ impl StoreReader {
         // Read outside the lock (snapshots can be slow); last swap wins,
         // which is fine — both candidates are committed states, and the
         // next refresh converges on the newest stamp.
-        let (map, corrupt) = read_store_snapshot(&self.path);
+        let mut fresh = load_store(&self.path, stamp);
         let mut cur = self.state.lock().unwrap_or_else(|e| e.into_inner());
         if cur.stamp != stamp {
-            *cur = Arc::new(StoreView {
-                generation: cur.generation + 1,
-                stamp,
-                map,
-                corrupt_lines: corrupt,
-            });
+            fresh.generation = cur.generation + 1;
+            *cur = Arc::new(fresh);
         }
         Arc::clone(&cur)
     }
@@ -953,75 +939,32 @@ impl TrafficCache {
         }
         let lock = lock_path_for(&path);
         let lock_file = try_acquire_lock(&lock);
-        let owns_lock = lock_file.is_some();
-        let mut map = StoreMap::new();
-        let mut corrupt: Vec<String> = Vec::new();
-        let mut valid_header = false;
-        let mut migrate = false;
-        if let Ok(text) = std::fs::read_to_string(&path) {
-            let mut lines = text.lines();
-            let header = lines.next();
-            valid_header = header == Some(store_header().as_str());
-            // v3 is the one accepted legacy version: its measurements
-            // are still valid (the simulator is unchanged), only the
-            // line format grew a provenance tag. Parse with the v3
-            // grammar and rewrite as v4 below.
-            let legacy_v3 = !valid_header && header == Some(V3_HEADER);
-            if valid_header || legacy_v3 {
-                let parse = if legacy_v3 { parse_entry_v3 } else { parse_entry };
-                for line in lines {
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    match parse(line) {
-                        Some((k, t, mode)) => {
-                            map.insert(k, (t, mode));
-                        }
-                        None => corrupt.push(line.to_string()),
-                    }
-                }
-                valid_header = true;
-                migrate = legacy_v3;
-            }
-        }
-        let mut store_errors = 0;
-        if owns_lock {
-            if !valid_header {
-                if write_store_atomic(&path, &StoreMap::new()).is_err() {
-                    store_errors += 1;
-                }
-            } else if migrate && corrupt.is_empty() {
-                if write_store_atomic(&path, &map).is_err() {
-                    store_errors += 1;
-                }
-            } else if !corrupt.is_empty() {
-                // Preserve the damaged lines, then compact the store to
-                // its intact entries so the next load is clean.
+        let reader = StoreReader::open(path);
+        let view = reader.view();
+        let mut cache = TrafficCache::new();
+        if lock_file.is_some() && !(view.current && view.corrupt.is_empty()) {
+            // Preserve the damaged lines, then rewrite the store as its
+            // intact entries under the current header — which compacts
+            // a damaged store, migrates a v3 one and re-initializes a
+            // missing or foreign one — so the next load is clean.
+            if !view.corrupt.is_empty() {
                 if let Ok(mut q) = std::fs::OpenOptions::new()
                     .create(true)
                     .append(true)
-                    .open(quarantine_path_for(&path))
+                    .open(quarantine_path_for(reader.path()))
                 {
-                    for line in &corrupt {
+                    for line in &view.corrupt {
                         let _ = writeln!(q, "{line}");
                     }
                 }
-                if write_store_atomic(&path, &map).is_err() {
-                    store_errors += 1;
-                }
+            }
+            if write_store_atomic(reader.path(), view.entries()).is_err() {
+                cache.store_errors.fetch_add(1, Ordering::Relaxed);
             }
         }
-        let mut cache = TrafficCache::new();
-        cache.map = Mutex::new(map);
-        // Stamp *after* any repair/migration rewrite above, so the first
-        // refresh_if_compacted() doesn't mistake our own compaction for
-        // an external writer's.
-        cache.loaded_stamp = Mutex::new(store_stamp(&path));
-        cache.store = Some(path);
-        cache.owned_lock = owns_lock.then_some(lock);
+        cache.reader = Some(reader);
+        cache.owned_lock = lock_file.is_some().then_some(lock);
         cache.lock_file = lock_file;
-        cache.corrupt_lines = AtomicU64::new(corrupt.len() as u64);
-        cache.store_errors = AtomicU64::new(store_errors);
         cache
     }
 
@@ -1073,82 +1016,67 @@ impl TrafficCache {
         n: i32,
         configs: &[CacheConfig],
     ) -> Option<TrafficMode> {
-        self.map_lock().get(&store_key(variant, n, configs)).map(|(_, m)| *m)
+        self.peek(&store_key(variant, n, configs)).map(|(_, m)| m)
     }
 
     /// Whether this cache lost the single-writer race for its store: it
     /// serves the loaded entries and memoizes in memory, but appends
     /// nothing.
     pub fn store_read_only(&self) -> bool {
-        self.store.is_some() && self.owned_lock.is_none()
+        self.reader.is_some() && self.owned_lock.is_none()
     }
 
-    /// Notice an external rewrite of the store: re-stat the file's
-    /// mtime/length and, if they changed since this cache last loaded
-    /// it, take a fresh lock-free snapshot and swap it in atomically
-    /// (in-memory-only measurements this cache made are kept — they are
-    /// still valid, just not persisted). Returns `true` iff a reload
-    /// happened; each reload bumps [`TrafficCache::store_generation`].
+    /// Follow an external writer: [`StoreReader::refresh`] on this
+    /// cache's snapshot. A reload drops from the fresh map whatever the
+    /// store now holds (the store wins — it is the durable truth, and
+    /// the numbers are deterministic anyway); in-memory-only
+    /// measurements it does not hold are kept. Returns `true` iff the
+    /// snapshot was reloaded ([`TrafficCache::store_generation`] counts).
     ///
     /// Only meaningful for a cache that is *not* the store's writer: a
     /// long-lived read-only reader (the second `repro` of a pair, a
-    /// degraded server) whose writer compacts or merge-compacts
-    /// underneath it would otherwise serve its load-time view forever.
-    /// The writer itself is the single source of the file's changes, so
-    /// a writing cache returns `false` without stat-ing.
+    /// degraded server) would otherwise serve its load-time view
+    /// forever. The writer is the single source of the file's changes,
+    /// so a writing cache returns `false` without stat-ing.
     pub fn refresh_if_compacted(&self) -> bool {
-        let Some(path) = &self.store else {
+        let Some(reader) = self.reader.as_ref().filter(|_| self.owned_lock.is_none()) else {
             return false;
         };
-        if self.owned_lock.is_some() {
-            return false;
+        let before = reader.view().generation;
+        let view = reader.refresh();
+        let reloaded = view.generation != before;
+        if reloaded {
+            self.fresh_lock().retain(|k, _| view.get(k).is_none());
         }
-        let stamp = store_stamp(path);
-        {
-            let loaded = self.loaded_stamp.lock().unwrap_or_else(|e| e.into_inner());
-            if *loaded == stamp {
-                return false;
-            }
-        }
-        let (mut fresh, corrupt) = read_store_snapshot(path);
-        // Swap under both locks, stamp first: a racing refresh observing
-        // the updated stamp must also observe the updated map.
-        let mut loaded = self.loaded_stamp.lock().unwrap_or_else(|e| e.into_inner());
-        if *loaded == stamp {
-            return false; // a racing refresh beat us to this stamp
-        }
-        *loaded = stamp;
-        let mut map = self.map_lock();
-        for (k, v) in map.iter() {
-            // Keep locally measured entries the external store doesn't
-            // have; on conflict the store wins (it is the durable
-            // truth, and the numbers are deterministic anyway).
-            fresh.entry(k.clone()).or_insert(*v);
-        }
-        *map = fresh;
-        drop(map);
-        drop(loaded);
-        self.corrupt_lines.fetch_add(corrupt, Ordering::Relaxed);
-        self.store_generation.fetch_add(1, Ordering::Relaxed);
-        true
+        reloaded
     }
 
-    /// How many external reloads [`TrafficCache::refresh_if_compacted`]
-    /// has performed (0 = still serving the load-time view).
+    /// The generation of the store snapshot this cache serves: how many
+    /// external reloads [`TrafficCache::refresh_if_compacted`] has
+    /// performed (0 = still the load-time view, or no store).
     pub fn store_generation(&self) -> u64 {
-        self.store_generation.load(Ordering::Relaxed)
+        self.reader.as_ref().map_or(0, |r| r.view().generation)
     }
 
     /// The backing store path, if any.
     pub fn store_path(&self) -> Option<&Path> {
-        self.store.as_deref()
+        self.reader.as_ref().map(StoreReader::path)
     }
 
-    /// The map lock, surviving poisoning: a panic in some other holder
-    /// (e.g. an injected measurement fault caught mid-insert by a test)
-    /// must not cascade into every later lookup.
-    fn map_lock(&self) -> MutexGuard<'_, StoreMap> {
-        self.map.lock().unwrap_or_else(|e| e.into_inner())
+    /// The fresh-map lock, surviving poisoning: a panic in some other
+    /// holder (e.g. an injected measurement fault caught mid-insert by a
+    /// test) must not cascade into every later lookup.
+    fn fresh_lock(&self) -> MutexGuard<'_, StoreMap> {
+        self.fresh.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The one lookup — the store snapshot, then the fresh map: the
+    /// measurement held under a store key and its provenance, if any.
+    /// No simulation, no counter update, no I/O; `repro serve` answers
+    /// its warm path with this.
+    pub fn peek(&self, key: &str) -> Option<(BoxTraffic, TrafficMode)> {
+        let stored = self.reader.as_ref().and_then(|r| r.view().get(key));
+        stored.or_else(|| self.fresh_lock().get(key).copied())
     }
 
     /// Measured (or memoized) traffic of the hand lowering on one box.
@@ -1179,10 +1107,8 @@ impl TrafficCache {
     /// returned, never cached.
     pub(crate) fn fetch(&self, point: &Point<'_>) -> Result<Vec<MemberResult>, PipelineError> {
         let keys: Vec<String> = (0..point.lasts.len()).map(|i| point.key(i)).collect();
-        let mut members: Vec<Option<MemberResult>> = {
-            let map = self.map_lock();
-            keys.iter().map(|k| map.get(k).map(|(t, _)| Ok(*t))).collect()
-        };
+        let mut members: Vec<Option<MemberResult>> =
+            keys.iter().map(|k| self.peek(k).map(|(t, _)| Ok(t))).collect();
         let held = members.iter().flatten().count();
         self.hits.fetch_add(held as u64, Ordering::Relaxed);
         let mut missing: Vec<usize> = (0..keys.len()).filter(|&i| members[i].is_none()).collect();
@@ -1240,8 +1166,16 @@ impl TrafficCache {
     /// Memoize a fresh measurement and append it to the store (if this
     /// cache owns the writer lock), with the configured retry budget.
     fn record(&self, key: String, t: BoxTraffic, mode: TrafficMode) {
-        self.map_lock().insert(key.clone(), (t, mode));
-        if let (Some(path), true) = (&self.store, self.owned_lock.is_some()) {
+        {
+            // A refresh since the lookup missed may have brought the
+            // key in with the store; then the store's entry stands.
+            let mut fresh = self.fresh_lock();
+            if self.reader.as_ref().is_some_and(|r| r.view().get(&key).is_some()) {
+                return;
+            }
+            fresh.insert(key.clone(), (t, mode));
+        }
+        if let (Some(path), true) = (self.store_path(), self.owned_lock.is_some()) {
             // Line and newline go out in ONE `write` on the O_APPEND
             // handle: the kernel places each such write whole, so sweep
             // threads finishing together cannot interleave into a merged
@@ -1330,15 +1264,16 @@ impl TrafficCache {
     /// writer. Called on signal-triggered shutdown so every appended
     /// measurement is durable before the process exits.
     pub fn flush_store(&self) {
-        if let (Some(path), true) = (&self.store, self.owned_lock.is_some()) {
+        if let (Some(path), true) = (self.store_path(), self.owned_lock.is_some()) {
             if let Ok(f) = std::fs::File::open(path) {
                 let _ = f.sync_all();
             }
         }
     }
 
-    /// Rewrite the backing store to its canonical compacted form
-    /// (sorted keys, atomic tmp+rename), if this cache is its writer.
+    /// Rewrite the backing store to its canonical compacted form — the
+    /// union of the loaded snapshot and the fresh map, sorted by key,
+    /// atomic tmp+rename — if this cache is its writer.
     /// The canonical bytes are a pure function of the entry set —
     /// `repro serve` compacts on drain so two stores holding the same
     /// measurements compare bit-identical (`serve_storm.sh` relies on
@@ -1349,18 +1284,15 @@ impl TrafficCache {
     /// land on the doomed pre-rename inode and be lost from disk until
     /// the next compaction.
     pub fn compact_store(&self) -> bool {
-        if self.store.is_none() || self.owned_lock.is_none() {
+        let Some(reader) = self.reader.as_ref().filter(|_| self.owned_lock.is_some()) else {
             return false;
-        }
-        let path = self.store.as_ref().unwrap();
-        let map = self.map_lock();
-        if write_store_atomic(path, &map).is_err() {
+        };
+        let (view, fresh) = (reader.view(), self.fresh_lock());
+        let union = view.entries().chain(fresh.iter().map(|(k, v)| (k.as_str(), v)));
+        if write_store_atomic(reader.path(), union).is_err() {
             self.store_errors.fetch_add(1, Ordering::Relaxed);
             return false;
         }
-        drop(map);
-        let mut loaded = self.loaded_stamp.lock().unwrap_or_else(|e| e.into_inner());
-        *loaded = store_stamp(path);
         true
     }
 
@@ -1368,7 +1300,7 @@ impl TrafficCache {
     /// simulation, no counter update) — the sweep engine uses this to
     /// schedule only the genuinely missing points.
     pub fn contains(&self, variant: Variant, n: i32, configs: &[CacheConfig]) -> bool {
-        self.map_lock().contains_key(&store_key(variant, n, configs))
+        self.peek(&store_key(variant, n, configs)).is_some()
     }
 
     /// Hit/miss and store-health counters since construction.
@@ -1376,7 +1308,7 @@ impl TrafficCache {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            corrupt_lines: self.corrupt_lines.load(Ordering::Relaxed),
+            corrupt_lines: self.reader.as_ref().map_or(0, |r| r.view().corrupt_lines),
             store_errors: self.store_errors.load(Ordering::Relaxed),
             retried_appends: self.retried_appends.load(Ordering::Relaxed),
             claimed_points: self.claimed_points.load(Ordering::Relaxed),
@@ -1385,14 +1317,15 @@ impl TrafficCache {
         }
     }
 
-    /// Number of distinct measurements held.
+    /// Number of distinct measurements held: the store snapshot's plus
+    /// the fresh ones (the two never share a key).
     pub fn len(&self) -> usize {
-        self.map_lock().len()
+        self.reader.as_ref().map_or(0, |r| r.view().len()) + self.fresh_lock().len()
     }
 
-    /// True when nothing has been measured yet.
+    /// True when nothing is held, loaded or measured.
     pub fn is_empty(&self) -> bool {
-        self.map_lock().is_empty()
+        self.len() == 0
     }
 }
 
@@ -1531,7 +1464,7 @@ mod tests {
     fn checksummed_lines_roundtrip() {
         let t = BoxTraffic { dram_bytes: 123, reads: 45, writes: 6, l1_hit: 0.875, llc_hit: 0.5 };
         let line = entry_line("some/key/n8/g2", &t, TrafficMode::Symbolic);
-        let (k, back, mode) = parse_entry(&line).expect("own line must verify");
+        let (k, back, mode) = parse_entry(&line, true).expect("own line must verify");
         assert_eq!(k, "some/key/n8/g2");
         assert_eq!(back, t);
         assert_eq!(mode, TrafficMode::Symbolic);
@@ -1539,19 +1472,32 @@ mod tests {
         // loads, as symbolic.
         let payload = "some/key/n8/g2 hyb 123 45 6 0.875 0.5";
         let hyb = format!("{payload} {:016x}", fnv1a64(payload.as_bytes()));
-        assert_eq!(parse_entry(&hyb), Some((k, t, TrafficMode::Symbolic)));
+        assert_eq!(parse_entry(&hyb, true), Some((k, t, TrafficMode::Symbolic)));
+        // Told the wrong grammar, a line has one field too many or too
+        // few: a v3 reader never takes a tag for a number.
+        assert!(parse_entry(&line, false).is_none());
         // Any single-byte mutation must fail verification.
         for i in 0..line.len() {
             let mut bytes = line.clone().into_bytes();
             bytes[i] ^= 0x01;
             if let Ok(s) = String::from_utf8(bytes) {
-                assert!(parse_entry(&s).is_none(), "flip at {i} must be caught");
+                assert!(parse_entry(&s, true).is_none(), "flip at {i} must be caught");
             }
         }
         // Truncations (torn appends) must fail verification too.
         for cut in 0..line.len() {
-            assert!(parse_entry(&line[..cut]).is_none(), "truncation at {cut} must be caught");
+            assert!(
+                parse_entry(&line[..cut], true).is_none(),
+                "truncation at {cut} must be caught"
+            );
         }
+    }
+
+    /// A v3 line: the v4 payload without its provenance tag.
+    fn v3_line(key: &str, t: &BoxTraffic) -> String {
+        let payload =
+            format!("{key} {} {} {} {} {}", t.dram_bytes, t.reads, t.writes, t.l1_hit, t.llc_hit);
+        format!("{payload} {:016x}", fnv1a64(payload.as_bytes()))
     }
 
     #[test]
@@ -1564,12 +1510,8 @@ mod tests {
         // correct, so migration must preserve them — no re-measuring.
         let key = store_key(Variant::baseline(), 8, &cfg);
         let t = BoxTraffic { dram_bytes: 77, reads: 5, writes: 3, l1_hit: 0.5, llc_hit: 0.25 };
-        let payload =
-            format!("{key} {} {} {} {} {}", t.dram_bytes, t.reads, t.writes, t.l1_hit, t.llc_hit);
-        let sum = fnv1a64(payload.as_bytes());
-        std::fs::write(&path, format!("{V3_HEADER}\n{payload} {sum:016x}\n")).unwrap();
+        std::fs::write(&path, format!("{V3_HEADER}\n{}\n", v3_line(&key, &t))).unwrap();
         let cache = TrafficCache::with_store(&path);
-        assert_eq!(cache.len(), 1, "v3 entries must be migrated, not discarded");
         assert_eq!(cache.get(Variant::baseline(), 8, &cfg), t);
         assert_eq!(cache.stats().misses, 0, "migration must not re-measure");
         assert_eq!(cache.provenance(Variant::baseline(), 8, &cfg), Some(TrafficMode::Simulate));
@@ -1577,9 +1519,78 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.starts_with(&store_header()), "{text}");
         assert!(text.contains(" sim "), "migrated entries carry the sim tag: {text}");
-        drop(cache);
-        let reload = TrafficCache::with_store(&path);
-        assert_eq!((reload.len(), reload.stats().corrupt_lines), (1, 0));
+    }
+
+    /// The writer's cache and a bare reader go through one loader: fed
+    /// the same file they hold the same entries and count the same
+    /// corrupt lines, and whatever the writer found, it leaves a file
+    /// that loads clean.
+    #[test]
+    fn writer_and_reader_load_every_store_shape_alike() {
+        let t = |d| BoxTraffic { dram_bytes: d, reads: 5, writes: 3, l1_hit: 0.5, llc_hit: 0.25 };
+        let v4 = |k: &str, d| entry_line(k, &t(d), TrafficMode::Symbolic);
+        let (a, b) = (v4("k/a", 1), v4("k/b", 2));
+        let head = store_header();
+        // (name, file bytes or missing, entries held, corrupt lines)
+        let shapes: [(&str, Option<String>, usize, u64); 6] = [
+            ("clean v4", Some(format!("{head}\n{a}\n{b}\n")), 2, 0),
+            ("v3", Some(format!("{V3_HEADER}\n{}\n{}\n", v3_line("k/a", &t(1)), a)), 1, 1),
+            ("torn tail", Some(format!("{head}\n{a}\n{}", &b[..b.len() / 2])), 1, 1),
+            ("corrupt interior", Some(format!("{head}\n{a}\nnot an entry\n\n{b}\n")), 2, 1),
+            ("foreign header", Some(format!("# pdesched-traffic-store v1\n{a}\n")), 0, 0),
+            ("missing", None, 0, 0),
+        ];
+        for (name, bytes, entries, corrupt) in shapes {
+            let dir = TempDir::new("shapes");
+            let path = dir.file("traffic.txt");
+            if let Some(bytes) = &bytes {
+                std::fs::write(&path, bytes).unwrap();
+            }
+            // The reader first: the writer repairs the file it opens.
+            let view = StoreReader::open(&path).view();
+            let cache = TrafficCache::with_store(&path);
+            assert!(!cache.store_read_only(), "{name}");
+            assert_eq!((view.len(), view.corrupt_lines), (entries, corrupt), "{name}: reader");
+            assert_eq!((cache.len(), cache.stats().corrupt_lines), (entries, corrupt), "{name}");
+            for (key, entry) in view.entries() {
+                assert_eq!(cache.peek(key), Some(*entry), "{name}: {key}");
+            }
+            assert_eq!(
+                quarantine_path_for(&path).exists(),
+                corrupt > 0,
+                "{name}: exactly the damage is quarantined"
+            );
+            drop(cache);
+            let reload = TrafficCache::with_store(&path);
+            assert_eq!((reload.len(), reload.stats().corrupt_lines), (entries, 0), "{name}");
+            let text = std::fs::read_to_string(&path).unwrap();
+            assert!(text.starts_with(&head), "{name}: {text}");
+        }
+    }
+
+    #[test]
+    fn peek_touches_no_counter_and_no_file() {
+        let dir = TempDir::new("peek");
+        let path = dir.file("traffic.txt");
+        let cfg = big_hierarchy();
+        let key = |v| store_key(v, 8, &cfg);
+        let stored = {
+            let cache = TrafficCache::with_store(&path);
+            cache.get(Variant::baseline(), 8, &cfg)
+        };
+        let cache = TrafficCache::with_store(&path);
+        let local = cache.get(Variant::shift_fuse(), 8, &cfg);
+        let (stats, bytes) = (cache.stats(), std::fs::read(&path).unwrap());
+        assert_eq!((stats.misses, stats.passes), (1, 1));
+        // Held by the store snapshot, measured by this process, absent.
+        let sim = TrafficMode::Simulate;
+        assert_eq!(cache.peek(&key(Variant::baseline())), Some((stored, sim)));
+        assert_eq!(cache.peek(&key(Variant::shift_fuse())), Some((local, sim)));
+        let wavefront = Variant::blocked_wavefront(CompLoop::Outside, 4);
+        assert_eq!(cache.peek(&key(wavefront)), None);
+        assert_eq!(cache.stats(), stats, "peek is counter-free");
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "peek never writes");
+        assert_eq!(cache.len(), 2, "store entry and fresh entry, each counted once");
     }
 
     #[test]
@@ -1809,10 +1820,9 @@ mod tests {
         let reload = TrafficCache::with_store(&path);
         assert_eq!(reload.stats().corrupt_lines, 0, "an append tore");
         assert_eq!(reload.len(), THREADS * KEYS);
-        let map = reload.map_lock();
         for t in 0..THREADS {
             for k in 0..KEYS {
-                assert_eq!(map.get(&key(t, k)).map(|e| e.0), Some(traffic(t, k)), "t{t} k{k}");
+                assert_eq!(reload.peek(&key(t, k)).map(|e| e.0), Some(traffic(t, k)), "t{t} k{k}");
             }
         }
     }

@@ -223,17 +223,22 @@ fn hung_family_pass_times_out_every_member() {
 #[test]
 fn sweep_deadline_cancels_and_releases_a_hung_point() {
     let pts = sweep_points();
-    // The hang has no per-point deadline to kill it: only the sweep
-    // deadline can end this run — and it must also unstick the hung
-    // worker (via the cancel gate), not leave it wedged.
+    // The hang has no per-point deadline to kill it: only the run
+    // deadline can end this sweep — a timer tripping the engine's token,
+    // as `repro --deadline`'s monitor thread does — and it must also
+    // unstick the hung worker (via the cancel gate), not leave it wedged.
     let plan = Arc::new(FaultPlan::new().hang_on_sim(0));
     let cache = TrafficCache::new().with_fault_hook(Arc::new(HangHook(Arc::clone(&plan))));
-    let engine = SweepEngine::new(2).with_budget(SweepBudget {
-        sweep_deadline: Some(Duration::from_millis(120)),
-        ..Default::default()
-    });
+    let token = CancelToken::new();
+    let engine = SweepEngine::new(2).with_cancel_token(token.clone());
     let t0 = std::time::Instant::now();
-    let report = engine.prewarm(&cache, &pts);
+    let report = std::thread::scope(|s| {
+        s.spawn(|| {
+            std::thread::sleep(Duration::from_millis(120));
+            token.trip("sweep deadline 0.120s exceeded");
+        });
+        engine.prewarm(&cache, &pts)
+    });
     assert!(
         report.cancelled.as_deref().is_some_and(|r| r.contains("sweep deadline")),
         "{:?}",

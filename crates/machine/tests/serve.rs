@@ -381,6 +381,35 @@ fn request_deadline_trips_slow_points() {
     assert_eq!(count_entry_lines(&store), 0);
 }
 
+/// A writer server holds each point once and nowhere but its cache: a
+/// point one request measured answers the next from the cache
+/// (`"warm"`), the store snapshot is never reloaded behind a writer
+/// (`"generation":0`), and the drain's compaction writes exactly the
+/// entries the cache counts.
+#[test]
+fn writer_server_answers_its_own_measurements_from_the_cache() {
+    let dir = TempDir::new("servimage");
+    let store = dir.file("t.txt");
+    let server =
+        Server::start(ServeConfig { store: Some(store.clone()), ..ServeConfig::default() })
+            .expect("bind");
+    let mut client = Client::connect(server.local_addr());
+    let cold = client.ask(WARM_REQ);
+    assert!(cold.contains("\"ok\":true") && cold.contains("\"source\":\"sim\""), "got: {cold}");
+    let misses = server.cache().stats().misses;
+    assert_eq!(misses, 2, "top 2, both cold");
+    let warm = client.ask(WARM_REQ);
+    assert!(warm.contains("\"ok\":true") && warm.contains("\"generation\":0"), "got: {warm}");
+    assert_eq!(warm.matches("\"source\":\"warm\"").count(), 2, "got: {warm}");
+    assert_eq!(warm.matches("\"source\":").count(), 2, "got: {warm}");
+    assert_eq!(warm, cold.replace("\"source\":\"sim\"", "\"source\":\"warm\""));
+    let stats = server.cache().stats();
+    assert_eq!((stats.misses, stats.hits), (misses, 0), "the warm path counts nothing");
+    assert!(server.drain());
+    assert_eq!(count_entry_lines(&store), server.cache().len());
+    assert_eq!(server.cache().len(), 2);
+}
+
 /// Graceful degradation with the writer flock held elsewhere: warm
 /// points are served from the lock-free snapshot tagged `"stale":true`,
 /// cold points fall back to the analytic model, external appends are
@@ -474,6 +503,18 @@ fn bad_requests_degrade_per_request_not_per_server() {
     let unique = ask_on("{\"machine\":\"Intel Ivy Bridge\",\"n\":8,\"top\":1}");
     assert!(unique.contains("\"machine\":\"20-Core Intel Ivy Bridge\""), "got: {unique}");
     assert!(ask_on("{\"machine\":\"i5\",\"n\":7}").contains("must divide"));
+    // A box edge whose cube overflows `usize` is refused like any other
+    // non-divisor — one reply line, not a dropped connection — and the
+    // next request on the connection is served.
+    for n in ["3000000", "2147483647", "1e300"] {
+        let huge = ask_on(&format!("{{\"machine\":\"i5\",\"n\":{n}}}"));
+        assert!(
+            huge.contains("\"error\":\"bad_request\"") && huge.contains("must divide"),
+            "n = {n}: {huge}"
+        );
+        let next = ask_on("{\"machine\":\"i5\",\"n\":8,\"threads\":1,\"top\":1}");
+        assert!(next.contains("\"ok\":true"), "after n = {n}: {next}");
+    }
     assert!(ask_on("{\"machine\":\"i5\",\"n\":8,\"threads\":99}").contains("out of range"));
     assert!(
         ask_on("{\"machine\":\"i5\",\"n\":8,\"passes\":\"bogus:1\"}").contains("bad passes spec")

@@ -13,8 +13,6 @@
 //!   iteration range (`schedule(static)`);
 //! * [`SpmdCtx::dynamic_items`] — a shared-counter dynamic scheduler
 //!   (`schedule(dynamic, chunk)`);
-//! * [`parallel_for_static`], [`parallel_for_dynamic`],
-//!   [`parallel_reduce`] — one-shot conveniences;
 //! * [`UnsafeSlice`] — a `Sync` view of a mutable slice for kernels whose
 //!   index-disjointness the caller guarantees (e.g. one box per thread).
 //!
@@ -78,14 +76,6 @@ impl<'a> SpmdCtx<'a> {
     /// extra item (OpenMP `schedule(static)` semantics).
     pub fn static_range(&self, total: usize) -> Range<usize> {
         static_block(self.tid, self.nthreads, total)
-    }
-
-    /// Iterate the items of `0..total` owned by this thread under a
-    /// round-robin (cyclic) partition: items `tid, tid + n, tid + 2n, …`
-    /// (OpenMP `schedule(static, 1)`).
-    pub fn cyclic_items(&self, total: usize) -> impl Iterator<Item = usize> {
-        let (tid, n) = (self.tid, self.nthreads);
-        (tid..total).step_by(n)
     }
 
     /// Dynamically claim chunks of `chunk` items from the shared counter
@@ -211,76 +201,6 @@ where
     }
 }
 
-/// `#pragma omp parallel for schedule(static)` over `0..total`.
-pub fn parallel_for_static<F>(nthreads: usize, total: usize, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    if nthreads == 1 || total <= 1 {
-        for i in 0..total {
-            f(i);
-        }
-        return;
-    }
-    spmd(nthreads.min(total), |ctx| {
-        for i in ctx.static_range(total) {
-            f(i);
-        }
-    });
-}
-
-/// `#pragma omp parallel for schedule(dynamic, chunk)` over `0..total`.
-pub fn parallel_for_dynamic<F>(nthreads: usize, total: usize, chunk: usize, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    if nthreads == 1 || total <= 1 {
-        for i in 0..total {
-            f(i);
-        }
-        return;
-    }
-    let counter = AtomicUsize::new(0);
-    spmd(nthreads.min(total), |ctx| {
-        ctx.dynamic_items(&counter, total, chunk, &f);
-    });
-}
-
-/// Parallel reduction: maps each index through `f` and folds with `merge`
-/// starting from `identity` (per thread), then merges the per-thread
-/// results in thread order for determinism.
-pub fn parallel_reduce<T, F, M>(nthreads: usize, total: usize, identity: T, f: F, merge: M) -> T
-where
-    T: Clone + Send + Sync,
-    F: Fn(usize) -> T + Sync,
-    M: Fn(T, T) -> T + Sync,
-{
-    if nthreads == 1 || total <= 1 {
-        let mut acc = identity;
-        for i in 0..total {
-            acc = merge(acc, f(i));
-        }
-        return acc;
-    }
-    let n = nthreads.min(total);
-    let partials: Vec<std::sync::Mutex<Option<T>>> =
-        (0..n).map(|_| std::sync::Mutex::new(None)).collect();
-    spmd(n, |ctx| {
-        let mut acc = identity.clone();
-        for i in ctx.static_range(total) {
-            acc = merge(acc, f(i));
-        }
-        *partials[ctx.tid()].lock().unwrap() = Some(acc);
-    });
-    let mut acc = identity;
-    for p in partials {
-        if let Some(v) = p.into_inner().unwrap() {
-            acc = merge(acc, v);
-        }
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -363,70 +283,6 @@ mod tests {
         });
         assert_eq!(bad.load(Ordering::SeqCst), 0);
         assert_eq!(counter.load(Ordering::SeqCst), PHASES * N);
-    }
-
-    #[test]
-    fn parallel_for_static_covers() {
-        for n in [1, 2, 5] {
-            let hits: Vec<AtomicUsize> = (0..37).map(|_| AtomicUsize::new(0)).collect();
-            parallel_for_static(n, 37, |i| {
-                hits[i].fetch_add(1, Ordering::SeqCst);
-            });
-            assert!(hits.iter().all(|h| h.load(Ordering::SeqCst) == 1));
-        }
-    }
-
-    #[test]
-    fn parallel_for_dynamic_covers() {
-        for n in [1, 2, 4] {
-            for chunk in [1, 3, 16] {
-                let hits: Vec<AtomicUsize> = (0..53).map(|_| AtomicUsize::new(0)).collect();
-                parallel_for_dynamic(n, 53, chunk, |i| {
-                    hits[i].fetch_add(1, Ordering::SeqCst);
-                });
-                assert!(hits.iter().all(|h| h.load(Ordering::SeqCst) == 1), "n={n} chunk={chunk}");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_for_more_threads_than_items() {
-        let hits: Vec<AtomicUsize> = (0..3).map(|_| AtomicUsize::new(0)).collect();
-        parallel_for_static(8, 3, |i| {
-            hits[i].fetch_add(1, Ordering::SeqCst);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::SeqCst) == 1));
-    }
-
-    #[test]
-    fn reduce_sums() {
-        for n in [1, 2, 4, 6] {
-            let s = parallel_reduce(n, 1000, 0u64, |i| i as u64, |a, b| a + b);
-            assert_eq!(s, 999 * 1000 / 2);
-        }
-    }
-
-    #[test]
-    fn reduce_deterministic_float_order() {
-        // Per-thread partials merged in thread order: the result must be
-        // identical run to run for a fixed thread count.
-        let run = || parallel_reduce(4, 10_000, 0.0f64, |i| 1.0 / (1.0 + i as f64), |a, b| a + b);
-        let a = run();
-        for _ in 0..5 {
-            assert_eq!(a.to_bits(), run().to_bits());
-        }
-    }
-
-    #[test]
-    fn cyclic_items_cover() {
-        let mut covered = [0u32; 17];
-        for tid in 0..4 {
-            let ctx_items: Vec<usize> = (tid..17).step_by(4).collect();
-            for i in ctx_items {
-                covered[i] += 1;
-            }
-        }
-        assert!(covered.iter().all(|&c| c == 1));
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! `Sync` views of mutable slices for caller-guaranteed disjoint access.
 
-use std::cell::UnsafeCell;
 use std::marker::PhantomData;
 
 /// A `Sync` wrapper around a mutable slice that lets multiple threads of
@@ -37,13 +36,6 @@ impl<'a, T> UnsafeSlice<'a, T> {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Base byte address of the underlying storage (for building memory
-    /// traces).
-    #[inline]
-    pub fn as_addr(&self) -> usize {
-        self.ptr as usize
     }
 
     /// Get a mutable reference to element `i`.
@@ -83,36 +75,6 @@ impl<'a, T> UnsafeSlice<'a, T> {
     }
 }
 
-/// A `Sync` cell wrapping a single value mutated by exactly one thread of
-/// a region at a time (e.g. a per-phase scratch handed around at
-/// barriers).
-pub struct RegionCell<T>(UnsafeCell<T>);
-
-unsafe impl<T: Send> Sync for RegionCell<T> {}
-
-impl<T> RegionCell<T> {
-    /// Wrap a value.
-    pub fn new(v: T) -> Self {
-        RegionCell(UnsafeCell::new(v))
-    }
-
-    /// Get a mutable reference.
-    ///
-    /// # Safety
-    /// Caller must guarantee exclusive access for the reference lifetime
-    /// (e.g. the cell is owned by one thread between two barriers).
-    #[inline]
-    #[allow(clippy::mut_from_ref)]
-    pub unsafe fn get_mut(&self) -> &mut T {
-        &mut *self.0.get()
-    }
-
-    /// Consume and return the inner value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,14 +108,5 @@ mod tests {
         }
         assert_eq!(view.len(), 8);
         assert!(!view.is_empty());
-    }
-
-    #[test]
-    fn region_cell_single_owner() {
-        let cell = RegionCell::new(vec![0u32; 4]);
-        unsafe {
-            cell.get_mut()[2] = 7;
-        }
-        assert_eq!(cell.into_inner(), vec![0, 0, 7, 0]);
     }
 }

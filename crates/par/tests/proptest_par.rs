@@ -1,9 +1,8 @@
 //! Property tests for the SPMD substrate's scheduling primitives
 //! (seeded generator-driven cases; see `pdesched-testkit`).
 
-use pdesched_par::{parallel_for_dynamic, parallel_for_static, parallel_reduce, static_block};
+use pdesched_par::static_block;
 use pdesched_testkit::check;
-use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Static blocks partition any range exactly, contiguously, and
 /// balanced within one item.
@@ -27,50 +26,5 @@ fn static_block_partition() {
         let min = sizes.iter().min().unwrap();
         let max = sizes.iter().max().unwrap();
         assert!(max - min <= 1, "imbalance {max} vs {min}");
-    });
-}
-
-/// Every parallel-for covers each index exactly once, for any
-/// thread count and chunking.
-#[test]
-fn parallel_for_exactly_once() {
-    check(0x22, 48, |rng| {
-        let n = rng.range_usize(1, 7);
-        let total = rng.range_usize(0, 200);
-        let chunk = rng.range_usize(1, 32);
-        let dynamic = rng.bool();
-        let hits: Vec<AtomicU32> = (0..total).map(|_| AtomicU32::new(0)).collect();
-        if dynamic {
-            parallel_for_dynamic(n, total, chunk, |i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            });
-        } else {
-            parallel_for_static(n, total, |i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        for (i, h) in hits.iter().enumerate() {
-            assert_eq!(h.load(Ordering::Relaxed), 1, "index {i}");
-        }
-    });
-}
-
-/// Integer reductions are independent of the thread count.
-#[test]
-fn reduce_thread_count_invariant() {
-    check(0x23, 48, |rng| {
-        let n1 = rng.range_usize(1, 6);
-        let n2 = rng.range_usize(1, 6);
-        let total = rng.range_usize(0, 500);
-        let run = |n: usize| {
-            parallel_reduce(
-                n,
-                total,
-                0u64,
-                |i| (i as u64).wrapping_mul(2654435761),
-                u64::wrapping_add,
-            )
-        };
-        assert_eq!(run(n1), run(n2));
     });
 }
