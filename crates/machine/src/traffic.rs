@@ -12,7 +12,11 @@
 //! two concurrent `repro` runs cannot interleave appends (the second run
 //! degrades to read-only memoization; the kernel releases a crashed
 //! writer's lock atomically, so stale-lock takeover cannot double-grant).
-//! A process holds a store in memory once — see [`TrafficCache`].
+//! A process holds a store in memory once — see [`TrafficCache`] — as
+//! the file's bytes, read once, plus a flat index over them
+//! ([`StoreView`]). Every check runs at load: each line is validated as
+//! UTF-8 on its own, checksummed and fully decoded, so one bad byte
+//! costs its line, never the store, and a lookup checks nothing.
 
 use crate::adapter::TraceMem;
 use crate::fault::FaultHook;
@@ -517,19 +521,40 @@ pub(crate) fn store_header() -> String {
     format!("# pdesched-traffic-store v{STORE_VERSION}")
 }
 
-/// In-memory image of the store: measurement plus its provenance tag.
+/// Measurements by store key, each with its provenance tag: what a
+/// [`TrafficCache`] measured beyond its store snapshot.
 pub(crate) type StoreMap = HashMap<String, (BoxTraffic, TrafficMode)>;
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// FNV-1a 64-bit: the store's line checksum (tiny, dependency-free, and
 /// plenty to detect torn appends and bit rot — this is integrity
 /// against crashes, not an adversary).
 pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    fnv1a64_from(FNV_OFFSET, bytes)
+}
+
+/// FNV-1a continued from state `h` over `bytes`.
+fn fnv1a64_from(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| (h ^ b as u64).wrapping_mul(FNV_PRIME))
+}
+
+/// [`fnv1a64`] of four byte strings at once. Each FNV-1a step waits on
+/// the previous step's multiply; stepping four strings in lockstep over
+/// their common length lets four independent multiplies overlap (~0.3 ms
+/// less per warm `repro --fast fig2` on a 5,000-entry store, 2-vCPU
+/// host). The longer lanes then finish alone.
+fn fnv1a64_x4(lanes: [&[u8]; 4]) -> [u64; 4] {
+    let common = lanes.iter().map(|l| l.len()).min().unwrap_or(0);
+    let [a, b, c, d] = lanes.map(|l| &l[..common]);
+    let mut h = [FNV_OFFSET; 4];
+    for (((&a, &b), &c), &d) in a.iter().zip(b).zip(c).zip(d) {
+        for (h, byte) in h.iter_mut().zip([a, b, c, d]) {
+            *h = (*h ^ byte as u64).wrapping_mul(FNV_PRIME);
+        }
     }
-    h
+    std::array::from_fn(|i| fnv1a64_from(h[i], &lanes[i][common..]))
 }
 
 /// Serialize one entry as its store line: key, provenance tag, payload
@@ -548,14 +573,25 @@ pub(crate) fn entry_line(key: &str, t: &BoxTraffic, mode: TrafficMode) -> String
     format!("{payload} {sum:016x}")
 }
 
-/// Parse and verify one store line; `None` means corrupt (torn, edited,
+/// The bytes a store line's checksum covers: everything before its last
+/// space.
+fn payload(line: &str) -> &str {
+    line.rsplit_once(' ').map_or(line, |(payload, _)| payload)
+}
+
+/// Parse and verify one store line, given `payload_sum`, the
+/// [`fnv1a64`] of its [`payload`]; `None` means corrupt (torn, edited,
 /// or bit-rotted — the checksum covers the exact payload bytes). A v4
 /// line is `tagged` with its provenance; a v3 line has no tag field and
-/// was always simulated.
-pub(crate) fn parse_entry(line: &str, tagged: bool) -> Option<(String, BoxTraffic, TrafficMode)> {
-    let (payload, sum_hex) = line.rsplit_once(' ')?;
-    let sum = u64::from_str_radix(sum_hex, 16).ok()?;
-    if sum != fnv1a64(payload.as_bytes()) {
+/// was always simulated. The key is borrowed from the line.
+pub(crate) fn parse_entry(
+    line: &str,
+    payload_sum: u64,
+    tagged: bool,
+) -> Option<(&str, BoxTraffic, TrafficMode)> {
+    let payload = payload(line);
+    let sum_hex = line[payload.len()..].strip_prefix(' ')?;
+    if u64::from_str_radix(sum_hex, 16).ok()? != payload_sum {
         return None;
     }
     let mut it = payload.split_whitespace();
@@ -566,7 +602,7 @@ pub(crate) fn parse_entry(line: &str, tagged: bool) -> Option<(String, BoxTraffi
         return None;
     }
     Some((
-        key.to_string(),
+        key,
         BoxTraffic {
             dram_bytes: d.parse().ok()?,
             reads: r.parse().ok()?,
@@ -758,37 +794,192 @@ pub(crate) fn store_stamp(path: &Path) -> (u64, u64) {
 /// the reader; the torn tail shows up as one corrupt line and the next
 /// read sees it whole). What a writer does about the damage is
 /// [`TrafficCache::with_store`]'s business.
+///
+/// The file is read once, as bytes, and split into lines exactly as
+/// [`str::lines`] splits text. Each line is checked as UTF-8 on its own,
+/// so a bit-rotted byte costs its one line (a corrupt line like any
+/// other), never the file. Every other line is checksummed — four at a
+/// time, [`fnv1a64_x4`] — and decoded by [`parse_entry`] here, at load:
+/// nothing is left to check when a lookup comes. A key seen twice keeps
+/// its last line's value.
 fn load_store(path: &Path, stamp: (u64, u64)) -> StoreView {
     let mut view = StoreView {
         generation: 0,
         stamp,
-        map: StoreMap::new(),
+        bytes: Vec::new(),
+        index: Index::default(),
         corrupt_lines: 0,
         corrupt: Vec::new(),
         current: false,
     };
-    let Ok(text) = std::fs::read_to_string(path) else {
+    let Ok(bytes) = std::fs::read(path) else {
         return view;
     };
-    let mut lines = text.lines();
-    let header = lines.next();
-    view.current = header == Some(store_header().as_str());
-    if !view.current && header != Some(V3_HEADER) {
+    let mut lines = line_ranges(&bytes);
+    let header = lines.next().map(|(start, end)| &bytes[start..end]);
+    view.current = header == Some(store_header().as_bytes());
+    if !view.current && header != Some(V3_HEADER.as_bytes()) {
         return view;
     }
-    for line in lines {
-        if line.trim().is_empty() {
-            continue;
+    // Blank lines dropped; a line that is not UTF-8 goes on with no text.
+    let mut lines = lines.filter_map(|(start, end)| {
+        let text = std::str::from_utf8(&bytes[start..end]).ok();
+        (!text.is_some_and(|t| t.trim().is_empty())).then_some(((start, end), text))
+    });
+    loop {
+        let quad: [_; 4] = std::array::from_fn(|_| lines.next());
+        if quad[0].is_none() {
+            break;
         }
-        match parse_entry(line, view.current) {
-            Some((k, t, mode)) => {
-                view.map.insert(k, (t, mode));
+        // Past the last line, and on a line that is not UTF-8, a lane
+        // sums nothing.
+        let sums = fnv1a64_x4(
+            quad.map(|line| line.and_then(|(_, text)| text).map_or("", payload).as_bytes()),
+        );
+        for (line, sum) in quad.into_iter().zip(sums) {
+            let Some((range, text)) = line else { break };
+            match text.and_then(|t| parse_entry(t, sum, view.current)) {
+                Some((key, t, mode)) => {
+                    // The key is a subslice of `bytes`; keep its range.
+                    let start = key.as_ptr() as usize - bytes.as_ptr() as usize;
+                    view.index.insert(&bytes, (start, start + key.len()), (t, mode));
+                }
+                None => view.corrupt.push(range),
             }
-            None => view.corrupt.push(line.to_string()),
         }
     }
+    drop(lines); // it borrows `bytes`, which the view takes next
     view.corrupt_lines = view.corrupt.len() as u64;
+    view.bytes = bytes;
     view
+}
+
+/// The lines of `bytes` as `(start, end)` ranges, split exactly as
+/// [`str::lines`] splits text: at each `\n`, which a line loses along
+/// with one `\r` before it; a final `\n` starts no empty last line.
+fn line_ranges(bytes: &[u8]) -> impl Iterator<Item = (usize, usize)> + '_ {
+    use std::io::BufRead;
+    let (mut rest, mut start) = (bytes, 0);
+    std::iter::from_fn(move || {
+        // On a slice `skip_until` is a `memchr`, and cannot fail.
+        let len = rest.skip_until(b'\n').ok().filter(|&len| len > 0)?;
+        let line_start = start;
+        start += len;
+        let line = &bytes[line_start..start];
+        let line = match line.strip_suffix(b"\n") {
+            Some(line) => line.strip_suffix(b"\r").unwrap_or(line),
+            None => line,
+        };
+        Some((line_start, line_start + line.len()))
+    })
+}
+
+/// A word-at-a-time (FxHash-style) hash of a store key: one multiply per
+/// eight bytes. The keys are this program's own, read from its own
+/// store, so nothing crafts collisions against it and a keyed hash
+/// (the `HashMap` default) would only cost time.
+fn key_hash(key: &[u8]) -> u64 {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+    let step =
+        |h: u64, word: [u8; 8]| (h.rotate_left(5) ^ u64::from_le_bytes(word)).wrapping_mul(K);
+    let mut words = key.chunks_exact(8);
+    let h = words
+        .by_ref()
+        .fold(key.len() as u64, |h, w| step(h, w.try_into().expect("chunks_exact yields 8 bytes")));
+    let mut tail = [0; 8];
+    tail[..words.remainder().len()].copy_from_slice(words.remainder());
+    step(h, tail)
+}
+
+/// One intact entry of a [`StoreView`]: where its key sits in the view's
+/// bytes, the key's [`key_hash`], and the decoded value.
+#[derive(Debug)]
+struct Entry {
+    hash: u64,
+    key: (usize, usize),
+    value: (BoxTraffic, TrafficMode),
+}
+
+/// A [`StoreView`]'s lookup table: the entries in the order their keys
+/// first appear, and an open-addressing (linear probing) table of
+/// positions in `entries`, at most half full. No entry owns a heap
+/// allocation: keys are ranges of the view's bytes. (Entries sorted by
+/// key for a binary search would need no table, but sorting 5,000 keys
+/// costs a warm `repro --fast fig2` ~0.6 ms more on a 2-vCPU host.)
+#[derive(Debug, Default)]
+struct Index {
+    entries: Vec<Entry>,
+    /// A power of two many slots, each [`Index::EMPTY`] or a position
+    /// in `entries`; empty until the first insert.
+    slots: Vec<u32>,
+}
+
+impl Index {
+    const EMPTY: u32 = u32::MAX;
+
+    /// The first slot probed for `hash`, its high half: the multiply
+    /// that ends [`key_hash`] mixes every input bit into those. `slots`
+    /// must not be empty.
+    fn home(&self, hash: u64) -> usize {
+        (hash >> 32) as usize & (self.slots.len() - 1)
+    }
+
+    /// Where `key` is: `Ok(position in entries)`, or `Err(the empty
+    /// slot it would take)`. `slots` must not be empty.
+    fn probe(&self, bytes: &[u8], key: &[u8], hash: u64) -> Result<u32, usize> {
+        let mask = self.slots.len() - 1;
+        let mut slot = self.home(hash);
+        loop {
+            let at = self.slots[slot];
+            // `EMPTY` is past every position.
+            let Some(e) = self.entries.get(at as usize) else {
+                return Err(slot);
+            };
+            if e.hash == hash && &bytes[e.key.0..e.key.1] == key {
+                return Ok(at);
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    fn get(&self, bytes: &[u8], key: &[u8]) -> Option<(BoxTraffic, TrafficMode)> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let at = self.probe(bytes, key, key_hash(key)).ok()?;
+        Some(self.entries[at as usize].value)
+    }
+
+    /// Hold `value` under the key at `key` in `bytes`, replacing what
+    /// an earlier line gave the same key.
+    fn insert(&mut self, bytes: &[u8], key: (usize, usize), value: (BoxTraffic, TrafficMode)) {
+        if 2 * (self.entries.len() + 1) > self.slots.len() {
+            self.grow();
+        }
+        let key_bytes = &bytes[key.0..key.1];
+        let hash = key_hash(key_bytes);
+        match self.probe(bytes, key_bytes, hash) {
+            Ok(at) => self.entries[at as usize].value = value,
+            Err(slot) => {
+                assert!(self.entries.len() < Self::EMPTY as usize, "over 2^32 - 2 store entries");
+                self.slots[slot] = self.entries.len() as u32;
+                self.entries.push(Entry { hash, key, value });
+            }
+        }
+    }
+
+    /// Double the slots and re-place every entry.
+    fn grow(&mut self) {
+        self.slots = vec![Self::EMPTY; (2 * self.slots.len()).max(16)];
+        let mask = self.slots.len() - 1;
+        for (at, e) in self.entries.iter().enumerate() {
+            let mut slot = self.home(e.hash);
+            while self.slots[slot] != Self::EMPTY {
+                slot = (slot + 1) & mask;
+            }
+            self.slots[slot] = at as u32;
+        }
+    }
 }
 
 /// One immutable, generation-stamped snapshot of a store file, produced
@@ -796,6 +987,12 @@ fn load_store(path: &Path, stamp: (u64, u64)) -> StoreView {
 /// or mutex — for as long as they keep the `Arc`; a concurrent writer's
 /// append or compaction lands in the *next* view, never mutates this
 /// one.
+///
+/// A view is the file's bytes, read once, plus a flat index over them:
+/// per intact entry the range of its key in those bytes, the key's hash
+/// and the decoded measurement. No entry owns a heap allocation. Every
+/// check — UTF-8 (per line), checksum, every field — ran at load, so a
+/// lookup is a hash, a probe and one key compare.
 #[derive(Debug)]
 pub struct StoreView {
     /// Monotonic reload counter: bumped every time the reader observed
@@ -805,40 +1002,46 @@ pub struct StoreView {
     pub generation: u64,
     /// The file stamp ([`store_stamp`]) this view was read at.
     stamp: (u64, u64),
-    map: StoreMap,
-    /// Lines that failed checksum validation in this snapshot — a torn
-    /// in-flight append shows up here (and is absent from `map`) until
-    /// the next reload sees it whole.
+    /// The file as read (empty when it is missing or foreign).
+    bytes: Vec<u8>,
+    index: Index,
+    /// Lines that failed UTF-8, checksum or field validation in this
+    /// snapshot — a torn in-flight append shows up here (and is absent
+    /// from the index) until the next reload sees it whole.
     pub corrupt_lines: u64,
-    /// Those lines, verbatim, for the writer to quarantine.
-    corrupt: Vec<String>,
+    /// Those lines, as ranges of `bytes`, for the writer to quarantine
+    /// byte for byte.
+    corrupt: Vec<(usize, usize)>,
     /// Whether the file carried the current header. Otherwise it is
     /// missing or foreign (read as empty) or v3 (its entries are in
-    /// `map`, tagged `sim`), and a writer owes it a rewrite.
+    /// the index, tagged `sim`), and a writer owes it a rewrite.
     current: bool,
 }
 
 impl StoreView {
     /// Look up an entry by its store key.
     pub fn get(&self, key: &str) -> Option<(BoxTraffic, TrafficMode)> {
-        self.map.get(key).copied()
+        self.index.get(&self.bytes, key.as_bytes())
     }
 
     /// Number of intact entries in this snapshot.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.index.entries.len()
     }
 
     /// True when the snapshot holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.index.entries.is_empty()
     }
 
     /// The entries of this snapshot, for callers that need to iterate
     /// (compaction, tests comparing whole generations; lookups go
     /// through [`StoreView::get`]).
     pub fn entries(&self) -> impl Iterator<Item = (&str, &(BoxTraffic, TrafficMode))> {
-        self.map.iter().map(|(k, v)| (k.as_str(), v))
+        self.index.entries.iter().map(|e| {
+            let key = std::str::from_utf8(&self.bytes[e.key.0..e.key.1]);
+            (key.expect("keys are cut from lines checked as UTF-8 at load"), &e.value)
+        })
     }
 }
 
@@ -850,6 +1053,12 @@ impl StoreView {
 /// servers/readers share one store with exactly one writer. A
 /// [`TrafficCache`] over a store holds its durable entries as one of
 /// these, so a standalone reader and a cache see a file identically.
+///
+/// Each snapshot is one read of the whole file into a view's byte
+/// buffer, and one walk of it that checks every line (UTF-8 per line,
+/// checksum, every field) and indexes the intact ones; nothing is
+/// decoded later. Opening and a changed-file refresh cost that walk, an
+/// unchanged refresh one `stat(2)`.
 ///
 /// Torn reads cannot escape: a snapshot taken mid-append sees the
 /// incomplete tail line fail its checksum and drops it (counted in
@@ -922,10 +1131,11 @@ impl TrafficCache {
     ///   header. Exception: a v3 store (the pre-provenance format) is
     ///   migrated in place — its entries are loaded, tagged `sim`, and
     ///   the file is rewritten with the v4 header.
-    /// * Lines failing their checksum (torn appends from a crash or
-    ///   `kill -9`, bit rot) are copied to `<path>.quarantine`, counted
-    ///   in [`CacheStats::corrupt_lines`], and the store is compacted to
-    ///   the intact entries via tmp-file + rename.
+    /// * Lines failing their checksum or UTF-8 (torn appends from a crash
+    ///   or `kill -9`, bit rot) are copied byte for byte to
+    ///   `<path>.quarantine`, counted in [`CacheStats::corrupt_lines`],
+    ///   and the store is compacted to the intact entries via tmp-file +
+    ///   rename.
     /// * A `<path>.lock` pid file held under an exclusive `flock(2)`
     ///   makes this cache the store's single writer. If another live
     ///   process holds it, this cache loads the entries but runs
@@ -953,8 +1163,8 @@ impl TrafficCache {
                     .append(true)
                     .open(quarantine_path_for(reader.path()))
                 {
-                    for line in &view.corrupt {
-                        let _ = writeln!(q, "{line}");
+                    for &(start, end) in &view.corrupt {
+                        let _ = q.write_all(&[&view.bytes[start..end], b"\n"].concat());
                     }
                 }
             }
@@ -1460,11 +1670,17 @@ mod tests {
         assert_eq!(reload.get(Variant::baseline(), 8, &cfg), t);
     }
 
+    /// [`parse_entry`] with the line's checksum taken by plain
+    /// [`fnv1a64`]: the one-line-at-a-time reading of a store line.
+    fn parse(line: &str, tagged: bool) -> Option<(&str, BoxTraffic, TrafficMode)> {
+        parse_entry(line, fnv1a64(payload(line).as_bytes()), tagged)
+    }
+
     #[test]
     fn checksummed_lines_roundtrip() {
         let t = BoxTraffic { dram_bytes: 123, reads: 45, writes: 6, l1_hit: 0.875, llc_hit: 0.5 };
         let line = entry_line("some/key/n8/g2", &t, TrafficMode::Symbolic);
-        let (k, back, mode) = parse_entry(&line, true).expect("own line must verify");
+        let (k, back, mode) = parse(&line, true).expect("own line must verify");
         assert_eq!(k, "some/key/n8/g2");
         assert_eq!(back, t);
         assert_eq!(mode, TrafficMode::Symbolic);
@@ -1472,25 +1688,41 @@ mod tests {
         // loads, as symbolic.
         let payload = "some/key/n8/g2 hyb 123 45 6 0.875 0.5";
         let hyb = format!("{payload} {:016x}", fnv1a64(payload.as_bytes()));
-        assert_eq!(parse_entry(&hyb, true), Some((k, t, TrafficMode::Symbolic)));
+        assert_eq!(parse(&hyb, true), Some((k, t, TrafficMode::Symbolic)));
         // Told the wrong grammar, a line has one field too many or too
         // few: a v3 reader never takes a tag for a number.
-        assert!(parse_entry(&line, false).is_none());
+        assert!(parse(&line, false).is_none());
         // Any single-byte mutation must fail verification.
         for i in 0..line.len() {
             let mut bytes = line.clone().into_bytes();
             bytes[i] ^= 0x01;
             if let Ok(s) = String::from_utf8(bytes) {
-                assert!(parse_entry(&s, true).is_none(), "flip at {i} must be caught");
+                assert!(parse(&s, true).is_none(), "flip at {i} must be caught");
             }
         }
         // Truncations (torn appends) must fail verification too.
         for cut in 0..line.len() {
-            assert!(
-                parse_entry(&line[..cut], true).is_none(),
-                "truncation at {cut} must be caught"
-            );
+            assert!(parse(&line[..cut], true).is_none(), "truncation at {cut} must be caught");
         }
+    }
+
+    #[test]
+    fn four_lane_checksum_is_fnv1a() {
+        // The published FNV-1a 64 vectors pin the stored checksum itself.
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+        pdesched_testkit::check(0x4a4e, 400, |rng| {
+            // Unequal lengths in 0..300; about one lane in eight empty.
+            let lanes: [Vec<u8>; 4] = std::array::from_fn(|_| {
+                let len = if rng.range_usize(0, 8) == 0 { 0 } else { rng.range_usize(0, 300) };
+                (0..len).map(|_| rng.next_u64() as u8).collect()
+            });
+            let sums = fnv1a64_x4(lanes.each_ref().map(Vec::as_slice));
+            for (lane, sum) in lanes.iter().zip(sums) {
+                assert_eq!(sum, fnv1a64(lane), "lane of {} bytes", lane.len());
+            }
+        });
     }
 
     /// A v3 line: the v4 payload without its provenance tag.
@@ -1531,16 +1763,45 @@ mod tests {
         let v4 = |k: &str, d| entry_line(k, &t(d), TrafficMode::Symbolic);
         let (a, b) = (v4("k/a", 1), v4("k/b", 2));
         let head = store_header();
-        // (name, file bytes or missing, entries held, corrupt lines)
-        let shapes: [(&str, Option<String>, usize, u64); 6] = [
-            ("clean v4", Some(format!("{head}\n{a}\n{b}\n")), 2, 0),
-            ("v3", Some(format!("{V3_HEADER}\n{}\n{}\n", v3_line("k/a", &t(1)), a)), 1, 1),
-            ("torn tail", Some(format!("{head}\n{a}\n{}", &b[..b.len() / 2])), 1, 1),
-            ("corrupt interior", Some(format!("{head}\n{a}\nnot an entry\n\n{b}\n")), 2, 1),
-            ("foreign header", Some(format!("# pdesched-traffic-store v1\n{a}\n")), 0, 0),
-            ("missing", None, 0, 0),
+        let torn = &b.as_bytes()[..b.len() / 2];
+        // `b` with one byte bit-rotted past ASCII: not UTF-8.
+        let mut rotted = b.clone().into_bytes();
+        rotted[2] = 0xff;
+        fn file(lines: &[&[u8]]) -> Vec<u8> {
+            lines.iter().flat_map(|l| [*l, b"\n"]).flatten().copied().collect()
+        }
+        // (name, file bytes or missing, entries held, the damaged lines)
+        type Shape<'a> = (&'a str, Option<Vec<u8>>, usize, Vec<&'a [u8]>);
+        let shapes: [Shape; 7] = [
+            ("clean v4", Some(format!("{head}\n{a}\n{b}\n").into()), 2, vec![]),
+            (
+                "v3",
+                Some(format!("{V3_HEADER}\n{}\n{a}\n", v3_line("k/a", &t(1))).into()),
+                1,
+                vec![a.as_bytes()],
+            ),
+            (
+                "torn tail",
+                Some([format!("{head}\n{a}\n").as_bytes(), torn].concat()),
+                1,
+                vec![torn],
+            ),
+            (
+                "corrupt interior",
+                Some(format!("{head}\n{a}\nnot an entry\n\n{b}\n").into()),
+                2,
+                vec![b"not an entry"],
+            ),
+            ("not UTF-8", Some(file(&[head.as_bytes(), a.as_bytes(), &rotted])), 1, vec![&rotted]),
+            (
+                "foreign header",
+                Some(format!("# pdesched-traffic-store v1\n{a}\n").into()),
+                0,
+                vec![],
+            ),
+            ("missing", None, 0, vec![]),
         ];
-        for (name, bytes, entries, corrupt) in shapes {
+        for (name, bytes, entries, damage) in shapes {
             let dir = TempDir::new("shapes");
             let path = dir.file("traffic.txt");
             if let Some(bytes) = &bytes {
@@ -1550,21 +1811,194 @@ mod tests {
             let view = StoreReader::open(&path).view();
             let cache = TrafficCache::with_store(&path);
             assert!(!cache.store_read_only(), "{name}");
+            let corrupt = damage.len() as u64;
             assert_eq!((view.len(), view.corrupt_lines), (entries, corrupt), "{name}: reader");
             assert_eq!((cache.len(), cache.stats().corrupt_lines), (entries, corrupt), "{name}");
             for (key, entry) in view.entries() {
                 assert_eq!(cache.peek(key), Some(*entry), "{name}: {key}");
             }
             assert_eq!(
-                quarantine_path_for(&path).exists(),
-                corrupt > 0,
-                "{name}: exactly the damage is quarantined"
+                std::fs::read(quarantine_path_for(&path)).ok(),
+                (!damage.is_empty()).then(|| file(&damage)),
+                "{name}: exactly the damage is quarantined, byte for byte"
             );
             drop(cache);
             let reload = TrafficCache::with_store(&path);
             assert_eq!((reload.len(), reload.stats().corrupt_lines), (entries, 0), "{name}");
             let text = std::fs::read_to_string(&path).unwrap();
             assert!(text.starts_with(&head), "{name}: {text}");
+        }
+    }
+
+    /// The loader against the plainest reading of a store: split the
+    /// text with `str::lines` and fold [`parse_entry`] over the lines
+    /// one at a time, checksums by plain [`fnv1a64`], the last line of
+    /// a key winning. The seeded ~5,000-line stores carry every damage
+    /// a store meets.
+    #[test]
+    fn view_matches_a_line_by_line_oracle() {
+        use std::fmt::Write as _;
+        type Held = HashMap<String, (BoxTraffic, TrafficMode)>;
+        fn oracle(bytes: &[u8]) -> (Held, u64) {
+            let text = String::from_utf8_lossy(bytes);
+            let mut lines = text.lines();
+            let tagged = match lines.next() {
+                Some(h) if h == store_header() => true,
+                Some(V3_HEADER) => false,
+                _ => return (Held::new(), 0),
+            };
+            let (mut held, mut corrupt) = (Held::new(), 0);
+            for line in lines.filter(|l| !l.trim().is_empty()) {
+                // A byte that is not UTF-8 reads as U+FFFD, which no
+                // generated line holds otherwise.
+                match parse(line, tagged).filter(|_| !line.contains('\u{fffd}')) {
+                    Some((k, t, mode)) => {
+                        held.insert(k.to_string(), (t, mode));
+                    }
+                    None => corrupt += 1,
+                }
+            }
+            (held, corrupt)
+        }
+        type Bits = (u64, u64, u64, u64, u64, TrafficMode);
+        let bits = |(t, mode): (BoxTraffic, TrafficMode)| -> Bits {
+            (t.dram_bytes, t.reads, t.writes, t.l1_hit.to_bits(), t.llc_hit.to_bits(), mode)
+        };
+
+        let mut rng = pdesched_testkit::Rng::new(0x10ad);
+        let value = |rng: &mut pdesched_testkit::Rng| {
+            let mut ratio = || (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+            let (l1_hit, llc_hit) = (ratio(), ratio());
+            let mode = [TrafficMode::Simulate, TrafficMode::Symbolic][rng.range_usize(0, 2)];
+            let t = BoxTraffic {
+                dram_bytes: rng.next_u64() >> rng.range_usize(0, 64),
+                reads: rng.next_u64() >> 24,
+                writes: rng.range_usize(0, 1 << 20) as u64,
+                l1_hit,
+                llc_hit,
+            };
+            (t, mode)
+        };
+        // One to four cache levels: keys of every length mod 8.
+        let keys: Vec<String> = (0..5000)
+            .map(|i| {
+                let mut k = format!("Series/Box/Outside/n{}/g2/i{i}", rng.range_usize(1, 513));
+                for _ in 0..rng.range_usize(1, 5) {
+                    let _ = write!(
+                        k,
+                        "/{}-{}-64",
+                        1 << rng.range_usize(10, 25),
+                        rng.range_usize(1, 17)
+                    );
+                }
+                k
+            })
+            .collect();
+        let mut lines: Vec<Vec<u8>> = keys
+            .iter()
+            .map(|k| {
+                let (t, mode) = value(&mut rng);
+                entry_line(k, &t, mode).into()
+            })
+            .collect();
+        // The damage. A later line for a held key with a different
+        // value; another whose copy is corrupt, so the first stands.
+        let (t, mode) = value(&mut rng);
+        let duplicate = (keys[300].clone(), (t, mode));
+        lines.push(entry_line(&keys[300], &t, mode).into());
+        // A flipped digit: the last of the payload, llc_hit's.
+        let flip_digit = |line: &mut Vec<u8>| {
+            let at = line.len() - 18;
+            line[at] = b'0' + (line[at] - b'0' + 1) % 10;
+        };
+        let mut bad_copy = lines[301].clone();
+        flip_digit(&mut bad_copy);
+        lines.push(bad_copy);
+        flip_digit(&mut lines[100]);
+        // Bytes that are not UTF-8: in a key, in a checksum.
+        lines[200][5] = 0xff;
+        let end = lines[201].len() - 3;
+        lines[201][end] = 0x80;
+        // A tagless (v3) line under the v4 header.
+        lines.push(v3_line("tagless/k", &value(&mut rng).0).into());
+        // Damaged: the bad copy, the digit, two non-UTF-8 lines, the
+        // tagless line and the torn tail below.
+        let damaged = 6;
+        // Blank lines, scattered.
+        for blank in ["", "   ", "\t"] {
+            let at = rng.range_usize(0, lines.len());
+            lines.insert(at, blank.into());
+        }
+        let mut v4 = format!("{}\n", store_header()).into_bytes();
+        for line in &lines {
+            v4.extend_from_slice(line);
+            // CRLF endings on one line in seven.
+            v4.extend_from_slice(if rng.range_usize(0, 7) == 0 { b"\r\n" } else { b"\n" });
+        }
+        // A torn tail: half a line, no newline.
+        let tail = entry_line("torn/k", &value(&mut rng).0, TrafficMode::Simulate);
+        v4.extend_from_slice(&tail.as_bytes()[..tail.len() / 2]);
+        // A v3 store with a v4 line among its v3 ones.
+        let mut v3 = format!("{V3_HEADER}\n").into_bytes();
+        for (i, key) in keys[..50].iter().enumerate() {
+            let line = if i == 25 {
+                entry_line(key, &value(&mut rng).0, TrafficMode::Simulate)
+            } else {
+                v3_line(key, &value(&mut rng).0)
+            };
+            v3.extend_from_slice(format!("{line}\n").as_bytes());
+        }
+
+        for (name, bytes, held_len, corrupt_lines) in
+            // Three keys' only lines are damaged.
+            [("v4", v4, keys.len() - 3, damaged), ("v3", v3, 49, 1)]
+        {
+            let (held, corrupt) = oracle(&bytes);
+            // The oracle read what was written, so the comparison bites.
+            assert_eq!((held.len(), corrupt), (held_len, corrupt_lines as u64), "{name}: oracle");
+            let dir = TempDir::new("oracle");
+            let path = dir.file("traffic.txt");
+            std::fs::write(&path, &bytes).unwrap();
+            // The reader first: the writer repairs the file it opens.
+            let view = StoreReader::open(&path).view();
+            let cache = TrafficCache::with_store(&path);
+            assert_eq!((view.len(), view.corrupt_lines), (held.len(), corrupt), "{name}: reader");
+            assert_eq!((cache.len(), cache.stats().corrupt_lines), (held.len(), corrupt), "{name}");
+            let listed: HashMap<&str, Bits> = view.entries().map(|(k, v)| (k, bits(*v))).collect();
+            assert_eq!(listed.len(), held.len(), "{name}: entries() lists each key once");
+            for (key, &v) in &held {
+                assert_eq!(listed.get(key.as_str()), Some(&bits(v)), "{name}: {key}");
+                assert_eq!(view.get(key).map(bits), Some(bits(v)), "{name}: {key}");
+                assert_eq!(cache.peek(key).map(bits), Some(bits(v)), "{name}: {key}");
+                // Every one-byte change of a key reads what the oracle
+                // holds under the changed key: nothing, nearly always.
+                let mut near = key.clone().into_bytes();
+                for i in 0..near.len() {
+                    for flip in [0x01, 0x20] {
+                        near[i] ^= flip;
+                        let near_key = std::str::from_utf8(&near).unwrap();
+                        let want = held.get(near_key).copied().map(bits);
+                        assert_eq!(view.get(near_key).map(bits), want, "{name}: {near_key}");
+                        assert_eq!(cache.peek(near_key).map(bits), want, "{name}: {near_key}");
+                        near[i] ^= flip;
+                    }
+                }
+                for near_key in [&key[..key.len() - 1], format!("{key}0").as_str()] {
+                    let want = held.get(near_key).copied().map(bits);
+                    assert_eq!(view.get(near_key).map(bits), want, "{name}: {near_key}");
+                }
+            }
+            if name == "v4" {
+                let (key, v) = &duplicate;
+                assert_eq!(view.get(key).map(bits), Some(bits(*v)), "the last line of a key wins");
+                assert_eq!(view.get(&keys[301]), held.get(&keys[301]).copied());
+            }
+            drop(cache);
+            let reload = StoreReader::open(&path).view();
+            assert_eq!((reload.len(), reload.corrupt_lines), (held.len(), 0), "{name}: repaired");
+            for (key, &v) in &held {
+                assert_eq!(reload.get(key).map(bits), Some(bits(v)), "{name}: repaired {key}");
+            }
         }
     }
 
