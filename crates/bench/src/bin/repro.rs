@@ -345,25 +345,25 @@ fn main() {
         cache = cache.with_fault_hook(std::sync::Arc::new(fault));
     }
 
-    // Supervision: one token for the whole run. Tripping it — from the
-    // signal latch, the run deadline, or anything else — stops the
-    // running sweep at its next checkpoint; the rest of main then
-    // flushes the store, reports, and exits with the documented code.
-    let token = CancelToken::new();
+    // Supervision: one token for the whole run, carrying the run
+    // deadline. Tripping it — by the signal latch, by reading it past
+    // the deadline, or anything else — stops the running sweep at its
+    // next checkpoint; the rest of main then flushes the store, reports,
+    // and exits with the documented code.
+    let token = match deadline {
+        Some(d) => CancelToken::new().child_until(
+            std::time::Instant::now() + d,
+            format!("deadline {:.1}s exceeded", d.as_secs_f64()),
+        ),
+        None => CancelToken::new(),
+    };
     signals::install();
     {
         let token = token.clone();
-        let t0 = std::time::Instant::now();
         std::thread::spawn(move || loop {
             if let Some(sig) = signals::pending() {
                 token.trip(&format!("signal {sig}"));
                 return;
-            }
-            if let Some(d) = deadline {
-                if t0.elapsed() >= d {
-                    token.trip(&format!("deadline {:.1}s exceeded", d.as_secs_f64()));
-                    return;
-                }
             }
             std::thread::sleep(Duration::from_millis(25));
         });
@@ -377,7 +377,7 @@ fn main() {
     let engine = SweepEngine::new(threads)
         .with_progress(true)
         .with_budget(SweepBudget {
-            point_deadline, // the monitor thread owns the run deadline
+            point_deadline, // the run deadline is the run token's own
             max_retries: 2,
             backoff: Duration::from_millis(50),
         })

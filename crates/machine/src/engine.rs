@@ -87,13 +87,14 @@ pub struct SkippedPoint {
 
 /// Time and retry budget for one [`SweepEngine::prewarm`] call.
 ///
-/// The per-point deadline is enforced by a watchdog thread that trips
-/// only that point's child [`CancelToken`] (the point lands in
-/// [`PrewarmReport::timed_out`] and every other point proceeds). A
-/// deadline for the whole sweep is the caller's: trip the engine's
-/// token ([`SweepEngine::with_cancel_token`]) and the remaining points
-/// are left unmeasured, the report coming back
-/// [`PrewarmReport::cancelled`].
+/// The per-point deadline is part of each pass's own token: a
+/// [`CancelToken::child_until`] of the sweep token, so only that pass
+/// stops at its next checkpoint past the deadline (its points land in
+/// [`PrewarmReport::timed_out`] and every other pass proceeds). A
+/// deadline for the whole sweep is the caller's: give the engine a
+/// token that carries one ([`SweepEngine::with_cancel_token`]), or trip
+/// it, and the remaining points are left unmeasured, the report coming
+/// back [`PrewarmReport::cancelled`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SweepBudget {
     /// Wall-clock limit for a single point's measurement.
@@ -258,14 +259,17 @@ impl SweepEngine {
     /// complete — one poisoned simulation must not abort an hours-long
     /// unattended sweep. (A fault hook that panics for one member fails
     /// that member alone; the rest of its pass is measured.) Under a
-    /// [`SweepBudget`] a watchdog additionally kills individual passes
-    /// that exceed the per-point deadline (their points are reported in
-    /// [`PrewarmReport::timed_out`]); an engine-level
-    /// [`CancelToken`] cancels the whole sweep. However the sweep stops,
-    /// every completed point is already durably appended to the store
-    /// and a journal sidecar marks the interruption, so re-running the
-    /// same prewarm resumes with exactly the missing points and ends
-    /// bit-identical to an uninterrupted run.
+    /// [`SweepBudget`] each pass's token carries the per-point deadline,
+    /// so a pass that outlives it stops at its next checkpoint (its
+    /// points are reported in [`PrewarmReport::timed_out`]); an
+    /// engine-level [`CancelToken`] cancels the whole sweep. However the
+    /// sweep stops, every completed point is already durably appended to
+    /// the store and a journal sidecar marks the interruption, so
+    /// re-running the same prewarm resumes with exactly the missing
+    /// points and ends bit-identical to an uninterrupted run. A prewarm
+    /// with nothing to measure opens no journal: it neither reports nor
+    /// erases an interrupted sweep's record, which the next prewarm that
+    /// measures resumes.
     pub fn prewarm(&self, cache: &TrafficCache, points: &[SimPoint]) -> PrewarmReport {
         let t0 = Instant::now();
         // One keyed walk: dedupe, the skip list, and the missing points
@@ -323,7 +327,7 @@ impl SweepEngine {
         // sweep. An unterminated journal means we are resuming it.
         let mut resumed_from: Option<PriorSweep> = None;
         let journal: Option<SweepJournal> = match cache.store_path() {
-            Some(store) if !cache.store_read_only() => {
+            Some(store) if !cache.store_read_only() && total > 0 => {
                 let jpath = journal::journal_path_for(store);
                 resumed_from = journal::load(&jpath);
                 SweepJournal::start(&jpath, total)
@@ -351,11 +355,6 @@ impl SweepEngine {
         let measured = AtomicUsize::new(0);
         let failures: Mutex<Vec<PointFailure>> = Mutex::new(Vec::new());
         let timeouts: Mutex<Vec<PointFailure>> = Mutex::new(Vec::new());
-        // One supervision slot per worker: the token and start time of
-        // the pass it is currently measuring, for the watchdog's
-        // per-point deadline scan.
-        let slots: Vec<Mutex<Option<(CancelToken, Instant)>>> =
-            (0..self.pool.nthreads()).map(|_| Mutex::new(None)).collect();
         // When the first point actually entered measurement: the rate
         // basis for `points_per_sec` and the heartbeat ETA, so a resume
         // that spends its prologue skipping stored points doesn't dilute
@@ -365,56 +364,34 @@ impl SweepEngine {
         let stop_cv = Condvar::new();
 
         let run_result = std::thread::scope(|s| {
-            let supervise = self.budget.point_deadline.is_some() || self.heartbeat.is_some();
-            if supervise && total > 0 {
-                let budget = self.budget.clone();
-                let heartbeat = self.heartbeat;
-                let (slots, stop, stop_cv, done) = (&slots, &stop, &stop_cv, &done);
-                let first_measure = &first_measure;
+            // The operator's heartbeat line, once per interval until the
+            // region ends.
+            if let Some(hb) = self.heartbeat.filter(|_| total > 0) {
+                let (stop, stop_cv, done, first_measure) = (&stop, &stop_cv, &done, &first_measure);
                 s.spawn(move || {
-                    let mut last_beat = Instant::now();
                     let mut guard = stop.lock().unwrap_or_else(|e| e.into_inner());
-                    while !*guard {
-                        guard = stop_cv
-                            .wait_timeout(guard, Duration::from_millis(20))
-                            .unwrap_or_else(|e| e.into_inner())
-                            .0;
-                        if *guard {
+                    loop {
+                        let (g, wait) = stop_cv
+                            .wait_timeout_while(guard, hb, |stopped| !*stopped)
+                            .unwrap_or_else(|e| e.into_inner());
+                        guard = g;
+                        if !wait.timed_out() {
                             break;
                         }
-                        if let Some(pd) = budget.point_deadline {
-                            for slot in slots {
-                                let held = slot.lock().unwrap_or_else(|e| e.into_inner());
-                                if let Some((tok, started)) = &*held {
-                                    if started.elapsed() >= pd && !tok.tripped_directly() {
-                                        tok.trip(&format!(
-                                            "point deadline {:.3}s exceeded",
-                                            pd.as_secs_f64()
-                                        ));
-                                    }
-                                }
-                            }
-                        }
-                        if let Some(hb) = heartbeat {
-                            if last_beat.elapsed() >= hb {
-                                last_beat = Instant::now();
-                                let d = done.load(Ordering::Relaxed);
-                                let secs = first_measure
-                                    .lock()
-                                    .unwrap_or_else(|e| e.into_inner())
-                                    .map_or(0.0, |t| t.elapsed().as_secs_f64());
-                                let rate = if secs > 0.0 { d as f64 / secs } else { 0.0 };
-                                let eta = if rate > 0.0 {
-                                    format!("{:.0}s", (total - d) as f64 / rate)
-                                } else {
-                                    "?".into()
-                                };
-                                eprintln!(
-                                    "[sweep] heartbeat: {d}/{total} points, \
-                                     {rate:.2} points/s, eta {eta}"
-                                );
-                            }
-                        }
+                        let d = done.load(Ordering::Relaxed);
+                        let secs = first_measure
+                            .lock()
+                            .unwrap_or_else(|e| e.into_inner())
+                            .map_or(0.0, |t| t.elapsed().as_secs_f64());
+                        let rate = if secs > 0.0 { d as f64 / secs } else { 0.0 };
+                        let eta = if rate > 0.0 {
+                            format!("{:.0}s", (total - d) as f64 / rate)
+                        } else {
+                            "?".into()
+                        };
+                        eprintln!(
+                            "[sweep] heartbeat: {d}/{total} points, {rate:.2} points/s, eta {eta}"
+                        );
                     }
                 });
             }
@@ -435,9 +412,13 @@ impl SweepEngine {
                             *fm = Some(Instant::now());
                         }
                     }
-                    let point_token = sweep_token.child();
-                    *slots[ctx.tid()].lock().unwrap_or_else(|e| e.into_inner()) =
-                        Some((point_token.clone(), Instant::now()));
+                    let point_token = match self.budget.point_deadline {
+                        Some(pd) => sweep_token.child_until(
+                            Instant::now() + pd,
+                            format!("point deadline {:.3}s exceeded", pd.as_secs_f64()),
+                        ),
+                        None => sweep_token.child(),
+                    };
                     let _ambient = cancel::set_current(Some(point_token.clone()));
                     let lasts: Vec<CacheConfig> =
                         members.iter().map(|p| p.configs[p.configs.len() - 1]).collect();
@@ -451,7 +432,6 @@ impl SweepEngine {
                     let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         cache.fetch(&point).unwrap_or_else(|e| panic!("{e}"))
                     }));
-                    *slots[ctx.tid()].lock().unwrap_or_else(|e| e.into_inner()) = None;
                     let d = done.fetch_add(members.len(), Ordering::Relaxed) + members.len();
                     // One member that has no number: narrate, journal,
                     // and file it under failures or timeouts.

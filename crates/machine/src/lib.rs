@@ -36,6 +36,7 @@ pub mod engine;
 pub mod fault;
 pub mod figures;
 pub mod journal;
+pub mod json;
 pub mod model;
 pub mod parallel;
 pub mod serve;

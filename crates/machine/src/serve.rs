@@ -78,11 +78,15 @@
 //!   unwinds; the next request replaces it with a fresh one.
 //! * **Execution**: each flight runs under its own [`CancelToken`]
 //!   chained off the server token, held by an [`InterestSet`] of the
-//!   requests that want it. Client disconnect and request deadline trip
-//!   the per-request token; when the *last* interested request lets go
-//!   the flight token trips and the plan interpreter stops at its next
-//!   checkpoint — an abandoned point never simulates into the void,
-//!   while one live follower keeps it running.
+//!   requests that want it. Client disconnect trips the per-request
+//!   token; when the *last* interested request lets go the flight token
+//!   trips and the plan interpreter stops at its next checkpoint — an
+//!   abandoned point never simulates into the void, while one live
+//!   follower keeps it running. Deadlines are token state
+//!   ([`CancelToken::child_until`]), not a watcher thread: a request
+//!   token carries `request_deadline`, noticed by the parked follower's
+//!   20 ms poll, and a flight token carries `point_deadline`, noticed by
+//!   the interpreter's next checkpoint.
 //! * **Degradation**: when the store's writer flock is held elsewhere
 //!   the server runs read-only: the cache's store snapshot is refreshed
 //!   per request ([`TrafficCache::refresh_if_compacted`] — one `stat`,
@@ -107,6 +111,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use crate::engine::SweepBudget;
+use crate::json::json_str;
 use crate::model::{self, Workload};
 use crate::spec::MachineSpec;
 use crate::sweep;
@@ -240,13 +245,6 @@ enum FlightState {
 /// A memoised analytic ranking, fastest first; see `ServerInner::ranks`.
 type Ranking = Arc<[sweep::RankedVariant]>;
 
-/// A deadline the supervisor thread enforces by tripping a token.
-struct DeadlineSlot {
-    at: Instant,
-    token: CancelToken,
-    reason: &'static str,
-}
-
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
@@ -265,8 +263,6 @@ struct ServerInner {
     ranks: Mutex<HashMap<(&'static str, i32, usize), Ranking>>,
     token: CancelToken,
     draining: AtomicBool,
-    supervisor_stop: AtomicBool,
-    deadlines: Mutex<Vec<Arc<DeadlineSlot>>>,
     inflight: AtomicUsize,
     active_flights: AtomicUsize,
     requests: AtomicU64,
@@ -280,7 +276,6 @@ pub struct Server {
     inner: Arc<ServerInner>,
     local_addr: SocketAddr,
     accept_thread: Option<std::thread::JoinHandle<()>>,
-    supervisor_thread: Option<std::thread::JoinHandle<()>>,
 }
 
 impl Server {
@@ -317,8 +312,6 @@ impl Server {
             ranks: Mutex::new(HashMap::new()),
             token: CancelToken::new(),
             draining: AtomicBool::new(false),
-            supervisor_stop: AtomicBool::new(false),
-            deadlines: Mutex::new(Vec::new()),
             inflight: AtomicUsize::new(0),
             active_flights: AtomicUsize::new(0),
             requests: AtomicU64::new(0),
@@ -330,17 +323,8 @@ impl Server {
         let accept_thread = std::thread::spawn(move || {
             accept_loop(accept_inner, listener);
         });
-        let supervisor_inner = Arc::clone(&inner);
-        let supervisor_thread = std::thread::spawn(move || {
-            supervise_deadlines(supervisor_inner);
-        });
 
-        Ok(Server {
-            inner,
-            local_addr,
-            accept_thread: Some(accept_thread),
-            supervisor_thread: Some(supervisor_thread),
-        })
+        Ok(Server { inner, local_addr, accept_thread: Some(accept_thread) })
     }
 
     /// The bound address (useful with an ephemeral port).
@@ -402,11 +386,7 @@ impl Server {
 impl Drop for Server {
     fn drop(&mut self) {
         self.drain();
-        self.inner.supervisor_stop.store(true, Ordering::SeqCst);
         if let Some(h) = self.accept_thread.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.supervisor_thread.take() {
             let _ = h.join();
         }
     }
@@ -428,28 +408,6 @@ fn accept_loop(inner: Arc<ServerInner>, listener: TcpListener) {
             }
             Err(_) => std::thread::sleep(Duration::from_millis(2)),
         }
-    }
-}
-
-/// Trip expired request/flight deadlines. One scan thread for the whole
-/// server: requests register a slot, the scanner trips and retires it.
-fn supervise_deadlines(inner: Arc<ServerInner>) {
-    while !inner.supervisor_stop.load(Ordering::SeqCst) {
-        {
-            let now = Instant::now();
-            let mut slots = lock(&inner.deadlines);
-            slots.retain(|slot| {
-                if slot.token.is_tripped() {
-                    return false;
-                }
-                if now >= slot.at {
-                    slot.token.trip(slot.reason);
-                    return false;
-                }
-                true
-            });
-        }
-        std::thread::sleep(Duration::from_millis(5));
     }
 }
 
@@ -622,21 +580,6 @@ impl Drop for InflightSlot<'_> {
     }
 }
 
-/// Retires a request's [`DeadlineSlot`] when the request completes.
-/// Left to expire, the slot would keep the finished request's token
-/// alive (so `CancelToken::child` never prunes it), be rescanned by the
-/// supervisor every 5 ms, and finally trip a token nobody waits on.
-struct DeadlineGuard<'a> {
-    slots: &'a Mutex<Vec<Arc<DeadlineSlot>>>,
-    slot: Arc<DeadlineSlot>,
-}
-
-impl Drop for DeadlineGuard<'_> {
-    fn drop(&mut self) {
-        lock(self.slots).retain(|s| !Arc::ptr_eq(s, &self.slot));
-    }
-}
-
 /// Answer one request line; `None` means "drop the connection"
 /// (injected fault only).
 fn process_request(inner: &Arc<ServerInner>, conn: &mut Conn, line: &str) -> Option<String> {
@@ -675,17 +618,11 @@ fn process_request(inner: &Arc<ServerInner>, conn: &mut Conn, line: &str) -> Opt
     let _slot = InflightSlot(&inner.inflight);
 
     // Per-request token: child of the connection token (disconnect
-    // cascades in), deadline enforced by the supervisor.
-    let req_token = conn.token.child();
-    let _deadline = inner.cfg.request_deadline.map(|d| {
-        let slot = Arc::new(DeadlineSlot {
-            at: Instant::now() + d,
-            token: req_token.clone(),
-            reason: "request deadline",
-        });
-        lock(&inner.deadlines).push(Arc::clone(&slot));
-        DeadlineGuard { slots: &inner.deadlines, slot }
-    });
+    // cascades in), carrying the request deadline if one is set.
+    let req_token = match inner.cfg.request_deadline {
+        Some(d) => conn.token.child_until(Instant::now() + d, "request deadline"),
+        None => conn.token.child(),
+    };
 
     Some(answer(inner, conn, &req_token, line))
 }
@@ -708,8 +645,10 @@ fn answer(
         Ok(spec) => spec,
         Err(detail) => return err_json("bad_request", &detail),
     };
+    // Integral numbers of any sign parse; the range checks below refuse
+    // the ones out of range with a detail that says so.
     let n = match req.get("n") {
-        Some(JVal::N(v)) if *v >= 1.0 && v.fract() == 0.0 => *v as i32,
+        Some(JVal::N(v)) if v.fract() == 0.0 => *v as i32,
         _ => return err_json("bad_request", "missing or non-integer field \"n\""),
     };
     // Bounded by the longest domain edge *before* cubing: `n` comes off
@@ -722,21 +661,26 @@ fn answer(
         );
     }
     let threads = match req.get("threads") {
-        None => spec.cores(),
-        Some(JVal::N(v)) if *v >= 1.0 && v.fract() == 0.0 => *v as usize,
+        None => spec.cores() as i64,
+        Some(JVal::N(v)) if v.fract() == 0.0 => *v as i64,
         _ => return err_json("bad_request", "non-integer field \"threads\""),
     };
-    if threads < 1 || threads > spec.hw_threads() {
+    if threads < 1 || threads > spec.hw_threads() as i64 {
         return err_json(
             "bad_request",
             &format!("threads {threads} out of range 1..={} for {}", spec.hw_threads(), spec.name),
         );
     }
+    let threads = threads as usize;
     let top = match req.get("top") {
-        None => 3usize,
-        Some(JVal::N(v)) if *v >= 1.0 && v.fract() == 0.0 => (*v as usize).min(MAX_TOP),
+        None => 3,
+        Some(JVal::N(v)) if v.fract() == 0.0 => *v as i64,
         _ => return err_json("bad_request", "non-integer field \"top\""),
     };
+    if top < 1 {
+        return err_json("bad_request", &format!("top {top} must be at least 1"));
+    }
+    let top = (top as usize).min(MAX_TOP);
     let pipeline = match req.get("passes") {
         None => Pipeline::empty(),
         Some(JVal::S(spec_str)) => match Pipeline::parse(spec_str) {
@@ -814,7 +758,7 @@ fn answer(
 
     let mut out = String::with_capacity(512);
     out.push_str("{\"ok\":true,\"machine\":");
-    out.push_str(&jstr(spec.name));
+    out.push_str(&json_str(spec.name));
     out.push_str(&format!(
         ",\"n\":{n},\"threads\":{threads},\"stale\":{stale},\"generation\":{},\"variants\":[",
         inner.cache.store_generation()
@@ -888,7 +832,7 @@ type Row = (f64, String, Variant);
 fn push_row(rows: &mut Vec<Row>, variant: Variant, p: &model::Prediction, source: &str) {
     let row = format!(
         "{{\"name\":{},\"seconds\":{},\"compute_s\":{},\"memory_s\":{},\"overhead_s\":{},\"source\":\"{source}\"}}",
-        jstr(&variant.name()),
+        json_str(&variant.name()),
         fnum(p.seconds),
         fnum(p.compute_s),
         fnum(p.memory_s),
@@ -926,7 +870,10 @@ fn fly(
         match joined {
             Some((flight, interest)) => (flight, interest, true),
             None => {
-                let token = inner.token.child();
+                let token = match inner.cfg.budget.point_deadline {
+                    Some(d) => inner.token.child_until(Instant::now() + d, "point deadline"),
+                    None => inner.token.child(),
+                };
                 let flight = Arc::new(Flight {
                     interest: InterestSet::new(token.clone(), "abandoned by every requester"),
                     token,
@@ -935,13 +882,6 @@ fn fly(
                 });
                 let interest = flight.interest.join();
                 flights.insert(point.key.to_string(), Arc::clone(&flight));
-                if let Some(d) = inner.cfg.budget.point_deadline {
-                    lock(&inner.deadlines).push(Arc::new(DeadlineSlot {
-                        at: Instant::now() + d,
-                        token: flight.token.clone(),
-                        reason: "point deadline",
-                    }));
-                }
                 spawn_flight_worker(inner, &flight, point);
                 (flight, interest, false)
             }
@@ -1040,26 +980,7 @@ fn cancel_json(req_token: &CancelToken) -> String {
 }
 
 fn err_json(error: &str, detail: &str) -> String {
-    format!("{{\"ok\":false,\"error\":{},\"detail\":{}}}", jstr(error), jstr(detail))
-}
-
-/// JSON string literal with escaping.
-fn jstr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    format!("{{\"ok\":false,\"error\":{},\"detail\":{}}}", json_str(error), json_str(detail))
 }
 
 /// A float that round-trips as JSON (never NaN/inf in our outputs, but
@@ -1210,30 +1131,6 @@ fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Result<
 mod tests {
     use super::*;
 
-    /// A request's deadline slot is retired when the request completes,
-    /// not when the deadline passes: a busy connection must not pile up
-    /// one live token per answered request for the supervisor to rescan.
-    #[test]
-    fn deadline_slots_retire_with_their_request() {
-        use std::io::{BufRead, BufReader};
-        let server = Server::start(ServeConfig {
-            request_deadline: Some(Duration::from_secs(60)),
-            ..ServeConfig::default()
-        })
-        .expect("bind");
-        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
-        let mut replies = BufReader::new(stream.try_clone().unwrap());
-        let mut reply = String::new();
-        for _ in 0..2000 {
-            stream.write_all(b"{\"machine\":\"i5\",\"n\":8,\"threads\":1,\"top\":1}\n").unwrap();
-            reply.clear();
-            replies.read_line(&mut reply).unwrap();
-            assert!(reply.contains("\"ok\":true"), "{reply}");
-        }
-        let live = lock(&server.inner.deadlines).len();
-        assert!(live <= server.stats().inflight, "{live} deadline slots outlived their requests");
-    }
-
     #[test]
     fn flat_json_round_trips_the_request_schema() {
         let m = parse_flat_json(
@@ -1259,8 +1156,7 @@ mod tests {
     }
 
     #[test]
-    fn json_strings_escape_cleanly() {
-        assert_eq!(jstr("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+    fn flat_json_unescapes_strings() {
         let m = parse_flat_json("{\"k\":\"a\\\"b\\u0041\"}").unwrap();
         assert!(matches!(m.get("k"), Some(JVal::S(s)) if s == "a\"bA"));
     }

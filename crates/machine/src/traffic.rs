@@ -1460,7 +1460,7 @@ impl TrafficCache {
     /// attempts per entry, sleeping `backoff · 2^attempt` (bounded)
     /// between attempts. Off by default (`max_retries == 0`) so fault
     /// accounting stays exact for callers that want one attempt = one
-    /// outcome; the sweep supervisor turns it on from its
+    /// outcome; the sweep engine turns it on from its
     /// `SweepBudget`. Attempts that ultimately fail are still counted in
     /// [`CacheStats::store_errors`]; the retries themselves show up in
     /// [`CacheStats::retried_appends`].

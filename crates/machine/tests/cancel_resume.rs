@@ -11,7 +11,7 @@ use pdesched_machine::{BoxTraffic, FaultHook, SimPoint, SweepBudget, SweepEngine
 use pdesched_par::cancel::{self, CancelToken};
 use pdesched_testkit::{check, sorted_lines, FaultPlan, TempDir};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Cheapest hierarchy to simulate: everything is cache-resident.
 fn roomy() -> Vec<CacheConfig> {
@@ -224,21 +224,16 @@ fn hung_family_pass_times_out_every_member() {
 fn sweep_deadline_cancels_and_releases_a_hung_point() {
     let pts = sweep_points();
     // The hang has no per-point deadline to kill it: only the run
-    // deadline can end this sweep — a timer tripping the engine's token,
-    // as `repro --deadline`'s monitor thread does — and it must also
-    // unstick the hung worker (via the cancel gate), not leave it wedged.
+    // deadline can end this sweep — the engine token's own deadline, as
+    // `repro --deadline` sets it — and it must also unstick the hung
+    // worker (via the cancel gate), not leave it wedged.
     let plan = Arc::new(FaultPlan::new().hang_on_sim(0));
     let cache = TrafficCache::new().with_fault_hook(Arc::new(HangHook(Arc::clone(&plan))));
-    let token = CancelToken::new();
-    let engine = SweepEngine::new(2).with_cancel_token(token.clone());
-    let t0 = std::time::Instant::now();
-    let report = std::thread::scope(|s| {
-        s.spawn(|| {
-            std::thread::sleep(Duration::from_millis(120));
-            token.trip("sweep deadline 0.120s exceeded");
-        });
-        engine.prewarm(&cache, &pts)
-    });
+    let token = CancelToken::new()
+        .child_until(Instant::now() + Duration::from_millis(120), "sweep deadline 0.120s exceeded");
+    let engine = SweepEngine::new(2).with_cancel_token(token);
+    let t0 = Instant::now();
+    let report = engine.prewarm(&cache, &pts);
     assert!(
         report.cancelled.as_deref().is_some_and(|r| r.contains("sweep deadline")),
         "{:?}",
@@ -248,6 +243,36 @@ fn sweep_deadline_cancels_and_releases_a_hung_point() {
     assert!(report.timed_out.is_empty(), "no per-point deadline was configured");
     assert!(report.remaining >= 1, "the hung point can never have been measured");
     assert_eq!(report.measured + report.remaining, pts.len());
+}
+
+/// A prewarm with nothing to measure opens no journal: it neither claims
+/// to resume an interrupted sweep nor erases that sweep's record, which
+/// the next prewarm that does measure picks up.
+#[test]
+fn an_all_cached_prewarm_leaves_an_interrupted_journal_alone() {
+    let pts = sweep_points();
+    let dir = TempDir::new("cachedjournal");
+    let path = dir.file("traffic.txt");
+    let journal = dir.file("traffic.txt.journal");
+    let held = &pts[..1];
+    SweepEngine::new(1).prewarm(&TrafficCache::with_store(&path), held);
+    let token = CancelToken::new();
+    let first = {
+        let cache = TrafficCache::with_store(&path)
+            .with_fault_hook(Arc::new(TripAtSim { k: 0, token: token.clone() }));
+        SweepEngine::new(1).with_cancel_token(token).prewarm(&cache, &pts)
+    };
+    assert_eq!(first.cancelled.as_deref(), Some("injected cancel"));
+    let record = std::fs::read(&journal).expect("the cancelled sweep is journaled");
+
+    let idle = SweepEngine::new(1).prewarm(&TrafficCache::with_store(&path), held);
+    assert_eq!((idle.measured, idle.resumed_from), (0, None));
+    assert_eq!(std::fs::read(&journal).unwrap(), record, "the journal must be left as it was");
+
+    let resume = SweepEngine::new(1).prewarm(&TrafficCache::with_store(&path), &pts);
+    let prior = resume.resumed_from.expect("the interrupted sweep is still resumable");
+    assert_eq!(prior.cancelled.as_deref(), Some("injected cancel"));
+    assert_eq!(resume.measured, pts.len() - 1);
 }
 
 #[test]

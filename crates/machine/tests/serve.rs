@@ -381,6 +381,37 @@ fn request_deadline_trips_slow_points() {
     assert_eq!(count_entry_lines(&store), 0);
 }
 
+/// A flight that outlives `point_deadline` stops at its next checkpoint:
+/// the request answers `point_failed` naming the deadline, nothing is
+/// recorded, and the next request measures the point afresh.
+#[test]
+fn point_deadline_fails_a_hung_flight_and_records_nothing() {
+    let dir = TempDir::new("servpointdeadline");
+    let store = dir.file("t.txt");
+    let plan = Arc::new(FaultPlan::new().hang_on_sim(0));
+    let server = Server::start(ServeConfig {
+        store: Some(store.clone()),
+        budget: SweepBudget {
+            point_deadline: Some(Duration::from_millis(100)),
+            ..SweepBudget::default()
+        },
+        store_fault: Some(Arc::new(GatedHook(Arc::clone(&plan)))),
+        ..ServeConfig::default()
+    })
+    .expect("bind");
+    let mut client = Client::connect(server.local_addr());
+    let req = "{\"machine\":\"i5\",\"n\":8,\"threads\":2,\"top\":1}";
+    let resp = client.ask(req);
+    assert!(
+        resp.contains("\"error\":\"point_failed\"") && resp.contains("point deadline"),
+        "got: {resp}"
+    );
+    assert_eq!(count_entry_lines(&store), 0, "the killed measurement must not be recorded");
+    // The hang is spent: the same request now measures the point.
+    let again = client.ask(req);
+    assert!(again.contains("\"ok\":true") && again.contains("\"source\":\"sim\""), "{again}");
+}
+
 /// A writer server holds each point once and nowhere but its cache: a
 /// point one request measured answers the next from the cache
 /// (`"warm"`), the store snapshot is never reloaded behind a writer
@@ -516,6 +547,24 @@ fn bad_requests_degrade_per_request_not_per_server() {
         assert!(next.contains("\"ok\":true"), "after n = {n}: {next}");
     }
     assert!(ask_on("{\"machine\":\"i5\",\"n\":8,\"threads\":99}").contains("out of range"));
+    // Zero and negative integers are integers: the range checks refuse
+    // them with their own detail, and the connection serves on.
+    for (req, detail) in [
+        ("{\"machine\":\"i5\",\"n\":8,\"threads\":0}", "threads 0 out of range 1..="),
+        ("{\"machine\":\"i5\",\"n\":8,\"threads\":-2}", "threads -2 out of range 1..="),
+        ("{\"machine\":\"i5\",\"n\":8,\"top\":0}", "top 0 must be at least 1"),
+        ("{\"machine\":\"i5\",\"n\":8,\"top\":-1}", "top -1 must be at least 1"),
+        ("{\"machine\":\"i5\",\"n\":0}", "box edge 0 must divide"),
+        ("{\"machine\":\"i5\",\"n\":-8}", "box edge -8 must divide"),
+    ] {
+        let refused = ask_on(req);
+        assert!(
+            refused.contains("\"error\":\"bad_request\"") && refused.contains(detail),
+            "{req}: {refused}"
+        );
+        let next = ask_on("{\"machine\":\"i5\",\"n\":8,\"threads\":1,\"top\":1}");
+        assert!(next.contains("\"ok\":true"), "after {req}: {next}");
+    }
     assert!(
         ask_on("{\"machine\":\"i5\",\"n\":8,\"passes\":\"bogus:1\"}").contains("bad passes spec")
     );

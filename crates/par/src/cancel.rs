@@ -14,6 +14,22 @@
 //! distinguishes "my own deadline fired" from "the whole sweep was
 //! cancelled".
 //!
+//! A deadline is token state, not a watcher: [`CancelToken::child_until`]
+//! makes a child that trips itself — through the ordinary [`trip`], so
+//! the first reason wins, hooks fire once and the trip cascades — the
+//! first time any read of its state ([`is_tripped`], [`tripped_directly`],
+//! [`reason`], [`check`], [`check_current`], also from a descendant)
+//! finds the deadline passed. Nothing runs when it expires: work that
+//! reads no token would not stop for a tripped one either, so reading
+//! the clock at the checkpoints loses nothing. A token without a
+//! deadline never reads the clock.
+//!
+//! [`trip`]: CancelToken::trip
+//! [`is_tripped`]: CancelToken::is_tripped
+//! [`tripped_directly`]: CancelToken::tripped_directly
+//! [`reason`]: CancelToken::reason
+//! [`check`]: CancelToken::check
+//!
 //! Propagation is by *ambient token*: a runtime installs the token for
 //! the current thread with [`set_current`] (restored on scope exit),
 //! and leaf code — deep inside a plan interpreter or a fault hook —
@@ -24,6 +40,7 @@
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, Weak};
+use std::time::Instant;
 
 /// Panic payload (and [`SpmdPool::run_cancellable`] error) of an
 /// orderly cancellation: the region stopped because its token tripped,
@@ -56,31 +73,61 @@ struct Inner {
     hooks: Mutex<Vec<Hook>>,
     children: Mutex<Vec<Weak<Inner>>>,
     parent: Option<Arc<Inner>>,
+    /// When this token trips itself, and with what reason.
+    deadline: Option<(Instant, String)>,
 }
 
 impl Inner {
-    fn new(parent: Option<Arc<Inner>>) -> Self {
+    fn new(parent: Option<Arc<Inner>>, deadline: Option<(Instant, String)>) -> Self {
         Inner {
             tripped: AtomicBool::new(false),
             reason: Mutex::new(None),
             hooks: Mutex::new(Vec::new()),
             children: Mutex::new(Vec::new()),
             parent,
+            deadline,
+        }
+    }
+
+    /// Record `reason` (first trip wins) and run the hooks; `false` if
+    /// this token was already tripped directly.
+    fn trip(&self, reason: &str) -> bool {
+        // The reason is in place before the flag is raised, so a reader
+        // that sees the flag (many may race to trip a passed deadline)
+        // also sees the reason.
+        self.reason.lock().unwrap_or_else(|e| e.into_inner()).get_or_insert_with(|| reason.into());
+        if self.tripped.swap(true, Ordering::AcqRel) {
+            return false;
+        }
+        self.fire_hooks();
+        true
+    }
+
+    /// Whether this token itself has tripped, tripping it first if its
+    /// deadline has passed.
+    fn tripped_directly(&self) -> bool {
+        if self.tripped.load(Ordering::Acquire) {
+            return true;
+        }
+        match &self.deadline {
+            Some((at, reason)) if Instant::now() >= *at => {
+                self.trip(reason);
+                true
+            }
+            _ => false,
         }
     }
 
     fn is_tripped(&self) -> bool {
-        if self.tripped.load(Ordering::Acquire) {
-            return true;
-        }
-        match &self.parent {
-            Some(p) => p.is_tripped(),
-            None => false,
-        }
+        self.tripped_directly() || self.parent.as_ref().is_some_and(|p| p.is_tripped())
     }
 
     fn reason(&self) -> Option<String> {
-        let own = self.reason.lock().unwrap_or_else(|e| e.into_inner()).clone();
+        let own = if self.tripped_directly() {
+            self.reason.lock().unwrap_or_else(|e| e.into_inner()).clone()
+        } else {
+            None
+        };
         own.or_else(|| self.parent.as_ref().and_then(|p| p.reason()))
     }
 
@@ -128,13 +175,24 @@ impl std::fmt::Debug for CancelToken {
 impl CancelToken {
     /// A fresh, untripped token with no parent.
     pub fn new() -> Self {
-        CancelToken { inner: Arc::new(Inner::new(None)) }
+        CancelToken { inner: Arc::new(Inner::new(None, None)) }
     }
 
     /// A child token: tripped whenever `self` is tripped, but also
-    /// trippable on its own (per-item deadlines under a sweep token).
+    /// trippable on its own (a per-item cancel under a sweep token).
     pub fn child(&self) -> CancelToken {
-        let inner = Arc::new(Inner::new(Some(Arc::clone(&self.inner))));
+        self.adopt(None)
+    }
+
+    /// A [`child`](Self::child) that also trips itself with `reason` once
+    /// `at` has passed — noticed by the first read of its state (or a
+    /// descendant's) at or after `at`; see the module docs.
+    pub fn child_until(&self, at: Instant, reason: impl Into<String>) -> CancelToken {
+        self.adopt(Some((at, reason.into())))
+    }
+
+    fn adopt(&self, deadline: Option<(Instant, String)>) -> CancelToken {
+        let inner = Arc::new(Inner::new(Some(Arc::clone(&self.inner)), deadline));
         let mut children = self.inner.children.lock().unwrap_or_else(|e| e.into_inner());
         // Prune children that finished their work (only their Weak is
         // left) so a long-lived sweep token doesn't accumulate one slot
@@ -149,29 +207,20 @@ impl CancelToken {
     /// registered hook, and cascade into child tokens' hooks. Returns
     /// `false` if this token was already tripped directly.
     pub fn trip(&self, reason: &str) -> bool {
-        if self.inner.tripped.swap(true, Ordering::AcqRel) {
-            return false;
-        }
-        {
-            let mut r = self.inner.reason.lock().unwrap_or_else(|e| e.into_inner());
-            if r.is_none() {
-                *r = Some(reason.to_string());
-            }
-        }
-        self.inner.fire_hooks();
-        true
+        self.inner.trip(reason)
     }
 
-    /// Whether this token or any ancestor has been tripped.
+    /// Whether this token or any ancestor has been tripped (or has
+    /// passed its deadline, which trips it now).
     pub fn is_tripped(&self) -> bool {
         self.inner.is_tripped()
     }
 
     /// Whether *this* token was tripped itself (ignoring ancestors) —
-    /// how a supervisor tells "this item's deadline fired" apart from
-    /// "the whole sweep was cancelled".
+    /// how a sweep tells "this item's deadline fired" apart from "the
+    /// whole sweep was cancelled".
     pub fn tripped_directly(&self) -> bool {
-        self.inner.tripped.load(Ordering::Acquire)
+        self.inner.tripped_directly()
     }
 
     /// The recorded trip reason (this token's, else the nearest tripped
@@ -378,6 +427,7 @@ impl Drop for Interest {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+    use std::time::Duration;
 
     #[test]
     fn first_trip_wins_and_records_reason() {
@@ -490,6 +540,81 @@ mod tests {
         let _live = parent.child();
         let n = parent.inner.children.lock().unwrap().len();
         assert!(n <= 2, "dead child slots must be pruned, found {n}");
+    }
+
+    #[test]
+    fn expired_deadline_trips_once_with_its_reason() {
+        let root = CancelToken::new();
+        let later = root.child_until(Instant::now() + Duration::from_secs(3600), "never");
+        assert!(!later.is_tripped() && later.reason().is_none(), "not before its deadline");
+
+        let t = root.child_until(Instant::now() + Duration::from_millis(200), "point deadline");
+        let fired = Arc::new(AtomicUsize::new(0));
+        let f = Arc::clone(&fired);
+        let _g = t.on_trip(move || {
+            f.fetch_add(1, Ordering::SeqCst);
+        });
+        std::thread::sleep(Duration::from_millis(250));
+        // Many readers at once: one of them performs the trip.
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| assert!(t.is_tripped()));
+            }
+        });
+        assert!(!t.trip("later"), "the deadline already tripped it");
+        assert_eq!(t.reason().as_deref(), Some("point deadline"), "the first reason wins");
+        assert_eq!(fired.load(Ordering::SeqCst), 1, "the hook runs once");
+        assert!(!root.is_tripped());
+    }
+
+    #[test]
+    fn a_deadline_trips_its_owner_directly_and_its_children_through_it() {
+        let owner = CancelToken::new().child_until(Instant::now(), "deadline 0.0s exceeded");
+        let child = owner.child();
+        // The child's read is the first one: it trips the owner.
+        assert!(child.is_tripped());
+        assert!(!child.tripped_directly());
+        assert!(owner.tripped_directly());
+        assert_eq!(child.reason().as_deref(), Some("deadline 0.0s exceeded"));
+    }
+
+    #[test]
+    fn a_parents_deadline_unwinds_a_childs_checkpoint() {
+        let run = CancelToken::new().child_until(Instant::now(), "deadline 0.0s exceeded");
+        let point = run.child();
+        let _ambient = set_current(Some(point.clone()));
+        let p = std::panic::catch_unwind(check_current).expect_err("must unwind");
+        assert_eq!(p.downcast_ref::<Cancelled>().unwrap().reason, "deadline 0.0s exceeded");
+        let p = std::panic::catch_unwind(|| point.check()).expect_err("must unwind");
+        assert!(p.is::<Cancelled>());
+    }
+
+    #[test]
+    fn a_childs_deadline_never_trips_its_parent() {
+        let parent = CancelToken::new();
+        let child = parent.child_until(Instant::now(), "point deadline");
+        assert!(child.is_tripped() && child.tripped_directly());
+        assert!(!parent.is_tripped());
+        assert_eq!(parent.reason(), None);
+    }
+
+    #[test]
+    fn an_expiring_region_token_cancels_peers_parked_at_the_barrier() {
+        let pool = crate::SpmdPool::new(3);
+        let token = CancelToken::new()
+            .child_until(Instant::now() + Duration::from_millis(50), "region deadline");
+        let r = pool.run_cancellable(&token, |ctx| {
+            if ctx.tid() == 0 {
+                // The only reader of the token; its peers wait at a
+                // barrier it never reaches, woken by the trip's hook.
+                loop {
+                    check_current();
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+            ctx.barrier();
+        });
+        assert_eq!(r, Err(Cancelled { reason: "region deadline".into() }));
     }
 
     #[test]

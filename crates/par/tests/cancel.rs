@@ -92,9 +92,9 @@ fn trip_mid_wavefront_wakes_all_barrier_waiters() {
 
 #[test]
 fn external_trip_interrupts_barrier_phase_loop() {
-    // The watchdog-thread shape used by the sweep supervisor: all region
-    // threads cycle through barrier phases while an *outside* thread
-    // trips the token at an arbitrary moment.
+    // The shape of `repro`'s signal latch: all region threads cycle
+    // through barrier phases while an *outside* thread trips the token
+    // at an arbitrary moment.
     within_timeout("external-trip", || {
         let pool = SpmdPool::new(4);
         let token = CancelToken::new();

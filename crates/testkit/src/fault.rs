@@ -55,7 +55,7 @@ impl FaultPlan {
     /// Hang on the `k`-th (0-based) sim probe: the probe spins (1 ms
     /// sleep-polls) until the `keep_hanging` gate passed to
     /// [`on_sim_gated`](Self::on_sim_gated) returns `false` — how tests
-    /// fake a wedged measurement that only a watchdog can unstick. A
+    /// fake a wedged measurement that only cancellation can unstick. A
     /// 60 s safety cap bounds the hang even with an always-true gate.
     pub fn hang_on_sim(mut self, k: u64) -> Self {
         self.hang_on_sim = Some(k);
