@@ -309,3 +309,65 @@ fn golden_small_hierarchy_other_sizes() {
         ],
     );
 }
+
+/// Overlapped-tile shapes the grids above leave out — Basic-Sched and
+/// CLI intra-tile schedules, an inner tile below 4, and a box the tile
+/// does not divide (n = 12 with 8-tiles: edge tiles of 4) — in both
+/// granularities. Traffic is traced at one thread, so `OverBoxes` and
+/// `WithinBox` pin the same values. `values` rows follow `ot_n12_variants`:
+/// `(dram_bytes, reads, writes, l1_bits, llc_bits)`.
+fn ot_n12(values: [(u64, u64, u64, u64, u64); 4]) -> Vec<Golden> {
+    let mut out = Vec::new();
+    for gran in [Granularity::OverBoxes, Granularity::WithinBox] {
+        let variants = [
+            ("ot_basic8", Variant::overlapped(IntraTile::Basic, 8, gran)),
+            (
+                "ot_basic8_cli",
+                Variant {
+                    comp: CompLoop::Inside,
+                    ..Variant::overlapped(IntraTile::Basic, 8, gran)
+                },
+            ),
+            (
+                "ot_sf8_cli",
+                Variant {
+                    comp: CompLoop::Inside,
+                    ..Variant::overlapped(IntraTile::ShiftFuse, 8, gran)
+                },
+            ),
+            ("hier_8_2", Variant::hierarchical(8, 2, gran)),
+        ];
+        for ((name, variant), (dram_bytes, reads, writes, l1_bits, llc_bits)) in
+            variants.into_iter().zip(values)
+        {
+            out.push(Golden { name, variant, n: 12, dram_bytes, reads, writes, l1_bits, llc_bits });
+        }
+    }
+    out
+}
+
+#[test]
+fn golden_small_hierarchy_overlapped_n12() {
+    check(
+        &small(),
+        &ot_n12([
+            (1_564_032, 265_248, 92_448, 0x3fed85112d35741d, 0x3fd9c3dac724ea42),
+            (1_429_728, 235_008, 86_400, 0x3fe50142fb69850c, 0x3feb8bac1b7cfc16),
+            (644_944, 144_000, 25_920, 0x3fdb5f0c3eddf68d, 0x3fed3b4ab154136f),
+            (667_824, 181_440, 40_608, 0x3feb63f3c0658782, 0x3fe7df12c63c7ca8),
+        ]),
+    );
+}
+
+#[test]
+fn golden_big_hierarchy_overlapped_n12() {
+    check(
+        &big(),
+        &ot_n12([
+            (442_752, 265_248, 92_448, 0x3fee35f807b1f315, 0x3fe89e0ef01f0729),
+            (418_272, 235_008, 86_400, 0x3fea722de0cd88b8, 0x3fed762ea3069ad9),
+            (300_528, 144_000, 25_920, 0x3fe8361de409a466, 0x3fed4430fcb29aae),
+            (322_304, 181_440, 40_608, 0x3fee9a109a109a11, 0x3fe3cf3cf3cf3cf4),
+        ]),
+    );
+}
