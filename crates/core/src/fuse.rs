@@ -9,127 +9,21 @@
 //! three velocity face arrays (`3(N+1)^3`); CLI carries all five
 //! components through the caches and needs no velocity temporary.
 //!
-//! Face fluxes on the low box/tile boundary are computed directly (the
-//! "shift" prologue). Every interior face is computed exactly once, so
-//! the operation count is identical to the series schedule.
+//! Face fluxes on the low boundary of the swept box are computed directly
+//! (the "shift" prologue). Every interior face is computed exactly once,
+//! so the operation count is identical to the series schedule.
+//!
+//! The sweeps below are the steps of the plan's fuse region. A
+//! Shift-Fuse overlapped tile runs the same plan, lowered for the tile's
+//! extent (`Variant::tile_schedule`), so its prologue is the tile's
+//! surface recomputation.
 
 use crate::mem::Mem;
 use crate::shared::{face_flux_one, face_fluxes_all, SharedFab};
-use crate::storage::TempStorage;
-use crate::variant::CompLoop;
-use crate::wavefront::fill_velocity_slab;
 use pdesched_kernels::point::accumulate;
 use pdesched_kernels::{vel_comp, NCOMP};
 use pdesched_mesh::{FArrayBox, IBox, IntVect};
 use pdesched_par::UnsafeSlice;
-
-/// Reusable fused-sweep temporaries (sized to the current cell box;
-/// reallocated only when the box shape changes).
-pub struct FuseBufs {
-    ycache: Vec<f64>,
-    zcache: Vec<f64>,
-    /// Deterministic trace bases of the two caches (see
-    /// `pdesched_mesh::trace_addr`).
-    ybase: usize,
-    zbase: usize,
-    vel: [Option<FArrayBox>; 3],
-    shape: Option<(IBox, CompLoop)>,
-    peak: TempStorage,
-}
-
-impl FuseBufs {
-    /// Fresh, empty buffers.
-    pub fn new() -> Self {
-        FuseBufs {
-            ycache: Vec::new(),
-            zcache: Vec::new(),
-            ybase: 0,
-            zbase: 0,
-            vel: [None, None, None],
-            shape: None,
-            peak: TempStorage::default(),
-        }
-    }
-
-    /// Peak temporary storage held so far.
-    pub fn peak(&self) -> TempStorage {
-        self.peak
-    }
-
-    fn ensure(&mut self, cells: IBox, comp: CompLoop) {
-        if self.shape == Some((cells, comp)) {
-            return;
-        }
-        let nx = cells.extent(0) as usize;
-        let ny = cells.extent(1) as usize;
-        let kc = comp.cache_components();
-        self.ycache = vec![0.0; nx * kc];
-        self.zcache = vec![0.0; nx * ny * kc];
-        self.ybase = pdesched_mesh::trace_addr::alloc(self.ycache.len() * 8);
-        self.zbase = pdesched_mesh::trace_addr::alloc(self.zcache.len() * 8);
-        // The carried x scalars live in registers/stack; count the pair.
-        let flux = 2 * kc + self.ycache.len() + self.zcache.len();
-        let mut vel = 0;
-        if comp == CompLoop::Outside {
-            for d in 0..3 {
-                let faces = cells.surrounding_faces(d);
-                self.vel[d] = Some(FArrayBox::new(faces, 1));
-                vel += faces.num_pts();
-            }
-        } else {
-            self.vel = [None, None, None];
-        }
-        self.shape = Some((cells, comp));
-        self.peak = self.peak.max(TempStorage { flux_f64: flux, vel_f64: vel });
-    }
-}
-
-impl Default for FuseBufs {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Run the fused schedule serially over `cells`, accumulating into
-/// `phi1` through a shared view (caller guarantees cell ownership).
-pub fn fused_tile<M: Mem>(
-    phi0: &FArrayBox,
-    phi1: &SharedFab,
-    cells: IBox,
-    comp: CompLoop,
-    bufs: &mut FuseBufs,
-    mem: &M,
-) {
-    bufs.ensure(cells, comp);
-    let yc = UnsafeSlice::new(&mut bufs.ycache);
-    let zc = UnsafeSlice::new(&mut bufs.zcache);
-    match comp {
-        CompLoop::Inside => {
-            fused_tile_cli(phi0, phi1, cells, &yc, &zc, bufs.ybase, bufs.zbase, mem)
-        }
-        CompLoop::Outside => {
-            let vels: [SharedFab; 3] = {
-                let [a, b, c] = &mut bufs.vel;
-                [
-                    SharedFab::new(a.as_mut().expect("CLO buffers")),
-                    SharedFab::new(b.as_mut().expect("CLO buffers")),
-                    SharedFab::new(c.as_mut().expect("CLO buffers")),
-                ]
-            };
-            // The velocity pre-pass (Table I's `3(N+1)^3` temporary) is
-            // the same stream the wavefront schedules use, full z-range.
-            for (d, v) in vels.iter().enumerate() {
-                let faces = cells.surrounding_faces(d);
-                fill_velocity_slab(phi0, v, faces, d, faces.lo()[2]..faces.hi()[2] + 1, mem);
-            }
-            for c in 0..NCOMP {
-                fused_tile_clo_comp(
-                    phi0, phi1, cells, c, &vels, &yc, &zc, bufs.ybase, bufs.zbase, mem,
-                );
-            }
-        }
-    }
-}
 
 /// Flux of component `c` at face `f` in direction `d` for CLO: the
 /// velocity comes from the pre-computed array; when `c` *is* the velocity
@@ -157,7 +51,7 @@ pub(crate) fn clo_flux<M: Mem>(
 }
 
 /// One component's fused sweep (CLO). Buffer state arrives as shared
-/// views so the plan interpreter and the tile path share one body.
+/// views, materialized by the plan interpreter's fuse region.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn fused_tile_clo_comp<M: Mem>(
     phi0: &FArrayBox,
@@ -308,7 +202,7 @@ mod tests {
     use super::*;
     use crate::exec::run_box;
     use crate::mem::{CountingMem, NoMem};
-    use crate::variant::{Category, Granularity, IntraTile, Variant};
+    use crate::variant::{Category, CompLoop, Granularity, IntraTile, Variant};
     use pdesched_kernels::reference;
 
     fn fuse_variant(comp: CompLoop) -> Variant {
@@ -405,18 +299,5 @@ mod tests {
         let s2 = run_box(fuse_variant(CompLoop::Outside), &phi0, &mut got, cells, 1, &NoMem);
         assert_eq!(s2.flux_f64, 2 + n + n * n);
         assert_eq!(s2.vel_f64, 3 * (n + 1) * n * n);
-    }
-
-    #[test]
-    fn buffer_reuse_across_tiles() {
-        // Running many same-shaped tiles must not grow the peak.
-        let (phi0, _, mut got, _) = setup(8);
-        let mut bufs = FuseBufs::new();
-        let view = SharedFab::new(&mut got);
-        for t in IBox::cube(8).tiles(4) {
-            fused_tile(&phi0, &view, t, CompLoop::Inside, &mut bufs, &NoMem);
-        }
-        let n = 4usize;
-        assert_eq!(bufs.peak().flux_f64, NCOMP * (2 + n + n * n));
     }
 }

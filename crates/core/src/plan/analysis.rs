@@ -87,8 +87,8 @@ fn step_effects(step: &Step, fab_alloc: &[usize], nallocs: usize, out: &mut Vec<
         }
         Step::OtTiles { start, len, .. } => {
             // Overlapped tiles are independent by construction: each
-            // writes its own cells (tile-id axis) out of private,
-            // undeclared per-thread buffers.
+            // writes its own cells (tile-id axis) out of the buffers its
+            // own tile plan materializes.
             out.push(Effect {
                 buf: BufId::Phi1,
                 range: (start as i64, (start + len) as i64),

@@ -1,6 +1,8 @@
 //! The generic plan interpreter: materializes a region's declared
 //! buffers in order and dispatches steps to the existing row/pass bodies
-//! in `series`, `fuse`, and `wavefront`.
+//! in `series`, `fuse`, and `wavefront`. An overlapped tile is one more
+//! plan: the interpreter runs the tile's [`Plan::tile_plans`] entry over
+//! the tile's cells.
 //!
 //! [`execute`] runs one plan over one box. [`execute_pair`] runs one
 //! plan over two boxes of the same extents, interleaving their step
@@ -10,12 +12,9 @@
 
 use super::ir::{tile_box, zslab, AllocKind, Phase, Plan, RegionKind, RegionPlan, Step};
 use crate::mem::Mem;
-use crate::series::{self, SeriesBufs};
 use crate::shared::SharedFab;
 use crate::storage::TempStorage;
-use crate::variant::IntraTile;
-use crate::wavefront::{self, WavefrontBufs};
-use crate::{fuse, fuse::FuseBufs};
+use crate::{fuse, series, wavefront};
 use pdesched_kernels::NCOMP;
 use pdesched_mesh::{FArrayBox, IBox};
 use pdesched_par::{spmd, UnsafeSlice};
@@ -57,10 +56,7 @@ pub fn execute<M: Mem>(
         plan.size,
         cells
     );
-    let phi1v = SharedFab::new(phi1);
-    for region in &plan.regions {
-        run_region(plan, region, phi0, &phi1v, cells, mem);
-    }
+    run_regions(plan, phi0, &SharedFab::new(phi1), cells, mem);
     plan.storage
 }
 
@@ -109,6 +105,13 @@ pub fn execute_pair<M: Mem>(
         });
     }
     plan.storage.add(plan.storage)
+}
+
+/// Run every region of `plan` over `cells` in order.
+fn run_regions<M: Mem>(plan: &Plan, phi0: &FArrayBox, phi1: &SharedFab, cells: IBox, mem: &M) {
+    for region in &plan.regions {
+        run_region(plan, region, phi0, phi1, cells, mem);
+    }
 }
 
 pub(super) fn run_region<M: Mem>(
@@ -230,32 +233,16 @@ fn with_region_runner<M: Mem, R>(
             body(&f)
         }
         RegionKind::Overlap => {
-            let comp = plan.variant.comp;
-            let intra = plan.variant.intra;
+            // Each tile runs its extent's serial plan, drawing fresh
+            // buffers (and trace addresses) per tile, with a cancellation
+            // checkpoint at every tile-plan phase.
             let f = |step: &Step| match *step {
-                Step::OtTiles { start, len, .. } => match intra {
-                    IntraTile::Basic => {
-                        let mut bufs = SeriesBufs::new();
-                        for id in start..start + len {
-                            let t = tile_box(cells, plan.tile, id);
-                            series::series_tile(phi0, phi1, t, comp, &mut bufs, mem);
-                        }
+                Step::OtTiles { start, len, .. } => {
+                    for id in start..start + len {
+                        let t = tile_box(cells, plan.tile, id);
+                        run_regions(plan.tile_plan(t.size()), phi0, phi1, t, mem);
                     }
-                    IntraTile::ShiftFuse => {
-                        let mut bufs = FuseBufs::new();
-                        for id in start..start + len {
-                            let t = tile_box(cells, plan.tile, id);
-                            fuse::fused_tile(phi0, phi1, t, comp, &mut bufs, mem);
-                        }
-                    }
-                    IntraTile::Hierarchical(inner) => {
-                        let mut bufs = WavefrontBufs::new();
-                        for id in start..start + len {
-                            let t = tile_box(cells, plan.tile, id);
-                            wavefront::run_tile_serial(phi0, phi1, t, comp, inner, &mut bufs, mem);
-                        }
-                    }
-                },
+                }
                 ref other => unreachable!("{other:?} in an overlap region"),
             };
             body(&f)

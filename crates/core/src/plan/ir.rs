@@ -20,7 +20,8 @@ pub enum RegionKind {
     Fuse,
     /// Wavefronts of tiles through shared co-dimension caches.
     Wavefront,
-    /// Independent overlapped tiles with per-thread buffers.
+    /// Independent overlapped tiles, each run through the plan's
+    /// [`Plan::tile_plans`] entry for its extent.
     Overlap,
 }
 
@@ -75,8 +76,9 @@ pub enum Step {
     /// CLO component, `None` means CLI). Tile ids decode against the
     /// plan's tile size.
     WfSpan { group: u32, start: u32, len: u32, comp: Option<u8> },
-    /// A contiguous span of overlapped tiles owned by one thread,
-    /// carrying the number of redundantly recomputed surface faces.
+    /// A contiguous span of overlapped tiles owned by one thread, each
+    /// run serially through its tile plan, carrying the number of
+    /// redundantly recomputed surface faces.
     OtTiles { start: u32, len: u32, recompute_faces: usize },
 }
 
@@ -131,6 +133,11 @@ pub struct Plan {
     pub wf_groups: Vec<Vec<u32>>,
     /// Tile edge used to decode `WfSpan`/`OtTiles` ids (0 when unused).
     pub tile: i32,
+    /// Overlapped tiles only (empty otherwise): the serial plan of the
+    /// intra-tile schedule ([`Variant::tile_schedule`]) for each distinct
+    /// tile extent, lowered once with the tiled plan. Every `OtTiles`
+    /// tile runs the entry whose `size` matches its own.
+    pub tile_plans: Vec<Plan>,
     /// Temporary storage computed from plan-declared buffer liveness;
     /// equals what the executors historically measured (and the Table I
     /// formulas in [`crate::storage::expected`] on cube boxes).
@@ -147,6 +154,11 @@ pub struct Plan {
 }
 
 impl Plan {
+    /// The tile plan lowered for tile extents `size`.
+    pub(crate) fn tile_plan(&self, size: IntVect) -> &Plan {
+        self.tile_plans.iter().find(|p| p.size == size).expect("tile plan for every tile extent")
+    }
+
     /// Total steps over all regions, phases, and threads.
     pub fn step_count(&self) -> usize {
         self.regions

@@ -10,7 +10,7 @@ use super::ir::{
     canonical, tile_box, AllocEvent, AllocKind, Phase, Plan, RegionKind, RegionPlan, Step,
 };
 use crate::storage::TempStorage;
-use crate::variant::{Category, CompLoop, Granularity, IntraTile, Variant};
+use crate::variant::{Category, CompLoop, Granularity, Variant};
 use crate::wavefront::wavefront_id_groups;
 use pdesched_kernels::NCOMP;
 use pdesched_mesh::{IntVect, DIM};
@@ -181,42 +181,21 @@ fn lower_wavefront(
     (vec![RegionPlan { kind: RegionKind::Wavefront, allocs, phases }], groups, storage)
 }
 
-/// Peak temporary storage of one overlapped tile under the given
-/// intra-tile schedule — the per-tile replay of the executors'
-/// realloc-on-shape-change accounting.
-fn tile_storage(variant: Variant, t: pdesched_mesh::IBox) -> TempStorage {
-    let kc = variant.comp.cache_components();
-    let clo = variant.comp == CompLoop::Outside;
-    let sx = t.extent(0) as usize;
-    let sy = t.extent(1) as usize;
-    let sz = t.extent(2) as usize;
-    let fpts: Vec<usize> = (0..DIM).map(|d| t.surrounding_faces(d).num_pts()).collect();
-    let fmax = *fpts.iter().max().unwrap();
-    let fsum: usize = fpts.iter().sum();
-    match variant.intra {
-        IntraTile::Basic => {
-            TempStorage { flux_f64: NCOMP * fmax, vel_f64: if clo { fmax } else { 0 } }
-        }
-        IntraTile::ShiftFuse => TempStorage {
-            flux_f64: 2 * kc + sx * kc + sx * sy * kc,
-            vel_f64: if clo { fsum } else { 0 },
-        },
-        IntraTile::Hierarchical(_) => TempStorage {
-            flux_f64: (sy * sz + sx * sz + sx * sy) * kc,
-            vel_f64: if clo { fsum } else { 0 },
-        },
-    }
-}
-
+/// Lower the overlapped tiling: each thread owns a contiguous span of
+/// tile ids, and every tile runs the serial plan of the intra-tile
+/// schedule lowered for its extent (at most eight distinct extents: full
+/// or edge along each axis). A thread holds one tile's buffers at a time,
+/// so its storage is the largest of its tiles' plans.
 fn lower_overlap(
     variant: Variant,
     size: IntVect,
     nt: usize,
     tile: i32,
-) -> (Vec<RegionPlan>, TempStorage) {
+) -> (Vec<RegionPlan>, Vec<Plan>, TempStorage) {
     let cells = canonical(size);
     let counts = cells.tile_counts(tile);
     let total = (counts[0] * counts[1] * counts[2]) as usize;
+    let mut tile_plans: Vec<Plan> = Vec::new();
     let mut work = Vec::with_capacity(nt);
     let mut storage = TempStorage::default();
     for tid in 0..nt {
@@ -225,7 +204,11 @@ fn lower_overlap(
         let mut recompute_faces = 0usize;
         for id in r.clone() {
             let t = tile_box(cells, tile, id as u32);
-            peak = peak.max(tile_storage(variant, t));
+            let i = tile_plans.iter().position(|p| p.size == t.size()).unwrap_or_else(|| {
+                tile_plans.push(lower(variant.tile_schedule(), t.size(), 1));
+                tile_plans.len() - 1
+            });
+            peak = peak.max(tile_plans[i].storage);
             recompute_faces += pdesched_kernels::ops::overlapped_tile_recompute(cells, t);
         }
         storage = storage.add(peak);
@@ -240,7 +223,11 @@ fn lower_overlap(
         });
     }
     let phases = vec![Phase { work, barrier_after: false }];
-    (vec![RegionPlan { kind: RegionKind::Overlap, allocs: Vec::new(), phases }], storage)
+    (
+        vec![RegionPlan { kind: RegionKind::Overlap, allocs: Vec::new(), phases }],
+        tile_plans,
+        storage,
+    )
 }
 
 /// Lower `(variant, box extents, nthreads)` to a [`Plan`] — uncached;
@@ -248,6 +235,7 @@ fn lower_overlap(
 pub fn lower(variant: Variant, size: IntVect, nthreads: usize) -> Plan {
     let nt = effective_threads(variant, size, nthreads);
     let within = variant.gran == Granularity::WithinBox;
+    let mut tile_plans = Vec::new();
     let (regions, wf_groups, tile, storage) = match variant.category {
         Category::Series => {
             let (r, s) = lower_series(variant, size, nt);
@@ -270,7 +258,8 @@ pub fn lower(variant: Variant, size: IntVect, nthreads: usize) -> Plan {
         }
         Category::OverlappedTile => {
             let t = variant.tile_size();
-            let (r, s) = lower_overlap(variant, size, nt, t);
+            let (r, p, s) = lower_overlap(variant, size, nt, t);
+            tile_plans = p;
             (r, Vec::new(), t, s)
         }
     };
@@ -281,6 +270,7 @@ pub fn lower(variant: Variant, size: IntVect, nthreads: usize) -> Plan {
         regions,
         wf_groups,
         tile,
+        tile_plans,
         storage,
         passes: Vec::new(),
         interleave: 1,

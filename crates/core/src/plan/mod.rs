@@ -345,17 +345,82 @@ mod tests {
     fn plan_storage_matches_table_formulas() {
         // The tentpole invariant: storage from plan-declared buffer
         // liveness equals the Table I formulas of `core::storage` for
-        // every extended variant (divisible tilings).
-        for n in [8, 16] {
+        // every extended variant on divisible tilings. Where the tile
+        // does not divide the box, edge tiles are smaller and the tile
+        // count rounds up, so the formulas are an upper bound.
+        for n in [6, 8, 10, 12, 16, 20, 24] {
             for v in Variant::enumerate_extended(n) {
                 if !v.valid_for_box(n) {
                     continue;
                 }
-                for nt in [1, 4] {
-                    let plan = lower(v, IntVect::splat(n), nt);
-                    assert_eq!(plan.storage, storage::expected(v, n, nt), "{v} n={n} nt={nt}");
+                let divisible = v.tile.is_none_or(|t| n % t == 0);
+                for nt in [1, 2, 4, 8] {
+                    let got = lower(v, IntVect::splat(n), nt).storage;
+                    let want = storage::expected(v, n, nt);
+                    if divisible {
+                        assert_eq!(got, want, "{v} n={n} nt={nt}");
+                    } else {
+                        assert!(
+                            got.flux_f64 <= want.flux_f64 && got.vel_f64 <= want.vel_f64,
+                            "{v} n={n} nt={nt}: plan {got:?} exceeds formula {want:?}"
+                        );
+                    }
                 }
             }
+        }
+    }
+
+    /// Counts every access and trips `token` at access number `trip_at`.
+    struct TripAt {
+        count: std::sync::atomic::AtomicUsize,
+        trip_at: usize,
+        token: pdesched_par::cancel::CancelToken,
+    }
+
+    impl TripAt {
+        fn tick(&self) {
+            let k = self.count.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
+            if k == self.trip_at {
+                self.token.trip("tripped mid-box");
+            }
+        }
+    }
+
+    impl crate::mem::Mem for TripAt {
+        fn r(&self, _addr: usize) {
+            self.tick();
+        }
+        fn w(&self, _addr: usize) {
+            self.tick();
+        }
+    }
+
+    #[test]
+    fn cancelling_an_overlapped_box_stops_within_one_tile() {
+        use pdesched_par::cancel::{self, CancelToken, Cancelled};
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        // 64 tiles of 4^3 at n = 16: every tile performs the same
+        // accesses, so one tile's update is a 64th of the box's.
+        for intra in [IntraTile::Basic, IntraTile::ShiftFuse, IntraTile::Hierarchical(2)] {
+            let v = Variant::overlapped(intra, 4, Granularity::OverBoxes);
+            let (phi0, _, mut got, cells) = setup(16);
+            let plan = lower(v, cells.size(), 1);
+            let all = TripAt {
+                count: Default::default(),
+                trip_at: usize::MAX,
+                token: CancelToken::new(),
+            };
+            execute(&plan, &phi0, &mut got.clone(), cells, &all);
+            let total = all.count.into_inner();
+            let per_tile = total / 64;
+            let mem =
+                TripAt { count: Default::default(), trip_at: total / 3, token: CancelToken::new() };
+            let _ambient = cancel::set_current(Some(mem.token.clone()));
+            let r = catch_unwind(AssertUnwindSafe(|| execute(&plan, &phi0, &mut got, cells, &mem)));
+            let payload = r.expect_err(&format!("{v}: the box ran to completion"));
+            assert!(payload.downcast_ref::<Cancelled>().is_some(), "{v}: not a cancellation");
+            let past = mem.count.into_inner() - mem.trip_at;
+            assert!(past < per_tile, "{v}: {past} accesses after the trip, one tile is {per_tile}");
         }
     }
 

@@ -6,125 +6,17 @@
 //! divergence accumulation. Input and output data are therefore read and
 //! written three times per update, and the flux temporary costs
 //! `C(N+1)^3` values (Table I row 1).
+//!
+//! The passes below are the steps of the plan's series regions. A
+//! Basic-Sched overlapped tile is one more box to them: it runs the same
+//! series plan, lowered for the tile's extent (`Variant::tile_schedule`).
 
 use crate::mem::Mem;
 use crate::shared::{face_interp_at, SharedFab};
-use crate::storage::TempStorage;
 use crate::variant::CompLoop;
 use pdesched_kernels::point::{accumulate, flux_mul};
 use pdesched_kernels::{vel_comp, NCOMP};
 use pdesched_mesh::{FArrayBox, IBox, IntVect};
-
-/// Reusable whole-box (or whole-tile) temporaries for the series
-/// schedule. Buffers are reallocated only when the target region changes,
-/// so sweeping many identical tiles costs one allocation.
-pub struct SeriesBufs {
-    flux: Option<FArrayBox>,
-    vel: Option<FArrayBox>,
-    peak: TempStorage,
-}
-
-impl SeriesBufs {
-    /// Fresh, empty buffers.
-    pub fn new() -> Self {
-        SeriesBufs { flux: None, vel: None, peak: TempStorage::default() }
-    }
-
-    /// Peak temporary storage held so far.
-    pub fn peak(&self) -> TempStorage {
-        self.peak
-    }
-
-    fn flux_for(&mut self, faces: IBox) -> &mut FArrayBox {
-        let needs = self.flux.as_ref().map(|f| f.region() != faces).unwrap_or(true);
-        if needs {
-            self.flux = Some(FArrayBox::new(faces, NCOMP));
-            self.peak.flux_f64 = self.peak.flux_f64.max(faces.num_pts() * NCOMP);
-        }
-        self.flux.as_mut().unwrap()
-    }
-
-    fn vel_for(&mut self, faces: IBox) -> &mut FArrayBox {
-        let needs = self.vel.as_ref().map(|f| f.region() != faces).unwrap_or(true);
-        if needs {
-            self.vel = Some(FArrayBox::new(faces, 1));
-            self.peak.vel_f64 = self.peak.vel_f64.max(faces.num_pts());
-        }
-        self.vel.as_mut().unwrap()
-    }
-}
-
-impl Default for SeriesBufs {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Run the series-of-loops schedule serially over `cells` (a whole box,
-/// or one tile of an overlapped-tile schedule), accumulating into `phi1`
-/// through a shared view (the caller guarantees no other thread touches
-/// these cells).
-pub fn series_tile<M: Mem>(
-    phi0: &FArrayBox,
-    phi1: &SharedFab,
-    cells: IBox,
-    comp: CompLoop,
-    bufs: &mut SeriesBufs,
-    mem: &M,
-) {
-    for d in 0..pdesched_mesh::DIM {
-        let faces = cells.surrounding_faces(d);
-        match comp {
-            CompLoop::Outside => {
-                series_dir_clo(phi0, phi1, cells, d, faces, bufs, mem);
-            }
-            CompLoop::Inside => {
-                series_dir_cli(phi0, phi1, cells, d, faces, bufs, mem);
-            }
-        }
-    }
-}
-
-/// One direction of the CLO series schedule over an arbitrary face/cell
-/// z-range (`z_faces`/`z_cells` select slabs for intra-box parallelism;
-/// pass the full extents for serial execution).
-#[allow(clippy::too_many_arguments)]
-fn series_dir_clo<M: Mem>(
-    phi0: &FArrayBox,
-    phi1: &SharedFab,
-    cells: IBox,
-    d: usize,
-    faces: IBox,
-    bufs: &mut SeriesBufs,
-    mem: &M,
-) {
-    let fview = SharedFab::new(bufs.flux_for(faces));
-    pass_flux1(phi0, &fview, faces, 0..NCOMP, z_all(faces), mem);
-    let vview = SharedFab::new(bufs.vel_for(faces));
-    pass_extract_velocity(&fview, &vview, d, faces, z_all(faces), mem);
-    pass_flux2_clo(&fview, &vview, faces, 0..NCOMP, z_all(faces), mem);
-    pass_accumulate(phi1, &fview, cells, d, 0..NCOMP, z_all(cells), CompLoop::Outside, mem);
-}
-
-/// One direction of the CLI series schedule (component loops innermost).
-fn series_dir_cli<M: Mem>(
-    phi0: &FArrayBox,
-    phi1: &SharedFab,
-    cells: IBox,
-    d: usize,
-    faces: IBox,
-    bufs: &mut SeriesBufs,
-    mem: &M,
-) {
-    let fview = SharedFab::new(bufs.flux_for(faces));
-    pass_flux1_cli(phi0, &fview, faces, z_all(faces), mem);
-    pass_flux2_cli(&fview, d, faces, z_all(faces), mem);
-    pass_accumulate(phi1, &fview, cells, d, 0..NCOMP, z_all(cells), CompLoop::Inside, mem);
-}
-
-fn z_all(b: IBox) -> std::ops::Range<i32> {
-    b.lo()[2]..b.hi()[2] + 1
-}
 
 /// Face-interpolation pass: `flux[f, c] = interp(phi0)` for `c` in
 /// `comps` and faces with `z` in `zr` (CLO: component loop outermost).

@@ -1,7 +1,7 @@
 //! Temporary-storage accounting — the reproduction of Table I.
 //!
-//! Executors *measure* the temporaries they actually allocate
-//! ([`TempStorage`]); [`expected`] gives this implementation's exact
+//! Plans *declare* the temporaries they allocate ([`TempStorage`],
+//! `Plan::storage`); [`expected`] gives this implementation's exact
 //! formulas, and [`paper_formula`] the formulas printed in Table I of the
 //! paper. The two agree up to the paper's double-buffering factors and
 //! its rounding of `(N+1)N^2` face counts to `(N+1)^3` (asserted by the
@@ -48,10 +48,11 @@ impl TempStorage {
 
 /// The exact temporary storage this implementation allocates for
 /// `variant` on an `n^3` box with `nthreads` intra-box threads
-/// (`nthreads` only matters for overlapped tiles, where each thread holds
-/// its own tile-local buffers). Assumes tiled variants divide `n`
-/// evenly (edge tiles are smaller, so non-divisible cases use at most
-/// this much).
+/// (`nthreads` only matters for overlapped tiles, where each thread runs
+/// its tiles' plans one at a time, holding one full tile's buffers at
+/// its peak). Exact when the tile divides `n`; otherwise an upper bound,
+/// since edge tiles are smaller than full ones and the tile count
+/// rounds up.
 pub fn expected(variant: Variant, n: i32, nthreads: usize) -> TempStorage {
     let n = n as usize;
     let c = NCOMP;
@@ -77,7 +78,7 @@ pub fn expected(variant: Variant, n: i32, nthreads: usize) -> TempStorage {
         Category::OverlappedTile => {
             let t = variant.tile_size() as usize;
             let p = if variant.gran == Granularity::WithinBox { nthreads } else { 1 };
-            let tiles_total: usize = (n / t.min(n)).max(1).pow(3);
+            let tiles_total: usize = n.div_ceil(t.min(n)).max(1).pow(3);
             let p = p.min(tiles_total);
             let tfaces = (t + 1) * t * t;
             let per_thread = match variant.intra {

@@ -197,6 +197,29 @@ impl Variant {
         }
     }
 
+    /// The serial schedule one tile of this overlapped-tile variant runs,
+    /// with the same component placement: Basic-Sched tiles run the
+    /// series of loops, Shift-Fuse tiles the serial fused sweep, and
+    /// hierarchical tiles a blocked wavefront of their inner tile (which
+    /// may be 1, so the result is not necessarily
+    /// [`valid_for_box`](Variant::valid_for_box)). Panics for the other
+    /// categories.
+    pub fn tile_schedule(&self) -> Variant {
+        assert_eq!(self.category, Category::OverlappedTile, "{self} has no intra-tile schedule");
+        let (category, tile) = match self.intra {
+            IntraTile::Basic => (Category::Series, None),
+            IntraTile::ShiftFuse => (Category::ShiftFuse, None),
+            IntraTile::Hierarchical(inner) => (Category::BlockedWavefront, Some(inner)),
+        };
+        Variant {
+            category,
+            gran: Granularity::OverBoxes,
+            comp: self.comp,
+            intra: IntraTile::Basic,
+            tile,
+        }
+    }
+
     /// The tile size, panicking for untiled categories.
     pub fn tile_size(&self) -> i32 {
         self.tile.expect("untiled variant has no tile size")
@@ -406,6 +429,31 @@ mod tests {
         for x in v {
             assert!(set.insert(x));
         }
+    }
+
+    #[test]
+    fn tile_schedule_is_the_serial_intra_tile_variant() {
+        let gran = Granularity::WithinBox;
+        let cli = |v: Variant| Variant { comp: CompLoop::Inside, ..v };
+        assert_eq!(
+            cli(Variant::overlapped(IntraTile::Basic, 8, gran)).tile_schedule(),
+            cli(Variant::baseline())
+        );
+        assert_eq!(
+            Variant::overlapped(IntraTile::ShiftFuse, 8, gran).tile_schedule(),
+            Variant::shift_fuse()
+        );
+        // An inner tile of 1 is a valid hierarchical tiling but no valid
+        // blocked wavefront on its own.
+        let inner = Variant::hierarchical(4, 1, gran).tile_schedule();
+        assert_eq!(
+            inner,
+            Variant {
+                gran: Granularity::OverBoxes,
+                ..Variant::blocked_wavefront(CompLoop::Outside, 1)
+            }
+        );
+        assert!(!inner.valid_for_box(4));
     }
 
     #[test]

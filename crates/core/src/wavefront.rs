@@ -20,13 +20,15 @@
 //! their `(y, z)`, `(x, z)`, and `(x, y)` shadows are disjoint.
 //!
 //! The per-iteration wavefront of the untiled Shift-Fuse `P < Box`
-//! variant is the `tile = 1` special case.
+//! variant is the `tile = 1` special case. A hierarchical overlapped
+//! tile runs this schedule serially over itself, lowered for the tile's
+//! extent with the inner tile size (`Variant::tile_schedule`); the
+//! directly computed low-boundary faces are then the outer tile's surface
+//! recomputation.
 
 use crate::fuse::clo_flux;
 use crate::mem::Mem;
 use crate::shared::{face_fluxes_all, face_interp_at, SharedFab};
-use crate::storage::TempStorage;
-use crate::variant::CompLoop;
 use pdesched_kernels::point::accumulate;
 use pdesched_kernels::{vel_comp, NCOMP};
 use pdesched_mesh::{FArrayBox, IBox, IntVect};
@@ -49,156 +51,10 @@ pub(crate) fn wavefront_id_groups(counts: IntVect) -> Vec<Vec<u32>> {
     groups
 }
 
-/// Group the tiles of `cells` into wavefronts: group `w` holds the tiles
-/// with `tx + ty + tz == w`. Tiles within a group are mutually
-/// independent.
-pub fn wavefront_groups(cells: IBox, tile: i32) -> Vec<Vec<IBox>> {
-    let tiles = cells.tiles(tile);
-    wavefront_id_groups(cells.tile_counts(tile))
-        .into_iter()
-        .map(|g| g.into_iter().map(|i| tiles[i as usize]).collect())
-        .collect()
-}
-
 /// Number of tiles in each wavefront for an `n^3` box with tile size
 /// `t` — the machine model's parallel-efficiency input.
 pub fn wavefront_sizes(n: i32, tile: i32) -> Vec<usize> {
-    wavefront_groups(IBox::cube(n), tile).iter().map(|g| g.len()).collect()
-}
-
-/// Reusable serial-wavefront buffers for hierarchical overlapped tiling:
-/// co-dimension caches (and CLO velocity arrays) sized to an outer tile,
-/// reused across the outer tiles a thread owns.
-pub struct WavefrontBufs {
-    xcache: Vec<f64>,
-    ycache: Vec<f64>,
-    zcache: Vec<f64>,
-    /// Deterministic trace bases of the three caches (see
-    /// `pdesched_mesh::trace_addr`).
-    xbase: usize,
-    ybase: usize,
-    zbase: usize,
-    vels: Vec<FArrayBox>,
-    shape: Option<(IBox, CompLoop)>,
-    peak: TempStorage,
-}
-
-impl WavefrontBufs {
-    /// Fresh, empty buffers.
-    pub fn new() -> Self {
-        WavefrontBufs {
-            xcache: Vec::new(),
-            ycache: Vec::new(),
-            zcache: Vec::new(),
-            xbase: 0,
-            ybase: 0,
-            zbase: 0,
-            vels: Vec::new(),
-            shape: None,
-            peak: TempStorage::default(),
-        }
-    }
-
-    /// Peak temporary storage held so far.
-    pub fn peak(&self) -> TempStorage {
-        self.peak
-    }
-
-    fn ensure(&mut self, cells: IBox, comp: CompLoop) {
-        if self.shape == Some((cells, comp)) {
-            return;
-        }
-        let nx = cells.extent(0) as usize;
-        let ny = cells.extent(1) as usize;
-        let nz = cells.extent(2) as usize;
-        let kc = comp.cache_components();
-        self.xcache = vec![0.0; ny * nz * kc];
-        self.ycache = vec![0.0; nx * nz * kc];
-        self.zcache = vec![0.0; nx * ny * kc];
-        self.xbase = pdesched_mesh::trace_addr::alloc(self.xcache.len() * 8);
-        self.ybase = pdesched_mesh::trace_addr::alloc(self.ycache.len() * 8);
-        self.zbase = pdesched_mesh::trace_addr::alloc(self.zcache.len() * 8);
-        let mut vel = 0;
-        self.vels.clear();
-        if comp == CompLoop::Outside {
-            for d in 0..3 {
-                let faces = cells.surrounding_faces(d);
-                vel += faces.num_pts();
-                self.vels.push(FArrayBox::new(faces, 1));
-            }
-        }
-        self.shape = Some((cells, comp));
-        self.peak = self.peak.max(TempStorage {
-            flux_f64: self.xcache.len() + self.ycache.len() + self.zcache.len(),
-            vel_f64: vel,
-        });
-    }
-}
-
-impl Default for WavefrontBufs {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Serially sweep `cells` (one *outer* overlapped tile) as inner tiles
-/// of size `tile` in wavefront order, writing through a shared `phi1`
-/// view — the intra-tile engine of hierarchical overlapped tiling.
-/// Faces on the boundary of `cells` are computed directly (that is the
-/// outer tile's surface recomputation).
-pub fn run_tile_serial<M: Mem>(
-    phi0: &FArrayBox,
-    phi1: &SharedFab,
-    cells: IBox,
-    comp: CompLoop,
-    tile: i32,
-    bufs: &mut WavefrontBufs,
-    mem: &M,
-) {
-    bufs.ensure(cells, comp);
-    let nx = cells.extent(0) as usize;
-    let ny = cells.extent(1) as usize;
-    let kc = comp.cache_components();
-    // Fill the CLO velocities serially.
-    if comp == CompLoop::Outside {
-        for d in 0..3 {
-            let faces = bufs.vels[d].region();
-            let view = SharedFab::new(&mut bufs.vels[d]);
-            fill_velocity_slab(phi0, &view, faces, d, faces.lo()[2]..faces.hi()[2] + 1, mem);
-        }
-    }
-    let vviews: Vec<SharedFab> = bufs.vels.iter_mut().map(SharedFab::new).collect();
-    let caches = Caches {
-        xbase: bufs.xbase,
-        ybase: bufs.ybase,
-        zbase: bufs.zbase,
-        x: UnsafeSlice::new(&mut bufs.xcache),
-        y: UnsafeSlice::new(&mut bufs.ycache),
-        z: UnsafeSlice::new(&mut bufs.zcache),
-        lo: cells.lo(),
-        nx,
-        ny,
-        kc,
-    };
-    let groups = wavefront_groups(cells, tile);
-    match comp {
-        CompLoop::Inside => {
-            for group in &groups {
-                for t in group {
-                    tile_cli(phi0, phi1, cells, *t, &caches, mem);
-                }
-            }
-        }
-        CompLoop::Outside => {
-            for c in 0..NCOMP {
-                for group in &groups {
-                    for t in group {
-                        tile_clo(phi0, phi1, cells, *t, c, &vviews, &caches, mem);
-                    }
-                }
-            }
-        }
-    }
+    wavefront_id_groups(IBox::cube(n).tile_counts(tile)).iter().map(Vec::len).collect()
 }
 
 /// Shared co-dimension flux caches.
@@ -446,6 +302,8 @@ pub(crate) fn tile_clo<M: Mem>(
 mod tests {
     use super::*;
     use crate::mem::{CountingMem, NoMem};
+    use crate::plan::ir::tile_box;
+    use crate::variant::CompLoop;
     use pdesched_kernels::reference;
 
     fn setup(n: i32) -> (FArrayBox, FArrayBox, FArrayBox, IBox) {
@@ -463,9 +321,18 @@ mod tests {
     fn groups_cover_all_tiles_once() {
         for (n, t) in [(8, 4), (10, 3), (6, 1), (9, 4)] {
             let cells = IBox::cube(n);
-            let groups = wavefront_groups(cells, t);
+            let groups: Vec<Vec<IBox>> = wavefront_id_groups(cells.tile_counts(t))
+                .iter()
+                .map(|g| g.iter().map(|&id| tile_box(cells, t, id)).collect())
+                .collect();
             let total: usize = groups.iter().flat_map(|g| g.iter()).map(|b| b.num_pts()).sum();
             assert_eq!(total, cells.num_pts(), "n={n} t={t}");
+            // The decoded tiles are exactly `IBox::tiles`, each once.
+            let mut seen: Vec<IBox> = groups.iter().flatten().copied().collect();
+            let mut tiles = cells.tiles(t);
+            seen.sort_by_key(|b| (b.lo()[2], b.lo()[1], b.lo()[0]));
+            tiles.sort_by_key(|b| (b.lo()[2], b.lo()[1], b.lo()[0]));
+            assert_eq!(seen, tiles, "n={n} t={t}");
             // Within a group, tiles are pairwise independent: they differ
             // in at least two tile coordinates.
             for g in &groups {
