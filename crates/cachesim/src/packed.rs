@@ -1,39 +1,25 @@
-//! The fast path's packed cache-level representations.
+//! The fast path's packed cache-level representation.
 //!
-//! Two layouts, one per role:
-//!
-//! * **L1** is a [`PackedLevel`]: one `u64` word per way —
-//!   `lru(34) | line(28) | dirty(1) | valid(1)`, LRU stamp in the high
-//!   bits. L1's recency lives *deferred* in the hierarchy's hot-line
-//!   table and is only written back when a fill needs a victim, so it
-//!   needs a stamp that can be materialized out of order. Stamps are
-//!   unique (the L1 clock ticks on every access), so comparing whole
-//!   words *is* comparing recency, and an invalid way — all-zero word —
-//!   sorts below everything: "first strict minimum" reproduces
-//!   `CacheLevel::fill`'s "first invalid way, else first true-LRU way".
-//! * **every level below L1** is an [`OrderedLevel`]: one `u32` per way
-//!   — `line(28) | dirty(1) | valid(1)` — and each set is *kept in
-//!   recency order*, most recently used first. Below L1 every event is
-//!   applied the moment it happens, so position can carry what a stamp
-//!   would: a hit moves its way to the front, a fill enters at the front
-//!   and drops the last way, a merged dirty victim stays where it is.
-//!   Under exactly those three rules position order equals the
-//!   reference's stamp order (hit → newest stamp, fill → newest stamp,
-//!   merge → stamp untouched), and never-filled ways — all-zero, always
-//!   at the end, because ways only ever enter at the front — are what a
-//!   fill drops first: the reference's "first invalid, else true-LRU"
-//!   victim. There is no clock, no stamp and no victim scan to keep.
+//! Every level of the fast path — L1, the mid levels and every last
+//! level — is an [`OrderedLevel`]: one `u32` per way —
+//! `line(28) | dirty(1) | valid(1)` — and each set is *kept in recency
+//! order*, most recently used first. Every event is applied the moment
+//! it happens, so position can carry what a stamp would: a hit moves its
+//! way to the front, a fill enters at the front and drops the last way,
+//! a merged dirty victim stays where it is. Under exactly those three
+//! rules position order equals the reference's stamp order (hit →
+//! newest stamp, fill → newest stamp, merge → stamp untouched), and
+//! never-filled ways — all-zero, always at the end, because ways only
+//! ever enter at the front — are what a fill drops first: the
+//! reference's "first invalid, else true-LRU" victim. There is no
+//! clock, no stamp and no victim scan to keep.
 //!
 //! The packing bounds what the fast path can simulate: line indices
-//! below 2^28 (16 GiB of traced address space at 64-byte lines) at every
-//! level, and an L1 clock below 2^34 (17 G accesses). Both are asserted,
-//! not assumed: [`LINE_LIMIT`] on every access (the hierarchy's window
-//! rebase), [`CLOCK_LIMIT`] once per measurement
-//! ([`PackedLevel::check_clock`], called by `Hierarchy::flush` — a
-//! clock only grows, so its final value bounds every stamp ever packed).
-//! Statistics equivalence with the unpacked reference is pinned by the
-//! differential test below and the property and golden tests layered
-//! above.
+//! below 2^28 (16 GiB of traced address space at 64-byte lines),
+//! asserted on every access by the hierarchy's window rebase
+//! ([`LINE_LIMIT`]). Statistics equivalence with the unpacked reference
+//! is pinned by the differential test below and the property and golden
+//! tests layered above.
 
 use crate::config::CacheConfig;
 
@@ -41,22 +27,9 @@ use crate::config::CacheConfig;
 pub(crate) const LINE_BITS: u32 = 28;
 /// First line index that does NOT fit the packed layout.
 pub(crate) const LINE_LIMIT: u64 = 1 << LINE_BITS;
-/// Bit position of the LRU stamp.
-const LRU_SHIFT: u32 = 30;
-/// First clock value that does NOT fit the packed layout.
-pub(crate) const CLOCK_LIMIT: u64 = 1 << (64 - LRU_SHIFT);
-/// Word mask selecting the line index and the valid bit (a probe must
-/// not care about the dirty bit).
-const MATCH_MASK: u64 = ((LINE_LIMIT - 1) << 2) | 1;
-
-/// Packed key of a valid way holding `line` (dirty bit clear).
-#[inline(always)]
-fn key(line: u64) -> u64 {
-    (line << 2) | 1
-}
 
 /// Set mask of a level of geometry `cfg`, validated for the packed
-/// layouts.
+/// layout.
 fn set_mask(cfg: CacheConfig) -> u64 {
     cfg.validate();
     let sets = cfg.sets();
@@ -64,113 +37,6 @@ fn set_mask(cfg: CacheConfig) -> u64 {
     // which preserves set indices only while the set count divides it.
     assert!((sets as u64) <= LINE_LIMIT, "level has more sets than the packed line range");
     (sets - 1) as u64
-}
-
-/// The fast path's L1: a set-associative, true-LRU cache level in
-/// stamped packed form. The hierarchy's hot-line front end does the
-/// probing and counting; this type holds the ways, picks victims and
-/// takes fills.
-pub(crate) struct PackedLevel {
-    set_mask: u64,
-    pub(crate) assoc: usize,
-    /// One packed word per way, set-major.
-    pub(crate) words: Box<[u64]>,
-    pub(crate) clock: u64,
-    pub(crate) misses: u64,
-}
-
-impl PackedLevel {
-    pub(crate) fn new(cfg: CacheConfig) -> Self {
-        PackedLevel {
-            set_mask: set_mask(cfg),
-            assoc: cfg.assoc,
-            words: vec![0; cfg.sets() * cfg.assoc].into_boxed_slice(),
-            clock: 0,
-            misses: 0,
-        }
-    }
-
-    #[inline(always)]
-    pub(crate) fn set_start(&self, line: u64) -> usize {
-        (line & self.set_mask) as usize * self.assoc
-    }
-
-    /// Look up `line` without stamping or counting — the L1 front end
-    /// defers the stamp into its hot-table entry and derives hit counts.
-    #[inline]
-    pub(crate) fn find(&self, line: u64) -> Option<usize> {
-        let start = self.set_start(line);
-        let k = key(line);
-        (start..start + self.assoc).find(|&w| self.words[w] & MATCH_MASK == k)
-    }
-
-    /// Way a fill of `line` would claim (the L1 front end picks its
-    /// victim here, after materializing the set's deferred stamps):
-    /// first invalid way, else first true-LRU way.
-    #[inline]
-    pub(crate) fn victim_way(&self, line: u64) -> usize {
-        let start = self.set_start(line);
-        let mut j = start;
-        for w in start + 1..start + self.assoc {
-            if self.words[w] < self.words[j] {
-                j = w;
-            }
-        }
-        j
-    }
-
-    /// Insert `line` at way `w` — the victim [`PackedLevel::victim_way`]
-    /// named — evicting what the way held. Returns the evicted line and
-    /// its dirty bit, if any.
-    pub(crate) fn fill_at(&mut self, w: usize, line: u64, dirty: bool) -> Option<(u64, bool)> {
-        self.clock += 1;
-        let old = self.words[w];
-        self.words[w] = (self.clock << LRU_SHIFT) | key(line) | ((dirty as u64) << 1);
-        (old & 1 != 0).then_some(((old >> 2) & (LINE_LIMIT - 1), old & 2 != 0))
-    }
-
-    /// Refuse a stream longer than the packed stamp can order: past
-    /// [`CLOCK_LIMIT`] ticks a stamp no longer fits its 34 bits, and
-    /// every LRU decision after that point compared truncated stamps.
-    pub(crate) fn check_clock(&self) {
-        assert!(self.clock < CLOCK_LIMIT, "traced stream exceeds the fast path's 2^34 L1 accesses");
-    }
-
-    /// Overwrite way `w`'s LRU stamp (and OR in a dirty bit): the
-    /// hierarchy's hot-line table materializes deferred stamps through
-    /// this before any victim comparison reads them.
-    #[inline]
-    pub(crate) fn materialize(&mut self, w: usize, stamp: u64, dirty: bool) {
-        let word = self.words[w];
-        self.words[w] =
-            (word & ((1 << LRU_SHIFT) - 1)) | (stamp << LRU_SHIFT) | ((dirty as u64) << 1);
-    }
-
-    /// Line held by way `w`, if the way is valid.
-    #[inline]
-    pub(crate) fn line_of(&self, w: usize) -> Option<u64> {
-        let word = self.words[w];
-        (word & 1 != 0).then_some((word >> 2) & (LINE_LIMIT - 1))
-    }
-
-    /// Whether way `w` is marked dirty (in the packed word itself).
-    #[inline]
-    pub(crate) fn is_dirty(&self, w: usize) -> bool {
-        self.words[w] & 2 != 0
-    }
-
-    /// Drain every dirty line, returning how many there were, and mark
-    /// everything invalid.
-    pub(crate) fn flush(&mut self) -> u64 {
-        let mut dirty = 0;
-        for w in self.words.iter_mut() {
-            if *w & 3 == 3 {
-                dirty += 1;
-            }
-            *w = 0;
-        }
-        dirty
-    }
 }
 
 /// Dirty bit of an [`OrderedLevel`] way.
@@ -243,21 +109,48 @@ impl OrderedLevel {
         }
     }
 
+    /// First way of `line`'s set.
+    #[inline(always)]
+    fn set_start(&self, line: u64) -> usize {
+        (line & self.set_mask) as usize * self.assoc
+    }
+
     /// Run one set transaction on `line`'s set: at a fixed width for the
-    /// associativities the modeled machines have, so `f`'s scan unrolls
-    /// and its shift knows its bound, and at the set's own length
-    /// otherwise.
+    /// associativities the modeled machines have (2 and 8 at L1, 8, 12,
+    /// 16 and 20 below it), so `f`'s scan unrolls and its shift knows its
+    /// bound, and at the set's own length otherwise.
     #[inline(always)]
     fn with_set<R>(&mut self, line: u64, f: impl Fn(&mut [u32]) -> R) -> R {
-        let start = (line & self.set_mask) as usize * self.assoc;
+        let start = self.set_start(line);
         let set = &mut self.ways[start..start + self.assoc];
         match set.len() {
+            2 => f(&mut set[..2]),
             8 => f(&mut set[..8]),
             12 => f(&mut set[..12]),
             16 => f(&mut set[..16]),
             20 => f(&mut set[..20]),
             _ => f(set),
         }
+    }
+
+    /// Probe `line` and, hit or miss, make it the front of its set,
+    /// OR-ing `dirty` into its way: a hit moves its way to the front, a
+    /// miss enters it at the front and drops the set's last way. Returns
+    /// whether it hit and the way that moved (the hit's way before the
+    /// OR, or the dropped way).
+    #[inline(always)]
+    fn transact(&mut self, line: u64, dirty: u32) -> (bool, u32) {
+        let k = probe_key(line);
+        self.with_set(line, |set| {
+            let p = position(set, k);
+            let hit = p < set.len();
+            // A miss drops the last way — a branch of its own, so that at
+            // a fixed width the move has a constant length.
+            let p = if hit { p } else { set.len() - 1 };
+            let old = set[p];
+            enter(set, p, if hit { old | dirty } else { (k & !DIRTY) | dirty });
+            (hit, old)
+        })
     }
 
     /// Demand `line`: a hit moves it to the front; a miss fills it
@@ -269,22 +162,47 @@ impl OrderedLevel {
     /// dropped way was valid.
     #[inline]
     pub(crate) fn demand(&mut self, line: u64) -> Result<(), Option<(u64, bool)>> {
-        let k = probe_key(line);
-        let (hit, old) = self.with_set(line, |set| {
-            let p = position(set, k);
-            let hit = p < set.len();
-            // A miss drops the last way — a branch of its own, so that at
-            // a fixed width the move has a constant length.
-            let p = if hit { p } else { set.len() - 1 };
-            let old = set[p];
-            enter(set, p, if hit { old } else { k & !DIRTY });
-            (hit, old)
-        });
+        let (hit, old) = self.transact(line, 0);
         self.hits += hit as u64;
         self.misses += !hit as u64;
         if hit {
             Ok(())
         } else {
+            Err(held(old))
+        }
+    }
+
+    /// L1's transaction: a read or (`write`) a write of `line`. A line
+    /// already at the front of its set — the common case, a line touched
+    /// again before anything else in its set — only takes the write's
+    /// dirty bit; otherwise this is [`OrderedLevel::demand`] with the
+    /// write's dirty bit OR-ed into a hit's way and a fill dirty if and
+    /// only if it writes: the reference's `access(line, write)`, then
+    /// `fill(line, write)` on a miss. Counts misses only: L1's hits are
+    /// what the hierarchy's access count leaves over, since the trailing
+    /// elements of a run never reach the level.
+    #[inline]
+    pub(crate) fn access(&mut self, line: u64, write: bool) -> Result<(), Option<(u64, bool)>> {
+        let dirty = DIRTY * write as u32;
+        let start = self.set_start(line);
+        let front = &mut self.ways[start];
+        if *front | DIRTY == probe_key(line) {
+            *front |= dirty;
+            return Ok(());
+        }
+        self.access_scan(line, dirty)
+    }
+
+    /// [`OrderedLevel::access`] past the front way: the set scan. Kept
+    /// out of line so the front-way check stays small enough to inline
+    /// into every access site.
+    #[inline(never)]
+    fn access_scan(&mut self, line: u64, dirty: u32) -> Result<(), Option<(u64, bool)>> {
+        let (hit, old) = self.transact(line, dirty);
+        if hit {
+            Ok(())
+        } else {
+            self.misses += 1;
             Err(held(old))
         }
     }
@@ -388,7 +306,10 @@ mod tests {
     /// generic fallback: the same hits, the same evicted line and dirty
     /// bit, the same counters and dirty sets as
     /// `CacheLevel::{access, fill, merge_dirty}` — across a mid-stream
-    /// flush that leaves sets partly filled.
+    /// flush that leaves sets partly filled. The stream mixes all three
+    /// transactions, L1's read/write `access` included, and re-touches
+    /// the previous line often enough to take `access`'s front-way
+    /// shortcut as well as its scan.
     #[test]
     fn ordered_matches_unpacked_levels() {
         for assoc in [1, 2, 4, 8, 12, 16, 20] {
@@ -401,36 +322,64 @@ mod tests {
             let cfg = CacheConfig::new(8 * 64 * assoc, assoc);
             let mut ordered = OrderedLevel::new(cfg);
             let mut plain = CacheLevel::new(cfg);
-            let same_dirty = |ordered: &OrderedLevel, plain: &CacheLevel, step| {
+            // `access` counts misses only; its hits are counted here.
+            let mut access_hits = 0;
+            let same_dirty = |ordered: &OrderedLevel, plain: &CacheLevel, access_hits, step| {
                 let mut want = plain.dirty_lines();
                 want.sort_unstable();
                 assert_eq!(sorted_dirty(ordered), want, "{assoc}-way dirty set at step {step}");
-                assert_eq!((ordered.hits, ordered.misses), (plain.hits(), plain.misses()));
+                assert_eq!(
+                    (ordered.hits + access_hits, ordered.misses),
+                    (plain.hits(), plain.misses())
+                );
             };
+            let mut line = 0;
             for step in 0..20_000 {
-                let line = rng() % (24 * assoc as u64);
+                if rng() % 4 != 0 {
+                    line = rng() % (24 * assoc as u64);
+                }
                 let ctx = format!("{assoc}-way step {step} line {line}");
-                if rng() % 3 != 0 {
-                    // A demand: probe, and on a miss fill clean.
-                    let got = ordered.demand(line);
-                    match plain.access(line, false) {
-                        Probe::Hit => assert_eq!(got, Ok(()), "{ctx}"),
-                        Probe::Miss => assert_eq!(got, Err(plain.fill(line, false)), "{ctx}"),
+                match rng() % 3 {
+                    0 => {
+                        // A demand: probe, and on a miss fill clean.
+                        let got = ordered.demand(line);
+                        match plain.access(line, false) {
+                            Probe::Hit => assert_eq!(got, Ok(()), "{ctx}"),
+                            Probe::Miss => assert_eq!(got, Err(plain.fill(line, false)), "{ctx}"),
+                        }
                     }
-                } else {
-                    // A pushed-down dirty victim: merge if present, else
-                    // fill dirty — the reference's two calls in one.
-                    let want = if plain.merge_dirty(line) { None } else { plain.fill(line, true) };
-                    assert_eq!(ordered.push_dirty(line), want, "{ctx}");
+                    1 => {
+                        // L1's access: probe, marking a hit dirty on a
+                        // write, and on a miss fill dirty iff a write.
+                        let write = rng() % 2 == 0;
+                        let got = ordered.access(line, write);
+                        match plain.access(line, write) {
+                            Probe::Hit => {
+                                assert_eq!(got, Ok(()), "{ctx} write {write}");
+                                access_hits += 1;
+                            }
+                            Probe::Miss => {
+                                assert_eq!(got, Err(plain.fill(line, write)), "{ctx} write {write}")
+                            }
+                        }
+                    }
+                    _ => {
+                        // A pushed-down dirty victim: merge if present,
+                        // else fill dirty — the reference's two calls in
+                        // one.
+                        let want =
+                            if plain.merge_dirty(line) { None } else { plain.fill(line, true) };
+                        assert_eq!(ordered.push_dirty(line), want, "{ctx}");
+                    }
                 }
                 if step % 997 == 0 {
-                    same_dirty(&ordered, &plain, step);
+                    same_dirty(&ordered, &plain, access_hits, step);
                 }
                 if step == 10_000 {
                     assert_eq!(ordered.flush(), plain.flush(), "{assoc}-way mid-stream flush");
                 }
             }
-            same_dirty(&ordered, &plain, 20_000);
+            same_dirty(&ordered, &plain, access_hits, 20_000);
             assert_eq!(ordered.flush(), plain.flush(), "{assoc}-way final flush");
         }
     }

@@ -17,20 +17,13 @@
 //! `S_i/K` sets per level. A shard is therefore just a smaller
 //! [`Hierarchy`] fed `line >> log2(K)`.
 //!
-//! Three facts carry the fast path's machinery across the split:
+//! Two facts carry the fast path's machinery across the split:
 //!
-//! * **Victim choice is per-set and order-relative.** L1's LRU stamps
-//!   come from a per-hierarchy clock, but a victim is the strict
-//!   minimum stamp within one set, and below L1 a set simply *is* its
-//!   ways in touch order — only the *relative* order of touches to
-//!   that set matters, and a shard replays its residue class's touches
-//!   in the same relative order the serial engine would.
-//! * **The hot-line filter is statistics-neutral.** The 512-slot
-//!   front-end defers LRU stamps, but every deferred stamp in a set is
-//!   materialized before any victim choice in that set
-//!   (`fill_l1`'s materialize-before-victim-choice invariant), and L1
-//!   misses are counted against actual L1 content. Each shard carrying
-//!   its own filter changes aliasing patterns, never statistics.
+//! * **Victim choice is per-set and order-relative.** At every level a
+//!   set simply *is* its ways in touch order, most recent first — only
+//!   the *relative* order of touches to that set matters, and a shard
+//!   replays its residue class's touches in the same relative order the
+//!   serial engine would.
 //! * **Counters are per-set sums.** Hits, misses, DRAM line fetches and
 //!   writebacks all increment inside one set's transaction, so the
 //!   whole-hierarchy numbers are sums over shards — integer sums, which

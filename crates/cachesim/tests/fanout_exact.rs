@@ -8,9 +8,11 @@ use pdesched_testkit::{check, Rng};
 
 /// `(front, lasts)` of one-, two- and three-level shapes. Every set
 /// count is a multiple of 4 so each shape shards at K ∈ {2, 4}. The
-/// last shape has the modeled machines' associativities below L1 (8-way
-/// L2; 12-, 16- and 20-way LLCs), which the simulator scans and shifts
-/// at fixed width.
+/// last two shapes have the modeled machines' associativities, which
+/// the simulator scans and shifts at fixed width: 2- and 8-way L1s,
+/// 8-way L2s, 12-, 16- and 20-way LLCs — the last one the Ivy/Sandy
+/// Bridge shape, 32 KiB 8-way L1 over 256 KiB 8-way L2 and 20-way LLC
+/// shares.
 fn shapes() -> Vec<(Vec<CacheConfig>, Vec<CacheConfig>)> {
     let c = CacheConfig::new;
     vec![
@@ -18,6 +20,7 @@ fn shapes() -> Vec<(Vec<CacheConfig>, Vec<CacheConfig>)> {
         (vec![c(1024, 2)], vec![c(4096, 4), c(2048, 4), c(8192, 8)]),
         (vec![c(512, 2), c(2048, 4)], vec![c(8192, 4), c(4096, 8), c(16384, 4), c(2048, 2)]),
         (vec![c(512, 2), c(2048, 8)], vec![c(6144, 12), c(10240, 20), c(8192, 16), c(5120, 20)]),
+        (vec![c(32 << 10, 8), c(256 << 10, 8)], vec![c(2560 << 10, 20), c(1280 << 10, 20)]),
     ]
 }
 

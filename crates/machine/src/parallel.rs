@@ -19,12 +19,10 @@
 //!   each `(line, reps, write)` rep into a `u64` and routes it to
 //!   `shard = line mod K`, buffered into chunks on bounded channels.
 //! * Each **worker** owns one set-shard of the fan-out hierarchy (the
-//!   front and every last level scaled to `sets / K`; the 512-slot
-//!   hot-line filter comes per shard and is statistics-neutral) and
-//!   replays its chunks in producer
-//!   order, which is the serial engine's order restricted to that
-//!   residue class — the only order the shard's statistics can depend
-//!   on.
+//!   front and every last level scaled to `sets / K`) and replays its
+//!   chunks in producer order, which is the serial engine's order
+//!   restricted to that residue class — the only order the shard's
+//!   statistics can depend on.
 //! * Integer counters **merge** order-independently, per last level,
 //!   after the workers flush; hit ratios are divided only from the
 //!   merged sums, so even the f64 bit patterns equal the serial
@@ -50,7 +48,8 @@ use std::sync::mpsc::{sync_channel, SyncSender};
 const REP_BITS: u32 = 20;
 /// Largest repetition count one packed op carries; larger reps split
 /// into several ops, which is exact (`line_rep(a + b)` ≡
-/// `line_rep(a); line_rep(b)` — the second call finds the line hot).
+/// `line_rep(a); line_rep(b)` — the second call finds the line at the
+/// front of its L1 set).
 const REP_MAX: usize = (1 << REP_BITS) - 1;
 /// Ops per chunk (32 Ki ops = 256 KiB): big enough to amortize channel
 /// synchronization, small enough to keep workers streaming.

@@ -183,7 +183,7 @@ impl<'a> Point<'a> {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Engine {
     /// The plan interpreter into [`Hierarchy::reference`]: per-element
-    /// probes, no run batching, no front-end filters, one thread. Slow;
+    /// probes over plain stamped levels, no run batching, one thread. Slow;
     /// the oracle every other engine is checked against.
     Reference,
     /// The plan interpreter into the fast simulator, set-sharded over

@@ -1,6 +1,6 @@
 //! The fast path's permanent equivalence oath: for every valid variant
 //! of the (extended) schedule space and several box sizes, the
-//! run-batched, hot-line-filtered, packed fast path must produce the
+//! run-batched, recency-ordered packed fast path must produce the
 //! exact same `BoxTraffic` as the per-element reference path — every
 //! counter equal and every hit ratio equal down to the f64 bit pattern.
 //!
