@@ -1065,7 +1065,9 @@ fn prewarm(
     points: Vec<pdesched_machine::SimPoint>,
     log: &mut RunLog,
 ) -> bool {
+    let shared_before = cache.stats().shared_points;
     let r = engine.prewarm(cache, &points);
+    let shared = cache.stats().shared_points - shared_before;
     log.stage_engine_threads = log.stage_engine_threads.max(r.engine_threads);
     if let (None, Some(prior)) = (&log.resumed_from, &r.resumed_from) {
         eprintln!(
@@ -1080,11 +1082,12 @@ fn prewarm(
     }
     if r.measured > 0 || !r.failed.is_empty() || !r.timed_out.is_empty() {
         eprintln!(
-            "[repro] {target}: measured {} of {} unique points in {}, {:.1}s \
+            "[repro] {target}: measured {} of {} unique points in {} ({} shared), {:.1}s \
              ({:.2} points/s) on {} threads{}{}{}",
             r.measured,
             r.unique,
             passes(r.passes as u64),
+            shared,
             r.seconds,
             r.points_per_sec,
             engine.nthreads(),
@@ -1154,22 +1157,23 @@ fn render_json(
     use std::fmt::Write;
     let mut j = String::new();
     let _ = writeln!(j, "{{");
-    let _ = writeln!(j, "  \"schema_version\": 6,");
+    let _ = writeln!(j, "  \"schema_version\": 7,");
     let _ = writeln!(j, "  \"fast\": {fast},");
     let _ = writeln!(j, "  \"threads\": {threads},");
     let _ = writeln!(j, "  \"mode\": {},", json_str(cache.mode().tag()));
     // Claim-rate observability: how many of this run's measured points
     // the symbolic engine claimed vs fell back to the simulator (both
-    // zero under `--mode simulate`, where no claiming happens), and how
+    // zero under `--mode simulate`, where no claiming happens), how
     // many producer passes answered the run's misses — how much
-    // simulation actually ran.
+    // simulation actually ran — and how many misses were recorded from
+    // a stream produced under another key.
     {
         let s = cache.stats();
         let _ = writeln!(
             j,
             "  \"traffic\": {{\"claimed_points\": {}, \"fallback_points\": {}, \
-             \"passes\": {}}},",
-            s.claimed_points, s.fallback_points, s.passes
+             \"passes\": {}, \"shared_points\": {}}},",
+            s.claimed_points, s.fallback_points, s.passes, s.shared_points
         );
     }
     match interrupted {

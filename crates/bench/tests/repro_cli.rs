@@ -41,8 +41,9 @@ fn clean_run_reports_healthy_store_and_no_failures() {
         .args(["--json", json_path.to_str().unwrap()])
         .args(["--threads", "2", "fig1", "table1", "ablation"]));
     let json = std::fs::read_to_string(&json_path).unwrap();
-    assert!(json.contains("\"schema_version\": 6"), "{json}");
-    let traffic = "\"traffic\": {\"claimed_points\": 0, \"fallback_points\": 0, \"passes\": 0}";
+    assert!(json.contains("\"schema_version\": 7"), "{json}");
+    let traffic = "\"traffic\": {\"claimed_points\": 0, \"fallback_points\": 0, \"passes\": 0, \
+                   \"shared_points\": 0}";
     assert!(json.contains(traffic), "{json}");
     assert!(json.contains("\"interrupted\": null"), "{json}");
     assert!(json.contains("\"resumed_from\": null"), "{json}");

@@ -12,7 +12,7 @@ use pdesched_mesh::{IBox, IntVect};
 use std::fmt::Write as _;
 
 /// Which executor family's buffer/step vocabulary a region uses.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum RegionKind {
     /// One direction of the series-of-loops schedule.
     Series,
@@ -35,7 +35,7 @@ pub struct AllocEvent {
 }
 
 /// Shape of a declared temporary.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum AllocKind {
     /// A face-centered array over `cells.surrounding_faces(d)`.
     Fab { d: usize, ncomp: usize },
@@ -47,7 +47,7 @@ pub enum AllocKind {
 /// *canonical* coordinates (box low corner at the origin); the
 /// interpreter shifts by the actual box's low corner, so one plan serves
 /// every box of the same extents.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Step {
     /// Series face-interpolation pass over a z-slab of direction `d`'s
     /// faces (CLO component-outer or CLI component-inner order).
@@ -153,7 +153,77 @@ pub struct Plan {
     pub interleave: usize,
 }
 
+/// The identity of a serial plan's access stream, from
+/// [`Plan::stream`]: everything a one-thread [`super::execute`] or
+/// [`super::execute_pair`] of the plan reads, and nothing else. Plans
+/// with equal streams emit the same memory events in the same order on
+/// the same boxes, so a traffic measurement of one is a measurement of
+/// the other. Equality is full structural equality; the `Hash` only
+/// places a stream in a table.
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+pub struct Stream {
+    size: IntVect,
+    /// The component placement the wavefront caches are sized by.
+    comp: CompLoop,
+    tile: i32,
+    wf_groups: Vec<Vec<u32>>,
+    /// Whether a box pair runs interleaved or one box after the other.
+    interleave: usize,
+    regions: Vec<RegionStream>,
+    tile_plans: Vec<Stream>,
+}
+
+/// One region of a [`Stream`]: its kind, its buffers' shapes in
+/// allocation order, and the steps of all its phases in order.
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+struct RegionStream {
+    kind: RegionKind,
+    allocs: Vec<AllocKind>,
+    steps: Vec<Step>,
+}
+
 impl Plan {
+    /// The identity of this plan's one-thread access stream (see
+    /// [`Stream`]). A region's phases become one step list: at one thread
+    /// a phase boundary and its barrier emit no event. Left out, as
+    /// labels the interpreter never reads: alloc roles, the recompute
+    /// count [`Step::OtTiles`] carries, the pass provenance, the storage
+    /// accounting, and every variant field but the component placement
+    /// (the granularity among them).
+    ///
+    /// Panics unless the plan is serial (`nthreads == 1`), the
+    /// configuration traffic is measured in.
+    pub fn stream(&self) -> Stream {
+        assert_eq!(self.nthreads, 1, "a stream identity describes a serial plan");
+        Stream {
+            size: self.size,
+            comp: self.variant.comp,
+            tile: self.tile,
+            wf_groups: self.wf_groups.clone(),
+            interleave: self.interleave,
+            regions: self
+                .regions
+                .iter()
+                .map(|r| RegionStream {
+                    kind: r.kind,
+                    allocs: r.allocs.iter().map(|a| a.kind).collect(),
+                    steps: r
+                        .phases
+                        .iter()
+                        .flat_map(|p| &p.work[0])
+                        .map(|&s| match s {
+                            Step::OtTiles { start, len, .. } => {
+                                Step::OtTiles { start, len, recompute_faces: 0 }
+                            }
+                            s => s,
+                        })
+                        .collect(),
+                })
+                .collect(),
+            tile_plans: self.tile_plans.iter().map(Plan::stream).collect(),
+        }
+    }
+
     /// The tile plan lowered for tile extents `size`.
     pub(crate) fn tile_plan(&self, size: IntVect) -> &Plan {
         self.tile_plans.iter().find(|p| p.size == size).expect("tile plan for every tile extent")

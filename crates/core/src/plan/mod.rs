@@ -66,7 +66,9 @@ pub mod verify;
 // `plan::lower(...)` (the function) can coexist with the conceptual
 // "lower layer"; re-export everything flat.
 pub use interp::{execute, execute_pair};
-pub use ir::{zslab, AllocEvent, AllocKind, Phase, PhaseInfo, Plan, RegionKind, RegionPlan, Step};
+pub use ir::{
+    zslab, AllocEvent, AllocKind, Phase, PhaseInfo, Plan, RegionKind, RegionPlan, Step, Stream,
+};
 pub use lower_impl::{effective_threads, lower};
 pub use passes::{Pass, Pipeline, PipelineError};
 
@@ -537,5 +539,28 @@ mod tests {
         let f = lower(Variant::shift_fuse(), IntVect::splat(8), 1);
         assert_eq!(f.barrier_count(), 0);
         assert_eq!(f.step_count(), 3 + NCOMP);
+    }
+
+    #[test]
+    fn stream_identity_reads_what_one_thread_executes() {
+        let size = IntVect::splat(8);
+        let within = |v: Variant| Variant { gran: Granularity::WithinBox, ..v };
+        // At one thread a series or overlapped-tile schedule lowers alike
+        // under either granularity; ShiftFuse P<Box is a wavefront.
+        let base = lower(Variant::baseline(), size, 1);
+        assert_eq!(base.stream(), lower(within(Variant::baseline()), size, 1).stream());
+        let ot = |gran| lower(Variant::overlapped(IntraTile::Basic, 4, gran), size, 1).stream();
+        assert_eq!(ot(Granularity::OverBoxes), ot(Granularity::WithinBox));
+        let fused = lower(Variant::shift_fuse(), size, 1);
+        assert_ne!(fused.stream(), lower(within(Variant::shift_fuse()), size, 1).stream());
+        // Barriers and phase boundaries emit nothing at one thread.
+        let pipe = Pipeline::parse("elide-barriers,fuse-phases").unwrap();
+        let piped = pipe.apply(base.clone()).unwrap();
+        assert_ne!(piped.barrier_count(), base.barrier_count());
+        assert_eq!(piped.stream(), base.stream());
+        // The component placement is read (by the wavefront caches).
+        let clo = Variant::blocked_wavefront(CompLoop::Outside, 4);
+        let cli = Variant::blocked_wavefront(CompLoop::Inside, 4);
+        assert_ne!(lower(clo, size, 1).stream(), lower(cli, size, 1).stream());
     }
 }

@@ -14,19 +14,22 @@
 //! seed) nor the order points are read back.
 //!
 //! The unit of work is a **pass**, not a point: the points of a sweep
-//! that differ only in their last cache level (one series of a scaling
-//! figure — same variant, box and private L1/L2, one LLC share per
-//! thread count) share one access stream, so one producer run accounts
-//! all of them through a fan-out hierarchy
-//! (`pdesched_cachesim::Hierarchy::fan_out`), bit-identical to
-//! measuring each alone. Counts the operator sees (`measured`,
-//! `remaining`, the journal's total, progress lines) stay in points.
+//! that replay one access stream (`pdesched_core::plan::Stream` — one
+//! variant, or several that lower alike at one thread) through the same
+//! private L1/L2 differ only in their last cache level (one LLC share
+//! per thread count), so one producer run accounts all of them through
+//! a fan-out hierarchy (`pdesched_cachesim::Hierarchy::fan_out`),
+//! bit-identical to measuring each alone. Points that differ in their
+//! variant label only are one member of that run, recorded under each
+//! key. Counts the operator sees (`measured`, `remaining`, the
+//! journal's total, progress lines) stay in points.
 
 use crate::journal::{self, PriorSweep, SweepJournal};
 use crate::model::prediction_hierarchy;
 use crate::spec::MachineSpec;
 use crate::traffic::{Point, TrafficCache};
 use pdesched_cachesim::CacheConfig;
+use pdesched_core::plan::Stream;
 use pdesched_core::Variant;
 use pdesched_par::cancel::{self, CancelToken, Cancelled};
 use pdesched_par::SpmdPool;
@@ -120,7 +123,8 @@ pub struct PrewarmReport {
     pub requested: usize,
     /// Distinct points after dedup.
     pub unique: usize,
-    /// Points successfully simulated (the rest were already cached,
+    /// Points measured: produced, or recorded from a stream the cache
+    /// produced under another key (the rest were already cached,
     /// failed, timed out, or left behind by a cancellation).
     pub measured: usize,
     /// Points whose measurement panicked. The panic is contained to the
@@ -162,14 +166,17 @@ pub struct PrewarmReport {
     /// was measured.
     pub points_per_sec: f64,
     /// Producer passes the missing points were grouped into: points
-    /// sharing variant, box size and every cache level but the last are
+    /// sharing an access stream and every cache level but the last are
     /// measured by one pass (split while there are fewer passes than
     /// pool threads). `measured / passes` is the fan-out achieved.
     pub passes: usize,
+    /// Distinct access streams among the missing points: what the sweep
+    /// had to produce at least once each (`passes >= streams`).
+    pub streams: usize,
     /// Shard-worker threads each pass's measurement was granted
     /// (1 = serial engines): `pool threads / passes` when the sweep had
-    /// fewer passes than pool threads — every pass is then a single
-    /// point — else 1.
+    /// fewer passes than pool threads — every pass then has a single
+    /// last level — else 1.
     pub engine_threads: usize,
 }
 
@@ -273,10 +280,12 @@ impl SweepEngine {
     pub fn prewarm(&self, cache: &TrafficCache, points: &[SimPoint]) -> PrewarmReport {
         let t0 = Instant::now();
         // One keyed walk: dedupe, the skip list, and the missing points
-        // grouped by everything but their last cache level.
+        // grouped into passes by (access stream, every cache level but
+        // the last). A pass is a list of slots, one per distinct last
+        // level: the points of a slot are one member of the producer run.
         let mut seen: HashSet<(Variant, i32, &[CacheConfig])> = HashSet::new();
-        let mut family: HashMap<(Variant, i32, &[CacheConfig]), usize> = HashMap::new();
-        let mut passes: Vec<Vec<&SimPoint>> = Vec::new();
+        let mut family: HashMap<Stream, Vec<(&[CacheConfig], usize)>> = HashMap::new();
+        let mut passes: Vec<Vec<Vec<&SimPoint>>> = Vec::new();
         let mut skipped: Vec<SkippedPoint> = Vec::new();
         for p in points {
             if !seen.insert((p.variant, p.n, &p.configs)) {
@@ -293,19 +302,31 @@ impl SweepEngine {
             if cache.contains(p.variant, p.n, &p.configs) {
                 continue;
             }
+            let stream = Point::hand(p.variant, p.n, &p.configs)
+                .stream()
+                .expect("a hand lowering valid for its box has a stream");
             let front = &p.configs[..p.configs.len() - 1];
-            let i = *family.entry((p.variant, p.n, front)).or_insert_with(|| {
-                passes.push(Vec::new());
-                passes.len() - 1
-            });
-            passes[i].push(p);
+            let fronts = family.entry(stream).or_default();
+            let i = match fronts.iter().find(|(f, _)| *f == front) {
+                Some(&(_, i)) => i,
+                None => {
+                    passes.push(Vec::new());
+                    fronts.push((front, passes.len() - 1));
+                    passes.len() - 1
+                }
+            };
+            match passes[i].iter_mut().find(|slot| slot[0].configs.last() == p.configs.last()) {
+                Some(slot) => slot.push(p),
+                None => passes[i].push(vec![p]),
+            }
         }
         let unique = seen.len();
+        let streams = family.len();
         skipped.sort_by(|a, b| (&a.variant, a.n, &a.reason).cmp(&(&b.variant, b.n, &b.reason)));
         skipped.dedup();
         // Grouping must never idle a wide host: while there are fewer
-        // passes than pool threads, the widest pass splits in half. All
-        // singletons is the ungrouped schedule.
+        // passes than pool threads, the widest pass (in last levels)
+        // splits in half.
         while passes.len() < self.pool.nthreads() {
             let Some(widest) = (0..passes.len()).max_by_key(|&i| (passes[i].len(), Reverse(i)))
             else {
@@ -318,8 +339,8 @@ impl SweepEngine {
             let half = passes[widest].split_off(keep);
             passes.insert(widest + 1, half);
         }
-        passes.sort_by_key(|members| Reverse((members[0].n, members.len())));
-        let total: usize = passes.iter().map(Vec::len).sum();
+        passes.sort_by_key(|slots| Reverse((slots[0][0].n, slots.len())));
+        let total: usize = passes.iter().flatten().map(Vec::len).sum();
 
         // Checkpoint/resume: the store is the source of truth for
         // completed points (they were filtered out of the passes above); the
@@ -337,7 +358,7 @@ impl SweepEngine {
         cache.set_append_retry(self.budget.max_retries, self.budget.backoff);
 
         // Pass-level thread policy: when the sweep has fewer passes
-        // than pool threads (each then a single point, by the split
+        // than pool threads (each then a single last level, by the split
         // above), the idle threads become shard workers *inside* each
         // measurement (`crate::parallel`, bit-identical by
         // construction). With plenty of passes the pool's own
@@ -404,7 +425,7 @@ impl SweepEngine {
                         // from the store for the resume run.
                         return;
                     }
-                    let members = &passes[i];
+                    let members: Vec<&SimPoint> = passes[i].iter().flatten().copied().collect();
                     let head = members[0];
                     {
                         let mut fm = first_measure.lock().unwrap_or_else(|e| e.into_inner());
@@ -420,17 +441,13 @@ impl SweepEngine {
                         None => sweep_token.child(),
                     };
                     let _ambient = cancel::set_current(Some(point_token.clone()));
-                    let lasts: Vec<CacheConfig> =
-                        members.iter().map(|p| p.configs[p.configs.len() - 1]).collect();
                     // The hand lowering on one box, as `TrafficCache::get`
-                    // asks it, over the whole family's last levels.
-                    let point = Point {
-                        front: &head.configs[..head.configs.len() - 1],
-                        lasts: &lasts,
-                        ..Point::hand(head.variant, head.n, &head.configs)
-                    };
+                    // asks it, for every member: `fetch` runs the pass
+                    // once over the slots' last levels.
+                    let points: Vec<Point<'_>> =
+                        members.iter().map(|p| Point::hand(p.variant, p.n, &p.configs)).collect();
                     let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        cache.fetch(&point).unwrap_or_else(|e| panic!("{e}"))
+                        cache.fetch(&points).unwrap_or_else(|e| panic!("{e}"))
                     }));
                     let d = done.fetch_add(members.len(), Ordering::Relaxed) + members.len();
                     // One member that has no number: narrate, journal,
@@ -473,8 +490,11 @@ impl SweepEngine {
                             }
                             measured.fetch_add(ok, Ordering::Relaxed);
                             if self.progress && ok > 0 {
-                                let kib: Vec<String> =
-                                    lasts.iter().map(|c| (c.size / 1024).to_string()).collect();
+                                let kib: Vec<String> = passes[i]
+                                    .iter()
+                                    .map(|slot| slot[0].configs[slot[0].configs.len() - 1].size)
+                                    .map(|size| (size / 1024).to_string())
+                                    .collect();
                                 eprintln!(
                                     "[sweep] measured {d}/{total}: {} n={}, LLC {} KiB (thread {})",
                                     head.variant,
@@ -490,7 +510,7 @@ impl SweepEngine {
                                 // point it was measuring timed out.
                                 let reason =
                                     point_token.reason().unwrap_or_else(|| "point deadline".into());
-                                for p in members {
+                                for &p in &members {
                                     lost(true, p, reason.clone());
                                 }
                             }
@@ -499,7 +519,7 @@ impl SweepEngine {
                         }
                         Err(payload) => {
                             let error = panic_message(payload.as_ref());
-                            for p in members {
+                            for &p in &members {
                                 lost(false, p, error.clone());
                             }
                         }
@@ -558,6 +578,7 @@ impl SweepEngine {
                 0.0
             },
             passes: passes.len(),
+            streams,
             engine_threads,
         }
     }
@@ -664,6 +685,30 @@ mod tests {
         let r = SweepEngine::new(1).prewarm(&partial, &pts[..4]);
         assert_eq!((r.unique, r.measured, r.passes), (4, 3, 1));
         assert_eq!(partial.stats().misses, 4);
+    }
+
+    #[test]
+    fn variants_that_lower_alike_share_one_pass() {
+        // At one thread, Baseline P<Box replays Baseline P>=Box's stream:
+        // one pass for both series, each point under its own key.
+        let within = Variant { gran: pdesched_core::Granularity::WithinBox, ..Variant::baseline() };
+        let mut pts = series(Variant::baseline(), 8);
+        pts.extend(series(within, 8));
+        let cache = TrafficCache::new();
+        let r = SweepEngine::new(1).prewarm(&cache, &pts);
+        assert_eq!((r.measured, r.streams, r.passes), (8, 1, 1));
+        let s = cache.stats();
+        assert_eq!((s.misses, s.passes, s.shared_points, cache.len()), (8, 1, 4, 8));
+        let alone = TrafficCache::new();
+        for p in &pts {
+            let want = alone.get(p.variant, p.n, &p.configs);
+            assert_eq!(cache.get(p.variant, p.n, &p.configs), want, "{}", p.variant);
+        }
+        // Split across threads, the pass keeps each last level whole.
+        let cache = TrafficCache::new();
+        let r = SweepEngine::new(2).prewarm(&cache, &pts);
+        assert_eq!((r.measured, r.streams, r.passes), (8, 1, 2));
+        assert_eq!(cache.stats().shared_points, 4);
     }
 
     #[test]

@@ -29,11 +29,14 @@
 //! ```
 //!
 //! `variants` is ranked fastest-first; `source` says where each
-//! variant's traffic came from (`warm` = already held by the server's
-//! [`TrafficCache`], loaded from the store or measured by an earlier
-//! request; `sim` = measured by this request, `analytic` = closed-form fallback
-//! in degraded mode); `series` is the predicted seconds of the top
-//! variant at 1..=threads threads (the figure series). Failures answer
+//! variant's traffic came from (`warm` = already held under its key by
+//! the server's [`TrafficCache`], loaded from the store or measured by
+//! an earlier request; `sim` = not held under its key when asked —
+//! simulated for this request, or recorded from the same access stream
+//! simulated under another key (`Plan::stream`); `analytic` =
+//! closed-form fallback in degraded mode); `series` is the predicted
+//! seconds of the top variant at 1..=threads threads (the figure
+//! series). Failures answer
 //! `{"ok":false,"error":...}` with the errors catalogued in DESIGN.md
 //! §15 — the server process itself does not die with the request.
 //!
@@ -67,11 +70,13 @@
 //!   is rejected *immediately* with `"overloaded"` + `retry_after_ms`,
 //!   never queued unboundedly. [`SweepBudget`] carries the per-point
 //!   execution deadline and append retry policy.
-//! * **Coalescing**: cold points are keyed by
-//!   [`store_key_with_passes`]; a thundering herd on one key triggers
-//!   exactly one simulation, run by a detached flight worker. All
-//!   requests — including the one that created the flight — park as
-//!   followers on the flight's result or its failure. A worker panic or
+//! * **Coalescing**: cold points are keyed by their access stream and
+//!   hierarchy ([`Point::stream`]); a thundering herd on one key — or on
+//!   several keys that replay one stream — triggers exactly one
+//!   simulation, run by a detached flight worker that then records every
+//!   other key asked from it. All requests — including the one that
+//!   created the flight — park as followers on their key's result or
+//!   failure. A worker panic or
 //!   cancellation is published to every follower and the flight is
 //!   removed from the map either way: the map cannot be poisoned. A
 //!   flight all its requesters abandoned cannot be joined while it
@@ -115,7 +120,9 @@ use crate::json::json_str;
 use crate::model::{self, Workload};
 use crate::spec::MachineSpec;
 use crate::sweep;
-use crate::traffic::{store_key_with_passes, TrafficCache, TrafficMode};
+use crate::traffic::{store_key_with_passes, Boxes, Point, TrafficCache, TrafficMode};
+use pdesched_cachesim::CacheConfig;
+use pdesched_core::plan::Stream;
 use pdesched_core::{Pipeline, Variant};
 use pdesched_par::cancel::{self, CancelToken, Cancelled, InterestSet};
 
@@ -229,18 +236,27 @@ pub struct ServeStats {
     pub inflight: usize,
 }
 
-/// One coalesced cold-point execution; see the module docs.
+/// One coalesced cold-stream execution; see the module docs.
 struct Flight {
     token: CancelToken,
     interest: InterestSet,
+    /// The distinct points its requesters asked for, in joining order:
+    /// the worker measures each before the flight leaves the map — the
+    /// first produces the stream, the rest are recorded from it.
+    points: Mutex<Vec<ColdPoint>>,
     state: Mutex<FlightState>,
     cv: Condvar,
 }
 
 enum FlightState {
     Running,
-    Done(Result<u64, String>),
+    /// Each point's key with its DRAM bytes or failure.
+    Done(Vec<(String, Result<u64, String>)>),
 }
+
+/// What flights are keyed by: the access stream and the whole
+/// hierarchy it is measured on (the workload is always one box).
+type FlightKey = (Stream, Vec<CacheConfig>);
 
 /// A memoised analytic ranking, fastest first; see `ServerInner::ranks`.
 type Ranking = Arc<[sweep::RankedVariant]>;
@@ -252,7 +268,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 struct ServerInner {
     cfg: ServeConfig,
     cache: TrafficCache,
-    flights: Mutex<HashMap<String, Arc<Flight>>>,
+    flights: Mutex<HashMap<FlightKey, Arc<Flight>>>,
     machines: Vec<MachineSpec>,
     /// Memoised analytic rankings, keyed by (machine name, box edge,
     /// threads) and cut to the [`MAX_TOP`] entries a request can ask
@@ -645,27 +661,28 @@ fn answer(
         Ok(spec) => spec,
         Err(detail) => return err_json("bad_request", &detail),
     };
-    // Integral numbers of any sign parse; the range checks below refuse
-    // the ones out of range with a detail that says so.
+    // Integral numbers of any sign and size parse; the range checks
+    // below refuse the ones out of range, echoing the value as sent (a
+    // cast first would saturate it). `+ 0.0` folds `-0` into `0`.
     let n = match req.get("n") {
-        Some(JVal::N(v)) if v.fract() == 0.0 => *v as i32,
+        Some(JVal::N(v)) if v.fract() == 0.0 => *v + 0.0,
         _ => return err_json("bad_request", "missing or non-integer field \"n\""),
     };
-    // Bounded by the longest domain edge *before* cubing: `n` comes off
-    // the wire and may be anything up to `i32::MAX`.
+    // Bounded by the longest domain edge *before* cubing.
     let domain: usize = 512 * 384 * 256;
-    if !(2..=512).contains(&n) || !domain.is_multiple_of((n as usize).pow(3)) {
+    if !(2.0..=512.0).contains(&n) || !domain.is_multiple_of((n as usize).pow(3)) {
         return err_json(
             "bad_request",
             &format!("box edge {n} must divide the 512x384x256 domain"),
         );
     }
+    let n = n as i32;
     let threads = match req.get("threads") {
-        None => spec.cores() as i64,
-        Some(JVal::N(v)) if v.fract() == 0.0 => *v as i64,
+        None => spec.cores() as f64,
+        Some(JVal::N(v)) if v.fract() == 0.0 => *v + 0.0,
         _ => return err_json("bad_request", "non-integer field \"threads\""),
     };
-    if threads < 1 || threads > spec.hw_threads() as i64 {
+    if !(1.0..=spec.hw_threads() as f64).contains(&threads) {
         return err_json(
             "bad_request",
             &format!("threads {threads} out of range 1..={} for {}", spec.hw_threads(), spec.name),
@@ -673,14 +690,14 @@ fn answer(
     }
     let threads = threads as usize;
     let top = match req.get("top") {
-        None => 3,
-        Some(JVal::N(v)) if v.fract() == 0.0 => *v as i64,
+        None => 3.0,
+        Some(JVal::N(v)) if v.fract() == 0.0 => *v + 0.0,
         _ => return err_json("bad_request", "non-integer field \"top\""),
     };
-    if top < 1 {
+    if top < 1.0 {
         return err_json("bad_request", &format!("top {top} must be at least 1"));
     }
-    let top = (top as usize).min(MAX_TOP);
+    let top = top.min(MAX_TOP as f64) as usize;
     let pipeline = match req.get("passes") {
         None => Pipeline::empty(),
         Some(JVal::S(spec_str)) => match Pipeline::parse(spec_str) {
@@ -729,13 +746,24 @@ fn answer(
             }
             None => {
                 let point = ColdPoint {
-                    key: &key,
+                    key,
                     variant: r.variant,
                     n,
-                    hierarchy: &hierarchy,
-                    pipeline: &pipeline,
+                    hierarchy: hierarchy.clone(),
+                    pipeline: pipeline.clone(),
                 };
-                match fly(inner, conn, req_token, &point) {
+                let stream =
+                    Point::new(r.variant, n, &hierarchy, &pipeline, Boxes::Single).stream();
+                let measured = match stream {
+                    Ok(stream) => fly(inner, conn, req_token, (stream, hierarchy.clone()), point),
+                    // Refused: there is no stream to fly. The cache's miss
+                    // path counts the miss and returns the refusal.
+                    Err(_) => {
+                        let _ambient = cancel::set_current(Some(req_token.clone()));
+                        measure_cold(&inner.cache, &point)
+                    }
+                };
+                match measured {
                     Ok(dram) => (dram, "sim"),
                     Err(e) => {
                         if req_token.is_tripped() {
@@ -841,34 +869,46 @@ fn push_row(rows: &mut Vec<Row>, variant: Variant, p: &model::Prediction, source
     rows.push((p.seconds, row, variant));
 }
 
-/// One point to measure: what a flight is keyed by and runs.
-struct ColdPoint<'a> {
-    key: &'a str,
+/// One point to measure: a key of a flight's stream.
+#[derive(Clone)]
+struct ColdPoint {
+    key: String,
     variant: Variant,
     n: i32,
-    hierarchy: &'a [pdesched_cachesim::CacheConfig],
-    pipeline: &'a Pipeline,
+    hierarchy: Vec<CacheConfig>,
+    pipeline: Pipeline,
 }
 
-/// Single-flight execution of one cold point: returns its DRAM bytes.
+/// Single-flight execution of one cold point, coalesced with every cold
+/// point of the same stream: returns its DRAM bytes.
 fn fly(
     inner: &Arc<ServerInner>,
     conn: &mut Conn,
     req_token: &CancelToken,
-    point: &ColdPoint<'_>,
+    flight_key: FlightKey,
+    point: ColdPoint,
 ) -> Result<u64, String> {
-    // Take one interest in the point's flight, under the map lock:
+    // Take one interest in the stream's flight, under the map lock:
     // releasing the last one (all requesters gone) trips the flight
     // token and the worker stops at its next interpreter checkpoint. A
     // flight every requester has already let go of cannot be joined —
     // it is only unwinding, and joining would hand a live requester the
     // abandonment — so it is replaced by a fresh one under the same key.
+    // A joiner adds its point unless the flight already has that key.
+    let key = point.key.clone();
     let (flight, _interest, coalesced) = {
         let mut flights = lock(&inner.flights);
         let joined =
-            flights.get(point.key).and_then(|f| Some((Arc::clone(f), f.interest.try_join()?)));
+            flights.get(&flight_key).and_then(|f| Some((Arc::clone(f), f.interest.try_join()?)));
         match joined {
-            Some((flight, interest)) => (flight, interest, true),
+            Some((flight, interest)) => {
+                let mut points = lock(&flight.points);
+                if points.iter().all(|p| p.key != point.key) {
+                    points.push(point);
+                }
+                drop(points);
+                (flight, interest, true)
+            }
             None => {
                 let token = match inner.cfg.budget.point_deadline {
                     Some(d) => inner.token.child_until(Instant::now() + d, "point deadline"),
@@ -877,12 +917,13 @@ fn fly(
                 let flight = Arc::new(Flight {
                     interest: InterestSet::new(token.clone(), "abandoned by every requester"),
                     token,
+                    points: Mutex::new(vec![point]),
                     state: Mutex::new(FlightState::Running),
                     cv: Condvar::new(),
                 });
                 let interest = flight.interest.join();
-                flights.insert(point.key.to_string(), Arc::clone(&flight));
-                spawn_flight_worker(inner, &flight, point);
+                flights.insert(flight_key.clone(), Arc::clone(&flight));
+                spawn_flight_worker(inner, &flight, flight_key);
                 (flight, interest, false)
             }
         }
@@ -893,7 +934,8 @@ fn fly(
 
     let mut state = lock(&flight.state);
     loop {
-        if let FlightState::Done(result) = &*state {
+        if let FlightState::Done(results) = &*state {
+            let (_, result) = results.iter().find(|(k, _)| *k == key).expect("a joined point");
             return result.clone();
         }
         if req_token.is_tripped() {
@@ -918,46 +960,61 @@ fn fly(
     }
 }
 
-fn spawn_flight_worker(inner: &Arc<ServerInner>, flight: &Arc<Flight>, point: &ColdPoint<'_>) {
+fn spawn_flight_worker(inner: &Arc<ServerInner>, flight: &Arc<Flight>, flight_key: FlightKey) {
     let inner = Arc::clone(inner);
     let flight = Arc::clone(flight);
-    let key = point.key.to_string();
-    let (variant, n) = (point.variant, point.n);
-    let hierarchy = point.hierarchy.to_vec();
-    let pipeline = point.pipeline.clone();
     inner.active_flights.fetch_add(1, Ordering::SeqCst);
     std::thread::spawn(move || {
-        // The flight token is ambient for the whole measurement, so
-        // plan execution and the symbolic engine poll it at their
-        // checkpoints and an abandoned flight stops mid-execution.
-        let result = {
-            let _ambient = cancel::set_current(Some(flight.token.clone()));
-            catch_unwind(AssertUnwindSafe(|| {
-                inner.cache.get_optimized(variant, n, &hierarchy, &pipeline)
-            }))
-        };
-        let result = match result {
-            Ok(Ok(t)) => Ok(t.dram_bytes),
-            Ok(Err(e)) => Err(format!("pipeline rejected: {e}")),
-            Err(payload) => Err(describe_panic(payload)),
-        };
-        // The cache already holds a measured point, so a request
-        // arriving after the removal below finds it warm. Drop the
-        // flight from the map (failures too — the map is never
-        // poisoned; a later request simply starts a fresh flight), then
-        // wake the followers.
-        {
-            // Unless a later request already replaced this (abandoned)
-            // flight with a fresh one under the same key.
-            let mut flights = lock(&inner.flights);
-            if flights.get(&key).is_some_and(|f| Arc::ptr_eq(f, &flight)) {
-                flights.remove(&key);
-            }
+        let mut results = Vec::new();
+        loop {
+            // The next point to measure — or, with every joined point
+            // measured, the flight leaves the map (failures too: the map
+            // is never poisoned; a later request simply starts a fresh
+            // flight). Both under the map lock a joiner holds while it
+            // adds a point, so none is left behind, and each point is in
+            // the cache before the flight is gone: a request arriving
+            // after the removal finds it warm.
+            let next = {
+                let mut flights = lock(&inner.flights);
+                let points = lock(&flight.points);
+                match points.get(results.len()) {
+                    Some(point) => point.clone(),
+                    None => {
+                        // Unless a later request already replaced this
+                        // (abandoned) flight with a fresh one.
+                        if flights.get(&flight_key).is_some_and(|f| Arc::ptr_eq(f, &flight)) {
+                            flights.remove(&flight_key);
+                        }
+                        break;
+                    }
+                }
+            };
+            // The flight token is ambient for the whole measurement, so
+            // plan execution and the symbolic engine poll it at their
+            // checkpoints and an abandoned flight stops mid-execution.
+            let result = {
+                let _ambient = cancel::set_current(Some(flight.token.clone()));
+                measure_cold(&inner.cache, &next)
+            };
+            results.push((next.key, result));
         }
-        *lock(&flight.state) = FlightState::Done(result);
+        *lock(&flight.state) = FlightState::Done(results);
         flight.cv.notify_all();
         inner.active_flights.fetch_sub(1, Ordering::SeqCst);
     });
+}
+
+/// One cold point through the cache's miss path: produced, or recorded
+/// from a stream the cache already produced. Its DRAM bytes, or the
+/// failure a reply reports.
+fn measure_cold(cache: &TrafficCache, point: &ColdPoint) -> Result<u64, String> {
+    let ColdPoint { variant, n, hierarchy, pipeline, .. } = point;
+    match catch_unwind(AssertUnwindSafe(|| cache.get_optimized(*variant, *n, hierarchy, pipeline)))
+    {
+        Ok(Ok(t)) => Ok(t.dram_bytes),
+        Ok(Err(e)) => Err(format!("pipeline rejected: {e}")),
+        Err(payload) => Err(describe_panic(payload)),
+    }
 }
 
 fn describe_panic(payload: Box<dyn std::any::Any + Send>) -> String {

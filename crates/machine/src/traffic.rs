@@ -23,7 +23,7 @@ use crate::fault::FaultHook;
 use crate::parallel::{parallel_replay, ParallelStats, SplitMem};
 use crate::symbolic::{analyze, emit_symbolic_stream};
 use pdesched_cachesim::{shard_count, CacheConfig, Hierarchy, Stats};
-use pdesched_core::plan::{self, Plan};
+use pdesched_core::plan::{self, Plan, Stream};
 use pdesched_core::{plan_for_optimized, Mem, Pipeline, PipelineError, Variant};
 use pdesched_kernels::{GHOST, NCOMP};
 use pdesched_mesh::{trace_addr, FArrayBox, IBox, IntVect};
@@ -102,7 +102,7 @@ pub struct BoxTraffic {
 }
 
 /// Which traced workload a [`Point`] asks about.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Boxes {
     /// One `n^3` box in steady state.
     Single,
@@ -173,6 +173,16 @@ impl<'a> Point<'a> {
             Boxes::Single => store_key_with_passes(self.variant, self.n, &configs, self.pipeline),
             Boxes::Pair => pair_store_key(self.variant, self.n, &configs, self.pipeline),
         }
+    }
+
+    /// The identity of the access stream every member replays: the
+    /// [`Stream`] of the serial plan [`measure`] lowers. Points with
+    /// equal streams and workloads measure alike on equal hierarchies,
+    /// whatever their variant labels and pipelines. Fails where
+    /// `measure` would: an invalid variant or a refused pipeline.
+    pub fn stream(&self) -> Result<Stream, PipelineError> {
+        self.variant.validate_for_box(self.n).map_err(PipelineError::Invalid)?;
+        Ok(plan_for_optimized(self.variant, IntVect::splat(self.n), 1, self.pipeline)?.stream())
     }
 }
 
@@ -364,16 +374,24 @@ pub fn measure_box_traffic(variant: Variant, n: i32, configs: &[CacheConfig]) ->
 /// being measured.
 pub(crate) type MemberResult = Result<BoxTraffic, Box<dyn Any + Send>>;
 
+/// Every member this process produced, by access stream: per stream,
+/// the (workload, whole hierarchy) it was measured on, its number and
+/// the producer's provenance tag.
+type StreamMap = HashMap<Stream, Vec<(Boxes, Vec<CacheConfig>, BoxTraffic, TrafficMode)>>;
+
 /// Hit/miss and store-health counters of a [`TrafficCache`] at one
 /// instant.
 ///
-/// `misses` counts actual cache simulations; a warm store therefore
+/// `misses` counts keys not held when asked; a warm store therefore
 /// proves itself by keeping `misses` at zero across a whole figure run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered from memory (including store-loaded entries).
     pub hits: u64,
-    /// Lookups that ran the cache simulator.
+    /// Lookups of a key the cache did not hold. Each was produced,
+    /// shared from a stream measured under another key
+    /// ([`CacheStats::shared_points`]), failed by the fault hook, or
+    /// refused (invalid variant, pipeline error).
     pub misses: u64,
     /// Store lines that failed checksum or shape validation (torn
     /// appends, bit rot) in the snapshot the cache serves. The writer
@@ -387,21 +405,27 @@ pub struct CacheStats {
     /// Append retry attempts made under [`TrafficCache::set_append_retry`]
     /// (an append that succeeds on its first try contributes zero).
     pub retried_appends: u64,
-    /// Misses measured under a symbolic-capable mode whose plan the
+    /// Members produced under a symbolic-capable mode whose plan the
     /// analysis fully claimed (the symbolic producer ran). Zero under
     /// [`TrafficMode::Simulate`].
     pub claimed_points: u64,
-    /// Misses measured under a symbolic-capable mode that fell back to
+    /// Members produced under a symbolic-capable mode that fell back to
     /// the exact simulator (unclaimed plan — e.g. wavefront or
-    /// overlapped-tile variants). `claimed_points + fallback_points ==
-    /// misses` under [`TrafficMode::Symbolic`].
+    /// overlapped-tile variants). Under [`TrafficMode::Symbolic`],
+    /// `claimed_points + fallback_points + shared_points` is every miss
+    /// that got a number.
     pub fallback_points: u64,
     /// Producer passes run to completion: how many times a schedule's
     /// access stream was actually generated and simulated. A sweep's
-    /// points that differ only in the last cache level share one pass
-    /// ([`crate::SweepEngine::prewarm`]), so `misses / passes` is the
-    /// fan-out the sweep achieved; single lookups are passes of one.
+    /// points that replay one stream and differ only in the last cache
+    /// level share one pass ([`crate::SweepEngine::prewarm`]), so
+    /// `misses / passes` is the fan-out the sweep achieved; single
+    /// lookups are passes of one.
     pub passes: u64,
+    /// Members recorded from a stream this cache had measured under
+    /// another key ([`Plan::stream`]): a miss answered without running
+    /// a producer.
+    pub shared_points: u64,
 }
 
 /// A memoizing cache of per-box traffic measurements: figure generation
@@ -431,6 +455,9 @@ pub struct TrafficCache {
     reader: Option<StoreReader>,
     /// Measured by this process and absent from the reader's view.
     fresh: Mutex<StoreMap>,
+    /// What this process produced, by stream: the members a later miss
+    /// can be recorded from without running a producer.
+    streams: Mutex<StreamMap>,
     /// Measurement mode for misses (provenance-tags new store entries).
     mode: TrafficMode,
     /// Lock file this cache owns; appends only happen when it does.
@@ -446,6 +473,7 @@ pub struct TrafficCache {
     claimed_points: AtomicU64,
     fallback_points: AtomicU64,
     passes: AtomicU64,
+    shared_points: AtomicU64,
     /// Shard-worker threads each miss may use ([`TrafficCache::set_engine_threads`]);
     /// 1 = the serial engines.
     engine_threads: AtomicU64,
@@ -1301,52 +1329,112 @@ impl TrafficCache {
     }
 
     /// The one lookup-or-measure path behind every `get*` and every
-    /// sweep pass. Each member is served from memory if held; the
-    /// missing ones each count a miss and give the fault hook its turn
-    /// (consecutive indices, the member's own key), then one
-    /// [`measure`] over exactly those last levels — under the engine
-    /// this cache's mode and thread grant select — answers them all,
-    /// and each number is recorded under its member's key, tagged with
-    /// what actually produced it (a fallback is a simulated entry
-    /// whatever the configured mode).
+    /// sweep pass, over the members of `points` in order. Each member is
+    /// served from memory if held; the missing ones each count a miss and
+    /// give the fault hook its turn (consecutive indices, the member's
+    /// own key). A missing member whose (stream, workload, hierarchy)
+    /// this cache has already produced under another key is recorded
+    /// from it, with the producer's tag, and counts in
+    /// [`CacheStats::shared_points`]. The rest are grouped by (stream,
+    /// workload, front): one [`measure`] per group, over the group's
+    /// distinct last levels and under the engine this cache's mode and
+    /// thread grant select, answers them all. Every number is recorded
+    /// under its member's own key, tagged with what actually produced
+    /// it (a fallback is a simulated entry whatever the configured mode).
     ///
     /// A hook that panics fails its own member only (`Err` with the
-    /// panic payload; the rest of the pass is still measured) — except a
+    /// panic payload; the rest is still measured) — except a
     /// [`Cancelled`] unwind, which like any unwind out of `measure`
-    /// itself propagates and records nothing. Pipeline errors are
-    /// returned, never cached.
-    pub(crate) fn fetch(&self, point: &Point<'_>) -> Result<Vec<MemberResult>, PipelineError> {
-        let keys: Vec<String> = (0..point.lasts.len()).map(|i| point.key(i)).collect();
-        let mut members: Vec<Option<MemberResult>> =
+    /// itself propagates. Invalid variants and pipeline errors are
+    /// returned before anything is recorded, and never cached.
+    pub(crate) fn fetch(&self, points: &[Point<'_>]) -> Result<Vec<MemberResult>, PipelineError> {
+        // Every member of every point, flattened: (point, member).
+        let members: Vec<(usize, usize)> = points
+            .iter()
+            .enumerate()
+            .flat_map(|(p, point)| (0..point.lasts.len()).map(move |i| (p, i)))
+            .collect();
+        let keys: Vec<String> = members.iter().map(|&(p, i)| points[p].key(i)).collect();
+        let mut results: Vec<Option<MemberResult>> =
             keys.iter().map(|k| self.peek(k).map(|(t, _)| Ok(t))).collect();
-        let held = members.iter().flatten().count();
+        let held = results.iter().flatten().count();
         self.hits.fetch_add(held as u64, Ordering::Relaxed);
-        let mut missing: Vec<usize> = (0..keys.len()).filter(|&i| members[i].is_none()).collect();
+        let mut missing: Vec<usize> = (0..keys.len()).filter(|&m| results[m].is_none()).collect();
         let first_index = self.misses.fetch_add(missing.len() as u64, Ordering::Relaxed);
         if let Some(hook) = &self.fault {
             let mut sim_index = first_index;
-            missing.retain(|&i| {
+            missing.retain(|&m| {
                 let turn = catch_unwind(AssertUnwindSafe(|| {
-                    hook.before_simulation(sim_index, &keys[i]);
+                    hook.before_simulation(sim_index, &keys[m]);
                 }));
                 sim_index += 1;
                 match turn {
                     Ok(()) => true,
                     Err(payload) if payload.is::<Cancelled>() => resume_unwind(payload),
                     Err(payload) => {
-                        members[i] = Some(Err(payload));
+                        results[m] = Some(Err(payload));
                         false
                     }
                 }
             });
         }
-        if !missing.is_empty() {
-            let lasts: Vec<CacheConfig> = missing.iter().map(|&i| point.lasts[i]).collect();
-            let threads = self.engine_threads();
-            let engine = match self.mode {
-                TrafficMode::Simulate => Engine::Simulate { threads },
-                TrafficMode::Symbolic => Engine::Symbolic { threads },
+        // The stream of every point with a missing member: the only
+        // place a point can be refused, so a refusal records nothing.
+        let mut streams: Vec<Option<Stream>> = vec![None; points.len()];
+        for &m in &missing {
+            let p = members[m].0;
+            if streams[p].is_none() {
+                streams[p] = Some(points[p].stream()?);
+            }
+        }
+        let stream = |p: usize| streams[p].as_ref().expect("stream of a point with a miss");
+
+        // Share what this cache already produced; group the rest into
+        // producer runs.
+        struct Run {
+            /// The point whose variant and pipeline the producer runs.
+            point: usize,
+            /// The run's distinct last levels.
+            lasts: Vec<CacheConfig>,
+            /// (member, index into `lasts`).
+            members: Vec<(usize, usize)>,
+        }
+        let mut runs: Vec<Run> = Vec::new();
+        for m in missing {
+            let (p, i) = members[m];
+            let point = &points[p];
+            let configs = point.configs(i);
+            if let Some((t, tag)) = self.produced(stream(p), point.boxes, &configs) {
+                self.shared_points.fetch_add(1, Ordering::Relaxed);
+                self.record(keys[m].clone(), t, tag);
+                results[m] = Some(Ok(t));
+                continue;
+            }
+            let run = match runs.iter().position(|r| {
+                let rep = &points[r.point];
+                rep.boxes == point.boxes && rep.front == point.front && stream(r.point) == stream(p)
+            }) {
+                Some(r) => &mut runs[r],
+                None => {
+                    runs.push(Run { point: p, lasts: Vec::new(), members: Vec::new() });
+                    runs.last_mut().expect("just pushed")
+                }
             };
+            let last = point.lasts[i];
+            let slot = run.lasts.iter().position(|&l| l == last).unwrap_or_else(|| {
+                run.lasts.push(last);
+                run.lasts.len() - 1
+            });
+            run.members.push((m, slot));
+        }
+
+        let threads = self.engine_threads();
+        let engine = match self.mode {
+            TrafficMode::Simulate => Engine::Simulate { threads },
+            TrafficMode::Symbolic => Engine::Symbolic { threads },
+        };
+        for Run { point: p, lasts, members: wanted } in runs {
+            let point = &points[p];
             let (measured, ps) = measure(&Point { lasts: &lasts, ..*point }, engine)?;
             self.passes.fetch_add(1, Ordering::Relaxed);
             if self.mode == TrafficMode::Symbolic {
@@ -1356,18 +1444,47 @@ impl TrafficCache {
             }
             let produced =
                 if ps.used_symbolic { TrafficMode::Symbolic } else { TrafficMode::Simulate };
-            for (&i, t) in missing.iter().zip(measured) {
-                self.record(keys[i].clone(), t, produced);
-                members[i] = Some(Ok(t));
+            {
+                let mut held = self.streams.lock().unwrap_or_else(|e| e.into_inner());
+                let held = held.entry(stream(p).clone()).or_default();
+                for (last, t) in lasts.iter().zip(&measured) {
+                    let configs = point.front.iter().chain([last]).copied().collect();
+                    held.push((point.boxes, configs, *t, produced));
+                }
+            }
+            // The first member of each last level is the one produced;
+            // any other replays its stream under another key.
+            let mut first = vec![true; lasts.len()];
+            for (m, slot) in wanted {
+                if !std::mem::replace(&mut first[slot], false) {
+                    self.shared_points.fetch_add(1, Ordering::Relaxed);
+                }
+                self.record(keys[m].clone(), measured[slot], produced);
+                results[m] = Some(Ok(measured[slot]));
             }
         }
-        Ok(members.into_iter().map(|m| m.expect("held, hook-failed or measured")).collect())
+        Ok(results.into_iter().map(|m| m.expect("held, hook-failed, shared or measured")).collect())
+    }
+
+    /// The member this cache produced for `stream` on `boxes` through
+    /// the whole hierarchy `configs`, with the producer's tag, if any.
+    fn produced(
+        &self,
+        stream: &Stream,
+        boxes: Boxes,
+        configs: &[CacheConfig],
+    ) -> Option<(BoxTraffic, TrafficMode)> {
+        let held = self.streams.lock().unwrap_or_else(|e| e.into_inner());
+        held.get(stream)?
+            .iter()
+            .find(|(b, c, _, _)| *b == boxes && c == configs)
+            .map(|&(_, _, t, tag)| (t, tag))
     }
 
     /// [`TrafficCache::fetch`] for a point of one member, with a
     /// fault-hook panic handed on to the caller.
     fn fetch_one(&self, point: &Point<'_>) -> Result<BoxTraffic, PipelineError> {
-        match self.fetch(point)?.pop().expect("a point has at least one member") {
+        match self.fetch(std::slice::from_ref(point))?.pop().expect("a point has a member") {
             Ok(t) => Ok(t),
             Err(payload) => resume_unwind(payload),
         }
@@ -1524,6 +1641,7 @@ impl TrafficCache {
             claimed_points: self.claimed_points.load(Ordering::Relaxed),
             fallback_points: self.fallback_points.load(Ordering::Relaxed),
             passes: self.passes.load(Ordering::Relaxed),
+            shared_points: self.shared_points.load(Ordering::Relaxed),
         }
     }
 

@@ -1,6 +1,9 @@
 //! `TrafficCache::{get, get_optimized, get_pair}` share one miss path:
 //! same counters, same fault-hook indices and keys, same provenance
-//! tags, whichever front a point arrives through.
+//! tags, whichever front a point arrives through. A miss whose access
+//! stream the cache already produced under another key still counts and
+//! gets its hook turn; it is recorded, with the producer's tag, without
+//! a pass.
 
 use pdesched_cachesim::CacheConfig;
 use pdesched_core::{CompLoop, Pipeline, Variant};
@@ -63,9 +66,12 @@ fn one_miss_path_behind_every_front() {
         cache.get_pair(fused, 8, &cfg, &reordering).unwrap();
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, cache.len()), (3, 6, 6), "{mode:?}");
+        // Baseline's order-preserving pipeline replays the hand
+        // lowering's stream: recorded from it, not produced again.
+        assert_eq!((s.passes, s.shared_points), (5, 1), "{mode:?}");
         match mode {
             TrafficMode::Simulate => assert_eq!((s.claimed_points, s.fallback_points), (0, 0)),
-            TrafficMode::Symbolic => assert_eq!((s.claimed_points, s.fallback_points), (2, 4)),
+            TrafficMode::Symbolic => assert_eq!((s.claimed_points, s.fallback_points), (1, 4)),
         }
         let view = StoreReader::open(&path).view();
         for (key, claimed) in &expected {

@@ -165,6 +165,62 @@ fn thundering_herd_coalesces_to_one_simulation() {
     assert!(body.lines().any(|l| l.contains(" sim ")), "the entry carries sim provenance");
 }
 
+/// Cold requests for different keys of one access stream share one
+/// flight: four pass pipelines that change no memory event at one
+/// thread cost one producer run, each key is still recorded under its
+/// own name, and every reply is what a fresh server answers alone.
+#[test]
+fn cold_requests_for_one_stream_share_one_flight() {
+    const PIPELINES: [&str; 4] =
+        ["", "elide-barriers", "fuse-phases", "elide-barriers,fuse-phases"];
+    let request = |passes: &str| {
+        format!("{{\"machine\":\"i5\",\"n\":8,\"threads\":2,\"top\":1,\"passes\":\"{passes}\"}}")
+    };
+    /// Holds the flight's first miss until the other three requests
+    /// have joined it.
+    struct JoinGate(AtomicUsize);
+    impl FaultHook for JoinGate {
+        fn before_simulation(&self, _sim_index: u64, _key: &str) {
+            let t0 = Instant::now();
+            while self.0.load(Ordering::SeqCst) == 0 {
+                assert!(t0.elapsed() < Duration::from_secs(30), "the requests never joined");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+    }
+    let gate = Arc::new(JoinGate(AtomicUsize::new(0)));
+    let dir = TempDir::new("servstream");
+    let store = dir.file("t.txt");
+    let server = Server::start(ServeConfig {
+        store: Some(store.clone()),
+        store_fault: Some(gate.clone()),
+        ..ServeConfig::default()
+    })
+    .expect("bind");
+    let addr = server.local_addr();
+    let replies: Vec<String> = std::thread::scope(|s| {
+        let handles: Vec<_> =
+            PIPELINES.iter().map(|passes| s.spawn(move || ask(addr, &request(passes)))).collect();
+        let t0 = Instant::now();
+        while server.stats().coalesced < 3 {
+            assert!(t0.elapsed() < Duration::from_secs(30), "{:?}", server.stats());
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        gate.0.store(1, Ordering::SeqCst);
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+
+    let s = server.cache().stats();
+    assert_eq!((s.misses, s.passes, s.shared_points), (4, 1, 3), "{s:?}");
+    assert!(server.drain());
+    assert_eq!(count_entry_lines(&store), 4, "each key recorded under its own name");
+    for (passes, reply) in PIPELINES.iter().zip(&replies) {
+        assert!(reply.contains("\"source\":\"sim\""), "[{passes}]: {reply}");
+        let alone = Server::start(ServeConfig::default()).expect("bind");
+        assert_eq!(*reply, ask(alone.local_addr(), &request(passes)), "[{passes}]");
+    }
+}
+
 /// A leader panic is published to every parked follower and the flight
 /// map is not poisoned: the next request starts a fresh flight that
 /// succeeds.
@@ -553,6 +609,21 @@ fn bad_requests_degrade_per_request_not_per_server() {
         assert!(next.contains("\"ok\":true"), "after n = {n}: {next}");
     }
     assert!(ask_on("{\"machine\":\"i5\",\"n\":8,\"threads\":99}").contains("out of range"));
+    // Out-of-range values are echoed as sent, not as a saturated cast.
+    for (req, detail) in [
+        ("{\"machine\":\"i5\",\"n\":1e10}", "box edge 10000000000 must divide"),
+        (
+            "{\"machine\":\"i5\",\"n\":8,\"threads\":1e30}",
+            "threads 1000000000000000000000000000000 out of",
+        ),
+        ("{\"machine\":\"i5\",\"n\":8,\"top\":-1e30}", "top -1000000000000000000000000000000 must"),
+    ] {
+        let refused = ask_on(req);
+        assert!(
+            refused.contains("\"error\":\"bad_request\"") && refused.contains(detail),
+            "{req}: {refused}"
+        );
+    }
     // Zero and negative integers are integers: the range checks refuse
     // them with their own detail, and the connection serves on.
     for (req, detail) in [
