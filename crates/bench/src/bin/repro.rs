@@ -74,8 +74,9 @@
 //! `--max-inflight`, and stale-tagged snapshot answers when another
 //! process holds the store lock (`--stale-ok`). SIGINT/SIGTERM drain
 //! inflight requests, compact and flush the store, and exit 10.
-//! `REPRO_FAULT` grows `drop-req:K` / `hang-req:K` for the
-//! request-path storm tests.
+//! `--threads N` must be a number but has no effect: each cold point
+//! is measured on its own flight's thread. `REPRO_FAULT` grows
+//! `drop-req:K` / `hang-req:K` for the request-path storm tests.
 
 use pdesched_bench::render_figure;
 use pdesched_cachesim::CacheConfig;
@@ -106,9 +107,6 @@ struct Stage {
     misses: u64,
     /// Producer passes that answered this stage's misses.
     passes: u64,
-    /// Largest per-point engine-thread grant any of this stage's sweeps
-    /// received (1 = every point measured on the serial engines).
-    engine_threads: usize,
 }
 
 /// Fault injection requested via `REPRO_FAULT` (for the deterministic
@@ -407,7 +405,7 @@ fn main() {
 
     let mut stages: Vec<Stage> = Vec::new();
     let mut json_figures: Vec<figures::Figure> = Vec::new();
-    let mut log = RunLog { failures: Vec::new(), resumed_from: None, stage_engine_threads: 1 };
+    let mut log = RunLog { failures: Vec::new(), resumed_from: None };
     let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         for w in &wanted {
             if token.is_tripped() {
@@ -417,7 +415,6 @@ fn main() {
             }
             let t0 = std::time::Instant::now();
             let before = cache.stats();
-            log.stage_engine_threads = 1;
             let mut fig: Option<figures::Figure> = None;
             match w.as_str() {
                 "fig1" => fig = Some(figures::figure1()),
@@ -471,7 +468,6 @@ fn main() {
                 hits: s.hits - before.hits,
                 misses: s.misses - before.misses,
                 passes: s.passes - before.passes,
-                engine_threads: log.stage_engine_threads,
             };
             eprintln!(
                 "[repro] {w} done in {:.1?} ({} hits / {} misses in {}, {} traces cached)",
@@ -914,6 +910,7 @@ fn run_serve_command(args: &[String]) -> ! {
                     _ => usage("--mode needs simulate|symbolic"),
                 }
             }
+            // Parsed, stored and otherwise ignored (`ServeConfig::engine_threads`).
             "--threads" => {
                 cfg.engine_threads = it
                     .next()
@@ -1043,9 +1040,6 @@ fn print_plandump(spec: &MachineSpec, n: i32, out_dir: &str, passes: &str, only:
 struct RunLog {
     failures: Vec<(String, &'static str, PointFailure)>,
     resumed_from: Option<PriorSweep>,
-    /// Largest engine-thread grant seen since the current stage began
-    /// (reset by the stage loop, raised by each `prewarm`).
-    stage_engine_threads: usize,
 }
 
 /// "`n` pass(es)": how many producer passes answered some misses.
@@ -1068,7 +1062,6 @@ fn prewarm(
     let shared_before = cache.stats().shared_points;
     let r = engine.prewarm(cache, &points);
     let shared = cache.stats().shared_points - shared_before;
-    log.stage_engine_threads = log.stage_engine_threads.max(r.engine_threads);
     if let (None, Some(prior)) = (&log.resumed_from, &r.resumed_from) {
         eprintln!(
             "[repro] {target}: resuming an interrupted sweep ({} points planned, \
@@ -1083,7 +1076,7 @@ fn prewarm(
     if r.measured > 0 || !r.failed.is_empty() || !r.timed_out.is_empty() {
         eprintln!(
             "[repro] {target}: measured {} of {} unique points in {} ({} shared), {:.1}s \
-             ({:.2} points/s) on {} threads{}{}{}",
+             ({:.2} points/s) on {} threads{}{}",
             r.measured,
             r.unique,
             passes(r.passes as u64),
@@ -1091,11 +1084,6 @@ fn prewarm(
             r.seconds,
             r.points_per_sec,
             engine.nthreads(),
-            if r.engine_threads > 1 {
-                format!(" ({}x engine threads per point)", r.engine_threads)
-            } else {
-                String::new()
-            },
             if r.failed.is_empty() {
                 String::new()
             } else {
@@ -1157,7 +1145,7 @@ fn render_json(
     use std::fmt::Write;
     let mut j = String::new();
     let _ = writeln!(j, "{{");
-    let _ = writeln!(j, "  \"schema_version\": 7,");
+    let _ = writeln!(j, "  \"schema_version\": 8,");
     let _ = writeln!(j, "  \"fast\": {fast},");
     let _ = writeln!(j, "  \"threads\": {threads},");
     let _ = writeln!(j, "  \"mode\": {},", json_str(cache.mode().tag()));
@@ -1246,13 +1234,11 @@ fn render_json(
         let comma = if i + 1 < stages.len() { "," } else { "" };
         let _ = writeln!(
             j,
-            "    {{\"target\": {}, \"seconds\": {:.6}, \"hits\": {}, \"misses\": {}, \
-             \"engine_threads\": {}}}{comma}",
+            "    {{\"target\": {}, \"seconds\": {:.6}, \"hits\": {}, \"misses\": {}}}{comma}",
             json_str(&st.name),
             st.seconds,
             st.hits,
-            st.misses,
-            st.engine_threads
+            st.misses
         );
     }
     let _ = writeln!(j, "  ],");

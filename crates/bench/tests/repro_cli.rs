@@ -41,7 +41,8 @@ fn clean_run_reports_healthy_store_and_no_failures() {
         .args(["--json", json_path.to_str().unwrap()])
         .args(["--threads", "2", "fig1", "table1", "ablation"]));
     let json = std::fs::read_to_string(&json_path).unwrap();
-    assert!(json.contains("\"schema_version\": 7"), "{json}");
+    assert!(json.contains("\"schema_version\": 8"), "{json}");
+    assert!(!json.contains("engine_threads"), "v8 stages carry no engine-thread grant: {json}");
     let traffic = "\"traffic\": {\"claimed_points\": 0, \"fallback_points\": 0, \"passes\": 0, \
                    \"shared_points\": 0}";
     assert!(json.contains(traffic), "{json}");
@@ -400,6 +401,20 @@ fn serve_answers_requests_and_drains_on_sigterm() {
         persisted.lines().filter(|l| !l.is_empty() && !l.starts_with('#')).collect();
     assert_eq!(entries.len(), 1, "exactly one simulated point:\n{persisted}");
     assert!(entries[0].contains(" sim "), "provenance must be sim:\n{persisted}");
+}
+
+/// `serve --threads` has no effect but is still a number: anything else
+/// is a usage error, refused before the server binds or opens a store.
+#[test]
+fn serve_threads_must_be_a_number() {
+    let dir = TempDir::new("repro-serve-threads");
+    let store = dir.file("store.txt");
+    let (_, stderr) = run_expect(
+        repro().args(["serve", "--threads", "x", "--store", store.to_str().unwrap()]),
+        2,
+    );
+    assert!(stderr.contains("--threads needs a number"), "{stderr}");
+    assert!(!store.exists(), "a usage error must not create the store");
 }
 
 #[test]

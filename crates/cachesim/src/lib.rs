@@ -29,10 +29,8 @@
 pub mod config;
 pub mod level;
 mod packed;
-pub mod shard;
 pub mod sim;
 
 pub use config::CacheConfig;
 pub use level::CacheLevel;
-pub use shard::{max_shards, merge_stats, shard_configs, shard_count, ShardedHierarchy};
 pub use sim::{Hierarchy, LevelStats, Stats};

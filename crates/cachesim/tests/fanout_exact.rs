@@ -1,14 +1,13 @@
 //! Exactness of the fan-out sink: one access stream accounted against
 //! `K` last levels at once ends, for every tail, in exactly the
 //! statistics and dirty sets of a separate per-element reference
-//! simulation of that tail's hierarchy — serially and set-sharded.
+//! simulation of that tail's hierarchy.
 
-use pdesched_cachesim::{CacheConfig, Hierarchy, ShardedHierarchy};
+use pdesched_cachesim::{CacheConfig, Hierarchy};
 use pdesched_testkit::{check, Rng};
 
-/// `(front, lasts)` of one-, two- and three-level shapes. Every set
-/// count is a multiple of 4 so each shape shards at K ∈ {2, 4}. The
-/// last two shapes have the modeled machines' associativities, which
+/// `(front, lasts)` of one-, two- and three-level shapes. The last two
+/// shapes have the modeled machines' associativities, which
 /// the simulator scans and shifts at fixed width: 2- and 8-way L1s,
 /// 8-way L2s, 12-, 16- and 20-way LLCs — the last one the Ivy/Sandy
 /// Bridge shape, 32 KiB 8-way L1 over 256 KiB 8-way L2 and 20-way LLC
@@ -56,16 +55,6 @@ fn apply(h: &mut Hierarchy, op: Op) {
     }
 }
 
-fn apply_sharded(h: &mut ShardedHierarchy, op: Op) {
-    match op {
-        Op::Read(a) => h.read(a),
-        Op::Write(a) => h.write(a),
-        Op::ReadRun(a, n) => h.read_run(a, n),
-        Op::WriteRun(a, n) => h.write_run(a, n),
-        Op::LineRep(l, n, w) => h.line_rep(l, n, w),
-    }
-}
-
 #[test]
 fn every_tail_equals_its_own_reference() {
     check(0xFA0, 48, |rng| {
@@ -75,23 +64,16 @@ fn every_tail_equals_its_own_reference() {
         // Read-mostly, balanced and dirty-heavy (writeback-bound) mixes.
         let write_pct = *rng.choose(&[10u64, 50, 90]);
         let mut fan = Hierarchy::fan_out(&front, &lasts);
-        let mut sharded: Vec<ShardedHierarchy> =
-            [2, 4].iter().map(|&k| ShardedHierarchy::fan_out(&front, &lasts, k)).collect();
         let mut refs: Vec<Hierarchy> = lasts
             .iter()
             .map(|&last| Hierarchy::reference(&[front.clone(), vec![last]].concat()))
             .collect();
         assert_eq!(fan.tails(), lasts.len());
-        let compare = |fan: &Hierarchy, sharded: &[ShardedHierarchy], refs: &[Hierarchy], at| {
+        let compare = |fan: &Hierarchy, refs: &[Hierarchy], at| {
             for (i, r) in refs.iter().enumerate() {
                 let ctx = format!("tail {i} of {} at {at}", refs.len());
                 assert_eq!(fan.tail_stats(i), r.stats(), "{ctx}");
                 assert_eq!(fan.tail_dirty_lines(i), r.dirty_lines_by_level(), "{ctx}");
-                for s in sharded {
-                    let ctx = format!("{ctx}, {} shards", s.nshards());
-                    assert_eq!(s.tail_stats(i), r.stats(), "{ctx}");
-                    assert_eq!(s.tail_dirty_lines(i), r.dirty_lines_by_level(), "{ctx}");
-                }
             }
         };
         let steps = rng.range_usize(200, 700);
@@ -102,21 +84,18 @@ fn every_tail_equals_its_own_reference() {
         for step in 0..steps {
             let op = random_op(rng, base, write_pct);
             apply(&mut fan, op);
-            sharded.iter_mut().for_each(|s| apply_sharded(s, op));
             refs.iter_mut().for_each(|r| apply(r, op));
             if step == flush_at {
                 fan.flush();
-                sharded.iter_mut().for_each(|s| s.flush());
                 refs.iter_mut().for_each(|r| r.flush());
             }
             if step % 151 == 0 || step == flush_at || step == flush_at + 40 {
-                compare(&fan, &sharded, &refs, step);
+                compare(&fan, &refs, step);
             }
         }
-        compare(&fan, &sharded, &refs, steps);
+        compare(&fan, &refs, steps);
         fan.flush();
-        sharded.iter_mut().for_each(|s| s.flush());
         refs.iter_mut().for_each(|r| r.flush());
-        compare(&fan, &sharded, &refs, usize::MAX);
+        compare(&fan, &refs, usize::MAX);
     });
 }

@@ -35,12 +35,6 @@ impl TraceMem {
         sim.flush();
         sim
     }
-
-    /// DRAM bytes so far (without final flush).
-    pub fn dram_bytes_so_far(&self) -> u64 {
-        // Safety: single-threaded use per the type contract.
-        unsafe { &*self.sim.get() }.dram_bytes()
-    }
 }
 
 impl Mem for TraceMem {

@@ -173,11 +173,6 @@ pub struct PrewarmReport {
     /// Distinct access streams among the missing points: what the sweep
     /// had to produce at least once each (`passes >= streams`).
     pub streams: usize,
-    /// Shard-worker threads each pass's measurement was granted
-    /// (1 = serial engines): `pool threads / passes` when the sweep had
-    /// fewer passes than pool threads — every pass then has a single
-    /// last level — else 1.
-    pub engine_threads: usize,
 }
 
 /// Best-effort text of a panic payload.
@@ -357,19 +352,6 @@ impl SweepEngine {
         };
         cache.set_append_retry(self.budget.max_retries, self.budget.backoff);
 
-        // Pass-level thread policy: when the sweep has fewer passes
-        // than pool threads (each then a single last level, by the split
-        // above), the idle threads become shard workers *inside* each
-        // measurement (`crate::parallel`, bit-identical by
-        // construction). With plenty of passes the pool's own
-        // parallelism already saturates the host, so each stays serial.
-        let engine_threads = if total > 0 && passes.len() < self.pool.nthreads() {
-            self.pool.nthreads() / passes.len()
-        } else {
-            1
-        };
-        cache.set_engine_threads(engine_threads);
-
         let sweep_token = self.token.clone().unwrap_or_default();
         let counter = AtomicUsize::new(0);
         let done = AtomicUsize::new(0);
@@ -530,10 +512,6 @@ impl SweepEngine {
             stop_cv.notify_all();
             r
         });
-        // Later misses (figure rendering on the caller's thread, a next
-        // prewarm with its own policy) go back to the serial engines.
-        cache.set_engine_threads(1);
-
         let mut failed = failures.into_inner().unwrap_or_else(|e| e.into_inner());
         let mut timed_out = timeouts.into_inner().unwrap_or_else(|e| e.into_inner());
         // Completion order is scheduling-dependent; report failures in a
@@ -579,7 +557,6 @@ impl SweepEngine {
             },
             passes: passes.len(),
             streams,
-            engine_threads,
         }
     }
 }
@@ -715,16 +692,10 @@ mod tests {
     fn the_widest_pass_splits_until_every_thread_has_one() {
         let pts = series(Variant::baseline(), 8);
         let want = TrafficCache::new();
-        for (threads, passes, engine_threads) in
-            [(1, 1, 1), (2, 2, 1), (3, 3, 1), (4, 4, 1), (8, 4, 2)]
-        {
+        for (threads, passes) in [(1, 1), (2, 2), (3, 3), (4, 4), (8, 4)] {
             let cache = TrafficCache::new();
             let r = SweepEngine::new(threads).prewarm(&cache, &pts);
-            assert_eq!(
-                (r.measured, r.passes, r.engine_threads),
-                (4, passes, engine_threads),
-                "{threads} threads"
-            );
+            assert_eq!((r.measured, r.passes), (4, passes), "{threads} threads");
             for p in &pts {
                 let (a, b) =
                     (cache.get(p.variant, p.n, &p.configs), want.get(p.variant, p.n, &p.configs));

@@ -38,7 +38,6 @@ pub mod figures;
 pub mod journal;
 pub mod json;
 pub mod model;
-pub mod parallel;
 pub mod serve;
 pub mod spec;
 pub mod sweep;
@@ -50,7 +49,6 @@ pub use engine::{PointFailure, PrewarmReport, SimPoint, SkippedPoint, SweepBudge
 pub use fault::FaultHook;
 pub use journal::PriorSweep;
 pub use model::{predict_time, predict_time_with_traffic, Prediction, Workload};
-pub use parallel::{max_point_threads, measure_box_traffic_parallel, ParallelStats};
 pub use serve::{ServeConfig, ServeFaultAction, ServeHook, ServeStats, Server};
 pub use spec::MachineSpec;
 pub use sweep::{
@@ -58,6 +56,7 @@ pub use sweep::{
 };
 pub use symbolic::{measure_box_traffic_symbolic, SymbolicAnalysis};
 pub use traffic::{
-    measure, measure_box_traffic, pair_store_key, store_key, store_key_with_passes, BoxTraffic,
-    Boxes, CacheStats, Engine, Point, StoreReader, StoreView, TrafficCache, TrafficMode,
+    measure, measure_box_traffic, measure_box_traffic_parallel, pair_store_key, store_key,
+    store_key_with_passes, BoxTraffic, Boxes, CacheStats, Engine, Point, StoreReader, StoreView,
+    TrafficCache, TrafficMode,
 };

@@ -192,8 +192,8 @@ pub fn predict_time_analytic(
 }
 
 /// [`predict_time`] with per-box DRAM traffic the caller already holds
-/// (from a [`crate::traffic::StoreView`] snapshot, a shard merge, a
-/// remote cache): the same model tail as the cache-backed path, with no
+/// (from a [`crate::traffic::StoreView`] snapshot or a remote cache):
+/// the same model tail as the cache-backed path, with no
 /// `TrafficCache` lookup — `machine::serve`'s warm path uses this so N
 /// concurrent readers never contend on the cache mutex or simulate.
 /// The caller is responsible for having measured `per_box_dram_bytes`

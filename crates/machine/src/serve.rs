@@ -179,7 +179,8 @@ pub struct ServeConfig {
     pub store: Option<PathBuf>,
     /// Measurement mode for cold points.
     pub mode: TrafficMode,
-    /// Shard-worker threads per cold-point measurement.
+    /// No effect: every cold point is measured on its flight's own
+    /// thread. Kept, with `repro serve --threads`, for `benchmark/`.
     pub engine_threads: usize,
     /// Admission bound: requests being processed at once; at capacity
     /// new requests are rejected with `"overloaded"`.
@@ -310,8 +311,7 @@ impl Server {
             Some(path) => TrafficCache::with_store(path),
             None => TrafficCache::new(),
         }
-        .with_mode(cfg.mode)
-        .with_engine_threads(cfg.engine_threads);
+        .with_mode(cfg.mode);
         let cache = match &cfg.store_fault {
             Some(hook) => cache.with_fault_hook(Arc::clone(hook)),
             None => cache,

@@ -132,17 +132,17 @@ pub struct SymbolicStats {
 }
 
 /// [`measure`] for the hand lowering of one box under
-/// [`Engine::Symbolic`] on one thread, panicking where `measure`
-/// refuses. Frozen for `benchmark/`, which cannot change in the PR that
-/// introduced `measure`; new code calls `measure`.
+/// [`Engine::Symbolic`], panicking where `measure` refuses. Frozen for
+/// `benchmark/`, which cannot change in the PR that introduced
+/// `measure`; new code calls `measure`.
 pub fn measure_box_traffic_symbolic(
     variant: Variant,
     n: i32,
     configs: &[CacheConfig],
 ) -> BoxTraffic {
-    measure(&Point::hand(variant, n, configs), Engine::Symbolic { threads: 1 })
-        .unwrap_or_else(|e| panic!("{e}"))
-        .0[0]
+    let (members, _) = measure(&Point::hand(variant, n, configs), Engine::Symbolic)
+        .unwrap_or_else(|e| panic!("{e}"));
+    members[0]
 }
 
 /// Drive the whole symbolic emission for one measurement point into
@@ -155,11 +155,11 @@ pub fn measure_box_traffic_symbolic(
 /// at all of them, so the grouping is exact for every tail at once. The
 /// emitted rep stream is a pure function of `(variant, n, configs)`,
 /// independent of the sink.
-pub(crate) fn emit_symbolic_stream<S: LineSink>(
+pub(crate) fn emit_symbolic_stream(
     variant: Variant,
     n: i32,
     configs: &[CacheConfig],
-    sink: &mut S,
+    sink: &mut Hierarchy,
 ) -> (usize, SymbolicStats) {
     let cells = IBox::cube(n);
     let min_edge = cells.extent(0).min(cells.extent(1)).min(cells.extent(2));
@@ -375,31 +375,13 @@ struct LevelGeom {
     assoc: u32,
 }
 
-/// Where the recorder's compressed rep stream lands. The serial engine
-/// plugs a [`Hierarchy`] in directly; the parallel engine plugs in a
-/// shard router that forwards each rep to the worker owning its
-/// set-shard (`crate::parallel`). The emitted stream is identical
-/// either way — the sink only decides *where* the miss machinery runs.
-pub trait LineSink {
-    /// `reps` touches of the absolute line index `line`; the contract
-    /// of [`Hierarchy::line_rep`].
-    fn line_rep(&mut self, line: u64, reps: usize, write: bool);
-}
-
-impl LineSink for Hierarchy {
-    #[inline(always)]
-    fn line_rep(&mut self, line: u64, reps: usize, write: bool) {
-        Hierarchy::line_rep(self, line, reps, write);
-    }
-}
-
 /// The row capture/replay engine: collects one row's touches into
 /// slots, compiles the row into a [`Template`] (windows of consecutive
 /// x's with identical slot shapes, emitted grouped when certified,
 /// per-x otherwise), and replays templates for every later row of the
 /// same class.
-struct Recorder<'a, S: LineSink> {
-    h: &'a mut S,
+struct Recorder<'a> {
+    h: &'a mut Hierarchy,
     line_shift: u32,
     levels: Vec<LevelGeom>,
     /// Union of every level's set mask (set counts are powers of two,
@@ -428,8 +410,8 @@ struct Recorder<'a, S: LineSink> {
     cert_misses: u64,
 }
 
-impl<'a, S: LineSink> Recorder<'a, S> {
-    fn new(h: &'a mut S, configs: &[CacheConfig]) -> Self {
+impl<'a> Recorder<'a> {
+    fn new(h: &'a mut Hierarchy, configs: &[CacheConfig]) -> Self {
         let line_shift = configs[0].line.trailing_zeros();
         let levels = configs
             .iter()
@@ -834,13 +816,7 @@ fn shape_eq(cur: &[CSlot], a: (u32, u32), b: (u32, u32)) -> bool {
 /// Walk the plan exactly as `plan::execute` does at one thread:
 /// materialize each region's buffers in declared order, then emit each
 /// phase's steps with a cancellation checkpoint per phase.
-fn emit_plan<S: LineSink>(
-    plan: &Plan,
-    phi0: &SymFab,
-    phi1: &SymFab,
-    cells: IBox,
-    rec: &mut Recorder<'_, S>,
-) {
+fn emit_plan(plan: &Plan, phi0: &SymFab, phi1: &SymFab, cells: IBox, rec: &mut Recorder<'_>) {
     for region in &plan.regions {
         let mut fabs: Vec<SymFab> = Vec::new();
         let mut raws: Vec<(usize, usize)> = Vec::new();
@@ -868,13 +844,13 @@ fn emit_plan<S: LineSink>(
     }
 }
 
-fn emit_series_step<S: LineSink>(
+fn emit_series_step(
     step: &Step,
     phi0: &SymFab,
     phi1: &SymFab,
     cells: IBox,
     fabs: &[SymFab],
-    rec: &mut Recorder<'_, S>,
+    rec: &mut Recorder<'_>,
 ) {
     let z0 = cells.lo()[2];
     match *step {
@@ -907,7 +883,7 @@ fn emit_series_step<S: LineSink>(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn emit_fuse_step<S: LineSink>(
+fn emit_fuse_step(
     step: &Step,
     phi0: &SymFab,
     phi1: &SymFab,
@@ -915,7 +891,7 @@ fn emit_fuse_step<S: LineSink>(
     fabs: &[SymFab],
     ybase: (usize, usize),
     zbase: (usize, usize),
-    rec: &mut Recorder<'_, S>,
+    rec: &mut Recorder<'_>,
 ) {
     match *step {
         Step::FillVel { vel, d, zr } => {
@@ -936,13 +912,7 @@ fn emit_fuse_step<S: LineSink>(
 /// The address image of `shared::face_interp_at`: four stencil reads
 /// along `d` (one run when `d == 0`).
 #[inline(always)]
-fn face_interp<S: LineSink>(
-    rec: &mut Recorder<'_, S>,
-    phi0: &SymFab,
-    d: usize,
-    f: IntVect,
-    c: usize,
-) {
+fn face_interp(rec: &mut Recorder<'_>, phi0: &SymFab, d: usize, f: IntVect, c: usize) {
     let stride = phi0.stride(d);
     let i0 = phi0.index(f, c);
     let base = phi0.abase;
@@ -959,7 +929,7 @@ fn face_interp<S: LineSink>(
 /// `shared::face_fluxes_all`: the NCOMP interpolations (flux products
 /// emit no memory events).
 #[inline(always)]
-fn face_fluxes_all<S: LineSink>(rec: &mut Recorder<'_, S>, phi0: &SymFab, d: usize, f: IntVect) {
+fn face_fluxes_all(rec: &mut Recorder<'_>, phi0: &SymFab, d: usize, f: IntVect) {
     for c in 0..NCOMP {
         face_interp(rec, phi0, d, f, c);
     }
@@ -968,27 +938,20 @@ fn face_fluxes_all<S: LineSink>(rec: &mut Recorder<'_, S>, phi0: &SymFab, d: usi
 /// `fuse::clo_flux`: one velocity read, plus the interpolation unless
 /// `c` is the velocity component.
 #[inline(always)]
-fn clo_flux<S: LineSink>(
-    rec: &mut Recorder<'_, S>,
-    phi0: &SymFab,
-    vel: &SymFab,
-    d: usize,
-    f: IntVect,
-    c: usize,
-) {
+fn clo_flux(rec: &mut Recorder<'_>, phi0: &SymFab, vel: &SymFab, d: usize, f: IntVect, c: usize) {
     rec.r(vel.addr(vel.index(f, 0)));
     if c != vel_comp(d) {
         face_interp(rec, phi0, d, f, c);
     }
 }
 
-fn emit_flux1<S: LineSink>(
+fn emit_flux1(
     phi0: &SymFab,
     flux: &SymFab,
     faces: IBox,
     d: usize,
     zr: std::ops::Range<i32>,
-    rec: &mut Recorder<'_, S>,
+    rec: &mut Recorder<'_>,
 ) {
     let (lo, hi) = (faces.lo(), faces.hi());
     let mut memo = RowMemo::default();
@@ -1010,13 +973,13 @@ fn emit_flux1<S: LineSink>(
     }
 }
 
-fn emit_flux1_cli<S: LineSink>(
+fn emit_flux1_cli(
     phi0: &SymFab,
     flux: &SymFab,
     faces: IBox,
     d: usize,
     zr: std::ops::Range<i32>,
-    rec: &mut Recorder<'_, S>,
+    rec: &mut Recorder<'_>,
 ) {
     let (lo, hi) = (faces.lo(), faces.hi());
     let mut memo = RowMemo::default();
@@ -1038,13 +1001,13 @@ fn emit_flux1_cli<S: LineSink>(
     }
 }
 
-fn emit_extract_vel<S: LineSink>(
+fn emit_extract_vel(
     flux: &SymFab,
     vel: &SymFab,
     d: usize,
     faces: IBox,
     zr: std::ops::Range<i32>,
-    rec: &mut Recorder<'_, S>,
+    rec: &mut Recorder<'_>,
 ) {
     let (lo, hi) = (faces.lo(), faces.hi());
     let vc = vel_comp(d);
@@ -1065,12 +1028,12 @@ fn emit_extract_vel<S: LineSink>(
     }
 }
 
-fn emit_flux2_clo<S: LineSink>(
+fn emit_flux2_clo(
     flux: &SymFab,
     vel: &SymFab,
     faces: IBox,
     zr: std::ops::Range<i32>,
-    rec: &mut Recorder<'_, S>,
+    rec: &mut Recorder<'_>,
 ) {
     let (lo, hi) = (faces.lo(), faces.hi());
     let mut memo = RowMemo::default();
@@ -1094,12 +1057,12 @@ fn emit_flux2_clo<S: LineSink>(
     }
 }
 
-fn emit_flux2_cli<S: LineSink>(
+fn emit_flux2_cli(
     flux: &SymFab,
     d: usize,
     faces: IBox,
     zr: std::ops::Range<i32>,
-    rec: &mut Recorder<'_, S>,
+    rec: &mut Recorder<'_>,
 ) {
     let (lo, hi) = (faces.lo(), faces.hi());
     let vc = vel_comp(d);
@@ -1124,21 +1087,21 @@ fn emit_flux2_cli<S: LineSink>(
     }
 }
 
-fn emit_accumulate<S: LineSink>(
+fn emit_accumulate(
     phi1: &SymFab,
     flux: &SymFab,
     cells: IBox,
     d: usize,
     zr: std::ops::Range<i32>,
     comp: CompLoop,
-    rec: &mut Recorder<'_, S>,
+    rec: &mut Recorder<'_>,
 ) {
     let (lo, hi) = (cells.lo(), cells.hi());
     let e = IntVect::basis(d);
     let flux_unit = flux.stride(d) == 1;
     #[inline(always)]
-    fn do_cell<S: LineSink>(
-        rec: &mut Recorder<'_, S>,
+    fn do_cell(
+        rec: &mut Recorder<'_>,
         phi1: &SymFab,
         flux: &SymFab,
         iv: IntVect,
@@ -1194,13 +1157,13 @@ fn emit_accumulate<S: LineSink>(
     }
 }
 
-fn emit_fill_vel<S: LineSink>(
+fn emit_fill_vel(
     phi0: &SymFab,
     vel: &SymFab,
     faces: IBox,
     d: usize,
     zr: std::ops::Range<i32>,
-    rec: &mut Recorder<'_, S>,
+    rec: &mut Recorder<'_>,
 ) {
     let (lo, hi) = (faces.lo(), faces.hi());
     let vc = vel_comp(d);
@@ -1222,7 +1185,7 @@ fn emit_fill_vel<S: LineSink>(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn emit_fused_clo<S: LineSink>(
+fn emit_fused_clo(
     phi0: &SymFab,
     phi1: &SymFab,
     cells: IBox,
@@ -1230,7 +1193,7 @@ fn emit_fused_clo<S: LineSink>(
     vels: &[SymFab],
     ybase: (usize, usize),
     zbase: (usize, usize),
-    rec: &mut Recorder<'_, S>,
+    rec: &mut Recorder<'_>,
 ) {
     let (lo, hi) = (cells.lo(), cells.hi());
     let nx = cells.extent(0) as usize;
@@ -1282,13 +1245,13 @@ fn emit_fused_clo<S: LineSink>(
     }
 }
 
-fn emit_fused_cli<S: LineSink>(
+fn emit_fused_cli(
     phi0: &SymFab,
     phi1: &SymFab,
     cells: IBox,
     ybase: (usize, usize),
     zbase: (usize, usize),
-    rec: &mut Recorder<'_, S>,
+    rec: &mut Recorder<'_>,
 ) {
     let (lo, hi) = (cells.lo(), cells.hi());
     let nx = cells.extent(0) as usize;
@@ -1351,50 +1314,6 @@ mod tests {
 
     fn big() -> Vec<CacheConfig> {
         vec![CacheConfig::new(32 * 1024, 8), CacheConfig::new(16 * 1024 * 1024, 16)]
-    }
-
-    /// Instrumentation probe, not an assertion: times the symbolic
-    /// emitter into a null sink vs the full serial engine, printing the
-    /// producer's share of the serial wall — the Amdahl bound on what
-    /// the §13 parallel pipeline can gain (its producer runs exactly
-    /// this emission plus cheap routing). Run on demand:
-    /// `cargo test --release -p pdesched-machine --lib producer_cost -- --ignored --nocapture`
-    #[test]
-    #[ignore = "instrumentation: prints the serial-producer Amdahl bound"]
-    fn producer_cost_probe() {
-        struct Null(u64);
-        impl LineSink for Null {
-            fn line_rep(&mut self, line: u64, reps: usize, write: bool) {
-                self.0 = self.0.wrapping_add(line ^ reps as u64 ^ write as u64);
-            }
-        }
-        let cfg = small();
-        for variant in [Variant::baseline(), Variant::shift_fuse()] {
-            let n = 64;
-            let time = |f: &mut dyn FnMut()| {
-                let mut best = f64::INFINITY;
-                for _ in 0..3 {
-                    let t0 = std::time::Instant::now();
-                    f();
-                    best = best.min(t0.elapsed().as_secs_f64());
-                }
-                best
-            };
-            let mut sink = Null(0);
-            let emit = time(&mut || {
-                emit_symbolic_stream(variant, n, &cfg, &mut sink);
-            });
-            let serial = time(&mut || {
-                std::hint::black_box(measure_box_traffic_symbolic(variant, n, &cfg));
-            });
-            println!(
-                "{variant} n={n}: emit-only {emit:.3}s of serial {serial:.3}s \
-                 ({:.0}% producer share, parallel speedup cap {:.2}x) [{}]",
-                100.0 * emit / serial,
-                serial / emit,
-                sink.0
-            );
-        }
     }
 
     #[test]

@@ -20,9 +20,8 @@
 
 use crate::adapter::TraceMem;
 use crate::fault::FaultHook;
-use crate::parallel::{parallel_replay, ParallelStats, SplitMem};
 use crate::symbolic::{analyze, emit_symbolic_stream};
-use pdesched_cachesim::{shard_count, CacheConfig, Hierarchy, Stats};
+use pdesched_cachesim::{CacheConfig, Hierarchy, Stats};
 use pdesched_core::plan::{self, Plan, Stream};
 use pdesched_core::{plan_for_optimized, Mem, Pipeline, PipelineError, Variant};
 use pdesched_kernels::{GHOST, NCOMP};
@@ -188,21 +187,20 @@ impl<'a> Point<'a> {
 
 /// How [`measure`] may produce a number. Every engine returns the same
 /// bits for the same [`Point`] (`tests/engine_matrix.rs`); they differ
-/// in cost only. [`TrafficCache`] builds one from its [`TrafficMode`]
-/// and engine-thread grant.
+/// in cost only. [`TrafficCache`] builds one from its [`TrafficMode`].
+/// Every engine runs on the calling thread.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Engine {
     /// The plan interpreter into [`Hierarchy::reference`]: per-element
-    /// probes over plain stamped levels, no run batching, one thread. Slow;
-    /// the oracle every other engine is checked against.
+    /// probes over plain stamped levels, no run batching. Slow; the
+    /// oracle every other engine is checked against.
     Reference,
-    /// The plan interpreter into the fast simulator, set-sharded over
-    /// `threads` workers when `threads > 1`.
-    Simulate { threads: usize },
+    /// The plan interpreter into the fast simulator.
+    Simulate,
     /// [`Engine::Simulate`], except that a plan the symbolic analysis
     /// fully claims is produced by the symbolic emitters instead of the
     /// interpreter.
-    Symbolic { threads: usize },
+    Symbolic,
 }
 
 /// How many boxes one measurement streams through before dividing the
@@ -285,7 +283,7 @@ fn box_traffic(s: &Stats, line: usize, boxes: usize) -> BoxTraffic {
 
 /// Measure `point` under `engine`: per-box steady-state DRAM traffic of
 /// every member (one [`BoxTraffic`] per entry of `point.lasts`, in
-/// order), plus how the work was produced and distributed.
+/// order), plus whether the symbolic emitters produced the stream.
 ///
 /// The whole engine decision lives here. **Producer:** the symbolic
 /// emitters iff the engine is [`Engine::Symbolic`], the workload is a
@@ -295,78 +293,87 @@ fn box_traffic(s: &Stats, line: usize, boxes: usize) -> BoxTraffic {
 /// interpreter ([`drive`]). The producer runs once whatever the number
 /// of members. **Sink:** one [`Hierarchy::reference`] per member for
 /// [`Engine::Reference`] (the oracle shares nothing), else the fan-out
-/// hierarchy [`Hierarchy::fan_out`]`(front, lasts)` — set-sharded over
-/// `threads` workers ([`crate::parallel`]) iff `threads > 1`.
+/// hierarchy [`Hierarchy::fan_out`]`(front, lasts)`. Both run on the
+/// calling thread: a sweep-pool worker, a serve flight or the caller.
 ///
 /// Fails — measuring nothing — if the variant cannot run on the box or
 /// the pipeline fails (a pass precondition or the plan verifier).
 pub fn measure(
     point: &Point<'_>,
     engine: Engine,
-) -> Result<(Vec<BoxTraffic>, ParallelStats), PipelineError> {
+) -> Result<(Vec<BoxTraffic>, bool), PipelineError> {
     let Point { variant, n, front, lasts, pipeline, boxes } = *point;
     if engine == Engine::Reference && lasts.len() > 1 {
         let mut members = Vec::with_capacity(lasts.len());
         for i in 0..lasts.len() {
             members.extend(measure(&Point { lasts: &lasts[i..=i], ..*point }, engine)?.0);
         }
-        let ps = ParallelStats { nshards: 1, shard_ops: vec![0], used_symbolic: false };
-        return Ok((members, ps));
+        return Ok((members, false));
     }
     variant.validate_for_box(n).map_err(PipelineError::Invalid)?;
     // Lower + transform *before* any trace reset: plan verification may
     // draw trace addresses of its own, and the measurement layout must
     // start from a clean slate either way.
     let plan = plan_for_optimized(variant, IntVect::splat(n), 1, pipeline)?;
-    let (threads, may_claim) = match engine {
-        Engine::Reference => (1, false),
-        Engine::Simulate { threads } => (threads, false),
-        Engine::Symbolic { threads } => (threads, true),
-    };
-    let used_symbolic = may_claim
+    let used_symbolic = engine == Engine::Symbolic
         && boxes == Boxes::Single
         && pipeline.order_preserving()
         && analyze(variant, n).fully_claimed();
     // Every geometry the sink simulates: what the symbolic window
-    // certificates and the shard count must hold for.
+    // certificates must hold for.
     let geometry: Vec<CacheConfig> = front.iter().chain(lasts).copied().collect();
-    let (stats, shard_ops, boxes_run) = if threads > 1 {
-        parallel_replay(front, lasts, shard_count(&geometry, threads), |router| {
-            if used_symbolic {
-                emit_symbolic_stream(variant, n, &geometry, router).0
-            } else {
-                drive(&plan, n, boxes, &SplitMem::new(router))
-            }
-        })
-    } else {
-        let mut sim = match engine {
-            Engine::Reference => Hierarchy::reference(&geometry),
-            _ => Hierarchy::fan_out(front, lasts),
-        };
-        let boxes_run = if used_symbolic {
-            let k = emit_symbolic_stream(variant, n, &geometry, &mut sim).0;
-            sim.flush();
-            k
-        } else {
-            let trace = TraceMem::new(sim);
-            let k = drive(&plan, n, boxes, &trace);
-            sim = trace.finish();
-            k
-        };
-        ((0..lasts.len()).map(|i| sim.tail_stats(i)).collect(), vec![0], boxes_run)
+    let mut sim = match engine {
+        Engine::Reference => Hierarchy::reference(&geometry),
+        _ => Hierarchy::fan_out(front, lasts),
     };
-    let members = stats.iter().map(|s| box_traffic(s, geometry[0].line, boxes_run)).collect();
-    Ok((members, ParallelStats { nshards: shard_ops.len(), shard_ops, used_symbolic }))
+    let boxes_run = if used_symbolic {
+        let k = emit_symbolic_stream(variant, n, &geometry, &mut sim).0;
+        sim.flush();
+        k
+    } else {
+        let trace = TraceMem::new(sim);
+        let k = drive(&plan, n, boxes, &trace);
+        sim = trace.finish();
+        k
+    };
+    let members = (0..lasts.len())
+        .map(|i| box_traffic(&sim.tail_stats(i), geometry[0].line, boxes_run))
+        .collect();
+    Ok((members, used_symbolic))
 }
 
-/// [`measure`] for the hand lowering of one box on the serial fast
+/// [`measure`] for the hand lowering of one box on the fast
 /// simulator, panicking where `measure` refuses. Frozen for
 /// `benchmark/`, which cannot change in the PR that introduced
 /// `measure`; new code calls `measure`.
 pub fn measure_box_traffic(variant: Variant, n: i32, configs: &[CacheConfig]) -> BoxTraffic {
-    measure(&Point::hand(variant, n, configs), Engine::Simulate { threads: 1 })
-        .unwrap_or_else(|e| panic!("{e}"))
-        .0[0]
+    let (members, _) = measure(&Point::hand(variant, n, configs), Engine::Simulate)
+        .unwrap_or_else(|e| panic!("{e}"));
+    members[0]
+}
+
+/// What [`measure_box_traffic_parallel`] returns beside the traffic:
+/// the one shard every measurement now runs on.
+#[derive(Clone, Copy, Debug)]
+pub struct OneShard;
+
+impl OneShard {
+    /// Total work over the busiest shard's: 1.0, the serial sink.
+    pub fn balance(&self) -> f64 {
+        1.0
+    }
+}
+
+/// [`crate::symbolic::measure_box_traffic_symbolic`]; `threads` is
+/// ignored. Frozen for `benchmark/`, which imports it; new code calls
+/// `measure`.
+pub fn measure_box_traffic_parallel(
+    variant: Variant,
+    n: i32,
+    configs: &[CacheConfig],
+    _threads: usize,
+) -> (BoxTraffic, OneShard) {
+    (crate::symbolic::measure_box_traffic_symbolic(variant, n, configs), OneShard)
 }
 
 /// What [`TrafficCache::fetch`] has for one member of a point: its
@@ -474,9 +481,6 @@ pub struct TrafficCache {
     fallback_points: AtomicU64,
     passes: AtomicU64,
     shared_points: AtomicU64,
-    /// Shard-worker threads each miss may use ([`TrafficCache::set_engine_threads`]);
-    /// 1 = the serial engines.
-    engine_threads: AtomicU64,
     appends: AtomicU64,
     /// Transient-append retry budget (see `set_append_retry`): max
     /// retries per append, and the initial backoff in microseconds.
@@ -1224,27 +1228,6 @@ impl TrafficCache {
         self.mode
     }
 
-    /// Measure misses with up to `threads` shard workers each (default
-    /// 1 = the serial engines). All counts produce identical numbers —
-    /// the parallel path is bit-identical by construction — so this
-    /// only trades point latency for thread occupancy. The sweep
-    /// engine raises it when a sweep has fewer passes than pool
-    /// threads ([`crate::SweepEngine::prewarm`]).
-    pub fn set_engine_threads(&self, threads: usize) {
-        self.engine_threads.store(threads.max(1) as u64, Ordering::Relaxed);
-    }
-
-    /// Builder form of [`TrafficCache::set_engine_threads`].
-    pub fn with_engine_threads(self, threads: usize) -> Self {
-        self.set_engine_threads(threads);
-        self
-    }
-
-    /// Shard workers each miss may use (1 = serial engines).
-    pub fn engine_threads(&self) -> usize {
-        (self.engine_threads.load(Ordering::Relaxed).max(1)) as usize
-    }
-
     /// Provenance of a held measurement, if present (`None` = not yet
     /// measured). What the store's tag records: which pipeline produced
     /// the number.
@@ -1428,22 +1411,21 @@ impl TrafficCache {
             run.members.push((m, slot));
         }
 
-        let threads = self.engine_threads();
         let engine = match self.mode {
-            TrafficMode::Simulate => Engine::Simulate { threads },
-            TrafficMode::Symbolic => Engine::Symbolic { threads },
+            TrafficMode::Simulate => Engine::Simulate,
+            TrafficMode::Symbolic => Engine::Symbolic,
         };
         for Run { point: p, lasts, members: wanted } in runs {
             let point = &points[p];
-            let (measured, ps) = measure(&Point { lasts: &lasts, ..*point }, engine)?;
+            let (measured, used_symbolic) = measure(&Point { lasts: &lasts, ..*point }, engine)?;
             self.passes.fetch_add(1, Ordering::Relaxed);
             if self.mode == TrafficMode::Symbolic {
                 let counter =
-                    if ps.used_symbolic { &self.claimed_points } else { &self.fallback_points };
+                    if used_symbolic { &self.claimed_points } else { &self.fallback_points };
                 counter.fetch_add(measured.len() as u64, Ordering::Relaxed);
             }
             let produced =
-                if ps.used_symbolic { TrafficMode::Symbolic } else { TrafficMode::Simulate };
+                if used_symbolic { TrafficMode::Symbolic } else { TrafficMode::Simulate };
             {
                 let mut held = self.streams.lock().unwrap_or_else(|e| e.into_inner());
                 let held = held.entry(stream(p).clone()).or_default();
@@ -2301,7 +2283,7 @@ mod tests {
         let v = Variant { comp: CompLoop::Inside, ..Variant::shift_fuse() };
         let pair = |pipeline: &Pipeline| {
             let point = Point::new(v, n, &cfg, pipeline, Boxes::Pair);
-            measure(&point, Engine::Simulate { threads: 1 }).unwrap().0[0]
+            measure(&point, Engine::Simulate).unwrap().0[0]
         };
         let seq = pair(&Pipeline::empty());
         let fused = pair(&Pipeline::parse("cross-box-fuse:2").unwrap());

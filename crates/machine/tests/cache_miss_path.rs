@@ -140,6 +140,7 @@ fn family_members_keep_their_own_keys_indices_and_tags() {
             let tag = if claimed { mode } else { TrafficMode::Simulate };
             let (stored, stored_tag) = view.get(&store_key(p.variant, p.n, &p.configs)).unwrap();
             assert_eq!(stored_tag, tag, "{mode:?}: tag of {} LLC {}", p.variant, p.configs[1].size);
+            assert_eq!(cache.provenance(p.variant, p.n, &p.configs), Some(tag), "{mode:?}");
             assert_eq!(stored, alone.get(p.variant, p.n, &p.configs), "{mode:?}: {}", p.variant);
         }
     }

@@ -106,7 +106,7 @@ fn live_fan_out_never_gains_dram_bytes_with_a_larger_llc() {
                 pipeline: &pipeline,
                 boxes: Boxes::Single,
             };
-            let (members, _) = measure(&point, Engine::Simulate { threads: 1 }).unwrap();
+            let (members, _) = measure(&point, Engine::Simulate).unwrap();
             let mut members: Vec<(CacheConfig, u64)> =
                 lasts.iter().copied().zip(members.iter().map(|t| t.dram_bytes)).collect();
             let label = format!("{} {variant} n={n}", spec.name);

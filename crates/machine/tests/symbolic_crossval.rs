@@ -111,12 +111,12 @@ fn symbolic_is_bit_identical_at_odd_sizes() {
 #[test]
 fn provenance_tracks_the_claim_boundary() {
     let cfg = small();
-    let symbolic = |v| measure(&Point::hand(v, 8, &cfg), Engine::Symbolic { threads: 1 }).unwrap();
-    let (_, ps) = symbolic(Variant::baseline());
-    assert!(ps.used_symbolic, "fully-claimed plan must run symbolically");
+    let symbolic = |v| measure(&Point::hand(v, 8, &cfg), Engine::Symbolic).unwrap();
+    let (_, used_symbolic) = symbolic(Variant::baseline());
+    assert!(used_symbolic, "fully-claimed plan must run symbolically");
     let wf = Variant::blocked_wavefront(CompLoop::Inside, 4);
-    let (t, ps) = symbolic(wf);
-    assert!(!ps.used_symbolic, "unclaimed plan must fall back");
+    let (t, used_symbolic) = symbolic(wf);
+    assert!(!used_symbolic, "unclaimed plan must fall back");
     assert_identical("bwf_cli4", 8, &t[0], &measure_box_traffic(wf, 8, &small()));
 }
 

@@ -39,7 +39,7 @@ PORT=
 # Start the service on an ephemeral port against store $1, stderr to
 # $2; scrape the bound port from the banner.
 start_server() {
-    "$REPRO" serve --addr 127.0.0.1:0 --store "$1" --threads 2 2>"$2" &
+    "$REPRO" serve --addr 127.0.0.1:0 --store "$1" 2>"$2" &
     SERVER=$!
     PORT=
     for _ in $(seq 1 200); do
@@ -102,8 +102,7 @@ for i in $(seq 1 "$ROUNDS"); do
     # shoot the server out of; the hang wedges one of them open.
     rm -f "$WORK/storm.txt" "$WORK/storm.txt".*
     REPRO_FAULT="hang-sim:$((RANDOM % 4)),drop-req:$((RANDOM % 8))" \
-        "$REPRO" serve --addr 127.0.0.1:0 --store "$WORK/storm.txt" \
-        --threads 2 2>"$WORK/storm.err" &
+        "$REPRO" serve --addr 127.0.0.1:0 --store "$WORK/storm.txt" 2>"$WORK/storm.err" &
     SERVER=$!
     PORT=
     for _ in $(seq 1 200); do
