@@ -248,11 +248,6 @@ impl Hierarchy {
         }
     }
 
-    /// Whether this hierarchy runs the per-element reference path.
-    pub fn is_reference(&self) -> bool {
-        self.reference
-    }
-
     /// Line size in bytes.
     pub fn line(&self) -> usize {
         self.line
@@ -909,7 +904,6 @@ mod tests {
         let cfgs = [CacheConfig::new(512, 2)];
         let mut a = Hierarchy::reference(&cfgs);
         let mut b = Hierarchy::reference(&cfgs);
-        assert!(a.is_reference());
         a.read_run(24, 30);
         for i in 0..30 {
             b.read(24 + i * 8);

@@ -5,7 +5,7 @@
 //! shape, and hands it to the generic interpreter
 //! [`crate::plan::execute`].
 
-use crate::mem::{Mem, NoMem};
+use crate::mem::Mem;
 use crate::plan;
 use crate::storage::TempStorage;
 use crate::variant::{Granularity, Variant};
@@ -92,19 +92,10 @@ pub fn run_level<M: Mem>(
     }
 }
 
-/// Convenience: run without instrumentation.
-pub fn run_level_plain(
-    variant: Variant,
-    phi0: &LevelData,
-    phi1: &mut LevelData,
-    nthreads: usize,
-) -> TempStorage {
-    run_level(variant, phi0, phi1, nthreads, &NoMem)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mem::NoMem;
     use crate::variant::Variant;
     use pdesched_kernels::{reference, NCOMP};
     use pdesched_mesh::{DisjointBoxLayout, ProblemDomain};

@@ -50,8 +50,8 @@
 //!
 //! [`plan_for`] memoizes lowering in a process-wide LRU cache keyed on
 //! `(Variant, box extents, effective thread count, pass provenance)`, so
-//! sweep prewarms and solver time loops lower once per shape instead of
-//! per box per step. Hand lowerings carry an empty pass component, so
+//! sweep prewarms and repeated level updates lower once per shape instead
+//! of per box per update. Hand lowerings carry an empty pass component, so
 //! their keys are unchanged from the pre-pipeline format.
 //! [`cache_stats`] reports hits/misses for `repro --json`.
 

@@ -5,7 +5,7 @@
 //! run over `x` (unit stride) with direct slice indexing.
 
 use crate::point::{accumulate, face_interp, flux_mul};
-use crate::{vel_comp, NCOMP};
+use crate::vel_comp;
 use pdesched_mesh::{FArrayBox, IBox, IntVect};
 
 /// `EvalFlux1` over a face box: for every face `f` in `faces` (a
@@ -84,36 +84,6 @@ pub fn eval_flux2(
     }
 }
 
-/// `EvalFlux2` in place, reading the velocity from the flux array's own
-/// component `d+1` — the paper's "component loop on the outside" variant
-/// that avoids the velocity temporary by *reordering* the component loop
-/// so the velocity component is multiplied last.
-pub fn eval_flux2_inplace_reordered(flux: &mut FArrayBox, d: usize, faces: IBox) {
-    if faces.is_empty() {
-        return;
-    }
-    let vc = vel_comp(d);
-    let lo = faces.lo();
-    let hi = faces.hi();
-    let nfx = (hi[0] - lo[0] + 1) as usize;
-    // All components except vc first, then vc itself (vel^2).
-    let order = (0..NCOMP).filter(|&c| c != vc).chain(std::iter::once(vc));
-    for c in order {
-        for z in lo[2]..=hi[2] {
-            for y in lo[1]..=hi[1] {
-                let fi = flux.index(IntVect::new(lo[0], y, z), c);
-                let vi = flux.index(IntVect::new(lo[0], y, z), vc);
-                // fi and vi rows may alias (c == vc last): plain indices
-                // on one borrow keep the read-then-write order.
-                let fd = flux.data_mut();
-                for i in 0..nfx {
-                    fd[fi + i] = flux_mul(fd[fi + i], fd[vi + i]);
-                }
-            }
-        }
-    }
-}
-
 /// Copy the velocity component `d+1` of `flux` over `faces` into the
 /// single-component array `vel` (the paper's `velocity =
 /// flux[component dir+1]`, which costs the `(N+1)^3` velocity temporary
@@ -173,6 +143,7 @@ pub fn accumulate_dir(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::NCOMP;
     use pdesched_mesh::{FArrayBox, IBox, IntVect};
 
     fn phi_with_ghosts(n: i32, seed: u64) -> FArrayBox {
@@ -201,28 +172,6 @@ mod tests {
                     assert_eq!(out.at(f, c).to_bits(), expect.to_bits(), "d={d} f={f:?} c={c}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn flux2_with_velocity_matches_inplace_reordered() {
-        let n = 5;
-        let phi = phi_with_ghosts(n, 3);
-        for d in 0..3 {
-            let faces = IBox::cube(n).surrounding_faces(d);
-            let mut a = FArrayBox::new(faces, NCOMP);
-            eval_flux1(&phi, d, faces, &mut a, 0..NCOMP);
-            let mut b = a.clone();
-
-            // Path 1: extract velocity then multiply all comps.
-            let mut vel = FArrayBox::new(faces, 1);
-            extract_velocity(&a, d, faces, &mut vel);
-            eval_flux2(&mut a, &vel, faces, 0..NCOMP);
-
-            // Path 2: in-place with reordered component loop.
-            eval_flux2_inplace_reordered(&mut b, d, faces);
-
-            assert!(a.bit_eq(&b, faces.as_cell()), "d={d}");
         }
     }
 

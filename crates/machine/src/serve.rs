@@ -53,7 +53,9 @@
 //! stated rate rather than the host scheduler's mood; occasional and
 //! cold requests never wait (DESIGN.md §15 *Pacing*). A request line
 //! is capped at 64 KiB (`MAX_LINE`): a longer one gets one
-//! `bad_request` and the connection is closed. With no reader thread, a
+//! `bad_request` and the connection is closed. At most 256 connections
+//! (`MAX_CONNS`) are open at once; one more is answered `overloaded`
+//! and closed by the accept loop. With no reader thread, a
 //! vanished client is noticed where the connection thread already
 //! polls: the idle `read` (at once), a follower's 20 ms park on its
 //! flight and the injected-hang loop (`Conn::probe`) — so within
@@ -134,6 +136,11 @@ const MAX_TOP: usize = 32;
 /// single `bad_request` and the connection is closed, so a newline-less
 /// flood cannot grow a connection's buffer past this (plus one read).
 const MAX_LINE: usize = 64 * 1024;
+
+/// Most connections open at once. The accept loop answers one past it
+/// with the `overloaded` line and closes it, so a connection flood
+/// cannot spawn threads without bound.
+pub const MAX_CONNS: usize = 256;
 
 /// How long an idle connection blocks in `read` before it looks at the
 /// server token again.
@@ -229,7 +236,7 @@ impl Default for ServeConfig {
 pub struct ServeStats {
     /// Request lines received (including rejected ones).
     pub requests: u64,
-    /// Requests rejected by admission control.
+    /// Requests and connections rejected by admission control.
     pub rejected: u64,
     /// Requests that joined an already-running flight.
     pub coalesced: u64,
@@ -281,6 +288,8 @@ struct ServerInner {
     token: CancelToken,
     draining: AtomicBool,
     inflight: AtomicUsize,
+    /// Open connections, each with its thread; capped at [`MAX_CONNS`].
+    conns: AtomicUsize,
     active_flights: AtomicUsize,
     requests: AtomicU64,
     rejected: AtomicU64,
@@ -329,6 +338,7 @@ impl Server {
             token: CancelToken::new(),
             draining: AtomicBool::new(false),
             inflight: AtomicUsize::new(0),
+            conns: AtomicUsize::new(0),
             active_flights: AtomicUsize::new(0),
             requests: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
@@ -415,9 +425,19 @@ fn accept_loop(inner: Arc<ServerInner>, listener: TcpListener) {
         }
         match listener.accept() {
             Ok((stream, _peer)) => {
+                // Only this thread opens connections, so the count cannot
+                // pass the cap between the check and the spawn.
+                if inner.conns.load(Ordering::SeqCst) >= MAX_CONNS {
+                    refuse_connection(&inner, stream);
+                    continue;
+                }
                 let _ = stream.set_nonblocking(false);
+                inner.conns.fetch_add(1, Ordering::SeqCst);
                 let conn_inner = Arc::clone(&inner);
-                std::thread::spawn(move || handle_connection(conn_inner, stream));
+                std::thread::spawn(move || {
+                    let _slot = Slot(&conn_inner.conns);
+                    handle_connection(&conn_inner, stream)
+                });
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(2));
@@ -425,6 +445,29 @@ fn accept_loop(inner: Arc<ServerInner>, listener: TcpListener) {
             Err(_) => std::thread::sleep(Duration::from_millis(2)),
         }
     }
+}
+
+/// Answer a connection over [`MAX_CONNS`] with the `overloaded` line and
+/// close it, on the accept thread, which must not block: the socket is
+/// made non-blocking and only what the client already sent is read off
+/// (closing a socket with unread bytes resets it, which can destroy the
+/// reply before the client reads it).
+fn refuse_connection(inner: &ServerInner, mut stream: TcpStream) {
+    inner.rejected.fetch_add(1, Ordering::SeqCst);
+    let _ = stream.set_nonblocking(true);
+    let mut chunk = [0u8; 4096];
+    while matches!(stream.read(&mut chunk), Ok(n) if n > 0) {}
+    let _ = stream.set_nodelay(true);
+    let _ = stream.write_all(format!("{}\n", overloaded(inner)).as_bytes());
+    let _ = stream.shutdown(Shutdown::Both);
+}
+
+/// The admission-control rejection, with the configured client backoff.
+fn overloaded(inner: &ServerInner) -> String {
+    format!(
+        "{{\"ok\":false,\"error\":\"overloaded\",\"retry_after_ms\":{}}}",
+        inner.cfg.retry_after.as_millis()
+    )
 }
 
 /// One client connection, owned by the one thread that reads, answers
@@ -530,7 +573,7 @@ impl Conn {
 /// One thread per connection: read a line, answer it, write the reply,
 /// in order. The client going away is noticed by the next `read` when
 /// idle and by [`Conn::probe`] while a request waits.
-fn handle_connection(inner: Arc<ServerInner>, stream: TcpStream) {
+fn handle_connection(inner: &Arc<ServerInner>, stream: TcpStream) {
     // Replies are single writes; without this a reply would still wait
     // behind the previous one's delayed ACK (Nagle).
     let _ = stream.set_nodelay(true);
@@ -558,7 +601,7 @@ fn handle_connection(inner: Arc<ServerInner>, stream: TcpStream) {
         }
         conn.pace();
         // Injected DropConnection (`None`): die without answering.
-        let Some(reply) = process_request(&inner, &mut conn, &line) else { break };
+        let Some(reply) = process_request(inner, &mut conn, &line) else { break };
         if conn.send(reply).is_err() {
             break;
         }
@@ -586,11 +629,12 @@ fn refuse_oversize(conn: &mut Conn) {
     }
 }
 
-/// Admission guard: holds one inflight slot, released on drop (so
-/// panics and early returns can never leak a slot).
-struct InflightSlot<'a>(&'a AtomicUsize);
+/// Admission guard: holds one slot of a counter (inflight requests, open
+/// connections), released on drop (so panics and early returns can never
+/// leak a slot).
+struct Slot<'a>(&'a AtomicUsize);
 
-impl Drop for InflightSlot<'_> {
+impl Drop for Slot<'_> {
     fn drop(&mut self) {
         self.0.fetch_sub(1, Ordering::SeqCst);
     }
@@ -626,12 +670,9 @@ fn process_request(inner: &Arc<ServerInner>, conn: &mut Conn, line: &str) -> Opt
     if inner.inflight.fetch_add(1, Ordering::SeqCst) >= inner.cfg.max_inflight {
         inner.inflight.fetch_sub(1, Ordering::SeqCst);
         inner.rejected.fetch_add(1, Ordering::SeqCst);
-        return Some(format!(
-            "{{\"ok\":false,\"error\":\"overloaded\",\"retry_after_ms\":{}}}",
-            inner.cfg.retry_after.as_millis()
-        ));
+        return Some(overloaded(inner));
     }
-    let _slot = InflightSlot(&inner.inflight);
+    let _slot = Slot(&inner.inflight);
 
     // Per-request token: child of the connection token (disconnect
     // cascades in), carrying the request deadline if one is set.

@@ -5,7 +5,7 @@
 //! Expected "injected fault" panic messages in stderr are the
 //! injections themselves, not failures.
 
-use pdesched_machine::serve::{ServeConfig, Server};
+use pdesched_machine::serve::{ServeConfig, Server, MAX_CONNS};
 use pdesched_machine::{sweep, FaultHook, MachineSpec, SweepBudget, TrafficCache};
 use pdesched_testkit::{FaultPlan, TempDir};
 use std::io::{BufRead, BufReader, Write};
@@ -834,6 +834,45 @@ fn oversize_request_line_is_refused_and_the_connection_closed() {
     let resp = client.ask(&"x".repeat(60 * 1024));
     assert!(resp.contains("malformed JSON"), "{resp}");
     assert!(client.ask(WARM_REQ).contains("\"ok\":true"), "the connection stays usable");
+}
+
+/// Connections are capped: with `MAX_CONNS` idle ones open, the next is
+/// answered `overloaded` (counted as rejected) and closed, so a flood
+/// cannot spawn threads without bound. Once one closes, a new connection
+/// is served again.
+#[test]
+fn connections_past_the_cap_are_refused_until_one_closes() {
+    let server = Server::start(ServeConfig {
+        retry_after: Duration::from_millis(250),
+        ..ServeConfig::default()
+    })
+    .expect("bind");
+    let addr = server.local_addr();
+    let mut idle: Vec<TcpStream> =
+        (0..MAX_CONNS).map(|_| TcpStream::connect(addr).expect("connect")).collect();
+
+    let mut extra = Client::connect(addr);
+    let resp = extra.reply().expect("an over-cap connection is answered before the close");
+    assert!(
+        resp.contains("\"error\":\"overloaded\"") && resp.contains("\"retry_after_ms\":250"),
+        "{resp}"
+    );
+    assert_eq!(extra.reply(), None, "the over-cap connection is closed");
+    assert_eq!(server.stats().rejected, 1);
+
+    // The closed connection's thread notices the EOF at once and gives
+    // its slot back; until it has, a newcomer may still be refused.
+    drop(idle.pop());
+    let t0 = Instant::now();
+    loop {
+        let resp = Client::connect(addr).ask(WARM_REQ);
+        if resp.contains("\"ok\":true") {
+            break;
+        }
+        assert!(resp.contains("\"error\":\"overloaded\""), "{resp}");
+        assert!(t0.elapsed() < Duration::from_secs(10), "the freed slot was never reused");
+        std::thread::sleep(Duration::from_millis(10));
+    }
 }
 
 /// A request split across two writes further apart than the server's

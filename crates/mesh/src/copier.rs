@@ -36,8 +36,7 @@ pub struct ExchangePlan {
 impl ExchangePlan {
     /// Enumerate every copy needed to fill all ghost cells of `layout`
     /// grown by `ghost`, including periodic images. Ghost cells outside
-    /// a non-periodic boundary are not covered (boundary conditions are
-    /// a separate fill; see `boundary`).
+    /// a non-periodic boundary are not covered.
     pub fn build(layout: &DisjointBoxLayout, ghost: i32) -> Self {
         let mut ops = Vec::new();
         if ghost == 0 {
@@ -77,11 +76,6 @@ impl ExchangePlan {
     /// Total points copied per exchange (all ops, one component).
     pub fn points_moved(&self) -> usize {
         self.ops.iter().map(|op| op.region.num_pts()).sum()
-    }
-
-    /// Bytes moved per exchange for `ncomp` `f64` components.
-    pub fn bytes_moved(&self, ncomp: usize) -> usize {
-        self.points_moved() * ncomp * 8
     }
 }
 
@@ -146,7 +140,6 @@ mod tests {
         let fine = ExchangePlan::build(&layout(32, 8, true), 2);
         let coarse = ExchangePlan::build(&layout(32, 16, true), 2);
         assert!(fine.points_moved() > coarse.points_moved());
-        assert_eq!(fine.bytes_moved(5), fine.points_moved() * 40);
     }
 
     #[test]

@@ -27,27 +27,10 @@ impl ProblemDomain {
         ProblemDomain { domain, periodic: [true; DIM] }
     }
 
-    /// A domain with per-direction periodicity.
-    pub fn with_periodicity(domain: IBox, periodic: [bool; DIM]) -> Self {
-        ProblemDomain { domain, periodic }
-    }
-
     /// The domain box.
     #[inline]
     pub fn domain_box(&self) -> IBox {
         self.domain
-    }
-
-    /// Is direction `d` periodic?
-    #[inline]
-    pub fn is_periodic(&self, d: usize) -> bool {
-        self.periodic[d]
-    }
-
-    /// True when every direction is periodic.
-    #[inline]
-    pub fn fully_periodic(&self) -> bool {
-        self.periodic.iter().all(|&p| p)
     }
 
     /// Extent of the domain in direction `d`.
@@ -102,7 +85,6 @@ mod tests {
     fn shifts_non_periodic() {
         let d = ProblemDomain::new(IBox::cube(8));
         assert_eq!(d.periodic_shifts(), vec![IntVect::ZERO]);
-        assert!(!d.fully_periodic());
     }
 
     #[test]
@@ -110,7 +92,6 @@ mod tests {
         let d = ProblemDomain::periodic(IBox::cube(8));
         let shifts = d.periodic_shifts();
         assert_eq!(shifts.len(), 27);
-        assert!(d.fully_periodic());
         // Distinct.
         let mut s = shifts.clone();
         s.sort();
@@ -122,16 +103,6 @@ mod tests {
                 assert_eq!(sh[dd].rem_euclid(8), 0);
                 assert!(sh[dd].abs() <= 8);
             }
-        }
-    }
-
-    #[test]
-    fn shifts_partially_periodic() {
-        let d = ProblemDomain::with_periodicity(IBox::cube(4), [true, false, true]);
-        let shifts = d.periodic_shifts();
-        assert_eq!(shifts.len(), 9);
-        for sh in shifts {
-            assert_eq!(sh[1], 0);
         }
     }
 

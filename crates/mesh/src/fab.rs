@@ -104,12 +104,6 @@ impl FArrayBox {
         self.nx * self.ny
     }
 
-    /// Stride between adjacent components.
-    #[inline]
-    pub fn c_stride(&self) -> usize {
-        self.nx * self.ny * self.nz
-    }
-
     /// Linear index of `(iv, c)` into [`FArrayBox::data`].
     #[inline]
     pub fn index(&self, iv: IntVect, c: usize) -> usize {
@@ -126,13 +120,6 @@ impl FArrayBox {
     #[inline]
     pub fn at(&self, iv: IntVect, c: usize) -> f64 {
         self.data[self.index(iv, c)]
-    }
-
-    /// Mutable reference to the value at `(iv, c)`.
-    #[inline]
-    pub fn at_mut(&mut self, iv: IntVect, c: usize) -> &mut f64 {
-        let i = self.index(iv, c);
-        &mut self.data[i]
     }
 
     /// Set the value at `(iv, c)`.
@@ -173,13 +160,6 @@ impl FArrayBox {
     pub fn row(&self, y: i32, z: i32, c: usize) -> &[f64] {
         let start = self.index(IntVect::new(self.region.lo()[0], y, z), c);
         &self.data[start..start + self.nx]
-    }
-
-    /// Mutable unit-stride row (see [`FArrayBox::row`]).
-    #[inline]
-    pub fn row_mut(&mut self, y: i32, z: i32, c: usize) -> &mut [f64] {
-        let start = self.index(IntVect::new(self.region.lo()[0], y, z), c);
-        &mut self.data[start..start + self.nx]
     }
 
     /// Copy values of components `0..ncomp` over `where_` from `src`
@@ -235,18 +215,6 @@ impl FArrayBox {
                 }
             }
         }
-    }
-
-    /// Max-norm of the difference with `other` over `where_`
-    /// (all components); useful in tests.
-    pub fn max_diff(&self, other: &FArrayBox, where_: IBox) -> f64 {
-        let mut m: f64 = 0.0;
-        for c in 0..self.ncomp {
-            for iv in where_.iter() {
-                m = m.max((self.at(iv, c) - other.at(iv, c)).abs());
-            }
-        }
-        m
     }
 
     /// True if values are bitwise-identical to `other` over `where_` for
@@ -320,7 +288,6 @@ mod tests {
         assert_eq!(f.index(IntVect::new(0, 0, 1), 0), 12);
         assert_eq!(f.index(IntVect::new(0, 0, 0), 1), 24);
         assert_eq!(f.len(), 4 * 3 * 2 * 2);
-        assert_eq!(f.c_stride(), 24);
         assert_eq!(f.z_stride(), 12);
         assert_eq!(f.y_stride(), 4);
     }
@@ -413,12 +380,10 @@ mod tests {
     }
 
     #[test]
-    fn max_diff_and_sum() {
+    fn sum_comp_over_a_box() {
         let a = IBox::cube(3);
         let mut fa = FArrayBox::new(a, 1);
-        let fb = FArrayBox::new(a, 1);
         fa.set(IntVect::new(1, 1, 1), 0, -4.0);
-        assert_eq!(fa.max_diff(&fb, a), 4.0);
         assert_eq!(fa.sum_comp(0, a), -4.0);
     }
 }

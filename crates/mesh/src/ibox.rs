@@ -145,18 +145,6 @@ impl IBox {
         }
     }
 
-    /// Grow by a per-direction amount on both sides.
-    #[inline]
-    pub fn grown_by(&self, g: IntVect) -> IBox {
-        IBox { lo: self.lo - g, hi: self.hi + g, centering: self.centering }
-    }
-
-    /// Grow by `g` on both sides in direction `d` only.
-    #[inline]
-    pub fn grown_dir(&self, d: usize, g: i32) -> IBox {
-        IBox { lo: self.lo.shifted(d, -g), hi: self.hi.shifted(d, g), centering: self.centering }
-    }
-
     /// Translate the whole box by `offset`.
     #[inline]
     pub fn shifted(&self, offset: IntVect) -> IBox {
@@ -327,9 +315,6 @@ mod tests {
         assert_eq!(g.grown(-2), b);
         let s = b.shifted(IntVect::new(1, -1, 0));
         assert_eq!(s.lo(), IntVect::new(1, -1, 0));
-        let gd = b.grown_dir(1, 3);
-        assert_eq!(gd.lo(), IntVect::new(0, -3, 0));
-        assert_eq!(gd.hi(), IntVect::new(7, 10, 7));
     }
 
     #[test]

@@ -16,9 +16,9 @@ use crate::DIM;
 pub struct DisjointBoxLayout {
     problem: ProblemDomain,
     boxes: Vec<IBox>,
-    /// For uniform decompositions: number of boxes per direction and the
-    /// uniform box size, enabling O(1) neighbor lookup during exchange.
-    grid: Option<UniformGrid>,
+    /// Number of boxes per direction and the uniform box size, enabling
+    /// O(1) neighbor lookup during exchange.
+    grid: UniformGrid,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -46,18 +46,7 @@ impl DisjointBoxLayout {
         }
         let boxes = domain.tiles(box_size);
         let counts = domain.tile_counts(box_size);
-        DisjointBoxLayout { problem, boxes, grid: Some(UniformGrid { counts, box_size }) }
-    }
-
-    /// Build from an explicit list of boxes; panics if any two overlap.
-    pub fn from_boxes(problem: ProblemDomain, boxes: Vec<IBox>) -> Self {
-        for (i, a) in boxes.iter().enumerate() {
-            assert!(problem.domain_box().contains_box(a), "box {a:?} outside domain");
-            for b in &boxes[i + 1..] {
-                assert!(!a.intersects(b), "boxes overlap: {a:?} and {b:?}");
-            }
-        }
-        DisjointBoxLayout { problem, boxes, grid: None }
+        DisjointBoxLayout { problem, boxes, grid: UniformGrid { counts, box_size } }
     }
 
     /// The problem domain.
@@ -93,35 +82,29 @@ impl DisjointBoxLayout {
     /// applying periodic shift `shift` (i.e. candidates `j` such that
     /// `boxes[j]` intersects `region.shifted(shift)`).
     ///
-    /// With a uniform grid this is an O(neighborhood) lookup; otherwise a
-    /// linear scan.
+    /// An O(neighborhood) lookup on the uniform grid.
     pub fn candidates(&self, region: IBox, shift: IntVect) -> Vec<usize> {
         let target = region.shifted(shift);
-        match self.grid {
-            Some(g) => {
-                let dlo = self.problem.domain_box().lo();
-                let mut out = Vec::new();
-                let mut lo_idx = [0i32; DIM];
-                let mut hi_idx = [0i32; DIM];
-                for d in 0..DIM {
-                    lo_idx[d] = ((target.lo()[d] - dlo[d]).div_euclid(g.box_size)).max(0);
-                    hi_idx[d] =
-                        ((target.hi()[d] - dlo[d]).div_euclid(g.box_size)).min(g.counts[d] - 1);
-                    if lo_idx[d] > hi_idx[d] {
-                        return out;
-                    }
-                }
-                for bz in lo_idx[2]..=hi_idx[2] {
-                    for by in lo_idx[1]..=hi_idx[1] {
-                        for bx in lo_idx[0]..=hi_idx[0] {
-                            out.push(((bz * g.counts[1] + by) * g.counts[0] + bx) as usize);
-                        }
-                    }
-                }
-                out
+        let g = self.grid;
+        let dlo = self.problem.domain_box().lo();
+        let mut out = Vec::new();
+        let mut lo_idx = [0i32; DIM];
+        let mut hi_idx = [0i32; DIM];
+        for d in 0..DIM {
+            lo_idx[d] = ((target.lo()[d] - dlo[d]).div_euclid(g.box_size)).max(0);
+            hi_idx[d] = ((target.hi()[d] - dlo[d]).div_euclid(g.box_size)).min(g.counts[d] - 1);
+            if lo_idx[d] > hi_idx[d] {
+                return out;
             }
-            None => (0..self.boxes.len()).filter(|&j| self.boxes[j].intersects(&target)).collect(),
         }
+        for bz in lo_idx[2]..=hi_idx[2] {
+            for by in lo_idx[1]..=hi_idx[1] {
+                for bx in lo_idx[0]..=hi_idx[0] {
+                    out.push(((bz * g.counts[1] + by) * g.counts[0] + bx) as usize);
+                }
+            }
+        }
+        out
     }
 }
 
@@ -160,15 +143,6 @@ mod tests {
     #[should_panic(expected = "not a multiple")]
     fn uniform_requires_divisibility() {
         let _ = DisjointBoxLayout::uniform(dom(30), 16);
-    }
-
-    #[test]
-    #[should_panic(expected = "overlap")]
-    fn from_boxes_rejects_overlap() {
-        let p = dom(16);
-        let a = IBox::cube(8);
-        let b = IBox::new(IntVect::splat(4), IntVect::splat(12));
-        let _ = DisjointBoxLayout::from_boxes(p, vec![a, b]);
     }
 
     #[test]

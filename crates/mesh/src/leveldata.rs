@@ -132,8 +132,7 @@ impl LevelData {
 
     /// Fill all ghost cells from the valid regions of neighboring boxes,
     /// respecting the domain's periodicity. Ghost cells that lie outside a
-    /// non-periodic domain are left untouched (boundary conditions are the
-    /// solver's job; see [`crate::boundary`]).
+    /// non-periodic domain are left untouched.
     ///
     /// The copy structure is computed once per level and replayed
     /// (Chombo's `Copier` pattern).

@@ -23,7 +23,6 @@
 // Pointer-walk inner loops and per-direction index arithmetic are the
 // deliberate idiom here; the flagged clippy styles would obscure them.
 #![allow(clippy::needless_range_loop)]
-pub mod boundary;
 pub mod copier;
 pub mod domain;
 pub mod fab;
@@ -33,7 +32,6 @@ pub mod layout;
 pub mod leveldata;
 pub mod trace_addr;
 
-pub use boundary::{fill_domain_ghosts, BcSet, BcType};
 pub use copier::{CopyOp, ExchangePlan};
 pub use domain::ProblemDomain;
 pub use fab::FArrayBox;

@@ -142,6 +142,10 @@ impl Barrier {
                     return;
                 }
                 if self.is_poisoned() {
+                    // Unwinding with the guard held would poison the
+                    // mutex, and every later `lock().unwrap()` would
+                    // panic with that instead of the region's payload.
+                    drop(g);
                     Self::abort();
                 }
                 drop(self.cv.wait(g).unwrap());

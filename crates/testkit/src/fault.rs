@@ -158,11 +158,6 @@ impl FaultPlan {
     pub fn appends_seen(&self) -> u64 {
         self.appends.load(Ordering::SeqCst)
     }
-
-    /// Service requests probed so far.
-    pub fn requests_seen(&self) -> u64 {
-        self.requests.load(Ordering::SeqCst)
-    }
 }
 
 #[cfg(test)]
@@ -228,7 +223,6 @@ mod tests {
             fired,
             [None, Some(SocketFault::DropConnection), None, Some(SocketFault::Hang), None]
         );
-        assert_eq!(p.requests_seen(), 5);
     }
 
     #[test]

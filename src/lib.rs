@@ -18,7 +18,6 @@
 //! | [`core`] | **the ~40 schedule variants** (series, shift-fuse, blocked wavefront, overlapped tiles) |
 //! | [`cachesim`] | multi-level write-back cache simulator |
 //! | [`machine`] | machine models + the execution-time model regenerating every figure |
-//! | [`solver`] | a time-stepping finite-volume solver on top |
 //!
 //! # Quickstart
 //!
@@ -53,7 +52,6 @@ pub use pdesched_kernels as kernels;
 pub use pdesched_machine as machine;
 pub use pdesched_mesh as mesh;
 pub use pdesched_par as par;
-pub use pdesched_solver as solver;
 
 /// The names almost every user needs.
 pub mod prelude {
@@ -66,7 +64,6 @@ pub mod prelude {
     pub use pdesched_mesh::{
         DisjointBoxLayout, FArrayBox, IBox, IntVect, LevelData, ProblemDomain,
     };
-    pub use pdesched_solver::{AdvectionSolver, SolverConfig, TimeIntegrator};
 }
 
 #[cfg(test)]
