@@ -85,7 +85,7 @@ use pdesched_core::{Category, Pipeline, Variant};
 use pdesched_machine::{figures, sweep};
 use pdesched_machine::{
     FaultHook, MachineSpec, PointFailure, PriorSweep, SimPoint, SweepBudget, SweepEngine,
-    TrafficCache, TrafficMode,
+    TrafficCache,
 };
 use pdesched_par::cancel::{self, CancelToken, Cancelled};
 use std::time::Duration;
@@ -256,7 +256,6 @@ fn main() {
     let mut threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let mut deadline: Option<Duration> = None;
     let mut point_deadline: Option<Duration> = None;
-    let mut mode = TrafficMode::Simulate;
     let mut dump_out = String::from("target/plan-dumps");
     let mut dump_passes = String::new();
     let mut dump_variant: Option<String> = None;
@@ -265,7 +264,6 @@ fn main() {
         eprintln!("repro: {msg}");
         eprintln!(
             "usage: repro [--fast] [--store PATH] [--threads N] [--json PATH] \
-             [--mode simulate|symbolic] \
              [--deadline SECS] [--point-deadline SECS] \
              [--out DIR] [--passes SPEC] [--variant NAME] \
              [TARGET]...\n\
@@ -307,13 +305,6 @@ fn main() {
             "--variant" => {
                 dump_variant = Some(it.next().unwrap_or_else(|| usage("--variant needs a name")))
             }
-            "--mode" => {
-                mode = match it.next().as_deref() {
-                    Some("simulate" | "sim") => TrafficMode::Simulate,
-                    Some("symbolic" | "sym") => TrafficMode::Symbolic,
-                    _ => usage("--mode needs one of simulate|symbolic"),
-                }
-            }
             flag if flag.starts_with("--") => usage(&format!("unknown flag '{flag}'")),
             other => wanted.push(other.to_string()),
         }
@@ -337,7 +328,7 @@ fn main() {
         .map(|s| s.to_string())
         .collect();
     }
-    let mut cache = TrafficCache::with_store(&store).with_mode(mode);
+    let mut cache = TrafficCache::with_store(&store);
     if let Some(fault) = env_fault() {
         eprintln!("[repro] REPRO_FAULT set: deterministic fault injection armed");
         cache = cache.with_fault_hook(std::sync::Arc::new(fault));
@@ -874,7 +865,7 @@ fn run_serve_command(args: &[String]) -> ! {
         eprintln!("repro serve: {msg}");
         eprintln!(
             "usage: repro serve [--addr HOST:PORT] [--store PATH] \
-             [--mode simulate|symbolic] [--threads N] [--max-inflight N] \
+             [--threads N] [--max-inflight N] \
              [--retry-after-ms MS] [--request-deadline SECS] [--point-deadline SECS] \
              [--drain-deadline SECS] [--stale-ok]"
         );
@@ -903,14 +894,8 @@ fn run_serve_command(args: &[String]) -> ! {
             "--store" => {
                 cfg.store = Some(it.next().unwrap_or_else(|| usage("--store needs a path")).into())
             }
-            "--mode" => {
-                cfg.mode = match it.next().map(String::as_str) {
-                    Some("simulate") => TrafficMode::Simulate,
-                    Some("symbolic") => TrafficMode::Symbolic,
-                    _ => usage("--mode needs simulate|symbolic"),
-                }
-            }
-            // Parsed, stored and otherwise ignored (`ServeConfig::engine_threads`).
+            // Parsed, stored and otherwise ignored (`ServeConfig::engine_threads`):
+            // kept only because `benchmark/` passes it; ROADMAP item 1 drops that.
             "--threads" => {
                 cfg.engine_threads = it
                     .next()
@@ -1145,23 +1130,18 @@ fn render_json(
     use std::fmt::Write;
     let mut j = String::new();
     let _ = writeln!(j, "{{");
-    let _ = writeln!(j, "  \"schema_version\": 8,");
+    let _ = writeln!(j, "  \"schema_version\": 9,");
     let _ = writeln!(j, "  \"fast\": {fast},");
     let _ = writeln!(j, "  \"threads\": {threads},");
-    let _ = writeln!(j, "  \"mode\": {},", json_str(cache.mode().tag()));
-    // Claim-rate observability: how many of this run's measured points
-    // the symbolic engine claimed vs fell back to the simulator (both
-    // zero under `--mode simulate`, where no claiming happens), how
-    // many producer passes answered the run's misses — how much
+    // How many producer passes answered the run's misses — how much
     // simulation actually ran — and how many misses were recorded from
     // a stream produced under another key.
     {
         let s = cache.stats();
         let _ = writeln!(
             j,
-            "  \"traffic\": {{\"claimed_points\": {}, \"fallback_points\": {}, \
-             \"passes\": {}, \"shared_points\": {}}},",
-            s.claimed_points, s.fallback_points, s.passes, s.shared_points
+            "  \"traffic\": {{\"passes\": {}, \"shared_points\": {}}},",
+            s.passes, s.shared_points
         );
     }
     match interrupted {

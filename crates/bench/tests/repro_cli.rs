@@ -41,11 +41,10 @@ fn clean_run_reports_healthy_store_and_no_failures() {
         .args(["--json", json_path.to_str().unwrap()])
         .args(["--threads", "2", "fig1", "table1", "ablation"]));
     let json = std::fs::read_to_string(&json_path).unwrap();
-    assert!(json.contains("\"schema_version\": 8"), "{json}");
+    assert!(json.contains("\"schema_version\": 9"), "{json}");
     assert!(!json.contains("engine_threads"), "v8 stages carry no engine-thread grant: {json}");
-    let traffic = "\"traffic\": {\"claimed_points\": 0, \"fallback_points\": 0, \"passes\": 0, \
-                   \"shared_points\": 0}";
-    assert!(json.contains(traffic), "{json}");
+    assert!(!json.contains("\"mode\""), "v9 has one producer, no mode: {json}");
+    assert!(json.contains("\"traffic\": {\"passes\": 0, \"shared_points\": 0}"), "{json}");
     assert!(json.contains("\"interrupted\": null"), "{json}");
     assert!(json.contains("\"resumed_from\": null"), "{json}");
     assert!(json.contains("\"read_only\": false"), "{json}");

@@ -161,8 +161,6 @@ pub struct Hierarchy {
     front_flushed: u64,
     /// Reference-path levels, L1 first (empty in fast mode).
     ref_levels: Vec<CacheLevel>,
-    /// Level geometries: the front (L1 first), then every last level.
-    configs: Vec<CacheConfig>,
     line: usize,
     line_shift: u32,
     reads: u64,
@@ -236,7 +234,6 @@ impl Hierarchy {
             tails: Vec::new(),
             front_flushed: 0,
             ref_levels,
-            configs: configs.to_vec(),
             line,
             line_shift: line.trailing_zeros(),
             reads: 0,
@@ -251,14 +248,6 @@ impl Hierarchy {
     /// Line size in bytes.
     pub fn line(&self) -> usize {
         self.line
-    }
-
-    /// Every level geometry this hierarchy simulates: the front, L1
-    /// first, then each last level. Symbolic analyses use these (set
-    /// counts, associativities) to prove that a grouped replay cannot
-    /// perturb any replacement decision.
-    pub fn geometry(&self) -> &[CacheConfig] {
-        &self.configs
     }
 
     /// How many last levels share this hierarchy's front (1 unless
@@ -348,53 +337,6 @@ impl Hierarchy {
     #[inline]
     pub fn write_run(&mut self, addr: usize, elems: usize) {
         self.run(addr, elems, true);
-    }
-
-    /// `reps` 8-byte reads of the *same* address: statistics-identical
-    /// to calling [`Hierarchy::read`] at `addr` `reps` times. The
-    /// weighted-probe primitive of the symbolic traffic summarizer
-    /// (`pdesched-machine`): a phase proven regular touches one line
-    /// many times in a row, and this accounts the repeat touches in
-    /// closed form exactly like the tail of a run — the head access
-    /// puts the line at the front of its L1 set, and the other
-    /// `reps − 1` are hits there that change nothing but the count.
-    #[inline]
-    pub fn read_rep(&mut self, addr: usize, reps: usize) {
-        self.rep(addr, reps, false);
-    }
-
-    /// `reps` 8-byte writes of the same address; see
-    /// [`Hierarchy::read_rep`].
-    #[inline]
-    pub fn write_rep(&mut self, addr: usize, reps: usize) {
-        self.rep(addr, reps, true);
-    }
-
-    fn rep(&mut self, addr: usize, reps: usize, write: bool) {
-        if reps == 0 {
-            return;
-        }
-        self.line_rep((addr >> self.line_shift) as u64, reps, write);
-    }
-
-    /// `reps` touches of the (absolute) line index `line` — the same
-    /// contract as [`Hierarchy::read_rep`]/[`Hierarchy::write_rep`] but
-    /// addressed by line, saving the shift round-trip.
-    #[inline]
-    pub fn line_rep(&mut self, line: u64, reps: usize, write: bool) {
-        debug_assert!(reps > 0);
-        // Branchless read/write accounting: slot-alternating rw streams
-        // would mispredict a counter branch on every probe.
-        let w = write as u64;
-        self.writes += reps as u64 * w;
-        self.reads += reps as u64 * (1 - w);
-        if self.reference {
-            for _ in 0..reps {
-                self.probe_fill(line, write);
-            }
-            return;
-        }
-        self.touch(line, write);
     }
 
     fn run(&mut self, addr: usize, elems: usize, write: bool) {
@@ -728,65 +670,6 @@ mod tests {
         assert_eq!(h.stats().dram_lines_written, 3);
     }
 
-    /// `read_rep`/`write_rep` must be bit-identical to the same number
-    /// of per-element accesses at one address — in fast mode, in
-    /// reference mode, and interleaved with ordinary traffic.
-    #[test]
-    fn rep_counts_match_repeated_accesses() {
-        let cfgs = [CacheConfig::new(512, 2), CacheConfig::new(2048, 4)];
-        for reference in [false, true] {
-            let build = || {
-                if reference {
-                    Hierarchy::reference(&cfgs)
-                } else {
-                    Hierarchy::new(&cfgs)
-                }
-            };
-            let mut rng = Lcg(0x2545f4914f6cdd1d ^ reference as u64);
-            let mut a = build();
-            let mut b = build();
-            for _ in 0..300 {
-                let addr = (rng.next() % 256) as usize * 8;
-                let reps = (rng.next() % 5) as usize;
-                match rng.next() % 4 {
-                    0 => {
-                        a.read_rep(addr, reps);
-                        for _ in 0..reps {
-                            b.read(addr);
-                        }
-                    }
-                    1 => {
-                        a.write_rep(addr, reps);
-                        for _ in 0..reps {
-                            b.write(addr);
-                        }
-                    }
-                    2 => {
-                        a.read(addr);
-                        b.read(addr);
-                    }
-                    _ => {
-                        a.write(addr);
-                        b.write(addr);
-                    }
-                }
-            }
-            assert_same_state(&a, &b);
-            a.flush();
-            b.flush();
-            assert_same_state(&a, &b);
-        }
-    }
-
-    #[test]
-    fn geometry_reports_configs() {
-        let cfgs = [CacheConfig::new(512, 2), CacheConfig::new(2048, 4)];
-        let h = Hierarchy::new(&cfgs);
-        assert_eq!(h.geometry(), &cfgs);
-        assert_eq!(cfgs[0].lines(), 8);
-        assert_eq!(Hierarchy::reference(&cfgs).geometry(), &cfgs);
-    }
-
     #[test]
     fn empty_and_single_runs() {
         let mut h = small();
@@ -1029,11 +912,17 @@ mod tests {
         // One set per level, so every line contends with every other.
         let cfgs = [CacheConfig::new(128, 2), CacheConfig::new(256, 4)];
         let (mut fast, mut reference) = (Hierarchy::new(&cfgs), Hierarchy::reference(&cfgs));
+        let at = |line: u64| line as usize * cfgs[0].line;
         let last = LINE_LIMIT - 1;
         let stream = [last, last - 1, last - 2, last - 3, last - 4, last];
         for (i, &line) in stream.iter().enumerate() {
-            fast.line_rep(line, 1, i == 0);
-            reference.line_rep(line, 1, i == 0);
+            for h in [&mut fast, &mut reference] {
+                if i == 0 {
+                    h.write(at(line));
+                } else {
+                    h.read(at(line));
+                }
+            }
             assert_same_state(&fast, &reference);
         }
         // Dirty `last` left L1 on the third access and the LLC on the
@@ -1041,7 +930,7 @@ mod tests {
         assert_eq!(fast.stats().dram_lines_written, 1);
         assert_eq!(fast.stats().dram_lines_read, 6);
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            fast.line_rep(LINE_LIMIT, 1, false);
+            fast.read(at(LINE_LIMIT));
         }));
         assert!(r.is_err(), "the first line past the window must be refused");
     }

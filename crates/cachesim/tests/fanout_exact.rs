@@ -30,18 +30,16 @@ enum Op {
     Write(usize),
     ReadRun(usize, usize),
     WriteRun(usize, usize),
-    LineRep(u64, usize, bool),
 }
 
 fn random_op(rng: &mut Rng, base: usize, write_pct: u64) -> Op {
     let addr = base + rng.range_usize(0, 1 << 13) * 8;
     let write = rng.next_u64() % 100 < write_pct;
-    match (rng.range_usize(0, 3), write) {
+    match (rng.range_usize(0, 2), write) {
         (0, false) => Op::Read(addr),
         (0, true) => Op::Write(addr),
-        (1, false) => Op::ReadRun(addr, rng.range_usize(0, 40)),
-        (1, true) => Op::WriteRun(addr, rng.range_usize(0, 40)),
-        _ => Op::LineRep((addr / 64) as u64, rng.range_usize(1, 9), write),
+        (_, false) => Op::ReadRun(addr, rng.range_usize(0, 40)),
+        (_, true) => Op::WriteRun(addr, rng.range_usize(0, 40)),
     }
 }
 
@@ -51,7 +49,6 @@ fn apply(h: &mut Hierarchy, op: Op) {
         Op::Write(a) => h.write(a),
         Op::ReadRun(a, n) => h.read_run(a, n),
         Op::WriteRun(a, n) => h.write_run(a, n),
-        Op::LineRep(l, n, w) => h.line_rep(l, n, w),
     }
 }
 

@@ -100,25 +100,6 @@ pub struct RegionPlan {
     pub phases: Vec<Phase>,
 }
 
-/// Footprint and liveness summary of one phase, exported by
-/// [`Plan::phase_infos`] for plan-level analyses.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PhaseInfo {
-    /// Index of the owning region within the plan.
-    pub region: usize,
-    /// The owning region's kind.
-    pub kind: RegionKind,
-    /// Steps across all threads of the phase.
-    pub steps: usize,
-    /// Region-local declared-alloc indices live in this phase (sorted,
-    /// deduplicated): which temporaries the phase's steps touch. A
-    /// buffer's liveness is the span from its first to its last
-    /// appearance across the region's phases.
-    pub buffers: Vec<usize>,
-    /// Whether the phase ends at a barrier.
-    pub barrier: bool,
-}
-
 /// A lowered schedule for one `(Variant, box extents, nthreads)` triple.
 #[derive(Clone, Debug)]
 pub struct Plan {
@@ -253,67 +234,6 @@ impl Plan {
     /// pass-provenance component of plan and store keys.
     pub fn pass_key(&self) -> String {
         self.passes.join(",")
-    }
-
-    /// Per-phase footprint metadata, flattened across regions in
-    /// execution order. Plan-level analyses (the symbolic traffic
-    /// summarizer, liveness reports) key their claims on this instead of
-    /// re-deriving structure from the step lists.
-    pub fn phase_infos(&self) -> Vec<PhaseInfo> {
-        let mut out = Vec::new();
-        for (ri, region) in self.regions.iter().enumerate() {
-            // Steps address face temporaries in fab-view space (raw
-            // carry caches excluded); map back to declared-alloc space.
-            let fab_alloc: Vec<usize> = region
-                .allocs
-                .iter()
-                .enumerate()
-                .filter(|(_, a)| matches!(a.kind, AllocKind::Fab { .. }))
-                .map(|(i, _)| i)
-                .collect();
-            let all: Vec<usize> = (0..region.allocs.len()).collect();
-            let raws: Vec<usize> = region
-                .allocs
-                .iter()
-                .enumerate()
-                .filter(|(_, a)| matches!(a.kind, AllocKind::Raw { .. }))
-                .map(|(i, _)| i)
-                .collect();
-            for phase in &region.phases {
-                let mut buffers: Vec<usize> = Vec::new();
-                let mut steps = 0;
-                for step in phase.work.iter().flatten() {
-                    steps += 1;
-                    let touched: Vec<usize> = match *step {
-                        Step::Flux1 { flux, .. }
-                        | Step::Flux2Cli { flux, .. }
-                        | Step::Accumulate { flux, .. } => vec![fab_alloc[flux]],
-                        Step::ExtractVel { flux, vel, .. } | Step::Flux2Clo { flux, vel, .. } => {
-                            vec![fab_alloc[flux], fab_alloc[vel]]
-                        }
-                        Step::FillVel { vel, .. } => vec![fab_alloc[vel]],
-                        Step::FusedClo { .. } | Step::WfSpan { .. } | Step::OtTiles { .. } => {
-                            all.clone()
-                        }
-                        Step::FusedCli { .. } => raws.clone(),
-                    };
-                    for b in touched {
-                        if !buffers.contains(&b) {
-                            buffers.push(b);
-                        }
-                    }
-                }
-                buffers.sort_unstable();
-                out.push(PhaseInfo {
-                    region: ri,
-                    kind: region.kind,
-                    steps,
-                    buffers,
-                    barrier: phase.barrier_after,
-                });
-            }
-        }
-        out
     }
 
     /// Redundantly recomputed faces: tile-surface faces of overlapped

@@ -19,8 +19,7 @@
 //!
 //! The module is layered (DESIGN.md §14):
 //!
-//! * [`ir`] — the typed plan vocabulary plus per-phase footprint and
-//!   liveness metadata ([`Plan::phase_infos`]);
+//! * [`ir`] — the typed plan vocabulary;
 //! * [`lower`](self::lower()) (module [`lower`][crate::plan::lower]) —
 //!   the four category lowerings, producing pass-free plans;
 //! * [`analysis`] — cross-thread/cross-phase dependence from buffer
@@ -66,9 +65,7 @@ pub mod verify;
 // `plan::lower(...)` (the function) can coexist with the conceptual
 // "lower layer"; re-export everything flat.
 pub use interp::{execute, execute_pair};
-pub use ir::{
-    zslab, AllocEvent, AllocKind, Phase, PhaseInfo, Plan, RegionKind, RegionPlan, Step, Stream,
-};
+pub use ir::{zslab, AllocEvent, AllocKind, Phase, Plan, RegionKind, RegionPlan, Step, Stream};
 pub use lower_impl::{effective_threads, lower};
 pub use passes::{Pass, Pipeline, PipelineError};
 
@@ -214,39 +211,6 @@ mod tests {
 
     fn ot(intra: IntraTile, comp: CompLoop, t: i32) -> Variant {
         Variant { comp, ..Variant::overlapped(intra, t, Granularity::WithinBox) }
-    }
-
-    #[test]
-    fn phase_infos_export_footprints() {
-        // Series CLO: 3 regions x 4 phases, each phase in its declared
-        // region, flux (alloc 0) everywhere, vel (alloc 1) only in the
-        // extract and flux2 phases, every phase barriered.
-        let plan = plan_for(Variant::baseline(), IntVect::splat(8), 1);
-        let infos = plan.phase_infos();
-        assert_eq!(infos.len(), 12);
-        for (i, p) in infos.iter().enumerate() {
-            assert_eq!(p.region, i / 4);
-            assert_eq!(p.kind, RegionKind::Series);
-            assert_eq!(p.steps, 1);
-            assert!(p.barrier);
-            let with_vel = matches!(i % 4, 1 | 2);
-            assert_eq!(p.buffers, if with_vel { vec![0, 1] } else { vec![0] }, "phase {i}");
-        }
-        // Fused CLO: one unbarriered phase whose steps touch every
-        // temporary (carry caches 0-1, velocity fabs 2-4).
-        let plan = plan_for(Variant::shift_fuse(), IntVect::splat(8), 1);
-        let infos = plan.phase_infos();
-        assert_eq!(infos.len(), 1);
-        assert_eq!(infos[0].kind, RegionKind::Fuse);
-        assert_eq!(infos[0].steps, 3 + NCOMP);
-        assert_eq!(infos[0].buffers, vec![0, 1, 2, 3, 4]);
-        assert!(!infos[0].barrier);
-        // Wavefront phases carry their kind so analyses can decline
-        // them; buffers still cover the region's allocs.
-        let plan = plan_for(Variant::blocked_wavefront(CompLoop::Inside, 4), IntVect::splat(8), 1);
-        let infos = plan.phase_infos();
-        assert!(!infos.is_empty());
-        assert!(infos.iter().all(|p| p.kind == RegionKind::Wavefront));
     }
 
     #[test]

@@ -34,12 +34,6 @@ pub trait Pass: Send + Sync {
     fn name(&self) -> String;
     /// Rewrite the plan, or explain why it does not apply.
     fn apply(&self, plan: Plan) -> Result<Plan, String>;
-    /// Does the pass preserve each box's serial per-thread step stream
-    /// exactly (barrier/phase restructuring only)? Order-preserving
-    /// pipelines keep the symbolic traffic engine's claims valid.
-    fn order_preserving(&self) -> bool {
-        false
-    }
 }
 
 /// Remove every barrier the dependence analysis proves redundant.
@@ -48,10 +42,6 @@ pub struct ElideBarriers;
 impl Pass for ElideBarriers {
     fn name(&self) -> String {
         "elide-barriers".into()
-    }
-
-    fn order_preserving(&self) -> bool {
-        true
     }
 
     fn apply(&self, mut plan: Plan) -> Result<Plan, String> {
@@ -74,10 +64,6 @@ pub struct FusePhases;
 impl Pass for FusePhases {
     fn name(&self) -> String {
         "fuse-phases".into()
-    }
-
-    fn order_preserving(&self) -> bool {
-        true
     }
 
     fn apply(&self, mut plan: Plan) -> Result<Plan, String> {
@@ -300,12 +286,6 @@ impl Pipeline {
         self.passes.is_empty()
     }
 
-    /// True iff every pass preserves the serial per-thread step stream
-    /// (see [`Pass::order_preserving`]).
-    pub fn order_preserving(&self) -> bool {
-        self.passes.iter().all(|p| p.order_preserving())
-    }
-
     /// Run the passes in order, stamp provenance, and verify the result.
     /// The empty pipeline returns the plan untouched (and unverified —
     /// it *is* the reference).
@@ -376,8 +356,9 @@ mod tests {
         let v = Variant { gran: Granularity::WithinBox, ..Variant::baseline() };
         let p = apply("elide-barriers", v, 8, 2);
         assert_eq!(p.barrier_count(), 1);
+        let phases = p.regions.iter().flat_map(|r| &r.phases);
         let kept: Vec<_> =
-            p.phase_infos().iter().enumerate().filter(|(_, i)| i.barrier).map(|(i, _)| i).collect();
+            phases.enumerate().filter(|(_, ph)| ph.barrier_after).map(|(i, _)| i).collect();
         // Phase 10 is the z region's flux2 phase (regions of 4 phases).
         assert_eq!(kept, vec![10]);
         // At one thread there is nothing to protect at all.
@@ -466,13 +447,12 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_key_roundtrips_and_tracks_order_preservation() {
+    fn pipeline_key_roundtrips() {
         let pipe = Pipeline::parse(" elide-barriers , fuse-phases ").unwrap();
         assert_eq!(pipe.key(), "elide-barriers,fuse-phases");
-        assert!(pipe.order_preserving());
         assert_eq!(pipe.clone().key(), pipe.key());
         let pipe = Pipeline::parse("elide-barriers,cross-box-fuse:4").unwrap();
-        assert!(!pipe.order_preserving());
+        assert_eq!(pipe.key(), "elide-barriers,cross-box-fuse:4");
         assert!(Pipeline::empty().is_empty());
         assert_eq!(Pipeline::empty().key(), "");
     }

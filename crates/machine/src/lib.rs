@@ -35,18 +35,19 @@ pub mod analytic;
 pub mod engine;
 pub mod fault;
 pub mod figures;
+mod frozen;
 pub mod journal;
 pub mod json;
 pub mod model;
 pub mod serve;
 pub mod spec;
 pub mod sweep;
-pub mod symbolic;
 pub mod traffic;
 
 pub use adapter::TraceMem;
 pub use engine::{PointFailure, PrewarmReport, SimPoint, SkippedPoint, SweepBudget, SweepEngine};
 pub use fault::FaultHook;
+pub use frozen::{measure_box_traffic_parallel, measure_box_traffic_symbolic, symbolic};
 pub use journal::PriorSweep;
 pub use model::{predict_time, predict_time_with_traffic, Prediction, Workload};
 pub use serve::{ServeConfig, ServeFaultAction, ServeHook, ServeStats, Server};
@@ -54,9 +55,7 @@ pub use spec::MachineSpec;
 pub use sweep::{
     candidate_pipelines, search_schedules, ConfirmedSchedule, ScheduleCandidate, SearchReport,
 };
-pub use symbolic::{measure_box_traffic_symbolic, SymbolicAnalysis};
 pub use traffic::{
-    measure, measure_box_traffic, measure_box_traffic_parallel, pair_store_key, store_key,
-    store_key_with_passes, BoxTraffic, Boxes, CacheStats, Engine, Point, StoreReader, StoreView,
-    TrafficCache, TrafficMode,
+    measure, measure_box_traffic, pair_store_key, store_key, store_key_with_passes, BoxTraffic,
+    Boxes, CacheStats, Engine, Point, StoreReader, StoreView, TrafficCache,
 };

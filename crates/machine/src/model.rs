@@ -25,6 +25,17 @@ use pdesched_kernels::ops::{exemplar_ops, exemplar_ops_overlapped};
 use pdesched_kernels::NCOMP;
 use pdesched_mesh::IBox;
 
+/// The edges of the paper's fixed-size problem, in cells (Section
+/// III-C).
+const PAPER_DOMAIN: [usize; 3] = [512, 384, 256];
+
+/// Whether boxes of edge `box_n` tile the paper's domain: `box_n`
+/// divides every edge. Dividing the cell count is not enough: 256^3
+/// divides 512·384·256, but 384 is not a multiple of 256.
+pub fn tiles_paper_domain(box_n: i32) -> bool {
+    box_n >= 1 && PAPER_DOMAIN.iter().all(|&edge| edge % box_n as usize == 0)
+}
+
 /// The per-node problem: `num_boxes` boxes of `box_n`^3 cells.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Workload {
@@ -40,10 +51,9 @@ impl Workload {
     /// (Section III-C: 12,288 / 1,536 / 192 / 24 boxes for
     /// 16/32/64/128).
     pub fn paper(box_n: i32) -> Workload {
-        let total: usize = 512 * 384 * 256;
-        let per_box = (box_n as usize).pow(3);
-        assert_eq!(total % per_box, 0, "box size {box_n} must divide the domain");
-        Workload { box_n, num_boxes: total / per_box }
+        assert!(tiles_paper_domain(box_n), "box size {box_n} must divide every domain edge");
+        let total: usize = PAPER_DOMAIN.iter().product();
+        Workload { box_n, num_boxes: total / (box_n as usize).pow(3) }
     }
 
     /// Total cells.
@@ -275,6 +285,16 @@ mod tests {
         assert_eq!(Workload::paper(64).num_boxes, 192);
         assert_eq!(Workload::paper(128).num_boxes, 24);
         assert_eq!(Workload::paper(128).total_cells(), 50_331_648);
+    }
+
+    #[test]
+    fn box_edges_must_divide_every_domain_edge() {
+        let edges: Vec<i32> = (1..=512).filter(|&n| tiles_paper_domain(n)).collect();
+        assert_eq!(edges, [1, 2, 4, 8, 16, 32, 64, 128]);
+        // 256^3 divides the cell count, but 384 is not a multiple of 256.
+        assert_eq!((512 * 384 * 256) % 256usize.pow(3), 0);
+        assert!(!tiles_paper_domain(256));
+        assert!(!tiles_paper_domain(0) && !tiles_paper_domain(-8));
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //! paper's three evaluation nodes), case-insensitively: a full name, or
 //! a substring that exactly one name contains — a query several names
 //! contain (`"Ivy Bridge"`) is a `bad_request` listing them; `n` is
-//! the box edge (must divide the paper workload's 512×384×256 domain);
+//! the box edge (must divide every edge of the paper workload's
+//! 512×384×256 domain);
 //! `threads` defaults to the machine's core count; `top` (default 3)
 //! bounds how many ranked variants are measured and returned; `passes`
 //! is a pass-pipeline spec applied to each measured variant. One JSON
@@ -52,7 +53,8 @@
 //! (`Conn::pace`) — so a tight-loop client's throughput is the server's
 //! stated rate rather than the host scheduler's mood; occasional and
 //! cold requests never wait (DESIGN.md §15 *Pacing*). A request line
-//! is capped at 64 KiB (`MAX_LINE`): a longer one gets one
+//! is capped at 64 KiB (`MAX_LINE`), and a partial line may wait at most
+//! 2 s for its newline (`STALL`): a longer or slower one gets one
 //! `bad_request` and the connection is closed. At most 256 connections
 //! (`MAX_CONNS`) are open at once; one more is answered `overloaded`
 //! and closed by the accept loop. With no reader thread, a
@@ -122,7 +124,7 @@ use crate::json::json_str;
 use crate::model::{self, Workload};
 use crate::spec::MachineSpec;
 use crate::sweep;
-use crate::traffic::{store_key_with_passes, Boxes, Point, TrafficCache, TrafficMode};
+use crate::traffic::{store_key_with_passes, Boxes, Point, TrafficCache};
 use pdesched_cachesim::CacheConfig;
 use pdesched_core::plan::Stream;
 use pdesched_core::{Pipeline, Variant};
@@ -136,6 +138,12 @@ const MAX_TOP: usize = 32;
 /// single `bad_request` and the connection is closed, so a newline-less
 /// flood cannot grow a connection's buffer past this (plus one read).
 const MAX_LINE: usize = 64 * 1024;
+
+/// Longest a partial request line may wait for its newline. Past it the
+/// line gets a single `bad_request` and the connection is closed, so
+/// clients that each send a line's first byte and stop cannot hold
+/// [`MAX_CONNS`] connections forever.
+pub const STALL: Duration = Duration::from_secs(2);
 
 /// Most connections open at once. The accept loop answers one past it
 /// with the `overloaded` line and closes it, so a connection flood
@@ -184,10 +192,9 @@ pub struct ServeConfig {
     pub addr: String,
     /// Backing traffic store; `None` = in-memory only (never stale).
     pub store: Option<PathBuf>,
-    /// Measurement mode for cold points.
-    pub mode: TrafficMode,
     /// No effect: every cold point is measured on its flight's own
-    /// thread. Kept, with `repro serve --threads`, for `benchmark/`.
+    /// thread. Kept, with `repro serve --threads`, only because
+    /// `benchmark/` sets it; ROADMAP item 1 drops that.
     pub engine_threads: usize,
     /// Admission bound: requests being processed at once; at capacity
     /// new requests are rejected with `"overloaded"`.
@@ -217,7 +224,6 @@ impl Default for ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             store: None,
-            mode: TrafficMode::Simulate,
             engine_threads: 1,
             max_inflight: 8,
             retry_after: Duration::from_millis(100),
@@ -281,7 +287,7 @@ struct ServerInner {
     /// Memoised analytic rankings, keyed by (machine name, box edge,
     /// threads) and cut to the [`MAX_TOP`] entries a request can ask
     /// for. The ranking is a pure function of its key and the key domain
-    /// is finite (4 machines × the 8 box edges dividing the domain ×
+    /// is finite (4 machines × the 7 box edges dividing the domain ×
     /// `hw_threads`), so the table needs neither eviction nor
     /// invalidation: it never holds store-derived traffic.
     ranks: Mutex<HashMap<(&'static str, i32, usize), Ranking>>,
@@ -319,8 +325,7 @@ impl Server {
         let cache = match &cfg.store {
             Some(path) => TrafficCache::with_store(path),
             None => TrafficCache::new(),
-        }
-        .with_mode(cfg.mode);
+        };
         let cache = match &cfg.store_fault {
             Some(hook) => cache.with_fault_hook(Arc::clone(hook)),
             None => cache,
@@ -581,13 +586,21 @@ fn handle_connection(inner: &Arc<ServerInner>, stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(IDLE_POLL));
     let mut conn =
         Conn { stream, buf: Vec::new(), token: inner.token.child(), due: Instant::now() };
+    // Since when the buffer has held a partial line.
+    let mut partial_since = None;
     loop {
         let newline = conn.buf.iter().position(|&b| b == b'\n');
         if newline.unwrap_or(conn.buf.len()) > MAX_LINE {
-            refuse_oversize(&mut conn);
+            refuse(&mut conn, &format!("request line exceeds {MAX_LINE} bytes"));
             break;
         }
         let Some(newline) = newline else {
+            if conn.buf.is_empty() {
+                partial_since = None;
+            } else if partial_since.get_or_insert_with(Instant::now).elapsed() >= STALL {
+                refuse(&mut conn, "request line stalled");
+                break;
+            }
             match conn.fill() {
                 Fill::Closed => break,
                 Fill::Idle if inner.token.is_tripped() => break,
@@ -596,6 +609,7 @@ fn handle_connection(inner: &Arc<ServerInner>, stream: TcpStream) {
         };
         let line = String::from_utf8_lossy(&conn.buf[..newline]).trim().to_string();
         conn.buf.drain(..=newline);
+        partial_since = None;
         if line.is_empty() {
             continue;
         }
@@ -610,13 +624,13 @@ fn handle_connection(inner: &Arc<ServerInner>, stream: TcpStream) {
     let _ = conn.stream.shutdown(Shutdown::Both);
 }
 
-/// Answer a line longer than [`MAX_LINE`] and give the connection up.
-/// The client may still be sending, and closing a socket with unread
-/// bytes resets it — which can destroy the reply before the client
-/// reads it — so half-close and discard input for a bounded moment.
-fn refuse_oversize(conn: &mut Conn) {
-    let reply = err_json("bad_request", &format!("request line exceeds {MAX_LINE} bytes"));
-    if conn.send(reply).is_err() {
+/// Answer a line that is too long ([`MAX_LINE`]) or too slow ([`STALL`])
+/// with one `bad_request` and give the connection up. The client may
+/// still be sending, and closing a socket with unread bytes resets it —
+/// which can destroy the reply before the client reads it — so
+/// half-close and discard input for a bounded moment.
+fn refuse(conn: &mut Conn, detail: &str) {
+    if conn.send(err_json("bad_request", detail)).is_err() {
         return;
     }
     let _ = conn.stream.shutdown(Shutdown::Write);
@@ -709,9 +723,8 @@ fn answer(
         Some(JVal::N(v)) if v.fract() == 0.0 => *v + 0.0,
         _ => return err_json("bad_request", "missing or non-integer field \"n\""),
     };
-    // Bounded by the longest domain edge *before* cubing.
-    let domain: usize = 512 * 384 * 256;
-    if !(2.0..=512.0).contains(&n) || !domain.is_multiple_of((n as usize).pow(3)) {
+    // Bounded by the longest domain edge *before* the cast.
+    if !(2.0..=512.0).contains(&n) || !model::tiles_paper_domain(n as i32) {
         return err_json(
             "bad_request",
             &format!("box edge {n} must divide the 512x384x256 domain"),
@@ -778,7 +791,7 @@ fn answer(
             return cancel_json(req_token);
         }
         let (dram, source) = match inner.cache.peek(&key) {
-            Some((t, _)) => (t.dram_bytes, "warm"),
+            Some(t) => (t.dram_bytes, "warm"),
             None if stale => {
                 // Read-only degradation: no simulation, answer from the
                 // closed-form model rather than block or die.
@@ -1031,8 +1044,8 @@ fn spawn_flight_worker(inner: &Arc<ServerInner>, flight: &Arc<Flight>, flight_ke
                 }
             };
             // The flight token is ambient for the whole measurement, so
-            // plan execution and the symbolic engine poll it at their
-            // checkpoints and an abandoned flight stops mid-execution.
+            // plan execution polls it at its checkpoints and an abandoned
+            // flight stops mid-execution.
             let result = {
                 let _ambient = cancel::set_current(Some(flight.token.clone()));
                 measure_cold(&inner.cache, &next)

@@ -20,7 +20,6 @@
 
 use crate::adapter::TraceMem;
 use crate::fault::FaultHook;
-use crate::symbolic::{analyze, emit_symbolic_stream};
 use pdesched_cachesim::{CacheConfig, Hierarchy, Stats};
 use pdesched_core::plan::{self, Plan, Stream};
 use pdesched_core::{plan_for_optimized, Mem, Pipeline, PipelineError, Variant};
@@ -41,48 +40,21 @@ use std::time::Duration;
 /// simulator's replacement policy — and every stale store self-discards
 /// instead of serving wrong numbers. (v3: per-line checksums; v4:
 /// provenance-tagged entries. v3 stores are *migrated*, not discarded:
-/// the symbolic pipeline is bit-identical to the simulator, so v3
-/// measurements stay valid and are rewritten with a `sim` tag.)
+/// the simulator is unchanged, so v3 measurements stay valid and are
+/// rewritten with a `sim` tag.)
 pub const STORE_VERSION: u32 = 4;
 
 /// The v3 header, still accepted on read (see [`STORE_VERSION`]).
 const V3_HEADER: &str = "# pdesched-traffic-store v3";
 
-/// How a traffic number is (or was) produced. For the cache this is
-/// *provenance*, not a key: the two modes agree bit-for-bit (pinned by
-/// the cross-validation suite), so an entry measured under one mode is
-/// served under the other.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum TrafficMode {
-    /// Run the schedule for real and replay every element access
-    /// through the simulator.
-    #[default]
-    Simulate,
-    /// Plan-level symbolic summarization ([`crate::symbolic`]), falling
-    /// back to the simulator when the analysis leaves phases unclaimed.
-    Symbolic,
-}
+/// The provenance tag the writer records on every entry line: the plan
+/// interpreter is the one producer.
+const SIM_TAG: &str = "sim";
 
-impl TrafficMode {
-    /// The store tag recorded with entries measured under this mode.
-    pub fn tag(self) -> &'static str {
-        match self {
-            TrafficMode::Simulate => "sim",
-            TrafficMode::Symbolic => "sym",
-        }
-    }
-
-    /// Parse a store tag. `hyb` is the tag of a retired third mode that
-    /// took the same path as `Symbolic`; v4 stores written under it must
-    /// still verify and load.
-    pub fn from_tag(tag: &str) -> Option<TrafficMode> {
-        match tag {
-            "sim" => Some(TrafficMode::Simulate),
-            "sym" | "hyb" => Some(TrafficMode::Symbolic),
-            _ => None,
-        }
-    }
-}
+/// The tags a v4 line may carry: `sim`, and `sym` and `hyb` of two
+/// retired engines pinned bit-identical to the simulator, whose lines
+/// therefore still load. Any other tag is a corrupt line.
+const LOADABLE_TAGS: [&str; 3] = [SIM_TAG, "sym", "hyb"];
 
 /// Measured traffic for one exemplar update of one box.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -185,30 +157,26 @@ impl<'a> Point<'a> {
     }
 }
 
-/// How [`measure`] may produce a number. Every engine returns the same
-/// bits for the same [`Point`] (`tests/engine_matrix.rs`); they differ
-/// in cost only. [`TrafficCache`] builds one from its [`TrafficMode`].
-/// Every engine runs on the calling thread.
+/// Which sink [`measure`] replays the plan interpreter's stream into.
+/// Both return the same bits for the same [`Point`]
+/// (`tests/engine_matrix.rs`); they differ in cost only. [`TrafficCache`]
+/// measures with [`Engine::Simulate`]. Both run on the calling thread.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Engine {
     /// The plan interpreter into [`Hierarchy::reference`]: per-element
     /// probes over plain stamped levels, no run batching. Slow; the
-    /// oracle every other engine is checked against.
+    /// oracle the fast simulator is checked against.
     Reference,
     /// The plan interpreter into the fast simulator.
     Simulate,
-    /// [`Engine::Simulate`], except that a plan the symbolic analysis
-    /// fully claims is produced by the symbolic emitters instead of the
-    /// interpreter.
-    Symbolic,
 }
 
 /// How many boxes one measurement streams through before dividing the
 /// counters: amortizes cold-start (first touch of the reusable
 /// temporaries) and the final flush. Cheap small boxes get more
 /// repetitions; large boxes stream through the caches anyway, so one
-/// pass is already steady state. Shared by every producer — the
-/// division must match the allocation pattern exactly.
+/// pass is already steady state. The division must match the
+/// allocation pattern exactly.
 pub(crate) fn box_reps(n: i32) -> usize {
     if n <= 32 {
         4
@@ -283,97 +251,47 @@ fn box_traffic(s: &Stats, line: usize, boxes: usize) -> BoxTraffic {
 
 /// Measure `point` under `engine`: per-box steady-state DRAM traffic of
 /// every member (one [`BoxTraffic`] per entry of `point.lasts`, in
-/// order), plus whether the symbolic emitters produced the stream.
+/// order).
 ///
-/// The whole engine decision lives here. **Producer:** the symbolic
-/// emitters iff the engine is [`Engine::Symbolic`], the workload is a
-/// single box, the pipeline is order-preserving (the verifier pinned
-/// the serial step stream to the hand lowering, so the claim stays
-/// sound) and the analysis claims every phase; otherwise the plan
-/// interpreter ([`drive`]). The producer runs once whatever the number
-/// of members. **Sink:** one [`Hierarchy::reference`] per member for
-/// [`Engine::Reference`] (the oracle shares nothing), else the fan-out
-/// hierarchy [`Hierarchy::fan_out`]`(front, lasts)`. Both run on the
-/// calling thread: a sweep-pool worker, a serve flight or the caller.
+/// **Producer:** the plan interpreter ([`drive`]), run once whatever
+/// the number of members. **Sink:** one [`Hierarchy::reference`] per
+/// member for [`Engine::Reference`] (the oracle shares nothing), else
+/// the fan-out hierarchy [`Hierarchy::fan_out`]`(front, lasts)`. Both
+/// run on the calling thread: a sweep-pool worker, a serve flight or
+/// the caller.
 ///
 /// Fails — measuring nothing — if the variant cannot run on the box or
 /// the pipeline fails (a pass precondition or the plan verifier).
-pub fn measure(
-    point: &Point<'_>,
-    engine: Engine,
-) -> Result<(Vec<BoxTraffic>, bool), PipelineError> {
+pub fn measure(point: &Point<'_>, engine: Engine) -> Result<Vec<BoxTraffic>, PipelineError> {
     let Point { variant, n, front, lasts, pipeline, boxes } = *point;
     if engine == Engine::Reference && lasts.len() > 1 {
         let mut members = Vec::with_capacity(lasts.len());
         for i in 0..lasts.len() {
-            members.extend(measure(&Point { lasts: &lasts[i..=i], ..*point }, engine)?.0);
+            members.extend(measure(&Point { lasts: &lasts[i..=i], ..*point }, engine)?);
         }
-        return Ok((members, false));
+        return Ok(members);
     }
     variant.validate_for_box(n).map_err(PipelineError::Invalid)?;
     // Lower + transform *before* any trace reset: plan verification may
     // draw trace addresses of its own, and the measurement layout must
     // start from a clean slate either way.
     let plan = plan_for_optimized(variant, IntVect::splat(n), 1, pipeline)?;
-    let used_symbolic = engine == Engine::Symbolic
-        && boxes == Boxes::Single
-        && pipeline.order_preserving()
-        && analyze(variant, n).fully_claimed();
-    // Every geometry the sink simulates: what the symbolic window
-    // certificates must hold for.
     let geometry: Vec<CacheConfig> = front.iter().chain(lasts).copied().collect();
-    let mut sim = match engine {
+    let trace = TraceMem::new(match engine {
         Engine::Reference => Hierarchy::reference(&geometry),
-        _ => Hierarchy::fan_out(front, lasts),
-    };
-    let boxes_run = if used_symbolic {
-        let k = emit_symbolic_stream(variant, n, &geometry, &mut sim).0;
-        sim.flush();
-        k
-    } else {
-        let trace = TraceMem::new(sim);
-        let k = drive(&plan, n, boxes, &trace);
-        sim = trace.finish();
-        k
-    };
-    let members = (0..lasts.len())
-        .map(|i| box_traffic(&sim.tail_stats(i), geometry[0].line, boxes_run))
-        .collect();
-    Ok((members, used_symbolic))
+        Engine::Simulate => Hierarchy::fan_out(front, lasts),
+    });
+    let boxes_run = drive(&plan, n, boxes, &trace);
+    let sim = trace.finish();
+    let line = geometry[0].line;
+    Ok((0..lasts.len()).map(|i| box_traffic(&sim.tail_stats(i), line, boxes_run)).collect())
 }
 
 /// [`measure`] for the hand lowering of one box on the fast
-/// simulator, panicking where `measure` refuses. Frozen for
-/// `benchmark/`, which cannot change in the PR that introduced
-/// `measure`; new code calls `measure`.
+/// simulator, panicking where `measure` refuses.
 pub fn measure_box_traffic(variant: Variant, n: i32, configs: &[CacheConfig]) -> BoxTraffic {
-    let (members, _) = measure(&Point::hand(variant, n, configs), Engine::Simulate)
-        .unwrap_or_else(|e| panic!("{e}"));
-    members[0]
-}
-
-/// What [`measure_box_traffic_parallel`] returns beside the traffic:
-/// the one shard every measurement now runs on.
-#[derive(Clone, Copy, Debug)]
-pub struct OneShard;
-
-impl OneShard {
-    /// Total work over the busiest shard's: 1.0, the serial sink.
-    pub fn balance(&self) -> f64 {
-        1.0
-    }
-}
-
-/// [`crate::symbolic::measure_box_traffic_symbolic`]; `threads` is
-/// ignored. Frozen for `benchmark/`, which imports it; new code calls
-/// `measure`.
-pub fn measure_box_traffic_parallel(
-    variant: Variant,
-    n: i32,
-    configs: &[CacheConfig],
-    _threads: usize,
-) -> (BoxTraffic, OneShard) {
-    (crate::symbolic::measure_box_traffic_symbolic(variant, n, configs), OneShard)
+    let members = measure(&Point::hand(variant, n, configs), Engine::Simulate);
+    members.unwrap_or_else(|e| panic!("{e}"))[0]
 }
 
 /// What [`TrafficCache::fetch`] has for one member of a point: its
@@ -382,9 +300,8 @@ pub fn measure_box_traffic_parallel(
 pub(crate) type MemberResult = Result<BoxTraffic, Box<dyn Any + Send>>;
 
 /// Every member this process produced, by access stream: per stream,
-/// the (workload, whole hierarchy) it was measured on, its number and
-/// the producer's provenance tag.
-type StreamMap = HashMap<Stream, Vec<(Boxes, Vec<CacheConfig>, BoxTraffic, TrafficMode)>>;
+/// the (workload, whole hierarchy) it was measured on and its number.
+type StreamMap = HashMap<Stream, Vec<(Boxes, Vec<CacheConfig>, BoxTraffic)>>;
 
 /// Hit/miss and store-health counters of a [`TrafficCache`] at one
 /// instant.
@@ -412,16 +329,6 @@ pub struct CacheStats {
     /// Append retry attempts made under [`TrafficCache::set_append_retry`]
     /// (an append that succeeds on its first try contributes zero).
     pub retried_appends: u64,
-    /// Members produced under a symbolic-capable mode whose plan the
-    /// analysis fully claimed (the symbolic producer ran). Zero under
-    /// [`TrafficMode::Simulate`].
-    pub claimed_points: u64,
-    /// Members produced under a symbolic-capable mode that fell back to
-    /// the exact simulator (unclaimed plan — e.g. wavefront or
-    /// overlapped-tile variants). Under [`TrafficMode::Symbolic`],
-    /// `claimed_points + fallback_points + shared_points` is every miss
-    /// that got a number.
-    pub fallback_points: u64,
     /// Producer passes run to completion: how many times a schedule's
     /// access stream was actually generated and simulated. A sweep's
     /// points that replay one stream and differ only in the last cache
@@ -465,8 +372,6 @@ pub struct TrafficCache {
     /// What this process produced, by stream: the members a later miss
     /// can be recorded from without running a producer.
     streams: Mutex<StreamMap>,
-    /// Measurement mode for misses (provenance-tags new store entries).
-    mode: TrafficMode,
     /// Lock file this cache owns; appends only happen when it does.
     owned_lock: Option<PathBuf>,
     /// Open handle holding the exclusive `flock` on `owned_lock`; kept
@@ -477,8 +382,6 @@ pub struct TrafficCache {
     misses: AtomicU64,
     store_errors: AtomicU64,
     retried_appends: AtomicU64,
-    claimed_points: AtomicU64,
-    fallback_points: AtomicU64,
     passes: AtomicU64,
     shared_points: AtomicU64,
     appends: AtomicU64,
@@ -553,9 +456,9 @@ pub(crate) fn store_header() -> String {
     format!("# pdesched-traffic-store v{STORE_VERSION}")
 }
 
-/// Measurements by store key, each with its provenance tag: what a
-/// [`TrafficCache`] measured beyond its store snapshot.
-pub(crate) type StoreMap = HashMap<String, (BoxTraffic, TrafficMode)>;
+/// Measurements by store key: what a [`TrafficCache`] measured beyond
+/// its store snapshot.
+pub(crate) type StoreMap = HashMap<String, BoxTraffic>;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -589,17 +492,12 @@ fn fnv1a64_x4(lanes: [&[u8]; 4]) -> [u64; 4] {
     std::array::from_fn(|i| fnv1a64_from(h[i], &lanes[i][common..]))
 }
 
-/// Serialize one entry as its store line: key, provenance tag, payload
-/// fields, then the payload's checksum as the final field.
-pub(crate) fn entry_line(key: &str, t: &BoxTraffic, mode: TrafficMode) -> String {
+/// Serialize one entry as its store line: key, the `sim` provenance tag,
+/// payload fields, then the payload's checksum as the final field.
+pub(crate) fn entry_line(key: &str, t: &BoxTraffic) -> String {
     let payload = format!(
-        "{key} {} {} {} {} {} {}",
-        mode.tag(),
-        t.dram_bytes,
-        t.reads,
-        t.writes,
-        t.l1_hit,
-        t.llc_hit
+        "{key} {SIM_TAG} {} {} {} {} {}",
+        t.dram_bytes, t.reads, t.writes, t.l1_hit, t.llc_hit
     );
     let sum = fnv1a64(payload.as_bytes());
     format!("{payload} {sum:016x}")
@@ -614,13 +512,13 @@ fn payload(line: &str) -> &str {
 /// Parse and verify one store line, given `payload_sum`, the
 /// [`fnv1a64`] of its [`payload`]; `None` means corrupt (torn, edited,
 /// or bit-rotted — the checksum covers the exact payload bytes). A v4
-/// line is `tagged` with its provenance; a v3 line has no tag field and
-/// was always simulated. The key is borrowed from the line.
+/// line is `tagged` with one of the [`LOADABLE_TAGS`]; a v3 line has no
+/// tag field. The key is borrowed from the line.
 pub(crate) fn parse_entry(
     line: &str,
     payload_sum: u64,
     tagged: bool,
-) -> Option<(&str, BoxTraffic, TrafficMode)> {
+) -> Option<(&str, BoxTraffic)> {
     let payload = payload(line);
     let sum_hex = line[payload.len()..].strip_prefix(' ')?;
     if u64::from_str_radix(sum_hex, 16).ok()? != payload_sum {
@@ -628,7 +526,9 @@ pub(crate) fn parse_entry(
     }
     let mut it = payload.split_whitespace();
     let key = it.next()?;
-    let mode = if tagged { TrafficMode::from_tag(it.next()?)? } else { TrafficMode::Simulate };
+    if tagged && !LOADABLE_TAGS.contains(&it.next()?) {
+        return None;
+    }
     let (d, r, w, l1, llc) = (it.next()?, it.next()?, it.next()?, it.next()?, it.next()?);
     if it.next().is_some() {
         return None;
@@ -642,7 +542,6 @@ pub(crate) fn parse_entry(
             l1_hit: l1.parse().ok()?,
             llc_hit: llc.parse().ok()?,
         },
-        mode,
     ))
 }
 
@@ -781,17 +680,18 @@ fn try_acquire_lock(lock: &Path) -> Option<std::fs::File> {
 /// never a half-written one. Because the keys are sorted and the line
 /// format is canonical, the bytes are a pure function of the entry set:
 /// a compacted store is byte-stable regardless of the order its entries
-/// were appended in.
+/// were appended in. Every entry is written with the `sim` tag, so a
+/// rewrite records a loaded `sym` or `hyb` line as `sim`.
 pub(crate) fn write_store_atomic<'a>(
     path: &Path,
-    entries: impl Iterator<Item = (&'a str, &'a (BoxTraffic, TrafficMode))>,
+    entries: impl Iterator<Item = (&'a str, &'a BoxTraffic)>,
 ) -> std::io::Result<()> {
     let mut entries: Vec<_> = entries.collect();
     entries.sort_unstable_by_key(|&(k, _)| k);
     let mut text = store_header();
     text.push('\n');
-    for (k, (t, mode)) in entries {
-        text.push_str(&entry_line(k, t, *mode));
+    for (k, t) in entries {
+        text.push_str(&entry_line(k, t));
         text.push('\n');
     }
     let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
@@ -871,10 +771,10 @@ fn load_store(path: &Path, stamp: (u64, u64)) -> StoreView {
         for (line, sum) in quad.into_iter().zip(sums) {
             let Some((range, text)) = line else { break };
             match text.and_then(|t| parse_entry(t, sum, view.current)) {
-                Some((key, t, mode)) => {
+                Some((key, t)) => {
                     // The key is a subslice of `bytes`; keep its range.
                     let start = key.as_ptr() as usize - bytes.as_ptr() as usize;
-                    view.index.insert(&bytes, (start, start + key.len()), (t, mode));
+                    view.index.insert(&bytes, (start, start + key.len()), t);
                 }
                 None => view.corrupt.push(range),
             }
@@ -929,7 +829,7 @@ fn key_hash(key: &[u8]) -> u64 {
 struct Entry {
     hash: u64,
     key: (usize, usize),
-    value: (BoxTraffic, TrafficMode),
+    value: BoxTraffic,
 }
 
 /// A [`StoreView`]'s lookup table: the entries in the order their keys
@@ -974,7 +874,7 @@ impl Index {
         }
     }
 
-    fn get(&self, bytes: &[u8], key: &[u8]) -> Option<(BoxTraffic, TrafficMode)> {
+    fn get(&self, bytes: &[u8], key: &[u8]) -> Option<BoxTraffic> {
         if self.slots.is_empty() {
             return None;
         }
@@ -984,7 +884,7 @@ impl Index {
 
     /// Hold `value` under the key at `key` in `bytes`, replacing what
     /// an earlier line gave the same key.
-    fn insert(&mut self, bytes: &[u8], key: (usize, usize), value: (BoxTraffic, TrafficMode)) {
+    fn insert(&mut self, bytes: &[u8], key: (usize, usize), value: BoxTraffic) {
         if 2 * (self.entries.len() + 1) > self.slots.len() {
             self.grow();
         }
@@ -1046,13 +946,13 @@ pub struct StoreView {
     corrupt: Vec<(usize, usize)>,
     /// Whether the file carried the current header. Otherwise it is
     /// missing or foreign (read as empty) or v3 (its entries are in
-    /// the index, tagged `sim`), and a writer owes it a rewrite.
+    /// the index), and a writer owes it a rewrite.
     current: bool,
 }
 
 impl StoreView {
     /// Look up an entry by its store key.
-    pub fn get(&self, key: &str) -> Option<(BoxTraffic, TrafficMode)> {
+    pub fn get(&self, key: &str) -> Option<BoxTraffic> {
         self.index.get(&self.bytes, key.as_bytes())
     }
 
@@ -1069,7 +969,7 @@ impl StoreView {
     /// The entries of this snapshot, for callers that need to iterate
     /// (compaction, tests comparing whole generations; lookups go
     /// through [`StoreView::get`]).
-    pub fn entries(&self) -> impl Iterator<Item = (&str, &(BoxTraffic, TrafficMode))> {
+    pub fn entries(&self) -> impl Iterator<Item = (&str, &BoxTraffic)> {
         self.index.entries.iter().map(|e| {
             let key = std::str::from_utf8(&self.bytes[e.key.0..e.key.1]);
             (key.expect("keys are cut from lines checked as UTF-8 at load"), &e.value)
@@ -1216,30 +1116,6 @@ impl TrafficCache {
         self
     }
 
-    /// Measure misses under `mode` (default [`TrafficMode::Simulate`]).
-    /// Hits are mode-agnostic: all modes produce identical numbers.
-    pub fn with_mode(mut self, mode: TrafficMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// The mode misses are measured under.
-    pub fn mode(&self) -> TrafficMode {
-        self.mode
-    }
-
-    /// Provenance of a held measurement, if present (`None` = not yet
-    /// measured). What the store's tag records: which pipeline produced
-    /// the number.
-    pub fn provenance(
-        &self,
-        variant: Variant,
-        n: i32,
-        configs: &[CacheConfig],
-    ) -> Option<TrafficMode> {
-        self.peek(&store_key(variant, n, configs)).map(|(_, m)| m)
-    }
-
     /// Whether this cache lost the single-writer race for its store: it
     /// serves the loaded entries and memoizes in memory, but appends
     /// nothing.
@@ -1292,21 +1168,19 @@ impl TrafficCache {
     }
 
     /// The one lookup — the store snapshot, then the fresh map: the
-    /// measurement held under a store key and its provenance, if any.
-    /// No simulation, no counter update, no I/O; `repro serve` answers
-    /// its warm path with this.
-    pub fn peek(&self, key: &str) -> Option<(BoxTraffic, TrafficMode)> {
+    /// measurement held under a store key, if any. No simulation, no
+    /// counter update, no I/O; `repro serve` answers its warm path with
+    /// this.
+    pub fn peek(&self, key: &str) -> Option<BoxTraffic> {
         let stored = self.reader.as_ref().and_then(|r| r.view().get(key));
         stored.or_else(|| self.fresh_lock().get(key).copied())
     }
 
     /// Measured (or memoized) traffic of the hand lowering on one box.
     ///
-    /// On a miss this measures under the cache's [`TrafficMode`] (the
-    /// modes agree bit-for-bit, so hits are served regardless of the
-    /// mode an entry was measured under). A failed store append degrades
-    /// to in-memory memoization and bumps [`CacheStats::store_errors`].
-    /// Panics if the variant cannot run on the box.
+    /// A failed store append degrades to in-memory memoization and
+    /// bumps [`CacheStats::store_errors`]. Panics if the variant cannot
+    /// run on the box.
     pub fn get(&self, variant: Variant, n: i32, configs: &[CacheConfig]) -> BoxTraffic {
         self.fetch_one(&Point::hand(variant, n, configs)).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -1317,13 +1191,11 @@ impl TrafficCache {
     /// give the fault hook its turn (consecutive indices, the member's
     /// own key). A missing member whose (stream, workload, hierarchy)
     /// this cache has already produced under another key is recorded
-    /// from it, with the producer's tag, and counts in
-    /// [`CacheStats::shared_points`]. The rest are grouped by (stream,
-    /// workload, front): one [`measure`] per group, over the group's
-    /// distinct last levels and under the engine this cache's mode and
-    /// thread grant select, answers them all. Every number is recorded
-    /// under its member's own key, tagged with what actually produced
-    /// it (a fallback is a simulated entry whatever the configured mode).
+    /// from it and counts in [`CacheStats::shared_points`]. The rest are
+    /// grouped by (stream, workload, front): one [`measure`] per group,
+    /// over the group's distinct last levels on [`Engine::Simulate`],
+    /// answers them all. Every number is recorded under its member's own
+    /// key.
     ///
     /// A hook that panics fails its own member only (`Err` with the
     /// panic payload; the rest is still measured) — except a
@@ -1339,7 +1211,7 @@ impl TrafficCache {
             .collect();
         let keys: Vec<String> = members.iter().map(|&(p, i)| points[p].key(i)).collect();
         let mut results: Vec<Option<MemberResult>> =
-            keys.iter().map(|k| self.peek(k).map(|(t, _)| Ok(t))).collect();
+            keys.iter().map(|k| self.peek(k).map(Ok)).collect();
         let held = results.iter().flatten().count();
         self.hits.fetch_add(held as u64, Ordering::Relaxed);
         let mut missing: Vec<usize> = (0..keys.len()).filter(|&m| results[m].is_none()).collect();
@@ -1387,9 +1259,9 @@ impl TrafficCache {
             let (p, i) = members[m];
             let point = &points[p];
             let configs = point.configs(i);
-            if let Some((t, tag)) = self.produced(stream(p), point.boxes, &configs) {
+            if let Some(t) = self.produced(stream(p), point.boxes, &configs) {
                 self.shared_points.fetch_add(1, Ordering::Relaxed);
-                self.record(keys[m].clone(), t, tag);
+                self.record(keys[m].clone(), t);
                 results[m] = Some(Ok(t));
                 continue;
             }
@@ -1411,27 +1283,16 @@ impl TrafficCache {
             run.members.push((m, slot));
         }
 
-        let engine = match self.mode {
-            TrafficMode::Simulate => Engine::Simulate,
-            TrafficMode::Symbolic => Engine::Symbolic,
-        };
         for Run { point: p, lasts, members: wanted } in runs {
             let point = &points[p];
-            let (measured, used_symbolic) = measure(&Point { lasts: &lasts, ..*point }, engine)?;
+            let measured = measure(&Point { lasts: &lasts, ..*point }, Engine::Simulate)?;
             self.passes.fetch_add(1, Ordering::Relaxed);
-            if self.mode == TrafficMode::Symbolic {
-                let counter =
-                    if used_symbolic { &self.claimed_points } else { &self.fallback_points };
-                counter.fetch_add(measured.len() as u64, Ordering::Relaxed);
-            }
-            let produced =
-                if used_symbolic { TrafficMode::Symbolic } else { TrafficMode::Simulate };
             {
                 let mut held = self.streams.lock().unwrap_or_else(|e| e.into_inner());
                 let held = held.entry(stream(p).clone()).or_default();
                 for (last, t) in lasts.iter().zip(&measured) {
                     let configs = point.front.iter().chain([last]).copied().collect();
-                    held.push((point.boxes, configs, *t, produced));
+                    held.push((point.boxes, configs, *t));
                 }
             }
             // The first member of each last level is the one produced;
@@ -1441,7 +1302,7 @@ impl TrafficCache {
                 if !std::mem::replace(&mut first[slot], false) {
                     self.shared_points.fetch_add(1, Ordering::Relaxed);
                 }
-                self.record(keys[m].clone(), measured[slot], produced);
+                self.record(keys[m].clone(), measured[slot]);
                 results[m] = Some(Ok(measured[slot]));
             }
         }
@@ -1449,18 +1310,15 @@ impl TrafficCache {
     }
 
     /// The member this cache produced for `stream` on `boxes` through
-    /// the whole hierarchy `configs`, with the producer's tag, if any.
+    /// the whole hierarchy `configs`, if any.
     fn produced(
         &self,
         stream: &Stream,
         boxes: Boxes,
         configs: &[CacheConfig],
-    ) -> Option<(BoxTraffic, TrafficMode)> {
+    ) -> Option<BoxTraffic> {
         let held = self.streams.lock().unwrap_or_else(|e| e.into_inner());
-        held.get(stream)?
-            .iter()
-            .find(|(b, c, _, _)| *b == boxes && c == configs)
-            .map(|&(_, _, t, tag)| (t, tag))
+        held.get(stream)?.iter().find(|(b, c, _)| *b == boxes && c == configs).map(|&(_, _, t)| t)
     }
 
     /// [`TrafficCache::fetch`] for a point of one member, with a
@@ -1474,7 +1332,7 @@ impl TrafficCache {
 
     /// Memoize a fresh measurement and append it to the store (if this
     /// cache owns the writer lock), with the configured retry budget.
-    fn record(&self, key: String, t: BoxTraffic, mode: TrafficMode) {
+    fn record(&self, key: String, t: BoxTraffic) {
         {
             // A refresh since the lookup missed may have brought the
             // key in with the store; then the store's entry stands.
@@ -1482,14 +1340,14 @@ impl TrafficCache {
             if self.reader.as_ref().is_some_and(|r| r.view().get(&key).is_some()) {
                 return;
             }
-            fresh.insert(key.clone(), (t, mode));
+            fresh.insert(key.clone(), t);
         }
         if let (Some(path), true) = (self.store_path(), self.owned_lock.is_some()) {
             // Line and newline go out in ONE `write` on the O_APPEND
             // handle: the kernel places each such write whole, so sweep
             // threads finishing together cannot interleave into a merged
             // line.
-            let line = entry_line(&key, &t, mode) + "\n";
+            let line = entry_line(&key, &t) + "\n";
             let max_retries = self.retry_max.load(Ordering::Relaxed);
             let backoff_us = self.retry_backoff_us.load(Ordering::Relaxed);
             let mut appended = false;
@@ -1541,10 +1399,7 @@ impl TrafficCache {
     }
 
     /// Measured (or memoized) per-box traffic of the two-box pair
-    /// workload ([`Boxes::Pair`]), keyed under [`pair_store_key`]. The
-    /// symbolic emitters do not model the interleaved two-box stream,
-    /// so under [`TrafficMode::Symbolic`] a pair miss counts as a
-    /// fallback point and is tagged `sim`.
+    /// workload ([`Boxes::Pair`]), keyed under [`pair_store_key`].
     pub fn get_pair(
         &self,
         variant: Variant,
@@ -1620,8 +1475,6 @@ impl TrafficCache {
             corrupt_lines: self.reader.as_ref().map_or(0, |r| r.view().corrupt_lines),
             store_errors: self.store_errors.load(Ordering::Relaxed),
             retried_appends: self.retried_appends.load(Ordering::Relaxed),
-            claimed_points: self.claimed_points.load(Ordering::Relaxed),
-            fallback_points: self.fallback_points.load(Ordering::Relaxed),
             passes: self.passes.load(Ordering::Relaxed),
             shared_points: self.shared_points.load(Ordering::Relaxed),
         }
@@ -1772,23 +1625,34 @@ mod tests {
 
     /// [`parse_entry`] with the line's checksum taken by plain
     /// [`fnv1a64`]: the one-line-at-a-time reading of a store line.
-    fn parse(line: &str, tagged: bool) -> Option<(&str, BoxTraffic, TrafficMode)> {
+    fn parse(line: &str, tagged: bool) -> Option<(&str, BoxTraffic)> {
         parse_entry(line, fnv1a64(payload(line).as_bytes()), tagged)
+    }
+
+    /// A checksummed v4 line carrying `tag`, as the writer of a retired
+    /// engine recorded it.
+    fn tagged_line(key: &str, t: &BoxTraffic, tag: &str) -> String {
+        let payload = format!(
+            "{key} {tag} {} {} {} {} {}",
+            t.dram_bytes, t.reads, t.writes, t.l1_hit, t.llc_hit
+        );
+        format!("{payload} {:016x}", fnv1a64(payload.as_bytes()))
     }
 
     #[test]
     fn checksummed_lines_roundtrip() {
         let t = BoxTraffic { dram_bytes: 123, reads: 45, writes: 6, l1_hit: 0.875, llc_hit: 0.5 };
-        let line = entry_line("some/key/n8/g2", &t, TrafficMode::Symbolic);
-        let (k, back, mode) = parse(&line, true).expect("own line must verify");
+        let line = entry_line("some/key/n8/g2", &t);
+        assert_eq!(line, tagged_line("some/key/n8/g2", &t, "sim"), "the writer tags `sim`");
+        let (k, back) = parse(&line, true).expect("own line must verify");
         assert_eq!(k, "some/key/n8/g2");
         assert_eq!(back, t);
-        assert_eq!(mode, TrafficMode::Symbolic);
-        // A line tagged by the retired hybrid mode still verifies and
-        // loads, as symbolic.
-        let payload = "some/key/n8/g2 hyb 123 45 6 0.875 0.5";
-        let hyb = format!("{payload} {:016x}", fnv1a64(payload.as_bytes()));
-        assert_eq!(parse(&hyb, true), Some((k, t, TrafficMode::Symbolic)));
+        // Lines tagged by the two retired engines still verify and load;
+        // any other tag is a corrupt line.
+        for tag in ["sym", "hyb"] {
+            assert_eq!(parse(&tagged_line(k, &t, tag), true), Some((k, t)), "{tag}");
+        }
+        assert_eq!(parse(&tagged_line(k, &t, "xyz"), true), None);
         // Told the wrong grammar, a line has one field too many or too
         // few: a v3 reader never takes a tag for a number.
         assert!(parse(&line, false).is_none());
@@ -1846,7 +1710,6 @@ mod tests {
         let cache = TrafficCache::with_store(&path);
         assert_eq!(cache.get(Variant::baseline(), 8, &cfg), t);
         assert_eq!(cache.stats().misses, 0, "migration must not re-measure");
-        assert_eq!(cache.provenance(Variant::baseline(), 8, &cfg), Some(TrafficMode::Simulate));
         // The file itself was rewritten in the v4 format.
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.starts_with(&store_header()), "{text}");
@@ -1860,8 +1723,8 @@ mod tests {
     #[test]
     fn writer_and_reader_load_every_store_shape_alike() {
         let t = |d| BoxTraffic { dram_bytes: d, reads: 5, writes: 3, l1_hit: 0.5, llc_hit: 0.25 };
-        let v4 = |k: &str, d| entry_line(k, &t(d), TrafficMode::Symbolic);
-        let (a, b) = (v4("k/a", 1), v4("k/b", 2));
+        // Entries as the two retired engines tagged them.
+        let (a, b) = (tagged_line("k/a", &t(1), "sym"), tagged_line("k/b", &t(2), "hyb"));
         let head = store_header();
         let torn = &b.as_bytes()[..b.len() / 2];
         // `b` with one byte bit-rotted past ASCII: not UTF-8.
@@ -1927,6 +1790,11 @@ mod tests {
             assert_eq!((reload.len(), reload.stats().corrupt_lines), (entries, 0), "{name}");
             let text = std::fs::read_to_string(&path).unwrap();
             assert!(text.starts_with(&head), "{name}: {text}");
+            // A rewrite records every entry as `sim`.
+            assert!(reload.compact_store(), "{name}");
+            let text = std::fs::read_to_string(&path).unwrap();
+            assert!(!text.contains(" sym ") && !text.contains(" hyb "), "{name}: {text}");
+            assert_eq!(text.matches(" sim ").count(), entries, "{name}: {text}");
         }
     }
 
@@ -1938,7 +1806,7 @@ mod tests {
     #[test]
     fn view_matches_a_line_by_line_oracle() {
         use std::fmt::Write as _;
-        type Held = HashMap<String, (BoxTraffic, TrafficMode)>;
+        type Held = HashMap<String, BoxTraffic>;
         fn oracle(bytes: &[u8]) -> (Held, u64) {
             let text = String::from_utf8_lossy(bytes);
             let mut lines = text.lines();
@@ -1952,24 +1820,24 @@ mod tests {
                 // A byte that is not UTF-8 reads as U+FFFD, which no
                 // generated line holds otherwise.
                 match parse(line, tagged).filter(|_| !line.contains('\u{fffd}')) {
-                    Some((k, t, mode)) => {
-                        held.insert(k.to_string(), (t, mode));
+                    Some((k, t)) => {
+                        held.insert(k.to_string(), t);
                     }
                     None => corrupt += 1,
                 }
             }
             (held, corrupt)
         }
-        type Bits = (u64, u64, u64, u64, u64, TrafficMode);
-        let bits = |(t, mode): (BoxTraffic, TrafficMode)| -> Bits {
-            (t.dram_bytes, t.reads, t.writes, t.l1_hit.to_bits(), t.llc_hit.to_bits(), mode)
+        type Bits = (u64, u64, u64, u64, u64);
+        let bits = |t: BoxTraffic| -> Bits {
+            (t.dram_bytes, t.reads, t.writes, t.l1_hit.to_bits(), t.llc_hit.to_bits())
         };
 
         let mut rng = pdesched_testkit::Rng::new(0x10ad);
         let value = |rng: &mut pdesched_testkit::Rng| {
             let mut ratio = || (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
             let (l1_hit, llc_hit) = (ratio(), ratio());
-            let mode = [TrafficMode::Simulate, TrafficMode::Symbolic][rng.range_usize(0, 2)];
+            let tag = LOADABLE_TAGS[rng.range_usize(0, LOADABLE_TAGS.len())];
             let t = BoxTraffic {
                 dram_bytes: rng.next_u64() >> rng.range_usize(0, 64),
                 reads: rng.next_u64() >> 24,
@@ -1977,7 +1845,7 @@ mod tests {
                 l1_hit,
                 llc_hit,
             };
-            (t, mode)
+            (t, tag)
         };
         // One to four cache levels: keys of every length mod 8.
         let keys: Vec<String> = (0..5000)
@@ -1997,15 +1865,15 @@ mod tests {
         let mut lines: Vec<Vec<u8>> = keys
             .iter()
             .map(|k| {
-                let (t, mode) = value(&mut rng);
-                entry_line(k, &t, mode).into()
+                let (t, tag) = value(&mut rng);
+                tagged_line(k, &t, tag).into()
             })
             .collect();
         // The damage. A later line for a held key with a different
         // value; another whose copy is corrupt, so the first stands.
-        let (t, mode) = value(&mut rng);
-        let duplicate = (keys[300].clone(), (t, mode));
-        lines.push(entry_line(&keys[300], &t, mode).into());
+        let (t, tag) = value(&mut rng);
+        let duplicate = (keys[300].clone(), t);
+        lines.push(tagged_line(&keys[300], &t, tag).into());
         // A flipped digit: the last of the payload, llc_hit's.
         let flip_digit = |line: &mut Vec<u8>| {
             let at = line.len() - 18;
@@ -2036,13 +1904,13 @@ mod tests {
             v4.extend_from_slice(if rng.range_usize(0, 7) == 0 { b"\r\n" } else { b"\n" });
         }
         // A torn tail: half a line, no newline.
-        let tail = entry_line("torn/k", &value(&mut rng).0, TrafficMode::Simulate);
+        let tail = entry_line("torn/k", &value(&mut rng).0);
         v4.extend_from_slice(&tail.as_bytes()[..tail.len() / 2]);
         // A v3 store with a v4 line among its v3 ones.
         let mut v3 = format!("{V3_HEADER}\n").into_bytes();
         for (i, key) in keys[..50].iter().enumerate() {
             let line = if i == 25 {
-                entry_line(key, &value(&mut rng).0, TrafficMode::Simulate)
+                entry_line(key, &value(&mut rng).0)
             } else {
                 v3_line(key, &value(&mut rng).0)
             };
@@ -2117,40 +1985,13 @@ mod tests {
         let (stats, bytes) = (cache.stats(), std::fs::read(&path).unwrap());
         assert_eq!((stats.misses, stats.passes), (1, 1));
         // Held by the store snapshot, measured by this process, absent.
-        let sim = TrafficMode::Simulate;
-        assert_eq!(cache.peek(&key(Variant::baseline())), Some((stored, sim)));
-        assert_eq!(cache.peek(&key(Variant::shift_fuse())), Some((local, sim)));
+        assert_eq!(cache.peek(&key(Variant::baseline())), Some(stored));
+        assert_eq!(cache.peek(&key(Variant::shift_fuse())), Some(local));
         let wavefront = Variant::blocked_wavefront(CompLoop::Outside, 4);
         assert_eq!(cache.peek(&key(wavefront)), None);
         assert_eq!(cache.stats(), stats, "peek is counter-free");
         assert_eq!(std::fs::read(&path).unwrap(), bytes, "peek never writes");
         assert_eq!(cache.len(), 2, "store entry and fresh entry, each counted once");
-    }
-
-    #[test]
-    fn symbolic_mode_tags_entries_and_matches_simulate() {
-        let dir = TempDir::new("mode");
-        let path = dir.file("traffic.txt");
-        let cfg = small_hierarchy();
-        let sym = {
-            let cache = TrafficCache::with_store(&path).with_mode(TrafficMode::Symbolic);
-            let t = cache.get(Variant::baseline(), 8, &cfg);
-            assert_eq!(cache.provenance(Variant::baseline(), 8, &cfg), Some(TrafficMode::Symbolic));
-            // An unclaimed plan under symbolic mode is honest about its
-            // provenance: the simulator produced the number.
-            let wf = Variant::blocked_wavefront(CompLoop::Outside, 4);
-            cache.get(wf, 8, &cfg);
-            assert_eq!(cache.provenance(wf, 8, &cfg), Some(TrafficMode::Simulate));
-            t
-        };
-        assert_eq!(sym, measure_box_traffic(Variant::baseline(), 8, &cfg));
-        // The tags round-trip through the store, and a simulate-mode
-        // reader serves symbolic entries (bit-identical by contract).
-        let reload = TrafficCache::with_store(&path);
-        assert_eq!(reload.len(), 2);
-        assert_eq!(reload.provenance(Variant::baseline(), 8, &cfg), Some(TrafficMode::Symbolic));
-        assert_eq!(reload.get(Variant::baseline(), 8, &cfg), sym);
-        assert_eq!(reload.stats().hits, 1);
     }
 
     #[cfg(unix)]
@@ -2283,7 +2124,7 @@ mod tests {
         let v = Variant { comp: CompLoop::Inside, ..Variant::shift_fuse() };
         let pair = |pipeline: &Pipeline| {
             let point = Point::new(v, n, &cfg, pipeline, Boxes::Pair);
-            measure(&point, Engine::Simulate).unwrap().0[0]
+            measure(&point, Engine::Simulate).unwrap()[0]
         };
         let seq = pair(&Pipeline::empty());
         let fused = pair(&Pipeline::parse("cross-box-fuse:2").unwrap());
@@ -2344,7 +2185,7 @@ mod tests {
                     s.spawn(move || {
                         start.wait();
                         for k in 0..KEYS {
-                            cache.record(key(t, k), traffic(t, k), TrafficMode::Simulate);
+                            cache.record(key(t, k), traffic(t, k));
                         }
                     });
                 }
@@ -2356,7 +2197,7 @@ mod tests {
         assert_eq!(reload.len(), THREADS * KEYS);
         for t in 0..THREADS {
             for k in 0..KEYS {
-                assert_eq!(reload.peek(&key(t, k)).map(|e| e.0), Some(traffic(t, k)), "t{t} k{k}");
+                assert_eq!(reload.peek(&key(t, k)), Some(traffic(t, k)), "t{t} k{k}");
             }
         }
     }

@@ -1,21 +1,20 @@
-//! One engine matrix: every [`Engine`] answers every [`Point`] with the
-//! bits [`Engine::Reference`] answers, picks the producer and sink
-//! `measure`'s rule says, and refuses what the reference refuses.
+//! One engine matrix: [`Engine::Simulate`] answers every [`Point`] with
+//! the bits [`Engine::Reference`] answers, and refuses what the
+//! reference refuses.
 //!
 //! The grid is small on purpose (n = 8, three variants, three
 //! pipelines, both workloads, one family of three last levels);
-//! `fastpath_equivalence` and `symbolic_crossval` sweep the wide
-//! variant space through two engines each.
+//! `fastpath_equivalence` sweeps the wide variant space through both
+//! engines.
 
 use pdesched_cachesim::CacheConfig;
 use pdesched_core::{CompLoop, Pipeline, Variant};
-use pdesched_machine::symbolic::analyze;
 use pdesched_machine::traffic::{measure, Boxes, Engine, Point, TrafficCache};
 use pdesched_testkit::TempDir;
 
 const N: i32 = 8;
 
-const ENGINES: [Engine; 3] = [Engine::Reference, Engine::Simulate, Engine::Symbolic];
+const ENGINES: [Engine; 2] = [Engine::Reference, Engine::Simulate];
 
 const PIPELINES: [&str; 3] = ["", "elide-barriers", "cross-box-fuse:2"];
 
@@ -33,42 +32,35 @@ fn every_engine_agrees_with_the_reference() {
         Variant::blocked_wavefront(CompLoop::Inside, 4),
     ];
     for variant in variants {
-        // What the hand lowering of one box moves: order-preserving
-        // pipelines must not change it.
-        let hand = measure(&Point::hand(variant, N, &configs), Engine::Reference).unwrap().0[0];
+        // What the hand lowering of one box moves: pipelines that keep
+        // its access stream must not change it.
+        let hand_point = Point::hand(variant, N, &configs);
+        let hand = measure(&hand_point, Engine::Reference).unwrap()[0];
         for spec in PIPELINES {
             let pipeline = Pipeline::parse(spec).unwrap();
             for boxes in [Boxes::Single, Boxes::Pair] {
                 let point = Point::new(variant, N, &configs, &pipeline, boxes);
                 let ctx = format!("{variant} [{spec}] {boxes:?}");
                 let reference = measure(&point, Engine::Reference)
-                    .unwrap_or_else(|e| panic!("{ctx}: every grid cell must measure: {e}"))
-                    .0[0];
-                if boxes == Boxes::Single && pipeline.order_preserving() {
+                    .unwrap_or_else(|e| panic!("{ctx}: every grid cell must measure: {e}"))[0];
+                if boxes == Boxes::Single && point.stream().unwrap() == hand_point.stream().unwrap()
+                {
                     assert_eq!(reference, hand, "{ctx}: stream-preserving pipeline moved traffic");
                 }
-                let claims = boxes == Boxes::Single
-                    && pipeline.order_preserving()
-                    && analyze(variant, N).fully_claimed();
-                for engine in ENGINES {
-                    let (t, used_symbolic) = measure(&point, engine).unwrap();
-                    let t = t[0];
-                    assert_eq!(t, reference, "{ctx} {engine:?}");
-                    assert_eq!(
-                        (t.l1_hit.to_bits(), t.llc_hit.to_bits()),
-                        (reference.l1_hit.to_bits(), reference.llc_hit.to_bits()),
-                        "{ctx} {engine:?}: hit-ratio bits"
-                    );
-                    let symbolic = engine == Engine::Symbolic;
-                    assert_eq!(used_symbolic, symbolic && claims, "{ctx} {engine:?}: producer");
-                }
+                let t = measure(&point, Engine::Simulate).unwrap()[0];
+                assert_eq!(t, reference, "{ctx}");
+                assert_eq!(
+                    (t.l1_hit.to_bits(), t.llc_hit.to_bits()),
+                    (reference.l1_hit.to_bits(), reference.llc_hit.to_bits()),
+                    "{ctx}: hit-ratio bits"
+                );
             }
         }
     }
 }
 
 /// Family cells: three last levels behind one L1, measured in one pass
-/// by every fast engine, each member equal — hit-ratio bits included —
+/// by the fast simulator, each member equal — hit-ratio bits included —
 /// to the reference measurement of its own two-level hierarchy.
 #[test]
 fn family_members_equal_their_single_last_reference() {
@@ -86,31 +78,26 @@ fn family_members_equal_their_single_last_reference() {
             .map(|i| {
                 let alone = family.configs(i);
                 assert_eq!(alone, [front[0], lasts[i]]);
-                measure(&Point::hand(variant, N, &alone), Engine::Reference).unwrap().0[0]
+                measure(&Point::hand(variant, N, &alone), Engine::Reference).unwrap()[0]
             })
             .collect();
         assert_ne!(references[0].dram_bytes, references[2].dram_bytes, "{variant}: lasts differ");
         // The oracle itself measures a family member by member.
-        assert_eq!(measure(&family, Engine::Reference).unwrap().0, references, "{variant}");
-        for engine in &ENGINES[1..] {
-            let (members, used_symbolic) = measure(&family, *engine).unwrap();
-            assert_eq!(members, references, "{variant} {engine:?}");
-            for (t, r) in members.iter().zip(&references) {
-                assert_eq!(
-                    (t.l1_hit.to_bits(), t.llc_hit.to_bits()),
-                    (r.l1_hit.to_bits(), r.llc_hit.to_bits()),
-                    "{variant} {engine:?}: hit-ratio bits"
-                );
-            }
-            let symbolic = *engine == Engine::Symbolic;
-            assert_eq!(used_symbolic, symbolic && analyze(variant, N).fully_claimed());
+        assert_eq!(measure(&family, Engine::Reference).unwrap(), references, "{variant}");
+        let members = measure(&family, Engine::Simulate).unwrap();
+        assert_eq!(members, references, "{variant}");
+        for (t, r) in members.iter().zip(&references) {
+            assert_eq!(
+                (t.l1_hit.to_bits(), t.llc_hit.to_bits()),
+                (r.l1_hit.to_bits(), r.llc_hit.to_bits()),
+                "{variant}: hit-ratio bits"
+            );
         }
     }
 }
 
 /// A pass that refuses the plan surfaces as an error through every
-/// engine — including the symbolic producer, which never executes the
-/// transformed plan.
+/// engine.
 #[test]
 fn pipeline_errors_surface_under_every_engine() {
     let configs = stress();

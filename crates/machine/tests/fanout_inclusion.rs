@@ -70,7 +70,7 @@ fn committed_store_never_gains_dram_bytes_with_a_larger_llc() {
     let view = StoreReader::open(&path).view();
     assert_eq!((view.len(), view.corrupt_lines), (entries.lines().count(), 0));
     let mut groups: BTreeMap<String, Vec<(CacheConfig, u64)>> = BTreeMap::new();
-    for (key, (t, _)) in view.entries() {
+    for (key, t) in view.entries() {
         let (rest, last) = split_last_level(key).unwrap_or_else(|| panic!("unparsed key {key}"));
         groups.entry(rest).or_default().push((last, t.dram_bytes));
     }
@@ -106,7 +106,7 @@ fn live_fan_out_never_gains_dram_bytes_with_a_larger_llc() {
                 pipeline: &pipeline,
                 boxes: Boxes::Single,
             };
-            let (members, _) = measure(&point, Engine::Simulate).unwrap();
+            let members = measure(&point, Engine::Simulate).unwrap();
             let mut members: Vec<(CacheConfig, u64)> =
                 lasts.iter().copied().zip(members.iter().map(|t| t.dram_bytes)).collect();
             let label = format!("{} {variant} n={n}", spec.name);

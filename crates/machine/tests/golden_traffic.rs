@@ -13,7 +13,6 @@
 
 use pdesched_cachesim::CacheConfig;
 use pdesched_core::{CompLoop, Granularity, IntraTile, Variant};
-use pdesched_machine::symbolic::measure_box_traffic_symbolic;
 use pdesched_machine::traffic::measure_box_traffic;
 
 /// An undersized desktop-like hierarchy (8 KiB 4-way L1, 64 KiB 8-way
@@ -43,31 +42,23 @@ struct Golden {
 
 fn check(hierarchy: &[CacheConfig], goldens: &[Golden]) {
     for g in goldens {
-        // Both measurement engines must reproduce the golden exactly:
-        // the per-element simulator and the symbolic pipeline (which
-        // for unclaimed variants is the simulate fallback — still
-        // pinned, so the claim boundary can't silently drift).
-        for (engine, t) in [
-            ("simulate", measure_box_traffic(g.variant, g.n, hierarchy)),
-            ("symbolic", measure_box_traffic_symbolic(g.variant, g.n, hierarchy)),
-        ] {
-            assert_eq!(
-                (t.dram_bytes, t.reads, t.writes),
-                (g.dram_bytes, g.reads, g.writes),
-                "{} n={} [{engine}]: traffic counts drifted (got {t:?})",
-                g.name,
-                g.n
-            );
-            assert_eq!(
-                (t.l1_hit.to_bits(), t.llc_hit.to_bits()),
-                (g.l1_bits, g.llc_bits),
-                "{} n={} [{engine}]: hit ratios drifted (got l1={:e} llc={:e})",
-                g.name,
-                g.n,
-                t.l1_hit,
-                t.llc_hit
-            );
-        }
+        let t = measure_box_traffic(g.variant, g.n, hierarchy);
+        assert_eq!(
+            (t.dram_bytes, t.reads, t.writes),
+            (g.dram_bytes, g.reads, g.writes),
+            "{} n={}: traffic counts drifted (got {t:?})",
+            g.name,
+            g.n
+        );
+        assert_eq!(
+            (t.l1_hit.to_bits(), t.llc_hit.to_bits()),
+            (g.l1_bits, g.llc_bits),
+            "{} n={}: hit ratios drifted (got l1={:e} llc={:e})",
+            g.name,
+            g.n,
+            t.l1_hit,
+            t.llc_hit
+        );
     }
 }
 

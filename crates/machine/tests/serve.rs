@@ -5,7 +5,7 @@
 //! Expected "injected fault" panic messages in stderr are the
 //! injections themselves, not failures.
 
-use pdesched_machine::serve::{ServeConfig, Server, MAX_CONNS};
+use pdesched_machine::serve::{ServeConfig, Server, MAX_CONNS, STALL};
 use pdesched_machine::{sweep, FaultHook, MachineSpec, SweepBudget, TrafficCache};
 use pdesched_testkit::{FaultPlan, TempDir};
 use std::io::{BufRead, BufReader, Write};
@@ -633,6 +633,8 @@ fn bad_requests_degrade_per_request_not_per_server() {
         ("{\"machine\":\"i5\",\"n\":8,\"top\":-1}", "top -1 must be at least 1"),
         ("{\"machine\":\"i5\",\"n\":0}", "box edge 0 must divide"),
         ("{\"machine\":\"i5\",\"n\":-8}", "box edge -8 must divide"),
+        // 256^3 divides the domain's cell count, but not its 384 edge.
+        ("{\"machine\":\"i5\",\"n\":256}", "box edge 256 must divide"),
     ] {
         let refused = ask_on(req);
         assert!(
@@ -834,6 +836,27 @@ fn oversize_request_line_is_refused_and_the_connection_closed() {
     let resp = client.ask(&"x".repeat(60 * 1024));
     assert!(resp.contains("malformed JSON"), "{resp}");
     assert!(client.ask(WARM_REQ).contains("\"ok\":true"), "the connection stays usable");
+}
+
+/// A partial request line waits at most `STALL` for its newline: then it
+/// gets one `bad_request` and the connection is closed, so clients that
+/// stop mid-line cannot hold connections forever. An idle connection
+/// with nothing buffered is kept, and the server serves on.
+#[test]
+fn stalled_partial_line_is_refused_and_the_connection_closed() {
+    let server = Server::start(ServeConfig::default()).expect("bind");
+    let mut idle = Client::connect(server.local_addr());
+    let mut stalled = Client::connect(server.local_addr());
+    let t0 = Instant::now();
+    stalled.send(b"{");
+    let resp = stalled.reply().expect("a stalled line is answered before the close");
+    let waited = t0.elapsed();
+    assert!(resp.contains("\"error\":\"bad_request\"") && resp.contains("stalled"), "{resp}");
+    assert!(waited >= STALL && waited < STALL + Duration::from_secs(2), "{waited:?}");
+    assert_eq!(stalled.reply(), None, "the connection is closed after the refusal");
+
+    assert!(idle.ask(WARM_REQ).contains("\"ok\":true"), "an idle connection is kept");
+    assert!(Client::connect(server.local_addr()).ask(WARM_REQ).contains("\"ok\":true"));
 }
 
 /// Connections are capped: with `MAX_CONNS` idle ones open, the next is

@@ -186,7 +186,7 @@ fn concurrent_readers_always_see_a_committed_generation() {
                     assert!(n <= keys.len(), "no phantom entries");
                     for (i, key) in keys.iter().enumerate() {
                         match view.get(key) {
-                            Some((t, _mode)) => {
+                            Some(t) => {
                                 assert!(i < n, "entry set is not a prefix");
                                 assert_eq!(t, expected[i], "torn or corrupted value");
                             }
@@ -218,7 +218,7 @@ fn concurrent_readers_always_see_a_committed_generation() {
     let final_view = reader.refresh();
     assert_eq!(final_view.len(), pts.len());
     for (i, key) in keys.iter().enumerate() {
-        assert_eq!(final_view.get(key).unwrap().0, expected[i]);
+        assert_eq!(final_view.get(key).unwrap(), expected[i]);
     }
     assert_eq!(final_view.corrupt_lines, 0, "the compacted store is clean");
 }
