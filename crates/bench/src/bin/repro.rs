@@ -34,13 +34,18 @@
 //!   run pays the trace simulation; subsequent runs are instant (the
 //!   per-stage `hits/misses` line proves no re-simulation happened).
 //! * `--threads N` — measurement workers for the parallel sweep engine
-//!   (default: all available cores). Parallelism never changes output:
-//!   measurements are deterministic and figure generation is serial.
+//!   (default: all available cores; at least 1). Parallelism never
+//!   changes output: measurements are deterministic and figure
+//!   generation is serial.
 //! * `--json PATH` — also write every figure's series plus per-stage
-//!   wall time and cache counters as JSON (e.g. `repro_all.json`).
+//!   wall time and cache counters as JSON (e.g. `repro_all.json`). A
+//!   path in a missing directory is refused before anything runs.
 //! * `--fast` — substitute 64^3 for the 128^3 box in the scaling
 //!   figures (roughly 8x cheaper traces; shapes are preserved but the
 //!   cache-residency crossover shifts).
+//!
+//! An unknown target, like an unknown flag, is a usage error (exit 2)
+//! found before the store is opened.
 //!
 //! Fault tolerance: a sim point whose measurement panics is recorded as
 //! failed and the remaining points (and targets) still complete; the
@@ -98,6 +103,31 @@ const EXIT_DEADLINE: i32 = 11;
 const EXIT_POINT_FAILURES: i32 = 12;
 const EXIT_STORE_READ_ONLY: i32 = 13;
 const EXIT_SERVE: i32 = 16;
+
+/// Every target name `repro` takes: the figures and tables `all` runs,
+/// in its order, then `plandump` and `faultcheck`, which run only when
+/// named, then `all`. Target names are checked against this list before
+/// the store is opened, and the stage dispatch takes each of them.
+const TARGETS: [&str; 15] = [
+    "fig1",
+    "table1",
+    "fig2",
+    "fig3",
+    "fig4",
+    "fig9",
+    "fig10",
+    "fig11",
+    "fig12",
+    "bandwidth",
+    "ablation",
+    "sweep",
+    "plandump",
+    "faultcheck",
+    "all",
+];
+
+/// How many leading [`TARGETS`] `all`, or no target at all, runs.
+const ALL_TARGETS: usize = 12;
 
 /// Wall time and cache activity of one regenerated target.
 struct Stage {
@@ -292,11 +322,7 @@ fn main() {
             "--store" => store = it.next().unwrap_or_else(|| usage("--store needs a path")),
             "--json" => json = Some(it.next().unwrap_or_else(|| usage("--json needs a path"))),
             "--threads" => {
-                threads = it
-                    .next()
-                    .unwrap_or_else(|| usage("--threads needs a count"))
-                    .parse()
-                    .unwrap_or_else(|_| usage("--threads needs a number"))
+                threads = parse_threads(it.next().as_ref()).unwrap_or_else(|msg| usage(msg))
             }
             "--deadline" => deadline = Some(secs_flag(it.next(), "--deadline")),
             "--point-deadline" => point_deadline = Some(secs_flag(it.next(), "--point-deadline")),
@@ -309,26 +335,24 @@ fn main() {
             other => wanted.push(other.to_string()),
         }
     }
-    if wanted.is_empty() || wanted.iter().any(|w| w == "all") {
-        wanted = [
-            "fig1",
-            "table1",
-            "fig2",
-            "fig3",
-            "fig4",
-            "fig9",
-            "fig10",
-            "fig11",
-            "fig12",
-            "bandwidth",
-            "ablation",
-            "sweep",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+    // Refuse what would only fail after the run: an unknown target, or a
+    // `--json` path whose directory is missing.
+    if let Some(bad) = wanted.iter().find(|w| !TARGETS.contains(&w.as_str())) {
+        usage(&format!("unknown target '{bad}' (targets: {})", TARGETS.join(" ")));
     }
+    if let Some(path) = &json {
+        let path = std::path::Path::new(path);
+        let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+        if path.is_dir() || dir.is_some_and(|d| !d.is_dir()) {
+            usage(&format!("--json {}: a directory, or in a missing one", path.display()));
+        }
+    }
+    if wanted.is_empty() || wanted.iter().any(|w| w == "all") {
+        wanted = TARGETS[..ALL_TARGETS].iter().map(|s| s.to_string()).collect();
+    }
+    let open = std::time::Instant::now();
     let mut cache = TrafficCache::with_store(&store);
+    let store_open_ms = open.elapsed().as_secs_f64() * 1e3;
     if let Some(fault) = env_fault() {
         eprintln!("[repro] REPRO_FAULT set: deterministic fault injection armed");
         cache = cache.with_fault_hook(std::sync::Arc::new(fault));
@@ -396,7 +420,7 @@ fn main() {
 
     let mut stages: Vec<Stage> = Vec::new();
     let mut json_figures: Vec<figures::Figure> = Vec::new();
-    let mut log = RunLog { failures: Vec::new(), resumed_from: None };
+    let mut log = RunLog { store_open_ms, failures: Vec::new(), resumed_from: None };
     let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         for w in &wanted {
             if token.is_tripped() {
@@ -443,10 +467,7 @@ fn main() {
                 "ablation" => print_ablation(),
                 "sweep" => print_sweep(&cache, &engine, &mut log),
                 "faultcheck" => print_faultcheck(&cache, &engine, &mut log),
-                other => {
-                    eprintln!("[repro] unknown target '{other}'");
-                    continue;
-                }
+                other => unreachable!("target '{other}' is not in TARGETS"),
             }
             if let Some(f) = fig {
                 print!("{}", render_figure(&f));
@@ -578,6 +599,17 @@ fn parse_box_size(arg: Option<&String>) -> Result<i32, &'static str> {
     Ok(n)
 }
 
+/// Parse a `--threads` count (`repro`, `repro plan`, `repro describe`):
+/// at least 1, never a silent stand-in for one.
+fn parse_threads(arg: Option<&String>) -> Result<usize, &'static str> {
+    let t: usize =
+        arg.ok_or("--threads needs a count")?.parse().map_err(|_| "--threads needs a number")?;
+    if t == 0 {
+        return Err("--threads needs at least 1");
+    }
+    Ok(t)
+}
+
 /// Parse a `--passes` spec ([`Pipeline::parse`] grammar) or exit 2 with
 /// the parser's own message (which lists the known passes).
 fn parse_passes_arg(cmd: &str, spec: &str) -> Pipeline {
@@ -610,13 +642,7 @@ fn parse_variant_cli(cmd: &str, args: &[String]) -> VariantCli {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--n" => n = parse_box_size(it.next()).unwrap_or_else(|msg| usage(msg)),
-            "--threads" => {
-                threads = it
-                    .next()
-                    .unwrap_or_else(|| usage("--threads needs a count"))
-                    .parse()
-                    .unwrap_or_else(|_| usage("--threads needs a number"))
-            }
+            "--threads" => threads = parse_threads(it.next()).unwrap_or_else(|msg| usage(msg)),
             "--passes" => {
                 passes = it.next().unwrap_or_else(|| usage("--passes needs a spec")).clone()
             }
@@ -1020,9 +1046,11 @@ fn print_plandump(spec: &MachineSpec, n: i32, out_dir: &str, passes: &str, only:
 }
 
 /// Everything a supervised run accumulates besides stages and figures:
-/// per-point failures/timeouts (with their kind for `--json`) and the
-/// journal's account of the interrupted sweep this run resumed.
+/// the wall time of opening its store, per-point failures/timeouts (with
+/// their kind for `--json`) and the journal's account of the interrupted
+/// sweep this run resumed.
 struct RunLog {
+    store_open_ms: f64,
     failures: Vec<(String, &'static str, PointFailure)>,
     resumed_from: Option<PriorSweep>,
 }
@@ -1130,7 +1158,7 @@ fn render_json(
     use std::fmt::Write;
     let mut j = String::new();
     let _ = writeln!(j, "{{");
-    let _ = writeln!(j, "  \"schema_version\": 9,");
+    let _ = writeln!(j, "  \"schema_version\": 10,");
     let _ = writeln!(j, "  \"fast\": {fast},");
     let _ = writeln!(j, "  \"threads\": {threads},");
     // How many producer passes answered the run's misses — how much
@@ -1185,14 +1213,16 @@ fn render_json(
         writeln!(j, "  \"plan_cache\": {{\"hits\": {ph}, \"misses\": {pm}, \"entries\": {pe}}},");
     let _ = writeln!(
         j,
-        "  \"store\": {{\"path\": {}, \"read_only\": {}, \"corrupt_lines\": {}, \"store_errors\": {}}},",
+        "  \"store\": {{\"path\": {}, \"read_only\": {}, \"corrupt_lines\": {}, \"store_errors\": {}, \
+         \"open_ms\": {:.3}}},",
         cache
             .store_path()
             .map(|p| json_str(&p.display().to_string()))
             .unwrap_or_else(|| "null".into()),
         cache.store_read_only(),
         s.corrupt_lines,
-        s.store_errors
+        s.store_errors,
+        log.store_open_ms
     );
     let _ = writeln!(j, "  \"failures\": [");
     for (i, (stage, kind, f)) in log.failures.iter().enumerate() {

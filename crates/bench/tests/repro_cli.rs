@@ -41,7 +41,7 @@ fn clean_run_reports_healthy_store_and_no_failures() {
         .args(["--json", json_path.to_str().unwrap()])
         .args(["--threads", "2", "fig1", "table1", "ablation"]));
     let json = std::fs::read_to_string(&json_path).unwrap();
-    assert!(json.contains("\"schema_version\": 9"), "{json}");
+    assert!(json.contains("\"schema_version\": 10"), "{json}");
     assert!(!json.contains("engine_threads"), "v8 stages carry no engine-thread grant: {json}");
     assert!(!json.contains("\"mode\""), "v9 has one producer, no mode: {json}");
     assert!(json.contains("\"traffic\": {\"passes\": 0, \"shared_points\": 0}"), "{json}");
@@ -50,6 +50,12 @@ fn clean_run_reports_healthy_store_and_no_failures() {
     assert!(json.contains("\"read_only\": false"), "{json}");
     assert!(json.contains("\"corrupt_lines\": 0"), "{json}");
     assert!(json.contains("\"store_errors\": 0"), "{json}");
+    // v10: the store's open time, a timing like `"stages"[].seconds`.
+    let open_ms = json
+        .split_once("\"open_ms\": ")
+        .and_then(|(_, rest)| rest.split_once('}'))
+        .and_then(|(ms, _)| ms.parse::<f64>().ok());
+    assert!(open_ms.is_some_and(|ms| ms.is_finite() && ms >= 0.0), "{json}");
     assert!(json.contains("\"failures\": ["), "{json}");
     assert!(!json.contains("\"error\":"), "clean run must report no failures: {json}");
 }
@@ -320,6 +326,59 @@ fn non_positive_box_size_is_a_usage_error_that_writes_nothing() {
         }
     }
     assert!(!store.exists(), "a refused box size must not create the store");
+}
+
+/// An unknown target is a usage error found before the store is opened:
+/// no store, no lock file, nothing run.
+#[test]
+fn unknown_target_is_a_usage_error_before_the_store_opens() {
+    let dir = TempDir::new("repro-bad-target");
+    let store = dir.file("store.txt");
+    let (stdout, stderr) =
+        run_expect(repro().args(["--store", store.to_str().unwrap(), "fig1", "fig22"]), 2);
+    assert!(stdout.is_empty(), "fig1 must not run either: {stdout}");
+    assert!(stderr.contains("unknown target 'fig22'"), "{stderr}");
+    assert!(stderr.contains("plandump faultcheck all"), "the message lists the targets: {stderr}");
+    assert!(!store.exists() && !dir.file("store.txt.lock").exists(), "the store was opened");
+}
+
+/// A `--json` path in a missing directory is refused before any
+/// measurement, not after the whole run.
+#[test]
+fn json_path_in_a_missing_directory_is_refused_up_front() {
+    let dir = TempDir::new("repro-json-dir");
+    let store = dir.file("store.txt");
+    let json = dir.path().join("missing").join("out.json");
+    let (stdout, stderr) = run_expect(
+        repro().args(["--store", store.to_str().unwrap()]).args([
+            "--json",
+            json.to_str().unwrap(),
+            "fig1",
+        ]),
+        2,
+    );
+    assert!(stdout.is_empty(), "{stdout}");
+    assert!(stderr.contains(json.to_str().unwrap()), "the message names the path: {stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(!store.exists(), "a refused --json path must not open the store");
+}
+
+/// `--threads 0` is a usage error for `repro`, `repro plan` and `repro
+/// describe`, not a silent single thread.
+#[test]
+fn zero_threads_is_a_usage_error() {
+    let dir = TempDir::new("repro-zero-threads");
+    let store = dir.file("store.txt");
+    for cmd in [
+        &["--store", store.to_str().unwrap(), "fig1"][..],
+        &["plan", "Baseline: P>=Box"],
+        &["describe", "Baseline: P>=Box"],
+    ] {
+        let (stdout, stderr) = run_expect(repro().args(cmd).args(["--threads", "0"]), 2);
+        assert!(stdout.is_empty(), "{cmd:?}: {stdout}");
+        assert!(stderr.contains("--threads needs at least 1"), "{cmd:?}: {stderr}");
+    }
+    assert!(!store.exists(), "a refused thread count must not open the store");
 }
 
 /// Spawn `repro serve` on an ephemeral port with the given extra env

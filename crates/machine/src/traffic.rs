@@ -503,34 +503,46 @@ pub(crate) fn entry_line(key: &str, t: &BoxTraffic) -> String {
     format!("{payload} {sum:016x}")
 }
 
-/// The bytes a store line's checksum covers: everything before its last
-/// space.
-fn payload(line: &str) -> &str {
-    line.rsplit_once(' ').map_or(line, |(payload, _)| payload)
+/// `text` cut at its last space, which neither side keeps. After the
+/// key a store line's fields are 3 to 18 bytes long: a plain byte scan
+/// from the right reaches the space before `memchr` has set up.
+fn split_at_last_space(text: &str) -> Option<(&str, &str)> {
+    let at = text.bytes().rposition(|b| b == b' ')?;
+    Some((&text[..at], &text[at + 1..]))
 }
 
-/// Parse and verify one store line, given `payload_sum`, the
-/// [`fnv1a64`] of its [`payload`]; `None` means corrupt (torn, edited,
-/// or bit-rotted — the checksum covers the exact payload bytes). A v4
-/// line is `tagged` with one of the [`LOADABLE_TAGS`]; a v3 line has no
-/// tag field. The key is borrowed from the line.
-pub(crate) fn parse_entry(
-    line: &str,
+/// Parse and verify one store line in the grammar [`entry_line`] writes
+/// — `key tag d r w l1 llc sum`, the fields separated by one ASCII space
+/// each — given the line cut at its last space into `payload` and
+/// `sum_hex`, and `payload_sum`, the [`fnv1a64`] of `payload`. `None`
+/// means corrupt: torn, edited or bit-rotted (the checksum covers the
+/// exact payload bytes), or spaced any other way (a tab, two spaces, a
+/// leading or trailing space, whitespace in the key). The fields are
+/// cut from the right; the key is what is left, so it must hold no
+/// space. A v4 line is `tagged` with one of the [`LOADABLE_TAGS`]; a v3
+/// line has no tag field. The key is borrowed from the line.
+pub(crate) fn parse_entry<'a>(
+    payload: &'a str,
+    sum_hex: &str,
     payload_sum: u64,
     tagged: bool,
-) -> Option<(&str, BoxTraffic)> {
-    let payload = payload(line);
-    let sum_hex = line[payload.len()..].strip_prefix(' ')?;
+) -> Option<(&'a str, BoxTraffic)> {
     if u64::from_str_radix(sum_hex, 16).ok()? != payload_sum {
         return None;
     }
-    let mut it = payload.split_whitespace();
-    let key = it.next()?;
-    if tagged && !LOADABLE_TAGS.contains(&it.next()?) {
-        return None;
+    let (rest, llc) = split_at_last_space(payload)?;
+    let (rest, l1) = split_at_last_space(rest)?;
+    let (rest, w) = split_at_last_space(rest)?;
+    let (rest, r) = split_at_last_space(rest)?;
+    let (mut key, d) = split_at_last_space(rest)?;
+    if tagged {
+        let (rest, tag) = split_at_last_space(key)?;
+        if !LOADABLE_TAGS.contains(&tag) {
+            return None;
+        }
+        key = rest;
     }
-    let (d, r, w, l1, llc) = (it.next()?, it.next()?, it.next()?, it.next()?, it.next()?);
-    if it.next().is_some() {
+    if !plain_key(key) {
         return None;
     }
     Some((
@@ -543,6 +555,17 @@ pub(crate) fn parse_entry(
             llc_hit: llc.parse().ok()?,
         },
     ))
+}
+
+/// Whether `key` can stand as a store key: not empty, and no whitespace
+/// in it. The numeric fields' parsers and the tag compare refuse
+/// whitespace themselves; the key is the one free-form field. Keys are
+/// ASCII past the space, `!` to DEL, which one branch-free fold over the
+/// bytes confirms (shifted down by `!`, those are exactly the bytes below
+/// 0x5f); anything else gets the full Unicode reading.
+fn plain_key(key: &str) -> bool {
+    let top = key.bytes().fold(0, |top, b| top.max(b.wrapping_sub(b'!')));
+    !key.is_empty() && (top < 0x5f || !key.contains(char::is_whitespace))
 }
 
 /// The single-writer lock file guarding `store`.
@@ -730,16 +753,19 @@ pub(crate) fn store_stamp(path: &Path) -> (u64, u64) {
 /// The file is read once, as bytes, and split into lines exactly as
 /// [`str::lines`] splits text. Each line is checked as UTF-8 on its own,
 /// so a bit-rotted byte costs its one line (a corrupt line like any
-/// other), never the file. Every other line is checksummed — four at a
-/// time, [`fnv1a64_x4`] — and decoded by [`parse_entry`] here, at load:
-/// nothing is left to check when a lookup comes. A key seen twice keeps
-/// its last line's value.
+/// other), never the file. Only a line that does not start with a
+/// printable ASCII byte pays for the Unicode blank-line test. Every
+/// other line's last space is found once: the payload before it is
+/// checksummed — four lines at a time, [`fnv1a64_x4`] — and the line is
+/// decoded by [`parse_entry`] here, at load, so nothing is left to check
+/// when a lookup comes. A key seen twice keeps its last line's value.
+/// The index is sized once, from the file's newline count.
 fn load_store(path: &Path, stamp: (u64, u64)) -> StoreView {
     let mut view = StoreView {
         generation: 0,
         stamp,
         bytes: Vec::new(),
-        index: Index::default(),
+        index: Index::with_capacity(0),
         corrupt_lines: 0,
         corrupt: Vec::new(),
         current: false,
@@ -753,24 +779,39 @@ fn load_store(path: &Path, stamp: (u64, u64)) -> StoreView {
     if !view.current && header != Some(V3_HEADER.as_bytes()) {
         return view;
     }
-    // Blank lines dropped; a line that is not UTF-8 goes on with no text.
+    // Every line but the last ends at a newline, and the header's pays
+    // for a last line without one: no more entries than newlines.
+    view.index = Index::with_capacity(newlines(&bytes));
+    // A file that is UTF-8 as a whole is UTF-8 line by line (no
+    // multibyte character holds a `\n` or `\r` byte), and one check of
+    // it is cheaper than one per line; a file that is not has its lines
+    // checked one by one.
+    let whole = std::str::from_utf8(&bytes).ok();
+    // Blank lines dropped. A line goes on cut at its last space into
+    // payload and checksum, or uncut when it is not UTF-8 or has no space.
     let mut lines = lines.filter_map(|(start, end)| {
-        let text = std::str::from_utf8(&bytes[start..end]).ok();
-        (!text.is_some_and(|t| t.trim().is_empty())).then_some(((start, end), text))
+        let line = &bytes[start..end];
+        let text = whole.map_or_else(|| std::str::from_utf8(line).ok(), |w| Some(&w[start..end]));
+        let blank = !line.first().is_some_and(u8::is_ascii_graphic)
+            && text.is_some_and(|t| t.trim().is_empty());
+        (!blank).then(|| ((start, end), text.and_then(split_at_last_space)))
     });
     loop {
         let quad: [_; 4] = std::array::from_fn(|_| lines.next());
         if quad[0].is_none() {
             break;
         }
-        // Past the last line, and on a line that is not UTF-8, a lane
-        // sums nothing.
-        let sums = fnv1a64_x4(
-            quad.map(|line| line.and_then(|(_, text)| text).map_or("", payload).as_bytes()),
-        );
+        // Past the last line, and on a line with no payload, a lane sums
+        // nothing.
+        let sums = fnv1a64_x4(quad.map(|line| match line {
+            Some((_, Some((payload, _)))) => payload.as_bytes(),
+            _ => &[],
+        }));
         for (line, sum) in quad.into_iter().zip(sums) {
-            let Some((range, text)) = line else { break };
-            match text.and_then(|t| parse_entry(t, sum, view.current)) {
+            let Some((range, cut)) = line else { break };
+            match cut
+                .and_then(|(payload, sum_hex)| parse_entry(payload, sum_hex, sum, view.current))
+            {
                 Some((key, t)) => {
                     // The key is a subslice of `bytes`; keep its range.
                     let start = key.as_ptr() as usize - bytes.as_ptr() as usize;
@@ -784,6 +825,14 @@ fn load_store(path: &Path, stamp: (u64, u64)) -> StoreView {
     view.corrupt_lines = view.corrupt.len() as u64;
     view.bytes = bytes;
     view
+}
+
+/// How many `\n` bytes `bytes` holds. Counted in a `u8` per run of at
+/// most 255 bytes, which the compiler turns into wide compares; a
+/// `usize` count per byte runs ten times slower.
+fn newlines(bytes: &[u8]) -> usize {
+    let run = |run: &[u8]| run.iter().fold(0u8, |n, &b| n + u8::from(b == b'\n'));
+    bytes.chunks(255).map(|r| usize::from(run(r))).sum()
 }
 
 /// The lines of `bytes` as `(start, end)` ranges, split exactly as
@@ -835,29 +884,40 @@ struct Entry {
 /// A [`StoreView`]'s lookup table: the entries in the order their keys
 /// first appear, and an open-addressing (linear probing) table of
 /// positions in `entries`, at most half full. No entry owns a heap
-/// allocation: keys are ranges of the view's bytes. (Entries sorted by
-/// key for a binary search would need no table, but sorting 5,000 keys
-/// costs a warm `repro --fast fig2` ~0.6 ms more on a 2-vCPU host.)
-#[derive(Debug, Default)]
+/// allocation: keys are ranges of the view's bytes. Both are sized once,
+/// for the most entries the file can hold, and never regrow. (Entries
+/// sorted by key for a binary search would need no table, but sorting
+/// 5,000 keys costs a warm `repro --fast fig2` ~0.6 ms more on a 2-vCPU
+/// host.)
+#[derive(Debug)]
 struct Index {
     entries: Vec<Entry>,
     /// A power of two many slots, each [`Index::EMPTY`] or a position
-    /// in `entries`; empty until the first insert.
+    /// in `entries`.
     slots: Vec<u32>,
 }
 
 impl Index {
     const EMPTY: u32 = u32::MAX;
 
+    /// An empty index with room for `capacity` keys, its table at least
+    /// twice as many slots.
+    fn with_capacity(capacity: usize) -> Index {
+        assert!(capacity < Self::EMPTY as usize, "over 2^32 - 2 store entries");
+        Index {
+            entries: Vec::with_capacity(capacity),
+            slots: vec![Self::EMPTY; (2 * capacity).next_power_of_two()],
+        }
+    }
+
     /// The first slot probed for `hash`, its high half: the multiply
-    /// that ends [`key_hash`] mixes every input bit into those. `slots`
-    /// must not be empty.
+    /// that ends [`key_hash`] mixes every input bit into those.
     fn home(&self, hash: u64) -> usize {
         (hash >> 32) as usize & (self.slots.len() - 1)
     }
 
     /// Where `key` is: `Ok(position in entries)`, or `Err(the empty
-    /// slot it would take)`. `slots` must not be empty.
+    /// slot it would take)`.
     fn probe(&self, bytes: &[u8], key: &[u8], hash: u64) -> Result<u32, usize> {
         let mask = self.slots.len() - 1;
         let mut slot = self.home(hash);
@@ -875,41 +935,26 @@ impl Index {
     }
 
     fn get(&self, bytes: &[u8], key: &[u8]) -> Option<BoxTraffic> {
-        if self.slots.is_empty() {
-            return None;
-        }
         let at = self.probe(bytes, key, key_hash(key)).ok()?;
         Some(self.entries[at as usize].value)
     }
 
     /// Hold `value` under the key at `key` in `bytes`, replacing what
-    /// an earlier line gave the same key.
+    /// an earlier line gave the same key. A new key must fit the
+    /// capacity the index was made with.
     fn insert(&mut self, bytes: &[u8], key: (usize, usize), value: BoxTraffic) {
-        if 2 * (self.entries.len() + 1) > self.slots.len() {
-            self.grow();
-        }
         let key_bytes = &bytes[key.0..key.1];
         let hash = key_hash(key_bytes);
         match self.probe(bytes, key_bytes, hash) {
             Ok(at) => self.entries[at as usize].value = value,
             Err(slot) => {
-                assert!(self.entries.len() < Self::EMPTY as usize, "over 2^32 - 2 store entries");
+                // At most half full, every probe soon meets an empty
+                // slot; a full table would leave a miss none to stop at.
+                let full = 2 * (self.entries.len() + 1) > self.slots.len();
+                assert!(!full, "store index over capacity");
                 self.slots[slot] = self.entries.len() as u32;
                 self.entries.push(Entry { hash, key, value });
             }
-        }
-    }
-
-    /// Double the slots and re-place every entry.
-    fn grow(&mut self) {
-        self.slots = vec![Self::EMPTY; (2 * self.slots.len()).max(16)];
-        let mask = self.slots.len() - 1;
-        for (at, e) in self.entries.iter().enumerate() {
-            let mut slot = self.home(e.hash);
-            while self.slots[slot] != Self::EMPTY {
-                slot = (slot + 1) & mask;
-            }
-            self.slots[slot] = at as u32;
         }
     }
 }
@@ -1626,7 +1671,93 @@ mod tests {
     /// [`parse_entry`] with the line's checksum taken by plain
     /// [`fnv1a64`]: the one-line-at-a-time reading of a store line.
     fn parse(line: &str, tagged: bool) -> Option<(&str, BoxTraffic)> {
-        parse_entry(line, fnv1a64(payload(line).as_bytes()), tagged)
+        let (payload, sum_hex) = split_at_last_space(line)?;
+        parse_entry(payload, sum_hex, fnv1a64(payload.as_bytes()), tagged)
+    }
+
+    /// The reference decoder, independent of [`parse_entry`]: the
+    /// payload is everything before the line's last space, split at any
+    /// run of Unicode whitespace, and every field parsed by std. It is
+    /// the loader's decoder before the loader read the writers' grammar
+    /// alone, so it also takes lines no writer spaces that way.
+    fn reference_parse(line: &str, tagged: bool) -> Option<(&str, BoxTraffic)> {
+        let payload = line.rsplit_once(' ').map_or(line, |(payload, _)| payload);
+        let sum_hex = line[payload.len()..].strip_prefix(' ')?;
+        if u64::from_str_radix(sum_hex, 16).ok()? != fnv1a64(payload.as_bytes()) {
+            return None;
+        }
+        let mut it = payload.split_whitespace();
+        let key = it.next()?;
+        if tagged && !LOADABLE_TAGS.contains(&it.next()?) {
+            return None;
+        }
+        let (d, r, w, l1, llc) = (it.next()?, it.next()?, it.next()?, it.next()?, it.next()?);
+        if it.next().is_some() {
+            return None;
+        }
+        Some((
+            key,
+            BoxTraffic {
+                dram_bytes: d.parse().ok()?,
+                reads: r.parse().ok()?,
+                writes: w.parse().ok()?,
+                l1_hit: l1.parse().ok()?,
+                llc_hit: llc.parse().ok()?,
+            },
+        ))
+    }
+
+    /// Whether a line's payload is spaced as the writers space it: its
+    /// whitespace-separated fields joined by single spaces give it back.
+    fn writer_spaced(line: &str) -> bool {
+        let payload = line.rsplit_once(' ').map_or(line, |(payload, _)| payload);
+        payload.split_whitespace().collect::<Vec<_>>().join(" ") == payload
+    }
+
+    /// A checksum-valid line whose payload is `respace` applied to the
+    /// v4 payload of `key`, `t` and `tag`.
+    fn respaced_line(
+        key: &str,
+        t: &BoxTraffic,
+        tag: &str,
+        respace: impl Fn(&str) -> String,
+    ) -> String {
+        let canonical = tagged_line(key, t, tag);
+        let payload = respace(canonical.rsplit_once(' ').unwrap().0);
+        format!("{payload} {:016x}", fnv1a64(payload.as_bytes()))
+    }
+
+    #[test]
+    fn other_whitespace_between_fields_is_corrupt() {
+        let t = BoxTraffic { dram_bytes: 123, reads: 45, writes: 6, l1_hit: 0.875, llc_hit: 0.5 };
+        let tab = respaced_line("k/tab", &t, "sim", |p| p.replacen(' ', "\t", 1));
+        let double = respaced_line("k/double", &t, "sim", |p| p.replacen(' ', "  ", 1));
+        let trailing = respaced_line("k/trailing", &t, "sim", |p| format!("{p} "));
+        let leading = respaced_line("k/leading", &t, "sim", |p| format!(" {p}"));
+        // Whitespace inside the key: the reference splits it and counts
+        // a field too many; the loader keeps the fields and refuses the
+        // key.
+        let inner = |ws: &str| {
+            let payload = format!("k{ws}x {} {} {} {} {}", 1, 2, 3, 0.5, 0.25);
+            format!("{payload} {:016x}", fnv1a64(payload.as_bytes()))
+        };
+        for line in [&tab, &double, &trailing, &leading] {
+            assert!(reference_parse(line, true).is_some(), "the reference takes {line:?}");
+            assert!(!writer_spaced(line), "{line:?}");
+            assert_eq!(parse(line, true), None, "{line:?}");
+        }
+        for ws in ["\t", "\u{a0}", "\u{3000}"] {
+            let line = inner(ws);
+            assert_eq!(reference_parse(&line, false), None, "{line:?}");
+            assert_eq!(parse(&line, false), None, "{line:?}");
+        }
+        // A key of printable non-whitespace bytes, ASCII or not, stands.
+        for key in ["k\u{1}x", "kéy", "k\u{7f}"] {
+            let payload = format!("{key} sim 1 2 3 0.5 0.25");
+            let line = format!("{payload} {:016x}", fnv1a64(payload.as_bytes()));
+            assert_eq!(parse(&line, true), reference_parse(&line, true), "{line:?}");
+            assert_eq!(parse(&line, true).map(|(k, _)| k), Some(key), "{line:?}");
+        }
     }
 
     /// A checksummed v4 line carrying `tag`, as the writer of a retired
@@ -1799,10 +1930,11 @@ mod tests {
     }
 
     /// The loader against the plainest reading of a store: split the
-    /// text with `str::lines` and fold [`parse_entry`] over the lines
-    /// one at a time, checksums by plain [`fnv1a64`], the last line of
-    /// a key winning. The seeded ~5,000-line stores carry every damage
-    /// a store meets.
+    /// text with `str::lines` and fold the reference decoder over the
+    /// lines one at a time, checksums by plain [`fnv1a64`], the last
+    /// line of a key winning, a line not spaced as the writers space it
+    /// corrupt. The seeded ~5,000-line stores carry every damage a store
+    /// meets, and every canonical line decodes to the reference's bits.
     #[test]
     fn view_matches_a_line_by_line_oracle() {
         use std::fmt::Write as _;
@@ -1819,7 +1951,8 @@ mod tests {
             for line in lines.filter(|l| !l.trim().is_empty()) {
                 // A byte that is not UTF-8 reads as U+FFFD, which no
                 // generated line holds otherwise.
-                match parse(line, tagged).filter(|_| !line.contains('\u{fffd}')) {
+                let intact = writer_spaced(line) && !line.contains('\u{fffd}');
+                match reference_parse(line, tagged).filter(|_| intact) {
                     Some((k, t)) => {
                         held.insert(k.to_string(), t);
                     }
@@ -1869,6 +2002,15 @@ mod tests {
                 tagged_line(k, &t, tag).into()
             })
             .collect();
+        // Every canonical line decodes as the reference decodes it.
+        let same_bits = |line: &str, tagged: bool| {
+            let ours = parse(line, tagged).map(|(k, t)| (k, bits(t)));
+            assert!(ours.is_some(), "{line}");
+            assert_eq!(ours, reference_parse(line, tagged).map(|(k, t)| (k, bits(t))), "{line}");
+        };
+        for line in &lines {
+            same_bits(std::str::from_utf8(line).unwrap(), true);
+        }
         // The damage. A later line for a held key with a different
         // value; another whose copy is corrupt, so the first stands.
         let (t, tag) = value(&mut rng);
@@ -1889,9 +2031,23 @@ mod tests {
         lines[201][end] = 0x80;
         // A tagless (v3) line under the v4 header.
         lines.push(v3_line("tagless/k", &value(&mut rng).0).into());
+        // Checksum-valid lines spaced as no writer spaces them, under
+        // keys of their own: the reference decoder takes each of them.
+        let respaced = [
+            respaced_line("tab/k", &t, tag, |p| p.replacen(' ', "\t", 1)),
+            respaced_line("double/k", &t, tag, |p| {
+                let (head, last) = p.rsplit_once(' ').unwrap();
+                format!("{head}  {last}")
+            }),
+            respaced_line("trailing/k", &t, tag, |p| format!("{p} ")),
+        ];
+        for line in &respaced {
+            assert!(reference_parse(line, true).is_some(), "{line:?}");
+            lines.push(line.clone().into());
+        }
         // Damaged: the bad copy, the digit, two non-UTF-8 lines, the
-        // tagless line and the torn tail below.
-        let damaged = 6;
+        // tagless line, the three respaced lines and the torn tail below.
+        let damaged = 9;
         // Blank lines, scattered.
         for blank in ["", "   ", "\t"] {
             let at = rng.range_usize(0, lines.len());
@@ -1912,7 +2068,9 @@ mod tests {
             let line = if i == 25 {
                 entry_line(key, &value(&mut rng).0)
             } else {
-                v3_line(key, &value(&mut rng).0)
+                let line = v3_line(key, &value(&mut rng).0);
+                same_bits(&line, false);
+                line
             };
             v3.extend_from_slice(format!("{line}\n").as_bytes());
         }
@@ -1931,6 +2089,13 @@ mod tests {
             let view = StoreReader::open(&path).view();
             let cache = TrafficCache::with_store(&path);
             assert_eq!((view.len(), view.corrupt_lines), (held.len(), corrupt), "{name}: reader");
+            if name == "v4" {
+                let quarantined = std::fs::read(quarantine_path_for(&path)).unwrap();
+                let quarantined = String::from_utf8_lossy(&quarantined);
+                for line in &respaced {
+                    assert!(quarantined.lines().any(|q| q == line), "{line:?} is quarantined");
+                }
+            }
             assert_eq!((cache.len(), cache.stats().corrupt_lines), (held.len(), corrupt), "{name}");
             let listed: HashMap<&str, Bits> = view.entries().map(|(k, v)| (k, bits(*v))).collect();
             assert_eq!(listed.len(), held.len(), "{name}: entries() lists each key once");
@@ -1968,6 +2133,42 @@ mod tests {
                 assert_eq!(reload.get(key).map(bits), Some(bits(v)), "{name}: repaired {key}");
             }
         }
+    }
+
+    /// The index is sized once, from the file's newlines: a store of far
+    /// more and far shorter lines than a long-lived one's — 20,000
+    /// minimal v3 lines, blank lines and a repeated key among them, the
+    /// last line without its newline — holds every key, the last line
+    /// of the repeated one winning.
+    #[test]
+    fn index_sized_once_holds_a_dense_store() {
+        let t = |d| BoxTraffic { dram_bytes: d, reads: 0, writes: 0, l1_hit: 0.0, llc_hit: 0.0 };
+        let mut lines = vec![V3_HEADER.to_string()];
+        for i in 0..20_000 {
+            lines.push(v3_line(&i.to_string(), &t(i)));
+            if i % 7 == 0 {
+                lines.push(String::new());
+            }
+            if i % 1000 == 999 {
+                lines.push(v3_line("k", &t(i)));
+            }
+        }
+        assert_eq!(lines[1], "0 0 0 0 0 0 260bea95cf789f77", "a minimal line");
+        let dir = TempDir::new("dense");
+        let path = dir.file("traffic.txt");
+        std::fs::write(&path, lines.join("\n")).unwrap();
+        let view = StoreReader::open(&path).view();
+        assert_eq!((view.len(), view.corrupt_lines), (20_001, 0));
+        for i in 0..20_000 {
+            assert_eq!(view.get(&i.to_string()), Some(t(i)), "{i}");
+        }
+        assert_eq!(view.get("k"), Some(t(19_999)), "the last line of a key wins");
+        assert_eq!(view.get("20000"), None);
+        // No blank line and no final newline: exactly one entry per
+        // newline, the tightest fit.
+        std::fs::write(&path, [lines[0].as_str(), &lines[1], &lines[3]].join("\n")).unwrap();
+        let view = StoreReader::open(&path).view();
+        assert_eq!((view.len(), view.get("1")), (2, Some(t(1))));
     }
 
     #[test]
