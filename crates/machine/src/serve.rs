@@ -47,17 +47,17 @@
 //! reply — framed with its newline in one buffer and sent with one
 //! `write` on a `TCP_NODELAY` socket, so a warm answer costs its layers
 //! (tens of µs), not a delayed ACK (~40 ms when the newline was a
-//! segment of its own). Pipelined requests are answered in order. A
-//! connection is answered at a fixed rate — one request per 300 µs
-//! (`PACE`) after a burst of 16 (`BURST`), on an absolute grid
-//! (`Conn::pace`) — so a tight-loop client's throughput is the server's
-//! stated rate rather than the host scheduler's mood; occasional and
-//! cold requests never wait (DESIGN.md §15 *Pacing*). A request line
+//! segment of its own). Pipelined requests are answered in order, each
+//! as soon as it is read: nothing holds a tight-loop client back, and
+//! no connection starves another, because each has a thread of its own
+//! (DESIGN.md §15 *Pacing, retired*). A request line
 //! is capped at 64 KiB (`MAX_LINE`), and a partial line may wait at most
 //! 2 s for its newline (`STALL`): a longer or slower one gets one
 //! `bad_request` and the connection is closed. At most 256 connections
 //! (`MAX_CONNS`) are open at once; one more is answered `overloaded`
-//! and closed by the accept loop. With no reader thread, a
+//! and closed by the accept loop. That loop blocks in `accept`, so a new
+//! connection is taken the moment it arrives; [`Server::drain`] wakes it
+//! with a connection of its own. With no reader thread, a
 //! vanished client is noticed where the connection thread already
 //! polls: the idle `read` (at once), a follower's 20 ms park on its
 //! flight and the injected-hang loop (`Conn::probe`) — so within
@@ -112,11 +112,11 @@
 
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
 use std::time::{Duration, Instant};
 
 use crate::engine::SweepBudget;
@@ -153,14 +153,6 @@ pub const MAX_CONNS: usize = 256;
 /// How long an idle connection blocks in `read` before it looks at the
 /// server token again.
 const IDLE_POLL: Duration = Duration::from_millis(100);
-
-/// The sustained answer rate of one connection: one request per `PACE`
-/// (3,333 /s), see [`Conn::pace`].
-const PACE: Duration = Duration::from_micros(300);
-
-/// How many requests a connection may be answered ahead of that rate: a
-/// client that asks fewer than this back to back never waits.
-const BURST: u32 = 16;
 
 /// What an injected socket fault does to the request it fires on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -308,6 +300,9 @@ pub struct Server {
     inner: Arc<ServerInner>,
     local_addr: SocketAddr,
     accept_thread: Option<std::thread::JoinHandle<()>>,
+    /// Whether [`Server::drain`]'s wake-up connection reached the
+    /// listener, so that the accept thread is sure to return.
+    accept_woken: AtomicBool,
 }
 
 impl Server {
@@ -317,10 +312,6 @@ impl Server {
     pub fn start(cfg: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let local_addr = listener.local_addr()?;
-        // The accept loop polls so it can notice `drain`; accepted
-        // sockets are switched back to blocking explicitly (they do not
-        // reliably inherit the listener's mode across platforms).
-        listener.set_nonblocking(true)?;
 
         let cache = match &cfg.store {
             Some(path) => TrafficCache::with_store(path),
@@ -350,12 +341,17 @@ impl Server {
             coalesced: AtomicU64::new(0),
         });
 
-        let accept_inner = Arc::clone(&inner);
+        let accept_inner = Arc::downgrade(&inner);
         let accept_thread = std::thread::spawn(move || {
-            accept_loop(accept_inner, listener);
+            accept_loop(&accept_inner, listener);
         });
 
-        Ok(Server { inner, local_addr, accept_thread: Some(accept_thread) })
+        Ok(Server {
+            inner,
+            local_addr,
+            accept_thread: Some(accept_thread),
+            accept_woken: AtomicBool::new(false),
+        })
     }
 
     /// The bound address (useful with an ephemeral port).
@@ -385,7 +381,7 @@ impl Server {
     /// had to be cancelled). Idempotent.
     pub fn drain(&self) -> bool {
         let inner = &self.inner;
-        inner.draining.store(true, Ordering::SeqCst);
+        self.stop_accepting(connect_addr(self.local_addr));
         let deadline = Instant::now() + inner.cfg.drain_deadline;
         let quiet = |inner: &ServerInner| {
             inner.inflight.load(Ordering::SeqCst) == 0
@@ -412,23 +408,63 @@ impl Server {
         inner.cache.flush_store();
         clean
     }
+
+    /// Mark the server draining and wake the accept loop, blocked in
+    /// `accept`, with one connection to `wake` (the listener's own
+    /// address). Only the first call connects. If the connect fails, the
+    /// accept thread stays parked until some later connection arrives,
+    /// and returns then; `Drop` detaches it rather than wait for that.
+    /// It holds the server weakly, so the cache and its store lock go
+    /// with the last connection, not with that thread.
+    fn stop_accepting(&self, wake: SocketAddr) {
+        if !self.inner.draining.swap(true, Ordering::SeqCst) {
+            let woken = TcpStream::connect_timeout(&wake, WAKE_TIMEOUT).is_ok();
+            self.accept_woken.store(woken, Ordering::SeqCst);
+        }
+    }
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
         self.drain();
         if let Some(h) = self.accept_thread.take() {
-            let _ = h.join();
+            if self.accept_woken.load(Ordering::SeqCst) {
+                let _ = h.join();
+            }
         }
     }
 }
 
-fn accept_loop(inner: Arc<ServerInner>, listener: TcpListener) {
+/// How long [`Server::drain`]'s wake-up connect may take. On loopback it
+/// completes or is refused at once; it only times out when the listen
+/// queue is full, and then `accept` is not blocked anyway.
+const WAKE_TIMEOUT: Duration = Duration::from_millis(200);
+
+/// The address a connection to a listener bound at `addr` goes to: an
+/// unspecified address (`0.0.0.0`, `::`) maps to its family's loopback.
+fn connect_addr(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
+}
+
+/// Accept connections until the server drains. The listener blocks;
+/// [`Server::drain`] wakes it with a connection of its own, so the flag
+/// is read after every `accept`, whatever it returned.
+fn accept_loop(inner: &Weak<ServerInner>, listener: TcpListener) {
     loop {
-        if inner.draining.load(Ordering::SeqCst) || inner.token.is_tripped() {
+        let accepted = listener.accept();
+        // `None` once the server and its connections are all gone: a
+        // drop whose wake-up connect failed left this thread parked.
+        let Some(inner) = inner.upgrade() else { return };
+        if inner.draining.load(Ordering::SeqCst) {
             return;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _peer)) => {
                 // Only this thread opens connections, so the count cannot
                 // pass the cap between the check and the spawn.
@@ -436,7 +472,6 @@ fn accept_loop(inner: Arc<ServerInner>, listener: TcpListener) {
                     refuse_connection(&inner, stream);
                     continue;
                 }
-                let _ = stream.set_nonblocking(false);
                 inner.conns.fetch_add(1, Ordering::SeqCst);
                 let conn_inner = Arc::clone(&inner);
                 std::thread::spawn(move || {
@@ -444,9 +479,8 @@ fn accept_loop(inner: Arc<ServerInner>, listener: TcpListener) {
                     handle_connection(&conn_inner, stream)
                 });
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
+            // A failing accept (out of file descriptors) fails again at
+            // once: back off rather than spin a core until one frees.
             Err(_) => std::thread::sleep(Duration::from_millis(2)),
         }
     }
@@ -484,9 +518,6 @@ struct Conn {
     buf: Vec<u8>,
     /// Tripped when the client is gone; parent of every request token.
     token: CancelToken,
-    /// When the next request is due on the connection's rate grid
-    /// ([`Conn::pace`]'s "theoretical arrival time").
-    due: Instant,
 }
 
 /// What one `read` on a connection produced.
@@ -521,24 +552,6 @@ impl Conn {
             }
             Err(_) => Fill::Closed,
         }
-    }
-
-    /// Hold a request until its turn on the connection's rate grid: a
-    /// token bucket refilled once per [`PACE`] and [`BURST`] deep, kept
-    /// as the one instant `due` (the generic cell rate algorithm). The
-    /// grid is absolute — a turn is `due + PACE`, not "now + PACE" — so a
-    /// late wake-up is made up on the next turn instead of adding up, and
-    /// a client in a tight loop is answered at exactly 1 / `PACE`
-    /// whatever the host's scheduler does (DESIGN.md §15 *Pacing*). A
-    /// request that took longer than this by itself (a cold point) finds
-    /// its turn long past and is never held.
-    fn pace(&mut self) {
-        let now = Instant::now();
-        let ahead = PACE * (BURST - 1);
-        if let Some(wait) = self.due.checked_duration_since(now + ahead) {
-            std::thread::sleep(wait);
-        }
-        self.due = self.due.max(now) + PACE;
     }
 
     /// Send one reply line: framed with its newline and written with ONE
@@ -584,8 +597,7 @@ fn handle_connection(inner: &Arc<ServerInner>, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     // The idle read wakes up to notice the server token.
     let _ = stream.set_read_timeout(Some(IDLE_POLL));
-    let mut conn =
-        Conn { stream, buf: Vec::new(), token: inner.token.child(), due: Instant::now() };
+    let mut conn = Conn { stream, buf: Vec::new(), token: inner.token.child() };
     // Since when the buffer has held a partial line.
     let mut partial_since = None;
     loop {
@@ -613,7 +625,6 @@ fn handle_connection(inner: &Arc<ServerInner>, stream: TcpStream) {
         if line.is_empty() {
             continue;
         }
-        conn.pace();
         // Injected DropConnection (`None`): die without answering.
         let Some(reply) = process_request(inner, &mut conn, &line) else { break };
         if conn.send(reply).is_err() {
@@ -1277,5 +1288,48 @@ mod tests {
         assert!(parse_flat_json("{}").unwrap().is_empty());
         let m = parse_flat_json(" { \"a\" : -1.5e-3 } ").unwrap();
         assert!(matches!(m.get("a"), Some(JVal::N(v)) if (*v + 1.5e-3).abs() < 1e-12));
+    }
+
+    #[test]
+    fn unspecified_bind_addresses_wake_through_loopback() {
+        let v4: SocketAddr = "0.0.0.0:7".parse().unwrap();
+        let v6: SocketAddr = "[::]:7".parse().unwrap();
+        let lan: SocketAddr = "10.1.2.3:7".parse().unwrap();
+        assert_eq!(connect_addr(v4), "127.0.0.1:7".parse().unwrap());
+        assert_eq!(connect_addr(v6), "[::1]:7".parse().unwrap());
+        assert_eq!(connect_addr(lan), lan);
+    }
+
+    /// A drain whose wake-up connect fails still returns, and `Drop`
+    /// detaches the accept thread instead of joining it: the thread stays
+    /// parked in `accept`, holding the listener, until the next
+    /// connection arrives, and then returns and closes it. It holds the
+    /// server weakly, so the store's writer lock is released at the drop.
+    #[test]
+    fn a_failed_wake_up_never_hangs_drop() {
+        let dir = pdesched_testkit::TempDir::new("servwake");
+        let store = dir.file("t.txt");
+        let server =
+            Server::start(ServeConfig { store: Some(store.clone()), ..ServeConfig::default() })
+                .expect("bind");
+        let addr = server.local_addr();
+        // A loopback port nothing listens on: the connect is refused.
+        let refused = TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap();
+        server.stop_accepting(refused);
+        assert!(!server.accept_woken.load(Ordering::SeqCst));
+
+        let t0 = Instant::now();
+        drop(server);
+        assert!(t0.elapsed() < Duration::from_secs(1), "drop took {:?}", t0.elapsed());
+        assert!(!TrafficCache::with_store(&store).store_read_only(), "the store is still locked");
+
+        // The parked thread still listens; one connection releases it.
+        let late = TcpStream::connect(addr).expect("the listener is still open");
+        drop(late);
+        let t0 = Instant::now();
+        while TcpStream::connect(addr).is_ok() {
+            assert!(t0.elapsed() < Duration::from_secs(5), "the accept thread never returned");
+            std::thread::sleep(Duration::from_millis(10));
+        }
     }
 }

@@ -710,34 +710,116 @@ fn warm_round_trips_do_not_wait_for_delayed_acks() {
     assert!(took < Duration::from_millis(320), "32 warm round trips took {took:?}");
 }
 
-/// A connection is answered at a stated rate — one request per 300 µs
-/// once its 16-request burst is spent — whether the client waits for
-/// each reply or pipelines. `sleep` never returns early, so the lower
-/// bounds are exact; the upper bound only says the pace is not a stall.
+/// Nothing holds a tight-loop client back, and no connection starves
+/// another: two connections in closed loops for ~0.5 s each get at least
+/// a quarter of all answers, the median round trip is under 150 µs, and
+/// pipelined requests come back in order, byte-identical to the
+/// closed-loop answers. The bound is half the retired per-connection
+/// pace of 300 µs, under which this loop's median read ~299.6 µs; the
+/// unpaced median reads ~20–55 µs. A median, so one descheduled turn
+/// cannot trip it.
 #[test]
-fn tight_loops_are_answered_at_the_connection_rate() {
+fn tight_loops_are_not_held_and_share_the_server() {
+    const OTHER_REQ: &str = "{\"machine\":\"i5\",\"n\":8,\"threads\":1,\"top\":2}";
     let server = Server::start(ServeConfig::default()).expect("bind");
-    let mut client = Client::connect(server.local_addr());
-    assert!(client.ask(WARM_REQ).contains("\"ok\":true"));
-    let pace = Duration::from_micros(300);
+    let addr = server.local_addr();
+    let reqs = [WARM_REQ, OTHER_REQ];
+    let mut clients: Vec<Client> = reqs.iter().map(|_| Client::connect(addr)).collect();
+    // Measure the points, then take each request's warm answer.
+    let answers: Vec<String> = clients
+        .iter_mut()
+        .zip(reqs)
+        .map(|(client, req)| {
+            assert!(client.ask(req).contains("\"ok\":true"));
+            let warm = client.ask(req);
+            assert!(warm.contains("\"source\":\"warm\"") && !warm.contains("\"sim\""), "{warm}");
+            warm
+        })
+        .collect();
 
-    let t0 = Instant::now();
-    for _ in 0..216 {
-        assert!(client.ask(WARM_REQ).contains("\"source\":\"warm\""));
+    let stop = Instant::now() + Duration::from_millis(500);
+    let loops: Vec<Vec<Duration>> = std::thread::scope(|s| {
+        let handles: Vec<_> = clients
+            .iter_mut()
+            .zip(reqs.iter().zip(&answers))
+            .map(|(client, (req, answer))| {
+                s.spawn(move || {
+                    let mut trips = Vec::new();
+                    while Instant::now() < stop {
+                        let t0 = Instant::now();
+                        let reply = client.ask(req);
+                        trips.push(t0.elapsed());
+                        assert_eq!(&reply, answer);
+                    }
+                    trips
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("closed-loop client")).collect()
+    });
+    let total: usize = loops.iter().map(Vec::len).sum();
+    for (i, trips) in loops.iter().enumerate() {
+        assert!(4 * trips.len() >= total, "connection {i} got {} of {total} answers", trips.len());
     }
-    let took = t0.elapsed();
-    assert!(took >= pace * 200, "216 closed-loop requests took only {took:?}");
-    assert!(took < Duration::from_secs(2), "216 closed-loop requests took {took:?}");
+    let mut trips: Vec<Duration> = loops.concat();
+    trips.sort();
+    let median = trips[trips.len() / 2];
+    assert!(median < Duration::from_micros(150), "median closed-loop round trip {median:?}");
 
-    // Pipelined requests wait their turn too. (Not 99 turns: whenever
-    // the client above was the slower side, the bucket refilled a little.)
-    let t0 = Instant::now();
-    client.send(format!("{WARM_REQ}\n").repeat(100).as_bytes());
-    for _ in 0..100 {
-        assert!(client.reply().expect("reply").contains("\"source\":\"warm\""));
+    let client = &mut clients[0];
+    let batch: String = (0..100).map(|i| format!("{}\n", reqs[i % 2])).collect();
+    client.send(batch.as_bytes());
+    for i in 0..100 {
+        assert_eq!(client.reply().expect("reply"), answers[i % 2], "pipelined reply {i}");
     }
+}
+
+/// A fresh connection is accepted as soon as it arrives: the accept
+/// loop blocks in `accept` rather than polling it every 2 ms, so the
+/// first warm reply of each of 20 new connections takes what the wire
+/// and a thread spawn take, well under a millisecond in the median. The
+/// best of three such rounds is asserted, so a round spent beside
+/// another test's burst of threads cannot trip it; the polling loop held
+/// every reply of every round at ~2 ms.
+#[test]
+fn fresh_connections_get_their_first_warm_reply_at_once() {
+    let server = Server::start(ServeConfig::default()).expect("bind");
+    let addr = server.local_addr();
+    assert!(ask(addr, WARM_REQ).contains("\"ok\":true"));
+    let round = || {
+        let mut firsts: Vec<Duration> = (0..20)
+            .map(|_| {
+                let t0 = Instant::now();
+                let reply = ask(addr, WARM_REQ);
+                let took = t0.elapsed();
+                assert!(reply.contains("\"source\":\"warm\""), "{reply}");
+                took
+            })
+            .collect();
+        firsts.sort();
+        firsts[firsts.len() / 2]
+    };
+    let best = (0..3).map(|_| round()).min().expect("three rounds");
+    assert!(best < Duration::from_millis(1), "median first warm reply {best:?} in every round");
+}
+
+/// `drain` wakes the blocked accept loop with a connection to its own
+/// address; bound to `0.0.0.0` that goes through loopback. The drained
+/// and dropped server has joined its accept thread — the listener is
+/// closed — within a second.
+#[test]
+fn a_server_bound_to_the_unspecified_address_drains_at_once() {
+    let server =
+        Server::start(ServeConfig { addr: "0.0.0.0:0".to_string(), ..ServeConfig::default() })
+            .expect("bind");
+    let local = std::net::SocketAddr::from(([127, 0, 0, 1], server.local_addr().port()));
+    assert!(ask(local, WARM_REQ).contains("\"ok\":true"));
+    let t0 = Instant::now();
+    assert!(server.drain(), "nothing was inflight");
+    drop(server);
     let took = t0.elapsed();
-    assert!(took >= pace * 84, "100 pipelined requests took only {took:?}");
+    assert!(took < Duration::from_secs(1), "drain and drop took {took:?}");
+    assert!(TcpStream::connect(local).is_err(), "the listener outlived the server");
 }
 
 /// The memoised analytic ranking changes no byte of any answer: a memo
