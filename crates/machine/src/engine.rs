@@ -27,7 +27,7 @@
 use crate::journal::{self, PriorSweep, SweepJournal};
 use crate::model::prediction_hierarchy;
 use crate::spec::MachineSpec;
-use crate::traffic::{Point, TrafficCache};
+use crate::traffic::{Boxes, Point, TrafficCache};
 use pdesched_cachesim::CacheConfig;
 use pdesched_core::plan::Stream;
 use pdesched_core::Variant;
@@ -168,10 +168,15 @@ pub struct PrewarmReport {
     /// Producer passes the missing points were grouped into: points
     /// sharing an access stream and every cache level but the last are
     /// measured by one pass (split while there are fewer passes than
-    /// pool threads). `measured / passes` is the fan-out achieved.
+    /// pool threads). A point whose stream the cache already produced
+    /// through its whole hierarchy is recorded in no pass, so a sweep
+    /// that runs to completion has run exactly this many producers
+    /// ([`crate::CacheStats::passes`]). `measured / passes` is the
+    /// fan-out achieved.
     pub passes: usize,
-    /// Distinct access streams among the missing points: what the sweep
-    /// had to produce at least once each (`passes >= streams`).
+    /// Distinct access streams among the missing points that need a
+    /// producer: what the sweep had to produce at least once each
+    /// (`passes >= streams`).
     pub streams: usize,
 }
 
@@ -281,6 +286,10 @@ impl SweepEngine {
         let mut seen: HashSet<(Variant, i32, &[CacheConfig])> = HashSet::new();
         let mut family: HashMap<Stream, Vec<(&[CacheConfig], usize)>> = HashMap::new();
         let mut passes: Vec<Vec<Vec<&SimPoint>>> = Vec::new();
+        // Points whose stream the cache already produced through their
+        // whole hierarchy: recorded without a producer run, so planned
+        // as no pass.
+        let mut shared: Vec<&SimPoint> = Vec::new();
         let mut skipped: Vec<SkippedPoint> = Vec::new();
         for p in points {
             if !seen.insert((p.variant, p.n, &p.configs)) {
@@ -300,6 +309,10 @@ impl SweepEngine {
             let stream = Point::hand(p.variant, p.n, &p.configs)
                 .stream()
                 .expect("a hand lowering valid for its box has a stream");
+            if cache.produced(&stream, Boxes::Single, &p.configs).is_some() {
+                shared.push(p);
+                continue;
+            }
             let front = &p.configs[..p.configs.len() - 1];
             let fronts = family.entry(stream).or_default();
             let i = match fronts.iter().find(|(f, _)| *f == front) {
@@ -335,6 +348,11 @@ impl SweepEngine {
             passes.insert(widest + 1, half);
         }
         passes.sort_by_key(|slots| Reverse((slots[0][0].n, slots.len())));
+        // The shared points are recorded first, each an item of its own
+        // (a lookup, not a pass): they fail, time out and journal like
+        // any point.
+        let producer_passes = passes.len();
+        passes.splice(0..0, shared.into_iter().map(|p| vec![vec![p]]));
         let total: usize = passes.iter().flatten().map(Vec::len).sum();
 
         // Checkpoint/resume: the store is the source of truth for
@@ -555,7 +573,7 @@ impl SweepEngine {
             } else {
                 0.0
             },
-            passes: passes.len(),
+            passes: producer_passes,
             streams,
         }
     }
@@ -686,6 +704,30 @@ mod tests {
         let r = SweepEngine::new(2).prewarm(&cache, &pts);
         assert_eq!((r.measured, r.streams, r.passes), (8, 1, 2));
         assert_eq!(cache.stats().shared_points, 4);
+    }
+
+    #[test]
+    fn a_stream_produced_by_an_earlier_sweep_plans_no_pass() {
+        // Baseline P<Box replays Baseline P>=Box's stream at one thread:
+        // after a sweep of the latter, a sweep of the former on the same
+        // hierarchy records its point without a producer run, and
+        // reports the pass it did not run as none.
+        let within = Variant { gran: pdesched_core::Granularity::WithinBox, ..Variant::baseline() };
+        let point = |variant| SimPoint { variant, n: 8, configs: tiny() };
+        let cache = TrafficCache::new();
+        let engine = SweepEngine::new(2);
+        let first = engine.prewarm(&cache, &[point(Variant::baseline())]);
+        assert_eq!((first.measured, first.passes, first.streams), (1, 1, 1));
+        let before = cache.stats();
+        let second = engine.prewarm(&cache, &[point(within)]);
+        assert_eq!((second.measured, second.passes, second.streams), (1, 0, 0));
+        let s = cache.stats();
+        assert_eq!((s.passes, s.shared_points), (before.passes, before.shared_points + 1));
+        assert_eq!(
+            cache.get(within, 8, &tiny()),
+            TrafficCache::new().get(within, 8, &tiny()),
+            "recorded from the produced stream, as measured alone"
+        );
     }
 
     #[test]

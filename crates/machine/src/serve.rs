@@ -85,6 +85,21 @@
 //!   removed from the map either way: the map cannot be poisoned. A
 //!   flight all its requesters abandoned cannot be joined while it
 //!   unwinds; the next request replaces it with a fresh one.
+//!
+//!   *Answered without a flight*: a cold point whose stream and
+//!   hierarchy this process already produced, with no flight of that
+//!   stream running, needs no producer run. It takes the same miss path
+//!   on the request's own thread, under the request token (and the
+//!   point deadline), and starts no flight ([`ServeStats::flights`]).
+//!   A running flight is joined before "produced" is asked, and leaves
+//!   the map only after its keys are recorded, so no key it holds is
+//!   recorded beside it. What such a point costs is the lookup and the
+//!   append, ~10 µs (~30 µs when the pipeline's plan must be lowered
+//!   first); through a flight and a thread hop a request of such points
+//!   took ~0.37 ms, now ~0.12 ms, and `serve_cold` `p25_ms` read
+//!   0.34 → 0.11 ms (DESIGN.md §15). Such a point is not probed for a
+//!   vanished client; only an injected hang can hold it, and the
+//!   deadlines bound that.
 //! * **Execution**: each flight runs under its own [`CancelToken`]
 //!   chained off the server token, held by an [`InterestSet`] of the
 //!   requests that want it. Client disconnect trips the per-request
@@ -184,9 +199,9 @@ pub struct ServeConfig {
     pub addr: String,
     /// Backing traffic store; `None` = in-memory only (never stale).
     pub store: Option<PathBuf>,
-    /// No effect: every cold point is measured on its flight's own
-    /// thread. Kept, with `repro serve --threads`, only because
-    /// `benchmark/` sets it; ROADMAP item 1 drops that.
+    /// No effect: every cold point is measured on one thread, its
+    /// flight's or its request's. Kept, with `repro serve --threads`,
+    /// only because `benchmark/` sets it; ROADMAP item 1 drops that.
     pub engine_threads: usize,
     /// Admission bound: requests being processed at once; at capacity
     /// new requests are rejected with `"overloaded"`.
@@ -199,8 +214,9 @@ pub struct ServeConfig {
     /// writer flock is held elsewhere; when `false` such requests are
     /// answered with `"stale_store"` instead.
     pub stale_ok: bool,
-    /// Execution budget: `point_deadline` bounds each flight,
-    /// `max_retries`/`backoff` configure store-append retries.
+    /// Execution budget: `point_deadline` bounds each flight and each
+    /// point answered without one; `max_retries`/`backoff` configure
+    /// store-append retries.
     pub budget: SweepBudget,
     /// How long [`Server::drain`] waits for inflight work.
     pub drain_deadline: Duration,
@@ -238,6 +254,10 @@ pub struct ServeStats {
     pub rejected: u64,
     /// Requests that joined an already-running flight.
     pub coalesced: u64,
+    /// Flights started: cold points that needed a producer run (a point
+    /// whose stream this process already produced is answered on its
+    /// request's thread and starts none).
+    pub flights: u64,
     /// Requests currently being processed.
     pub inflight: usize,
 }
@@ -289,6 +309,7 @@ struct ServerInner {
     /// Open connections, each with its thread; capped at [`MAX_CONNS`].
     conns: AtomicUsize,
     active_flights: AtomicUsize,
+    flights_started: AtomicU64,
     requests: AtomicU64,
     rejected: AtomicU64,
     coalesced: AtomicU64,
@@ -336,6 +357,7 @@ impl Server {
             inflight: AtomicUsize::new(0),
             conns: AtomicUsize::new(0),
             active_flights: AtomicUsize::new(0),
+            flights_started: AtomicU64::new(0),
             requests: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
@@ -370,6 +392,7 @@ impl Server {
             requests: self.inner.requests.load(Ordering::Relaxed),
             rejected: self.inner.rejected.load(Ordering::Relaxed),
             coalesced: self.inner.coalesced.load(Ordering::Relaxed),
+            flights: self.inner.flights_started.load(Ordering::Relaxed),
             inflight: self.inner.inflight.load(Ordering::Relaxed),
         }
     }
@@ -823,10 +846,7 @@ fn answer(
                     Ok(stream) => fly(inner, conn, req_token, (stream, hierarchy.clone()), point),
                     // Refused: there is no stream to fly. The cache's miss
                     // path counts the miss and returns the refusal.
-                    Err(_) => {
-                        let _ambient = cancel::set_current(Some(req_token.clone()));
-                        measure_cold(&inner.cache, &point)
-                    }
+                    Err(_) => measure_here(inner, req_token, &point),
                 };
                 match measured {
                     Ok(dram) => (dram, "sim"),
@@ -945,7 +965,9 @@ struct ColdPoint {
 }
 
 /// Single-flight execution of one cold point, coalesced with every cold
-/// point of the same stream: returns its DRAM bytes.
+/// point of the same stream: returns its DRAM bytes. A point whose
+/// stream this process already produced, with no flight of that stream
+/// running, needs no producer run and is answered here instead.
 fn fly(
     inner: &Arc<ServerInner>,
     conn: &mut Conn,
@@ -960,6 +982,9 @@ fn fly(
     // it is only unwinding, and joining would hand a live requester the
     // abandonment — so it is replaced by a fresh one under the same key.
     // A joiner adds its point unless the flight already has that key.
+    // A running flight is joined before "produced" is asked: its first
+    // point produces the stream before the rest are recorded, and those
+    // are its to record until it leaves the map.
     let key = point.key.clone();
     let (flight, _interest, coalesced) = {
         let mut flights = lock(&inner.flights);
@@ -974,7 +999,12 @@ fn fly(
                 drop(points);
                 (flight, interest, true)
             }
+            None if inner.cache.produced(&flight_key.0, Boxes::Single, &flight_key.1).is_some() => {
+                drop(flights);
+                return measure_here(inner, req_token, &point);
+            }
             None => {
+                inner.flights_started.fetch_add(1, Ordering::SeqCst);
                 let token = match inner.cfg.budget.point_deadline {
                     Some(d) => inner.token.child_until(Instant::now() + d, "point deadline"),
                     None => inner.token.child(),
@@ -1067,6 +1097,23 @@ fn spawn_flight_worker(inner: &Arc<ServerInner>, flight: &Arc<Flight>, flight_ke
         flight.cv.notify_all();
         inner.active_flights.fetch_sub(1, Ordering::SeqCst);
     });
+}
+
+/// A cold point that needs no flight — its stream is already produced,
+/// or it is refused — measured on the request's own thread. The request
+/// token is ambient, as a flight's token is for a flight, and carries
+/// the point deadline if one is set.
+fn measure_here(
+    inner: &ServerInner,
+    req_token: &CancelToken,
+    point: &ColdPoint,
+) -> Result<u64, String> {
+    let token = match inner.cfg.budget.point_deadline {
+        Some(d) => req_token.child_until(Instant::now() + d, "point deadline"),
+        None => req_token.clone(),
+    };
+    let _ambient = cancel::set_current(Some(token));
+    measure_cold(&inner.cache, point)
 }
 
 /// One cold point through the cache's miss path: produced, or recorded

@@ -1355,8 +1355,11 @@ impl TrafficCache {
     }
 
     /// The member this cache produced for `stream` on `boxes` through
-    /// the whole hierarchy `configs`, if any.
-    fn produced(
+    /// the whole hierarchy `configs`, if any: a miss there is recorded
+    /// without a producer run. Besides [`TrafficCache::fetch`], `repro
+    /// serve` asks it to answer such a point on the request's thread,
+    /// and [`crate::SweepEngine::prewarm`] to plan no pass for it.
+    pub(crate) fn produced(
         &self,
         stream: &Stream,
         boxes: Boxes,
@@ -1377,6 +1380,9 @@ impl TrafficCache {
 
     /// Memoize a fresh measurement and append it to the store (if this
     /// cache owns the writer lock), with the configured retry budget.
+    /// A key is appended at most once per process: two callers that
+    /// both missed it (a stream-shared key asked twice at once) hold
+    /// equal numbers, and the second one's record stops here.
     fn record(&self, key: String, t: BoxTraffic) {
         {
             // A refresh since the lookup missed may have brought the
@@ -1385,7 +1391,9 @@ impl TrafficCache {
             if self.reader.as_ref().is_some_and(|r| r.view().get(&key).is_some()) {
                 return;
             }
-            fresh.insert(key.clone(), t);
+            if fresh.insert(key.clone(), t).is_some() {
+                return;
+            }
         }
         if let (Some(path), true) = (self.store_path(), self.owned_lock.is_some()) {
             // Line and newline go out in ONE `write` on the O_APPEND

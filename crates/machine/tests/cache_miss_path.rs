@@ -126,3 +126,42 @@ fn family_members_keep_their_own_keys_and_indices() {
         assert_eq!(stored, alone.get(p.variant, p.n, &p.configs), "{}", p.variant);
     }
 }
+
+/// Two callers that miss one stream-shared key at once both record it
+/// (neither runs a producer), but the store gains its line once: the
+/// second record finds the key held and skips the append.
+#[test]
+fn a_key_missed_twice_at_once_is_appended_once() {
+    use std::sync::Barrier;
+    /// Holds both lookups of the shared key until each has missed it.
+    struct Together(Barrier);
+    impl FaultHook for Together {
+        fn before_simulation(&self, _sim_index: u64, key: &str) {
+            if key.contains("/p[") {
+                self.0.wait();
+            }
+        }
+    }
+    let cfg = vec![CacheConfig::new(8 * 1024, 4), CacheConfig::new(64 * 1024, 8)];
+    let base = Variant::baseline();
+    let elided = Pipeline::parse("elide-barriers").unwrap();
+    let dir = TempDir::new("miss-path-twice");
+    let path = dir.file("traffic.txt");
+    let cache =
+        TrafficCache::with_store(&path).with_fault_hook(Arc::new(Together(Barrier::new(2))));
+    let plain = cache.get(base, 8, &cfg);
+    let shared: Vec<_> = std::thread::scope(|s| {
+        let asks: Vec<_> = (0..2)
+            .map(|_| s.spawn(|| cache.get_optimized(base, 8, &cfg, &elided).unwrap()))
+            .collect();
+        asks.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    assert_eq!(shared, [plain, plain]);
+    let s = cache.stats();
+    assert_eq!((s.misses, s.passes, s.shared_points), (3, 1, 2), "{s:?}");
+    let body = std::fs::read_to_string(&path).unwrap();
+    let key = store_key_with_passes(base, 8, &cfg, &elided);
+    let lines = body.lines().filter(|l| !l.starts_with('#')).collect::<Vec<_>>();
+    assert_eq!(lines.len(), 2, "one line per key before compaction:\n{body}");
+    assert_eq!(lines.iter().filter(|l| l.starts_with(&format!("{key} "))).count(), 1, "{body}");
+}

@@ -74,6 +74,11 @@ impl Client {
 
 const WARM_REQ: &str = "{\"machine\":\"i5\",\"n\":8,\"threads\":2,\"top\":2}";
 
+/// The top-ranked i5 point at n = 8, under the pass pipeline `passes`.
+fn top_one_with(passes: &str) -> String {
+    format!("{{\"machine\":\"i5\",\"n\":8,\"threads\":2,\"top\":1,\"passes\":\"{passes}\"}}")
+}
+
 fn count_entry_lines(store: &std::path::Path) -> usize {
     std::fs::read_to_string(store)
         .unwrap_or_default()
@@ -219,6 +224,57 @@ fn cold_requests_for_one_stream_share_one_flight() {
         let alone = Server::start(ServeConfig::default()).expect("bind");
         assert_eq!(*reply, ask(alone.local_addr(), &request(passes)), "[{passes}]");
     }
+}
+
+/// A cold key whose stream the server already produced is answered on
+/// the request's own thread: no flight, no producer run, and the same
+/// bytes a fresh server answers after simulating it.
+#[test]
+fn a_produced_stream_answers_its_other_keys_without_a_flight() {
+    let dir = TempDir::new("servinline");
+    let store = dir.file("t.txt");
+    let server =
+        Server::start(ServeConfig { store: Some(store.clone()), ..ServeConfig::default() })
+            .expect("bind");
+    let mut client = Client::connect(server.local_addr());
+    let plain = client.ask(&top_one_with(""));
+    assert!(plain.contains("\"source\":\"sim\""), "{plain}");
+    let elided = client.ask(&top_one_with("elide-barriers"));
+    assert!(elided.contains("\"source\":\"sim\""), "{elided}");
+    assert_eq!(server.stats().flights, 1, "{:?}", server.stats());
+    let s = server.cache().stats();
+    assert_eq!((s.misses, s.passes, s.shared_points), (2, 1, 1), "{s:?}");
+    assert!(server.drain());
+    assert_eq!(count_entry_lines(&store), 2, "each key recorded under its own name");
+    let alone = Server::start(ServeConfig::default()).expect("bind");
+    assert_eq!(elided, ask(alone.local_addr(), &top_one_with("elide-barriers")));
+    assert_eq!(alone.stats().flights, 1, "a fresh server simulates it in a flight");
+}
+
+/// A fault-hook panic on a point answered without a flight fails that
+/// request alone: the server answers the next one.
+#[test]
+fn a_panic_on_an_inline_point_fails_that_request_only() {
+    // Miss 0 produces the stream in a flight; miss 1 is the inline one.
+    let plan = Arc::new(FaultPlan::new().panic_on_sim(1));
+    let server = Server::start(ServeConfig {
+        store_fault: Some(Arc::new(GatedHook(plan))),
+        ..ServeConfig::default()
+    })
+    .expect("bind");
+    let mut client = Client::connect(server.local_addr());
+    let plain = client.ask(&top_one_with(""));
+    assert!(plain.contains("\"ok\":true"), "{plain}");
+    let failed = client.ask(&top_one_with("elide-barriers"));
+    assert!(
+        failed.contains("\"error\":\"point_failed\"") && failed.contains("injected fault"),
+        "{failed}"
+    );
+    let again = client.ask(&top_one_with("elide-barriers"));
+    assert!(again.contains("\"ok\":true") && again.contains("\"source\":\"sim\""), "{again}");
+    assert_eq!(server.stats().flights, 1, "{:?}", server.stats());
+    let s = server.cache().stats();
+    assert_eq!((s.misses, s.passes, s.shared_points), (3, 1, 1), "{s:?}");
 }
 
 /// A leader panic is published to every parked follower and the flight
