@@ -1143,6 +1143,14 @@ fn print_faultcheck(cache: &TrafficCache, engine: &SweepEngine, log: &mut RunLog
 
 use pdesched_bench::json_str;
 
+/// This process's peak resident set so far, MB: `VmHWM` in
+/// `/proc/self/status`, `None` where the kernel reports none.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    Some(kb.trim().strip_suffix("kB")?.trim().parse::<f64>().ok()? / 1024.0)
+}
+
 /// Serialize stages + figures + cache counters as JSON (no external
 /// dependencies, so the writer is by hand; the shape is stable,
 /// versioned by `schema_version`, and documented in the README).
@@ -1158,7 +1166,7 @@ fn render_json(
     use std::fmt::Write;
     let mut j = String::new();
     let _ = writeln!(j, "{{");
-    let _ = writeln!(j, "  \"schema_version\": 10,");
+    let _ = writeln!(j, "  \"schema_version\": 11,");
     let _ = writeln!(j, "  \"fast\": {fast},");
     let _ = writeln!(j, "  \"threads\": {threads},");
     // How many producer passes answered the run's misses — how much
@@ -1223,6 +1231,11 @@ fn render_json(
         s.corrupt_lines,
         s.store_errors,
         log.store_open_ms
+    );
+    let _ = writeln!(
+        j,
+        "  \"process\": {{\"peak_rss_mb\": {}}},",
+        peak_rss_mb().map_or_else(|| "null".into(), |mb| format!("{mb:.3}"))
     );
     let _ = writeln!(j, "  \"failures\": [");
     for (i, (stage, kind, f)) in log.failures.iter().enumerate() {

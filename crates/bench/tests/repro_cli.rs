@@ -41,7 +41,7 @@ fn clean_run_reports_healthy_store_and_no_failures() {
         .args(["--json", json_path.to_str().unwrap()])
         .args(["--threads", "2", "fig1", "table1", "ablation"]));
     let json = std::fs::read_to_string(&json_path).unwrap();
-    assert!(json.contains("\"schema_version\": 10"), "{json}");
+    assert!(json.contains("\"schema_version\": 11"), "{json}");
     assert!(!json.contains("engine_threads"), "v8 stages carry no engine-thread grant: {json}");
     assert!(!json.contains("\"mode\""), "v9 has one producer, no mode: {json}");
     assert!(json.contains("\"traffic\": {\"passes\": 0, \"shared_points\": 0}"), "{json}");
@@ -56,6 +56,13 @@ fn clean_run_reports_healthy_store_and_no_failures() {
         .and_then(|(_, rest)| rest.split_once('}'))
         .and_then(|(ms, _)| ms.parse::<f64>().ok());
     assert!(open_ms.is_some_and(|ms| ms.is_finite() && ms >= 0.0), "{json}");
+    // v11: the process's peak RSS, a reading like `"open_ms"`; the
+    // kernel here reports one.
+    let peak_rss_mb = json
+        .split_once("\"process\": {\"peak_rss_mb\": ")
+        .and_then(|(_, rest)| rest.split_once('}'))
+        .and_then(|(mb, _)| mb.parse::<f64>().ok());
+    assert!(peak_rss_mb.is_some_and(|mb| mb.is_finite() && mb > 0.0), "{json}");
     assert!(json.contains("\"failures\": ["), "{json}");
     assert!(!json.contains("\"error\":"), "clean run must report no failures: {json}");
 }

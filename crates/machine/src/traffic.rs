@@ -194,35 +194,39 @@ pub(crate) fn box_reps(n: i32) -> usize {
 ///
 /// A thread in the real computation streams through many boxes, so the
 /// relevant quantity is the *per-box increment* once the caches are in
-/// steady state: the first set warms the temporary buffers (which the
-/// allocator reuses at the same addresses), and the increment naturally
-/// includes the writeback of the previous box's dirty output lines.
+/// steady state. Every set has trace addresses of its own, drawn as
+/// separate allocations would draw them ([`set_bases`]), so the
+/// increment includes the writeback of the previous box's dirty output
+/// lines. The temporaries of every set share one scratch region
+/// ([`trace_addr::rewind`]), so the first set warms them for the rest.
+///
+/// The stream depends on the plan and these addresses only, never on
+/// a value (the stencil has no data-dependent branch), so one real set
+/// is moved to each set's addresses in turn, and `phi0` is never
+/// written: an untouched buffer stays on the kernel's shared zero
+/// pages, and the measurement holds one written `phi1` plus the
+/// temporaries.
 fn drive<M: Mem>(plan: &Plan, n: i32, boxes: Boxes, mem: &M) -> usize {
     // Deterministic trace layout: every buffer below (and every
     // temporary inside the runs) gets its virtual address from this
     // thread's allocation order, so the stream is a pure function of
     // (plan, n, boxes) — identical on any thread of any run.
     trace_addr::reset();
-    let first = IBox::cube(n);
-    let cells = match boxes {
-        Boxes::Single => vec![first],
-        Boxes::Pair => vec![first, first.shifted(IntVect::new(n, 0, 0))],
-    };
-    let source = IBox::new(first.lo(), cells[cells.len() - 1].hi()).grown(GHOST);
-    let mut sets: Vec<(FArrayBox, Vec<FArrayBox>)> = (0..box_reps(n))
-        .map(|i| {
-            let mut phi0 = FArrayBox::new(source, NCOMP);
-            phi0.fill_synthetic(97 + i as u64);
-            (phi0, cells.iter().map(|&c| FArrayBox::new(c, NCOMP)).collect())
-        })
+    let (source, cells) = box_regions(n, boxes);
+    // One set: `phi0` over the source, then one `phi1` per cell.
+    let mut set: Vec<FArrayBox> = std::iter::once(source)
+        .chain(cells.iter().copied())
+        .map(|b| FArrayBox::new(b, NCOMP))
         .collect();
-    // Rewind the scratch region between sets: each run's temporaries
-    // occupy the same virtual addresses (a real allocator hands the
-    // just-freed blocks back), so the warm-up set really does heat them.
+    let bases = set_bases(&set, box_reps(n));
     let scratch = trace_addr::mark();
-    for (phi0, phi1) in &mut sets {
+    for set_base in &bases {
+        for (fab, &base) in set.iter_mut().zip(set_base) {
+            fab.set_base_addr(base);
+        }
         trace_addr::rewind(scratch);
-        match &mut phi1[..] {
+        let (phi0, phi1) = set.split_first_mut().expect("a set holds phi0");
+        match phi1 {
             [a, b] if plan.interleave > 1 => {
                 plan::execute_pair(plan, phi0, a, b, cells[0], cells[1], mem);
             }
@@ -233,7 +237,27 @@ fn drive<M: Mem>(plan: &Plan, n: i32, boxes: Boxes, mem: &M) -> usize {
             }
         }
     }
-    sets.len() * cells.len()
+    bases.len() * cells.len()
+}
+
+/// The `phi0` region and the updated cells of `boxes` of edge `n`.
+fn box_regions(n: i32, boxes: Boxes) -> (IBox, Vec<IBox>) {
+    let first = IBox::cube(n);
+    let cells = match boxes {
+        Boxes::Single => vec![first],
+        Boxes::Pair => vec![first, first.shifted(IntVect::new(n, 0, 0))],
+    };
+    (IBox::new(first.lo(), cells[cells.len() - 1].hi()).grown(GHOST), cells)
+}
+
+/// The trace bases of `reps` box sets shaped like `set`, set by set and
+/// in `set`'s order: exactly what `reps` separate allocations of the set
+/// would draw. `set` is the first of them, allocated just now; the
+/// others are drawn after it.
+fn set_bases(set: &[FArrayBox], reps: usize) -> Vec<Vec<usize>> {
+    let first = set.iter().map(FArrayBox::base_addr).collect();
+    let rest = (1..reps).map(|_| set.iter().map(|f| trace_addr::alloc(f.bytes())).collect());
+    std::iter::once(first).chain(rest).collect()
 }
 
 /// The one `Stats → BoxTraffic` conversion: counters per box, hit
@@ -1631,6 +1655,100 @@ mod tests {
             &small_hierarchy(),
         );
         assert!(ot.dram_bytes < base.dram_bytes);
+    }
+
+    /// Every access of a traced run, in order: `(write, byte address)`.
+    #[derive(Default)]
+    struct Recorder(Mutex<Vec<(bool, usize)>>);
+
+    impl Mem for Recorder {
+        fn r(&self, addr: usize) {
+            self.0.lock().unwrap().push((false, addr));
+        }
+        fn w(&self, addr: usize) {
+            self.0.lock().unwrap().push((true, addr));
+        }
+    }
+
+    /// The producer with every set allocated on its own and every
+    /// `phi0` filled with values: what [`drive`] stands for.
+    fn filled_drive<M: Mem>(plan: &Plan, n: i32, boxes: Boxes, mem: &M) -> usize {
+        trace_addr::reset();
+        let (source, cells) = box_regions(n, boxes);
+        let mut sets: Vec<(FArrayBox, Vec<FArrayBox>)> = (0..box_reps(n))
+            .map(|i| {
+                let mut phi0 = FArrayBox::new(source, NCOMP);
+                phi0.fill_synthetic(97 + i as u64);
+                (phi0, cells.iter().map(|&c| FArrayBox::new(c, NCOMP)).collect())
+            })
+            .collect();
+        let scratch = trace_addr::mark();
+        for (phi0, phi1) in &mut sets {
+            trace_addr::rewind(scratch);
+            match &mut phi1[..] {
+                [a, b] if plan.interleave > 1 => {
+                    plan::execute_pair(plan, phi0, a, b, cells[0], cells[1], mem);
+                }
+                outs => {
+                    for (out, &c) in outs.iter_mut().zip(&cells) {
+                        plan::execute(plan, phi0, out, c, mem);
+                    }
+                }
+            }
+        }
+        sets.len() * cells.len()
+    }
+
+    #[test]
+    fn stream_is_independent_of_field_values() {
+        // One unfilled set moved through every set's addresses emits
+        // the stream of separately allocated, filled sets: values never
+        // steer an access.
+        let n = 8;
+        let hand = Pipeline::empty();
+        let fuse = Pipeline::parse("cross-box-fuse:2").unwrap();
+        let mut points: Vec<(Variant, &Pipeline, Boxes)> = Variant::enumerate_extended(n)
+            .into_iter()
+            .filter(|v| v.validate_for_box(n).is_ok())
+            .map(|v| (v, &hand, Boxes::Single))
+            .collect();
+        assert!(points.len() >= 20, "{} valid variants", points.len());
+        points.push((Variant::shift_fuse(), &hand, Boxes::Pair));
+        points.push((Variant::shift_fuse(), &fuse, Boxes::Pair));
+        for (v, pipeline, boxes) in points {
+            let plan = plan_for_optimized(v, IntVect::splat(n), 1, pipeline).unwrap();
+            assert_eq!(boxes == Boxes::Pair && !pipeline.is_empty(), plan.interleave > 1);
+            let (lean, filled) = (Recorder::default(), Recorder::default());
+            let sets = drive(&plan, n, boxes, &lean);
+            assert_eq!(sets, filled_drive(&plan, n, boxes, &filled));
+            let (lean, filled) = (lean.0.into_inner().unwrap(), filled.0.into_inner().unwrap());
+            assert!(!lean.is_empty());
+            assert!(lean == filled, "{v} {boxes:?} [{}]: streams differ", pipeline.key());
+        }
+    }
+
+    #[test]
+    fn set_bases_match_separate_allocations() {
+        for boxes in [Boxes::Single, Boxes::Pair] {
+            for n in [8, 40, 66] {
+                let (source, cells) = box_regions(n, boxes);
+                let shapes: Vec<IBox> = std::iter::once(source).chain(cells).collect();
+                trace_addr::reset();
+                let separate: Vec<Vec<usize>> = (0..box_reps(n))
+                    .map(|_| {
+                        let set: Vec<FArrayBox> =
+                            shapes.iter().map(|&b| FArrayBox::new(b, NCOMP)).collect();
+                        set.iter().map(FArrayBox::base_addr).collect()
+                    })
+                    .collect();
+                let end = trace_addr::mark();
+                trace_addr::reset();
+                let set: Vec<FArrayBox> =
+                    shapes.iter().map(|&b| FArrayBox::new(b, NCOMP)).collect();
+                assert_eq!(set_bases(&set, box_reps(n)), separate, "n = {n}, {boxes:?}");
+                assert_eq!(trace_addr::mark(), end, "the scratch region starts where it did");
+            }
+        }
     }
 
     #[test]

@@ -149,6 +149,15 @@ impl FArrayBox {
         self.abase
     }
 
+    /// Move the array to the trace base `abase`, a region of at least
+    /// [`FArrayBox::bytes`] drawn from [`crate::trace_addr::alloc`]: its
+    /// accesses are traced there from now on. One buffer can so stand
+    /// in for several allocations of its shape.
+    #[inline]
+    pub fn set_base_addr(&mut self, abase: usize) {
+        self.abase = abase;
+    }
+
     /// Fill every value with `v`.
     pub fn set_val(&mut self, v: f64) {
         self.data.fill(v);
@@ -385,5 +394,20 @@ mod tests {
         let mut fa = FArrayBox::new(a, 1);
         fa.set(IntVect::new(1, 1, 1), 0, -4.0);
         assert_eq!(fa.sum_comp(0, a), -4.0);
+    }
+
+    #[test]
+    fn set_base_addr_moves_only_the_trace_base() {
+        crate::trace_addr::reset();
+        let b = IBox::cube(4);
+        let mut f = FArrayBox::new(b, 2);
+        f.set(IntVect::new(1, 2, 3), 1, 7.0);
+        let other = crate::trace_addr::alloc(f.bytes());
+        let before = f.clone();
+        let cursor = crate::trace_addr::mark();
+        f.set_base_addr(other);
+        assert_eq!(f.base_addr(), other);
+        assert_eq!(crate::trace_addr::mark(), cursor, "moving draws no address");
+        assert_eq!(f, before, "values and region stay");
     }
 }
