@@ -32,19 +32,7 @@ fn bench_accumulate() {
     }
 }
 
-fn bench_gradient() {
-    // The second stencil: fusing the three direction passes reads phi
-    // once instead of three times — measurable on one core.
-    let n = 64;
-    let (phi0, _, cells) = box_pair(n, 21);
-    let mut out = FArrayBox::new(cells, 3 * NCOMP);
-    let group = Group::new("gradient_64cubed", 20);
-    group.bench("series", || pdesched_kernels::gradient::gradient_series(&phi0, cells, &mut out));
-    group.bench("fused", || pdesched_kernels::gradient::gradient_fused(&phi0, cells, &mut out));
-}
-
 fn main() {
     bench_flux1();
     bench_accumulate();
-    bench_gradient();
 }

@@ -89,8 +89,7 @@ use pdesched_core::storage::{expected, paper_formula};
 use pdesched_core::{Category, Pipeline, Variant};
 use pdesched_machine::{figures, sweep};
 use pdesched_machine::{
-    FaultHook, MachineSpec, PointFailure, PriorSweep, SimPoint, SweepBudget, SweepEngine,
-    TrafficCache,
+    FaultHook, MachineSpec, PointFailure, SimPoint, SweepBudget, SweepEngine, TrafficCache,
 };
 use pdesched_par::cancel::{self, CancelToken, Cancelled};
 use std::time::Duration;
@@ -221,7 +220,6 @@ fn env_fault() -> Option<EnvFault> {
 /// Async-signal-safe SIGINT/SIGTERM latch. The handler only stores the
 /// signal number; a monitor thread polls the latch and trips the run's
 /// cancel token, so all actual unwinding happens on normal threads.
-#[cfg(unix)]
 mod signals {
     use std::sync::atomic::{AtomicI32, Ordering};
 
@@ -249,14 +247,6 @@ mod signals {
             15 => Some("SIGTERM"),
             _ => None,
         }
-    }
-}
-
-#[cfg(not(unix))]
-mod signals {
-    pub fn install() {}
-    pub fn pending() -> Option<&'static str> {
-        None
     }
 }
 
@@ -420,7 +410,7 @@ fn main() {
 
     let mut stages: Vec<Stage> = Vec::new();
     let mut json_figures: Vec<figures::Figure> = Vec::new();
-    let mut log = RunLog { store_open_ms, failures: Vec::new(), resumed_from: None };
+    let mut log = RunLog { store_open_ms, failures: Vec::new() };
     let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         for w in &wanted {
             if token.is_tripped() {
@@ -1046,13 +1036,11 @@ fn print_plandump(spec: &MachineSpec, n: i32, out_dir: &str, passes: &str, only:
 }
 
 /// Everything a supervised run accumulates besides stages and figures:
-/// the wall time of opening its store, per-point failures/timeouts (with
-/// their kind for `--json`) and the journal's account of the interrupted
-/// sweep this run resumed.
+/// the wall time of opening its store and per-point failures/timeouts
+/// (with their kind for `--json`).
 struct RunLog {
     store_open_ms: f64,
     failures: Vec<(String, &'static str, PointFailure)>,
-    resumed_from: Option<PriorSweep>,
 }
 
 /// "`n` pass(es)": how many producer passes answered some misses.
@@ -1075,21 +1063,10 @@ fn prewarm(
     let shared_before = cache.stats().shared_points;
     let r = engine.prewarm(cache, &points);
     let shared = cache.stats().shared_points - shared_before;
-    if let (None, Some(prior)) = (&log.resumed_from, &r.resumed_from) {
-        eprintln!(
-            "[repro] {target}: resuming an interrupted sweep ({} points planned, \
-             {} failed, {} timed out{})",
-            prior.total,
-            prior.failed,
-            prior.timed_out,
-            prior.cancelled.as_deref().map(|c| format!(", cancelled: {c}")).unwrap_or_default()
-        );
-        log.resumed_from = Some(prior.clone());
-    }
     if r.measured > 0 || !r.failed.is_empty() || !r.timed_out.is_empty() {
         eprintln!(
             "[repro] {target}: measured {} of {} unique points in {} ({} shared), {:.1}s \
-             ({:.2} points/s) on {} threads{}{}",
+             ({:.2} points/s) on {} threads{}{}{}",
             r.measured,
             r.unique,
             passes(r.passes as u64),
@@ -1097,6 +1074,7 @@ fn prewarm(
             r.seconds,
             r.points_per_sec,
             engine.nthreads(),
+            if r.cached == 0 { String::new() } else { format!(", {} already cached", r.cached) },
             if r.failed.is_empty() {
                 String::new()
             } else {
@@ -1166,7 +1144,7 @@ fn render_json(
     use std::fmt::Write;
     let mut j = String::new();
     let _ = writeln!(j, "{{");
-    let _ = writeln!(j, "  \"schema_version\": 11,");
+    let _ = writeln!(j, "  \"schema_version\": 12,");
     let _ = writeln!(j, "  \"fast\": {fast},");
     let _ = writeln!(j, "  \"threads\": {threads},");
     // How many producer passes answered the run's misses — how much
@@ -1190,22 +1168,6 @@ fn render_json(
         }
         None => {
             let _ = writeln!(j, "  \"interrupted\": null,");
-        }
-    }
-    match &log.resumed_from {
-        Some(p) => {
-            let _ = writeln!(
-                j,
-                "  \"resumed_from\": {{\"total\": {}, \"failed\": {}, \"timed_out\": {}, \
-                 \"cancelled\": {}}},",
-                p.total,
-                p.failed,
-                p.timed_out,
-                p.cancelled.as_deref().map(json_str).unwrap_or_else(|| "null".into())
-            );
-        }
-        None => {
-            let _ = writeln!(j, "  \"resumed_from\": null,");
         }
     }
     let s = cache.stats();

@@ -29,6 +29,18 @@ fn run(cmd: &mut Command) -> (String, String) {
     run_expect(cmd, 0)
 }
 
+/// The misses of every `"stages"` entry of a `--json` report, summed:
+/// how many points the run measured or recorded.
+fn stage_misses(json: &str) -> usize {
+    json.lines()
+        .filter(|l| l.contains("\"target\": "))
+        .map(|l| {
+            let (_, rest) = l.split_once("\"misses\": ").expect("a stage has misses");
+            rest[..rest.find('}').unwrap()].parse::<usize>().unwrap()
+        })
+        .sum()
+}
+
 #[test]
 fn clean_run_reports_healthy_store_and_no_failures() {
     let dir = TempDir::new("repro-clean");
@@ -41,12 +53,12 @@ fn clean_run_reports_healthy_store_and_no_failures() {
         .args(["--json", json_path.to_str().unwrap()])
         .args(["--threads", "2", "fig1", "table1", "ablation"]));
     let json = std::fs::read_to_string(&json_path).unwrap();
-    assert!(json.contains("\"schema_version\": 11"), "{json}");
+    assert!(json.contains("\"schema_version\": 12"), "{json}");
     assert!(!json.contains("engine_threads"), "v8 stages carry no engine-thread grant: {json}");
     assert!(!json.contains("\"mode\""), "v9 has one producer, no mode: {json}");
     assert!(json.contains("\"traffic\": {\"passes\": 0, \"shared_points\": 0}"), "{json}");
     assert!(json.contains("\"interrupted\": null"), "{json}");
-    assert!(json.contains("\"resumed_from\": null"), "{json}");
+    assert!(!json.contains("resumed_from"), "v12: the store is the only resume record: {json}");
     assert!(json.contains("\"read_only\": false"), "{json}");
     assert!(json.contains("\"corrupt_lines\": 0"), "{json}");
     assert!(json.contains("\"store_errors\": 0"), "{json}");
@@ -200,11 +212,10 @@ fn hung_point_is_killed_by_point_deadline_and_reported_as_timeout() {
         "2",
         "faultcheck",
     ]));
-    assert!(stderr.contains("resuming an interrupted sweep"), "{stderr}");
     assert!(stderr.contains("measured 1 of 2"), "{stderr}");
+    assert!(stderr.contains(", 1 already cached"), "{stderr}");
 }
 
-#[cfg(unix)]
 #[test]
 fn sigint_interrupts_flushes_and_resumes() {
     let dir = TempDir::new("repro-sigint");
@@ -231,7 +242,13 @@ fn sigint_interrupts_flushes_and_resumes() {
     let json = std::fs::read_to_string(&json_path).unwrap();
     assert!(json.contains("\"reason\": \"signal SIGINT\""), "{json}");
     assert!(json.contains("\"exit_code\": 10"), "{json}");
-    // The resumed run completes cleanly and reports what it resumed.
+    let store_entries = || {
+        let text = std::fs::read_to_string(&store).unwrap();
+        text.lines().skip(1).filter(|l| !l.is_empty()).count()
+    };
+    let kept = store_entries();
+    assert!(kept < 2, "the hung point must not be stored");
+    // The resumed run completes cleanly and measures only what is missing.
     let json_path2 = dir.file("out2.json");
     run(repro()
         .args(["--store", store.to_str().unwrap()])
@@ -239,18 +256,15 @@ fn sigint_interrupts_flushes_and_resumes() {
         .args(["--threads", "2", "faultcheck"]));
     let json2 = std::fs::read_to_string(&json_path2).unwrap();
     assert!(json2.contains("\"interrupted\": null"), "{json2}");
-    assert!(json2.contains("\"cancelled\": \"signal SIGINT\""), "{json2}");
-    let persisted = std::fs::read_to_string(&store).unwrap();
-    let entries = persisted.lines().skip(1).filter(|l| !l.is_empty()).count();
-    assert_eq!(entries, 2, "resume must complete both points:\n{persisted}");
+    assert_eq!(stage_misses(&json2), 2 - kept, "{json2}");
+    assert_eq!(store_entries(), 2, "resume must complete both points");
 }
 
-/// A run shot mid-measurement (process abort — no unwinding, no flush,
-/// no `cancelled` record) loses nothing it had appended, and re-running
+/// A run shot mid-measurement (process abort — no unwinding, no flush)
+/// loses nothing it had appended, and re-running
 /// the same command against the same store finishes with exactly the
 /// entries of an uninterrupted run. `faultcheck` runs simulations 0–1
 /// to completion, so simulation 3 dies inside the `sweep` stage.
-#[cfg(unix)]
 #[test]
 fn aborted_run_resumes_to_the_serial_golden() {
     use std::os::unix::process::ExitStatusExt;
@@ -284,13 +298,16 @@ fn aborted_run_resumes_to_the_serial_golden() {
     for line in &kept {
         assert!(golden.iter().any(|g| g == line), "not a golden entry: {line}");
     }
-    let journal = std::fs::read_to_string(dir.file("store.txt.journal")).unwrap();
-    assert!(journal.contains("\nbegin\t"), "{journal}");
-    assert!(!journal.contains("complete"), "a dead run must not read as complete: {journal}");
 
-    let (_, stderr) = run(repro().args(["--store", store.to_str().unwrap()]).args(targets));
-    assert!(stderr.contains("resuming an interrupted sweep"), "{stderr}");
+    let json_path = dir.file("resume.json");
+    run(repro()
+        .args(["--store", store.to_str().unwrap()])
+        .args(["--json", json_path.to_str().unwrap()])
+        .args(targets));
+    let json = std::fs::read_to_string(&json_path).unwrap();
+    assert_eq!(stage_misses(&json), golden.len() - kept.len(), "only missing points: {json}");
     assert_eq!(sorted_entries(&store), golden, "resume must converge entry for entry");
+    assert!(!dir.file("store.txt.journal").exists(), "the store is the only resume record");
 }
 
 #[test]

@@ -27,7 +27,6 @@
 )]
 pub mod boxops;
 pub mod ghost;
-pub mod gradient;
 pub mod ops;
 pub mod point;
 pub mod reference;

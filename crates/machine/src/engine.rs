@@ -21,10 +21,13 @@
 //! a fan-out hierarchy (`pdesched_cachesim::Hierarchy::fan_out`),
 //! bit-identical to measuring each alone. Points that differ in their
 //! variant label only are one member of that run, recorded under each
-//! key. Counts the operator sees (`measured`, `remaining`, the
-//! journal's total, progress lines) stay in points.
+//! key. Counts the operator sees (`measured`, `cached`, `remaining`,
+//! progress lines) stay in points.
+//!
+//! The store is the only record of a sweep: a point is either durably
+//! appended or missing, and a re-run measures exactly the missing ones.
+//! A resume shows as [`PrewarmReport::cached`] > 0.
 
-use crate::journal::{self, PriorSweep, SweepJournal};
 use crate::model::prediction_hierarchy;
 use crate::spec::MachineSpec;
 use crate::traffic::{Boxes, Point, TrafficCache};
@@ -124,9 +127,13 @@ pub struct PrewarmReport {
     /// Distinct points after dedup.
     pub unique: usize,
     /// Points measured: produced, or recorded from a stream the cache
-    /// produced under another key (the rest were already cached,
-    /// failed, timed out, or left behind by a cancellation).
+    /// produced under another key (the rest were skipped, already
+    /// cached, failed, timed out, or left behind by a cancellation).
     pub measured: usize,
+    /// Unique valid points the cache already held, so not measured. On
+    /// a re-run over an interrupted sweep's store, this is what the
+    /// earlier run finished.
+    pub cached: usize,
     /// Points whose measurement panicked. The panic is contained to the
     /// point: every other point still completes, and the caller decides
     /// whether a partial sweep is acceptable.
@@ -148,11 +155,8 @@ pub struct PrewarmReport {
     /// (always 0 when `cancelled` is `None`). They stay missing from
     /// the store, so a re-run resumes exactly these.
     pub remaining: usize,
-    /// What the journal said about a previous interrupted sweep over the
-    /// same store — `Some` exactly when this run is a resume.
-    pub resumed_from: Option<PriorSweep>,
     /// Wall-clock seconds of the whole prewarm call (dedup, validation,
-    /// journal handling, and the parallel measurement region).
+    /// and the parallel measurement region).
     pub seconds: f64,
     /// Wall-clock seconds from the first point actually entering
     /// measurement to the end of the parallel region; 0 when nothing was
@@ -271,12 +275,9 @@ impl SweepEngine {
     /// points are reported in [`PrewarmReport::timed_out`]); an
     /// engine-level [`CancelToken`] cancels the whole sweep. However the
     /// sweep stops, every completed point is already durably appended to
-    /// the store and a journal sidecar marks the interruption, so
-    /// re-running the same prewarm resumes with exactly the missing
-    /// points and ends bit-identical to an uninterrupted run. A prewarm
-    /// with nothing to measure opens no journal: it neither reports nor
-    /// erases an interrupted sweep's record, which the next prewarm that
-    /// measures resumes.
+    /// the store, so re-running the same prewarm measures exactly the
+    /// missing points ([`PrewarmReport::cached`] counts the rest) and
+    /// ends bit-identical to an uninterrupted run.
     pub fn prewarm(&self, cache: &TrafficCache, points: &[SimPoint]) -> PrewarmReport {
         let t0 = Instant::now();
         // One keyed walk: dedupe, the skip list, and the missing points
@@ -291,6 +292,7 @@ impl SweepEngine {
         // as no pass.
         let mut shared: Vec<&SimPoint> = Vec::new();
         let mut skipped: Vec<SkippedPoint> = Vec::new();
+        let mut cached = 0;
         for p in points {
             if !seen.insert((p.variant, p.n, &p.configs)) {
                 continue;
@@ -304,6 +306,7 @@ impl SweepEngine {
                 continue;
             }
             if cache.contains(p.variant, p.n, &p.configs) {
+                cached += 1;
                 continue;
             }
             let stream = Point::hand(p.variant, p.n, &p.configs)
@@ -349,25 +352,10 @@ impl SweepEngine {
         }
         passes.sort_by_key(|slots| Reverse((slots[0][0].n, slots.len())));
         // The shared points are recorded first, each an item of its own
-        // (a lookup, not a pass): they fail, time out and journal like
-        // any point.
+        // (a lookup, not a pass): they fail and time out like any point.
         let producer_passes = passes.len();
         passes.splice(0..0, shared.into_iter().map(|p| vec![vec![p]]));
         let total: usize = passes.iter().flatten().map(Vec::len).sum();
-
-        // Checkpoint/resume: the store is the source of truth for
-        // completed points (they were filtered out of the passes above); the
-        // journal sidecar records everything else about the previous
-        // sweep. An unterminated journal means we are resuming it.
-        let mut resumed_from: Option<PriorSweep> = None;
-        let journal: Option<SweepJournal> = match cache.store_path() {
-            Some(store) if !cache.store_read_only() && total > 0 => {
-                let jpath = journal::journal_path_for(store);
-                resumed_from = journal::load(&jpath);
-                SweepJournal::start(&jpath, total)
-            }
-            _ => None,
-        };
         cache.set_append_retry(self.budget.max_retries, self.budget.backoff);
 
         let sweep_token = self.token.clone().unwrap_or_default();
@@ -450,8 +438,8 @@ impl SweepEngine {
                         cache.fetch(&points).unwrap_or_else(|e| panic!("{e}"))
                     }));
                     let d = done.fetch_add(members.len(), Ordering::Relaxed) + members.len();
-                    // One member that has no number: narrate, journal,
-                    // and file it under failures or timeouts.
+                    // One member that has no number: narrate, and file it
+                    // under failures or timeouts.
                     let lost = |timed_out: bool, p: &SimPoint, error: String| {
                         let f = PointFailure { variant: p.variant.to_string(), n: p.n, error };
                         if self.progress {
@@ -464,17 +452,7 @@ impl SweepEngine {
                                 ctx.tid()
                             );
                         }
-                        let list = if timed_out {
-                            if let Some(j) = &journal {
-                                j.timeout(&f.variant, f.n, &f.error);
-                            }
-                            &timeouts
-                        } else {
-                            if let Some(j) = &journal {
-                                j.fail(&f.variant, f.n, &f.error);
-                            }
-                            &failures
-                        };
+                        let list = if timed_out { &timeouts } else { &failures };
                         list.lock().unwrap_or_else(|e| e.into_inner()).push(f);
                     };
                     match r {
@@ -544,12 +522,6 @@ impl SweepEngine {
                 .is_tripped()
                 .then(|| sweep_token.reason().unwrap_or_else(|| "cancelled".into())),
         };
-        if let Some(j) = &journal {
-            match &cancelled {
-                Some(reason) => j.cancelled(reason),
-                None => j.complete(),
-            }
-        }
         let measured = measured.load(Ordering::Relaxed);
         let seconds = t0.elapsed().as_secs_f64();
         let measure_seconds = first_measure
@@ -560,12 +532,12 @@ impl SweepEngine {
             requested: points.len(),
             unique,
             measured,
+            cached,
             remaining: total - measured - failed.len() - timed_out.len(),
             failed,
             timed_out,
             skipped,
             cancelled,
-            resumed_from,
             seconds,
             measure_seconds,
             points_per_sec: if measured > 0 && measure_seconds > 0.0 {
@@ -763,6 +735,25 @@ mod tests {
         assert!(r.skipped[0].reason.contains("smaller than the box"), "{}", r.skipped[0].reason);
         assert!(r.failed.is_empty());
         assert_eq!(r.measured, 4, "valid points still measured");
+        // Every kind at once: a cached point, an invalid one, one
+        // recorded from a stream the cache produced, and fresh ones.
+        // Each unique point lands in exactly one count of the report.
+        let within = Variant { gran: pdesched_core::Granularity::WithinBox, ..Variant::baseline() };
+        let mixed = TrafficCache::new();
+        mixed.get(Variant::baseline(), 8, &tiny());
+        pts.push(SimPoint { variant: within, n: 8, configs: tiny() });
+        let r = engine.prewarm(&mixed, &pts);
+        assert_eq!((r.unique, r.skipped.len(), r.cached, r.measured), (6, 1, 1, 4));
+        assert_eq!(mixed.stats().shared_points, 1, "P<Box replays the held P>=Box stream");
+        assert_eq!(
+            r.unique,
+            r.skipped.len()
+                + r.cached
+                + r.measured
+                + r.failed.len()
+                + r.timed_out.len()
+                + r.remaining
+        );
     }
 
     #[test]

@@ -36,7 +36,6 @@ pub mod engine;
 pub mod fault;
 pub mod figures;
 mod frozen;
-pub mod journal;
 pub mod json;
 pub mod model;
 pub mod serve;
@@ -48,7 +47,6 @@ pub use adapter::TraceMem;
 pub use engine::{PointFailure, PrewarmReport, SimPoint, SkippedPoint, SweepBudget, SweepEngine};
 pub use fault::FaultHook;
 pub use frozen::{measure_box_traffic_parallel, measure_box_traffic_symbolic, symbolic};
-pub use journal::PriorSweep;
 pub use model::{predict_time, predict_time_with_traffic, Prediction, Workload};
 pub use serve::{ServeConfig, ServeFaultAction, ServeHook, ServeStats, Server};
 pub use spec::MachineSpec;

@@ -396,11 +396,10 @@ pub struct TrafficCache {
     /// What this process produced, by stream: the members a later miss
     /// can be recorded from without running a producer.
     streams: Mutex<StreamMap>,
-    /// Lock file this cache owns; appends only happen when it does.
-    owned_lock: Option<PathBuf>,
-    /// Open handle holding the exclusive `flock` on `owned_lock`; kept
-    /// alive for the cache's lifetime so the kernel releases the lock
-    /// exactly when this writer is gone (drop, exit, or crash).
+    /// Open handle holding the exclusive `flock` on the store's lock
+    /// file; appends only happen while this cache holds it. Kept alive
+    /// for the cache's lifetime so the kernel releases the lock exactly
+    /// when this writer is gone (drop, exit, or crash).
     lock_file: Option<std::fs::File>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -606,16 +605,8 @@ fn quarantine_path_for(store: &Path) -> PathBuf {
     PathBuf::from(s)
 }
 
-#[cfg(target_os = "linux")]
-pub(crate) fn pid_alive(pid: u32) -> bool {
+fn pid_alive(pid: u32) -> bool {
     Path::new(&format!("/proc/{pid}")).exists()
-}
-
-#[cfg(not(target_os = "linux"))]
-pub(crate) fn pid_alive(_pid: u32) -> bool {
-    // No portable liveness probe: assume the holder is alive (the safe
-    // direction — we degrade to read-only instead of double-writing).
-    true
 }
 
 /// Try to become the store's single writer; `Some(file)` holds the lock
@@ -632,7 +623,6 @@ pub(crate) fn pid_alive(_pid: u32) -> bool {
 /// foreign pid or unreadable content is respected (read-only). The file
 /// is never unlinked — unlinking would reopen the unlink/flock race
 /// where a later writer locks a directory entry that no longer exists.
-#[cfg(unix)]
 fn try_acquire_lock(lock: &Path) -> Option<std::fs::File> {
     use std::io::{Read, Seek};
     use std::os::unix::io::AsRawFd;
@@ -664,61 +654,6 @@ fn try_acquire_lock(lock: &Path) -> Option<std::fs::File> {
     f.seek(std::io::SeekFrom::Start(0)).ok()?;
     write!(f, "{own}").ok()?;
     Some(f)
-}
-
-/// Fallback single-writer protocol without `flock`: O_EXCL creation of
-/// the pid file, dead-holder locks removed and re-raced (the retried
-/// `create_new` re-serializes concurrent stealers), lock removed on
-/// drop. Compiled on every platform (and public) so the flock-less
-/// protocol stays testable from Linux CI even though only non-unix
-/// builds route [`TrafficCache`] through it.
-///
-/// The steal path is where the old protocol raced: two stealers could
-/// both observe a dead holder, one `remove_file` + `create_new` pair
-/// could delete the *other stealer's* freshly created lock, and both
-/// would believe they won. `create_new` alone cannot arbitrate that,
-/// because the unlink makes "the file I created" and "the file at the
-/// path" different inodes. So after writing our pid we re-read the
-/// *path* and keep the lock only if the content is exactly our pid:
-/// whoever's create survived at the directory entry wins, every other
-/// stealer observes a foreign pid (or an empty not-yet-written file)
-/// and concedes. Conceding never removes the file — it is the winner's.
-pub fn try_acquire_lock_fallback(lock: &Path) -> Option<std::fs::File> {
-    let own = std::process::id();
-    for attempt in 0..2 {
-        match std::fs::OpenOptions::new().write(true).create_new(true).open(lock) {
-            Ok(mut f) => {
-                write!(f, "{own}").ok()?;
-                f.flush().ok()?;
-                // Re-verify through the directory entry, not our fd: if
-                // a concurrent stealer unlinked our file and created its
-                // own, the path now holds *its* pid and our fd points at
-                // an orphaned inode.
-                let content = std::fs::read_to_string(lock).ok()?;
-                if content.trim().parse::<u32>() == Ok(own) {
-                    return Some(f);
-                }
-                return None;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists && attempt == 0 => {
-                let holder =
-                    std::fs::read_to_string(lock).ok().and_then(|s| s.trim().parse::<u32>().ok());
-                match holder {
-                    Some(pid) if pid == own || !pid_alive(pid) => {
-                        let _ = std::fs::remove_file(lock);
-                    }
-                    _ => return None,
-                }
-            }
-            Err(_) => return None,
-        }
-    }
-    None
-}
-
-#[cfg(not(unix))]
-fn try_acquire_lock(lock: &Path) -> Option<std::fs::File> {
-    try_acquire_lock_fallback(lock)
 }
 
 /// Atomically replace `path` with header + `entries` (sorted by key for
@@ -1148,8 +1083,7 @@ impl TrafficCache {
         if let Some(dir) = path.parent() {
             let _ = std::fs::create_dir_all(dir);
         }
-        let lock = lock_path_for(&path);
-        let lock_file = try_acquire_lock(&lock);
+        let lock_file = try_acquire_lock(&lock_path_for(&path));
         let reader = StoreReader::open(path);
         let view = reader.view();
         let mut cache = TrafficCache::new();
@@ -1174,7 +1108,6 @@ impl TrafficCache {
             }
         }
         cache.reader = Some(reader);
-        cache.owned_lock = lock_file.is_some().then_some(lock);
         cache.lock_file = lock_file;
         cache
     }
@@ -1189,7 +1122,7 @@ impl TrafficCache {
     /// serves the loaded entries and memoizes in memory, but appends
     /// nothing.
     pub fn store_read_only(&self) -> bool {
-        self.reader.is_some() && self.owned_lock.is_none()
+        self.reader.is_some() && self.lock_file.is_none()
     }
 
     /// Follow an external writer: [`StoreReader::refresh`] on this
@@ -1205,7 +1138,7 @@ impl TrafficCache {
     /// forever. The writer is the single source of the file's changes,
     /// so a writing cache returns `false` without stat-ing.
     pub fn refresh_if_compacted(&self) -> bool {
-        let Some(reader) = self.reader.as_ref().filter(|_| self.owned_lock.is_none()) else {
+        let Some(reader) = self.reader.as_ref().filter(|_| self.lock_file.is_none()) else {
             return false;
         };
         let before = reader.view().generation;
@@ -1419,7 +1352,7 @@ impl TrafficCache {
                 return;
             }
         }
-        if let (Some(path), true) = (self.store_path(), self.owned_lock.is_some()) {
+        if let (Some(path), true) = (self.store_path(), self.lock_file.is_some()) {
             // Line and newline go out in ONE `write` on the O_APPEND
             // handle: the kernel places each such write whole, so sweep
             // threads finishing together cannot interleave into a merged
@@ -1505,7 +1438,7 @@ impl TrafficCache {
     /// writer. Called on signal-triggered shutdown so every appended
     /// measurement is durable before the process exits.
     pub fn flush_store(&self) {
-        if let (Some(path), true) = (self.store_path(), self.owned_lock.is_some()) {
+        if let (Some(path), true) = (self.store_path(), self.lock_file.is_some()) {
             if let Ok(f) = std::fs::File::open(path) {
                 let _ = f.sync_all();
             }
@@ -1525,7 +1458,7 @@ impl TrafficCache {
     /// land on the doomed pre-rename inode and be lost from disk until
     /// the next compaction.
     pub fn compact_store(&self) -> bool {
-        let Some(reader) = self.reader.as_ref().filter(|_| self.owned_lock.is_some()) else {
+        let Some(reader) = self.reader.as_ref().filter(|_| self.lock_file.is_some()) else {
             return false;
         };
         let (view, fresh) = (reader.view(), self.fresh_lock());
@@ -1571,21 +1504,15 @@ impl TrafficCache {
 
 impl Drop for TrafficCache {
     fn drop(&mut self) {
-        // Unix: closing `lock_file` releases the exclusive flock (the
-        // kernel also does this on crash or `process::exit`); the lock
-        // file itself is deliberately never unlinked — see
+        // Closing `lock_file` releases the exclusive flock (the kernel
+        // also does this on crash or `process::exit`); the lock file
+        // itself is deliberately never unlinked — see
         // `try_acquire_lock`. Our pid is erased first, while the flock
         // is still held: this process may live on, and a live pid left
         // in the file would read as a foreign-protocol holder and keep
-        // the store read-only for every other process. The fallback
-        // protocol has no flock, so its lock must be removed here and
-        // staleness pid-checked on acquisition.
+        // the store read-only for every other process.
         if let Some(f) = self.lock_file.take() {
             let _ = f.set_len(0);
-        }
-        #[cfg(not(unix))]
-        if let Some(lock) = &self.owned_lock {
-            let _ = std::fs::remove_file(lock);
         }
     }
 }
@@ -2321,7 +2248,6 @@ mod tests {
         assert_eq!(cache.len(), 2, "store entry and fresh entry, each counted once");
     }
 
-    #[cfg(unix)]
     #[test]
     fn dropped_cache_leaves_no_pid_in_the_lock_file() {
         let dir = TempDir::new("lockdrop");

@@ -122,7 +122,7 @@ fn cancelled_sweep_resumes_bit_identical() {
         assert_eq!(sorted_lines(&path).len(), first.measured);
 
         // Run 2: same prewarm, fresh process state, no faults. It must
-        // see the interruption in the journal and finish the job.
+        // find what the first run stored and finish the job.
         let resume = {
             let cache = TrafficCache::with_store(&path);
             assert!(!cache.store_read_only(), "crashed run's lock must not linger");
@@ -132,9 +132,7 @@ fn cancelled_sweep_resumes_bit_identical() {
             assert_eq!(cache.stats().misses as usize, report.measured);
             report
         };
-        let prior = resume.resumed_from.as_ref().expect("resume must report the prior sweep");
-        assert_eq!(prior.total, total);
-        assert_eq!(prior.cancelled.as_deref(), Some("injected cancel"));
+        assert_eq!(resume.cached, first.measured, "the store is the record of the first run");
         assert_eq!(resume.cancelled, None);
         assert_eq!(resume.measured, total - first.measured);
         assert_eq!(resume.remaining, 0);
@@ -149,9 +147,9 @@ fn cancelled_sweep_resumes_bit_identical() {
         }
         assert_eq!(sorted_lines(&path), sorted_lines(&golden), "resumed vs uninterrupted");
 
-        // Run 3: nothing left to resume — the journal was terminated.
+        // Run 3: nothing left to resume — the store holds every point.
         let clean = SweepEngine::new(threads).prewarm(&TrafficCache::with_store(&path), &pts);
-        assert_eq!(clean.resumed_from, None, "a completed sweep leaves nothing to resume");
+        assert_eq!(clean.cached, total, "a completed sweep leaves nothing to resume");
         assert_eq!(clean.measured, 0);
     });
 }
@@ -181,8 +179,7 @@ fn hung_point_is_killed_by_point_deadline_without_blocking_the_rest() {
     let retry = SweepEngine::new(2).prewarm(&cache, &pts);
     assert_eq!(retry.measured, 1);
     assert_eq!(retry.timed_out.len(), 0);
-    let prior = retry.resumed_from.expect("timed-out sweep must be resumable");
-    assert_eq!(prior.timed_out, 1);
+    assert_eq!(retry.cached, pts.len() - 1, "the store holds every point but the killed one");
 }
 
 /// The per-point deadline supervises a pass: when it fires inside a
@@ -217,7 +214,7 @@ fn hung_family_pass_times_out_every_member() {
     // The re-run measures exactly the family that was killed, as one pass.
     let retry = SweepEngine::new(1).prewarm(&TrafficCache::with_store(&path), &pts);
     assert_eq!((retry.measured, retry.passes), (3, 1));
-    assert_eq!(retry.resumed_from.expect("timed-out sweep must be resumable").timed_out, 3);
+    assert_eq!(retry.cached, pts.len() - 3, "the store holds every point but the family");
 }
 
 #[test]
@@ -245,15 +242,14 @@ fn sweep_deadline_cancels_and_releases_a_hung_point() {
     assert_eq!(report.measured + report.remaining, pts.len());
 }
 
-/// A prewarm with nothing to measure opens no journal: it neither claims
-/// to resume an interrupted sweep nor erases that sweep's record, which
-/// the next prewarm that does measure picks up.
+/// A prewarm over points the store already holds measures nothing and
+/// reports them all cached; the interrupted sweep's missing points stay
+/// missing, so the later full prewarm measures exactly those.
 #[test]
-fn an_all_cached_prewarm_leaves_an_interrupted_journal_alone() {
+fn an_idle_prewarm_reports_cached_and_leaves_the_missing_points_missing() {
     let pts = sweep_points();
-    let dir = TempDir::new("cachedjournal");
+    let dir = TempDir::new("idleprewarm");
     let path = dir.file("traffic.txt");
-    let journal = dir.file("traffic.txt.journal");
     let held = &pts[..1];
     SweepEngine::new(1).prewarm(&TrafficCache::with_store(&path), held);
     let token = CancelToken::new();
@@ -263,16 +259,13 @@ fn an_all_cached_prewarm_leaves_an_interrupted_journal_alone() {
         SweepEngine::new(1).with_cancel_token(token).prewarm(&cache, &pts)
     };
     assert_eq!(first.cancelled.as_deref(), Some("injected cancel"));
-    let record = std::fs::read(&journal).expect("the cancelled sweep is journaled");
+    assert_eq!(first.measured, 0);
 
     let idle = SweepEngine::new(1).prewarm(&TrafficCache::with_store(&path), held);
-    assert_eq!((idle.measured, idle.resumed_from), (0, None));
-    assert_eq!(std::fs::read(&journal).unwrap(), record, "the journal must be left as it was");
+    assert_eq!((idle.measured, idle.cached), (0, held.len()));
 
     let resume = SweepEngine::new(1).prewarm(&TrafficCache::with_store(&path), &pts);
-    let prior = resume.resumed_from.expect("the interrupted sweep is still resumable");
-    assert_eq!(prior.cancelled.as_deref(), Some("injected cancel"));
-    assert_eq!(resume.measured, pts.len() - 1);
+    assert_eq!((resume.measured, resume.cached), (pts.len() - 1, 1));
 }
 
 #[test]
